@@ -13,7 +13,6 @@ digits so outputs are byte-stable and round-trip binary floating point.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from . import __version__
 from .equilibrium import BracketFailure, build_solution, check_qvi
 from .model import DomainError, InvalidParameters, ModelParams, belief_to_ratio, \
     ratio_to_belief
-from .simulate import Measure, SimConfig, write_trajectory_csv
+from .simulate import Measure, SimConfig, fmt17, write_csv, write_trajectory_csv
 from .sweeps import DEFAULT_SWEEP_POINTS, SWEEPABLE, SweepSpec, default_sweep_values, \
     run_sweep, sample_path_figure, write_path_csv, write_sweep_csv
 from .symmetric import NoConvergence, solve_symmetric, value_of_information
@@ -67,7 +66,7 @@ def _num(v) -> str:
     f = float(v)
     if math.isnan(f) or math.isinf(f):
         return "null"
-    return f"{f:.17g}"
+    return fmt17(f)
 
 
 def dumps17(obj, indent: int = 0) -> str:
@@ -173,32 +172,29 @@ def _metadata(command: str, params: ModelParams, pi: float, phi: float,
     return meta
 
 
-def _emit(text: str, settings: dict) -> None:
+def _emit(settings: dict, default_fmt: str, doc: dict | None, write_csv_to) -> None:
+    """Write `doc` as JSON, or call write_csv_to(fh), as the format asks;
+    to the output file, or to stdout without one.  No `doc`: CSV only."""
+    fmt = settings.get("format") or default_fmt
+    if fmt not in ("json", "csv"):
+        raise CliError(f"format={fmt!r} must be json or csv")
+    if fmt == "json" and doc is None:
+        raise CliError("this command only supports --format csv")
+    write = write_csv_to if fmt == "csv" else lambda fh: fh.write(dumps17(doc) + "\n")
     out = settings.get("output")
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _csv_text(header, rows, metadata) -> str:
-    buf = io.StringIO()
-    for key, val in metadata.items():
-        sval = f"{val:.17g}" if isinstance(val, float) else str(val)
-        buf.write(f"# {key}={sval}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def _fmt_of(settings: dict, default: str) -> str:
-    fmt = settings.get("format") or default
-    if fmt not in ("json", "csv"):
-        raise CliError(f"format={fmt!r} must be json or csv")
-    return fmt
+def _solution_csv(meta: dict, fields: dict):
+    """One CSV row: the parameters from `meta`, then the solution fields."""
+    header = ("mu0", "mu1", "sigma", "eps", "pi", "phi", "x", *fields)
+    row = [{**meta, **fields}[h] for h in header]
+    top = {k: meta[k] for k in ("version", "command", "seed")}
+    return lambda fh: write_csv(fh, header, [row], top)
 
 
 # -- commands -----------------------------------------------------------------
@@ -213,18 +209,9 @@ def _cmd_solve(args) -> int:
         "beta1": sol.exps.beta1, "beta2": sol.exps.beta2, "delta": sol.delta,
         "C1": sol.C1, "C2": sol.C2, "D1": sol.D1, "D2": sol.D2,
     }
-    fmt = _fmt_of(settings, "json")
-    if fmt == "json":
-        text = dumps17({"metadata": meta, "solution": fields,
-                        "qvi": qvi.as_dict()}) + "\n"
-    else:
-        header = ("mu0", "mu1", "sigma", "eps", "pi", "phi", "x",
-                  *fields.keys(), "qvi_pass")
-        row = (params.mu0, params.mu1, params.sigma, params.eps, pi, phi,
-               params.x0, *fields.values(), qvi.all_pass)
-        text = _csv_text(header, [row], {"version": __version__, "command": "solve",
-                                         "seed": settings["seed"]})
-    _emit(text, settings)
+    _emit(settings, "json",
+          {"metadata": meta, "solution": fields, "qvi": qvi.as_dict()},
+          _solution_csv(meta, {**fields, "qvi_pass": qvi.all_pass}))
     return EXIT_OK if qvi.all_pass else EXIT_VERIFICATION
 
 
@@ -234,17 +221,8 @@ def _cmd_symmetric(args) -> int:
     meta = _metadata("symmetric", params, pi, phi, settings)
     fields = {"As": sym.As, "Bs": sym.Bs, "a": sym.a, "b": sym.b,
               "Dh1": sym.Dh1, "Dh2": sym.Dh2}
-    fmt = _fmt_of(settings, "json")
-    if fmt == "json":
-        text = dumps17({"metadata": meta, "solution": fields}) + "\n"
-    else:
-        header = ("mu0", "mu1", "sigma", "eps", "pi", "phi", "x", *fields.keys())
-        row = (params.mu0, params.mu1, params.sigma, params.eps, pi, phi,
-               params.x0, *fields.values())
-        text = _csv_text(header, [row], {"version": __version__,
-                                         "command": "symmetric",
-                                         "seed": settings["seed"]})
-    _emit(text, settings)
+    _emit(settings, "json", {"metadata": meta, "solution": fields},
+          _solution_csv(meta, fields))
     return EXIT_OK
 
 
@@ -257,17 +235,11 @@ def _cmd_voi(args) -> int:
     curve = value_of_information(params, pis)
     meta = _metadata("voi", params, pi, phi, settings,
                      {"grid": n, "orientation": curve.orientation})
-    fmt = _fmt_of(settings, "csv")
-    rows = zip(curve.pi.tolist(), curve.value_symmetric.tolist(),
-               curve.value_asymmetric.tolist(), curve.difference.tolist())
-    if fmt == "csv":
-        text = _csv_text(("pi", "value_symmetric", "value_asymmetric",
-                          "difference"), rows, meta)
-    else:
-        text = dumps17({"metadata": meta, "rows": [
-            {"pi": a, "value_symmetric": b, "value_asymmetric": c,
-             "difference": d} for a, b, c, d in rows]}) + "\n"
-    _emit(text, settings)
+    header = ("pi", "value_symmetric", "value_asymmetric", "difference")
+    rows = list(zip(*(getattr(curve, h).tolist() for h in header)))
+    _emit(settings, "csv",
+          {"metadata": meta, "rows": [dict(zip(header, r)) for r in rows]},
+          lambda fh: write_csv(fh, header, rows, meta))
     return EXIT_OK
 
 
@@ -283,15 +255,8 @@ def _cmd_path(args) -> int:
                       "path_index": args.path_index, "a": info["a"],
                       "b": info["b"], "censored": info["censored"],
                       "columns": args.columns})
-    fmt = _fmt_of(settings, "csv")
-    if fmt != "csv":
-        raise CliError("path only supports --format csv")
-    buf = io.StringIO()
-    if args.columns == "figure":
-        write_path_csv(traj, buf, metadata=meta)
-    else:
-        write_trajectory_csv(traj, buf, metadata=meta)
-    _emit(buf.getvalue(), settings)
+    writer = write_path_csv if args.columns == "figure" else write_trajectory_csv
+    _emit(settings, "csv", None, lambda fh: writer(traj, fh, metadata=meta))
     return EXIT_OK
 
 
@@ -308,18 +273,11 @@ def _cmd_mc(args) -> int:
                      {"paths": settings["paths"], "dt": settings["dt"],
                       "horizon": settings["horizon"]})
     ok = all(c["pass"] for c in checks)
-    fmt = _fmt_of(settings, "json")
-    if fmt == "json":
-        text = dumps17({"metadata": meta, "checks": checks,
-                        "all_pass": ok}) + "\n"
-    else:
-        header = ("check", "phi", "estimate", "stderr", "oracle", "tolerance",
-                  "bias_bound", "censored_fraction", "pass")
-        rows = [(c["check"], c["phi"], c["estimate"], c["stderr"], c["oracle"],
-                 c["tolerance"], c["bias_bound"], c["censored_fraction"],
-                 c["pass"]) for c in checks]
-        text = _csv_text(header, rows, meta)
-    _emit(text, settings)
+    header = ("check", "phi", "estimate", "stderr", "oracle", "tolerance",
+              "bias_bound", "censored_fraction", "pass")
+    _emit(settings, "json", {"metadata": meta, "checks": checks, "all_pass": ok},
+          lambda fh: write_csv(fh, header, [[c[h] for h in header] for c in checks],
+                               meta))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -343,20 +301,13 @@ def _cmd_deviations(args) -> int:
                       "aprime_points": args.aprime_points,
                       "phi_points": args.phi_points,
                       "limitation": p2.limitation})
-    fmt = _fmt_of(settings, "json")
-    if fmt == "json":
-        text = dumps17({"metadata": meta, "player1": p1.as_dicts(),
-                        "player2": p2.as_dicts(), "all_pass": ok}) + "\n"
-    else:
-        header = ("kind", "parameter", "phi", "equilibrium", "deviation",
-                  "stderr", "tolerance", "pass", "method")
-        rows = [(r["kind"], r["parameter"], r["phi"], r["equilibrium"],
-                 r["deviation"],
-                 "" if r["stderr"] is None else r["stderr"],
-                 r["tolerance"], r["pass"], r["method"])
-                for r in p1.as_dicts() + p2.as_dicts()]
-        text = _csv_text(header, rows, meta)
-    _emit(text, settings)
+    header = ("kind", "parameter", "phi", "equilibrium", "deviation",
+              "stderr", "tolerance", "pass", "method")
+    rows = [["" if r[h] is None else r[h] for h in header]
+            for r in p1.as_dicts() + p2.as_dicts()]
+    _emit(settings, "json", {"metadata": meta, "player1": p1.as_dicts(),
+                             "player2": p2.as_dicts(), "all_pass": ok},
+          lambda fh: write_csv(fh, header, rows, meta))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -372,17 +323,10 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(SweepSpec(parameter=args.param, values=values, base=params))
     meta = _metadata("sweep", params, pi, phi, settings,
                      {"param": args.param, "points": args.points})
-    fmt = _fmt_of(settings, "csv")
-    rows = [(r.parameter, r.value, r.A, r.B, r.a, r.b, r.status)
-            for r in result.rows]
-    if fmt == "csv":
-        text = _csv_text(("param", "value", "A", "B", "a", "b", "status"),
-                         rows, meta)
-    else:
-        text = dumps17({"metadata": meta, "rows": [
-            {"param": p, "value": v, "A": A, "B": B, "a": a, "b": b,
-             "status": s} for p, v, A, B, a, b, s in rows]}) + "\n"
-    _emit(text, settings)
+    _emit(settings, "csv", {"metadata": meta, "rows": [
+        {"param": r.parameter, "value": r.value, "A": r.A, "B": r.B, "a": r.a,
+         "b": r.b, "status": r.status} for r in result.rows]},
+          lambda fh: write_sweep_csv(result, fh, metadata=meta))
     return EXIT_OK
 
 

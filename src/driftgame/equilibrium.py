@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import DomainError, ModelParams, derive
-
-# Root tolerance for delta = A/B (bisection in z; see solve_threshold_ratio).
-DELTA_TOL = 1e-12
 
 # QVI residual tolerances: closed-form solution, limited by floating point.
 ODE_RTOL = 1e-8        # relative, for the three Euler ODE residuals
@@ -52,7 +50,12 @@ def characteristic_poly(params: ModelParams, beta: float) -> float:
 
 
 def compute_exponents(params: ModelParams) -> Exponents:
-    """Both real roots of q, via the numerically stable quadratic formula."""
+    """Both real roots of q, via the numerically stable quadratic formula.
+
+    Each root must leave a residual of q below 1e-12 of q's largest term
+    there, max(|a beta^2|, |b beta|, |c|), and the roots must keep their
+    signs; anything else is a numerical failure (FloatingPointError).
+    """
     omega = derive(params).omega
     a = 0.5 * omega**2
     b = params.sigma * omega - a
@@ -63,10 +66,12 @@ def compute_exponents(params: ModelParams) -> Exponents:
     qf = -0.5 * (b + math.copysign(s, b))
     r1, r2 = qf / a, c / qf
     beta1, beta2 = max(r1, r2), min(r1, r2)
-    assert 0.0 < beta1 < 1.0 and beta2 < 0.0, (beta1, beta2)
-    tol = 1e-12 * max(1.0, abs(params.mu0))
-    assert abs(characteristic_poly(params, beta1)) < tol
-    assert abs(characteristic_poly(params, beta2)) < tol
+    for beta in (beta1, beta2):
+        scale = max(abs(a * beta * beta), abs(b * beta), abs(c))
+        if not abs(characteristic_poly(params, beta)) <= 1e-12 * scale:
+            raise FloatingPointError(f"q({beta!r}) is not 0 for params {params}")
+    if not (0.0 < beta1 < 1.0 and beta2 < 0.0):
+        raise FloatingPointError(f"exponents {beta1!r}, {beta2!r} for params {params}")
     return Exponents(beta1=beta1, beta2=beta2)
 
 
@@ -90,31 +95,37 @@ def _h_signed(exps: Exponents, eps: float, z: float) -> float:
         return -math.inf if exps.beta1 < 1.0 else math.inf
 
 
-def solve_threshold_ratio(exps: Exponents, eps: float) -> float:
-    """Root of h by bracketed bisection, safe because h is monotone.
+def bisect_unit(f, what: str) -> float:
+    """Root in (0, 1) of a function that is negative near 0 and non-negative
+    at 1, by bracketed bisection.
 
-    The lower bracket endpoint is shrunk geometrically until h goes
-    negative; bisection then runs to machine resolution in z, which is well
-    inside the 1e-12 z-tolerance and keeps |h(delta)| <= 1e-12 as well.
+    The lower bracket endpoint is shrunk geometrically until f goes
+    negative; bisection then runs to machine resolution in z.
     """
     hi = 1.0
     lo = 0.5
-    while not _h_signed(exps, eps, lo) < 0.0:
+    while not f(lo) < 0.0:
         lo *= 0.1
         if lo < 1e-300:
-            raise BracketFailure(
-                f"no sign change of h on (0, 1) for exponents {exps}: "
-                "parameters are corrupted"
-            )
+            raise BracketFailure(f"no sign change of {what} on (0, 1)")
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        if _h_signed(exps, eps, mid) < 0.0:
+            return mid
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return mid
+
+
+def solve_threshold_ratio(exps: Exponents, eps: float) -> float:
+    """Root of h by bracketed bisection, safe because h is monotone.
+
+    Bisection runs to machine resolution in z, which is well inside the
+    1e-12 z-tolerance and keeps |h(delta)| <= 1e-12 as well.
+    """
+    return bisect_unit(lambda z: _h_signed(exps, eps, z),
+                       f"h for exponents {exps}: parameters are corrupted")
 
 
 def compute_upper_threshold(exps: Exponents, eps: float, delta: float) -> float:
@@ -127,6 +138,57 @@ def compute_upper_threshold(exps: Exponents, eps: float, delta: float) -> float:
         - b2 * (b1 - 1.0) * delta ** (1.0 - b2) \
         + b1 * (b2 - 1.0) * delta ** (1.0 - b1)
     return num / den
+
+
+@dataclass(frozen=True)
+class PowerPiece:
+    """c1 phi^p1 + c2 phi^p2 on (lo, hi), extended by off + s (phi + shift)
+    at and below lo and at and above hi.
+
+    Every value function of both games has this shape: a combination of
+    the Euler-ODE power solutions on the continuation band, constant or
+    affine outside it.  The derivative order is 0, 1 or 2; at lo and hi the
+    first derivative takes the one-sided inside value and the second
+    derivative is refused.  Accepts scalars or arrays; a scalar argument
+    returns a float.
+    """
+
+    lo: float
+    hi: float
+    c1: float
+    p1: float
+    c2: float
+    p2: float
+    below: tuple   # (off, s, shift) on phi <= lo
+    above: tuple   # (off, s, shift) on phi >= hi
+
+    def __call__(self, phi, order: int = 0):
+        p = np.asarray(phi, dtype=float)
+        if np.any(p <= 0.0) or np.any(np.isnan(p)):
+            raise DomainError("phi must be positive")
+        if order == 2 and (np.any(p == self.lo) or np.any(p == self.hi)):
+            raise DomainError(
+                "second derivative is undefined exactly at the thresholds "
+                f"{self.lo!r} and {self.hi!r}")
+        low = p <= self.lo
+        high = p >= self.hi
+        out = np.empty_like(p)
+        for mask, (off, s, shift) in ((low, self.below), (high, self.above)):
+            if order == 0:
+                out[mask] = off + s * (p[mask] + shift)
+            else:
+                out[mask] = s if order == 1 else 0.0
+        ins = ~(low | high)
+        if order:
+            ins |= (p == self.lo) | (p == self.hi)
+        k1 = k2 = 1.0
+        for j in range(order):
+            k1 *= self.p1 - j
+            k2 *= self.p2 - j
+        q = p[ins]
+        out[ins] = k1 * self.c1 * q ** (self.p1 - order) \
+            + k2 * self.c2 * q ** (self.p2 - order)
+        return float(out) if np.ndim(phi) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -170,114 +232,62 @@ class EquilibriumSolution:
         """Continuation value at the reflecting threshold."""
         return self.D1 * self.B**self.exps.beta1 + self.D2 * self.B**self.exps.beta2
 
-    # -- evaluation helpers ------------------------------------------------
+    @cached_property
+    def V_piece(self) -> PowerPiece:
+        """V: the obstacle 1 + phi below A, slope 1 + eps above B."""
+        b1, b2 = self.exps.beta1, self.exps.beta2
+        return PowerPiece(self.A, self.B, self.D1, b1, self.D2, b2,
+                          below=(0.0, 1.0, 1.0),
+                          above=(self.V_B, 1.0 + self.params.eps, -self.B))
 
-    def _split(self, phi):
-        p = np.asarray(phi, dtype=float)
-        if np.any(p <= 0.0) or np.any(np.isnan(p)):
-            raise DomainError("phi must be positive")
-        lo = p <= self.A
-        hi = p >= self.B
-        return p, lo, hi, ~(lo | hi)
+    @cached_property
+    def V1_piece(self) -> PowerPiece:
+        """V1: the payoffs 1 below A and 1 + eps above B."""
+        b1, b2 = self.exps.beta1, self.exps.beta2
+        return PowerPiece(self.A, self.B, self.C1, b1 - 1.0, self.C2, b2 - 1.0,
+                          below=(1.0, 0.0, 0.0),
+                          above=(1.0 + self.params.eps, 0.0, 0.0))
 
-    @staticmethod
-    def _ret(p, out, phi):
-        return float(out) if np.isscalar(phi) or np.ndim(phi) == 0 else out
-
-    def _refuse_kinks(self, p):
-        if np.any(p == self.A) or np.any(p == self.B):
-            raise DomainError(
-                "second derivative is undefined exactly at the thresholds "
-                f"A={self.A!r}, B={self.B!r}"
-            )
+    @cached_property
+    def V0_piece(self) -> PowerPiece:
+        """V0 = V - phi V1: 1 below A, constant above B (reflection)."""
+        b1, b2 = self.exps.beta1, self.exps.beta2
+        top = self.V_B - (1.0 + self.params.eps) * self.B
+        return PowerPiece(self.A, self.B, self.D1 - self.C1, b1,
+                          self.D2 - self.C2, b2,
+                          below=(1.0, 0.0, 0.0), above=(top, 0.0, 0.0))
 
     def V(self, phi):
         """Game value per unit x (uninformed player's scaled value)."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        out = np.empty_like(p)
-        out[lo] = 1.0 + p[lo]
-        out[mid] = self.D1 * p[mid]**b1 + self.D2 * p[mid]**b2
-        out[hi] = self.V_B + (1.0 + self.params.eps) * (p[hi] - self.B)
-        return self._ret(p, out, phi)
+        return self.V_piece(phi)
 
     def V_prime(self, phi):
         """dV/dphi; the one-sided inside value at the thresholds (V is C1)."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        ins = lo & (p == self.A) | hi & (p == self.B) | mid
-        out = np.empty_like(p)
-        out[lo] = 1.0
-        out[hi] = 1.0 + self.params.eps
-        out[ins] = b1 * self.D1 * p[ins]**(b1 - 1.0) + b2 * self.D2 * p[ins]**(b2 - 1.0)
-        return self._ret(p, out, phi)
+        return self.V_piece(phi, 1)
 
     def V_second(self, phi):
         """d2V/dphi2; refused exactly at A and B where V is not C2."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        self._refuse_kinks(p)
-        out = np.zeros_like(p)
-        out[mid] = b1 * (b1 - 1.0) * self.D1 * p[mid]**(b1 - 2.0) \
-            + b2 * (b2 - 1.0) * self.D2 * p[mid]**(b2 - 2.0)
-        return self._ret(p, out, phi)
+        return self.V_piece(phi, 2)
 
     def V1(self, phi):
         """Informed player's cost per unit x in the high-drift regime."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        out = np.empty_like(p)
-        out[lo] = 1.0
-        out[mid] = self.C1 * p[mid]**(b1 - 1.0) + self.C2 * p[mid]**(b2 - 1.0)
-        out[hi] = 1.0 + self.params.eps
-        return self._ret(p, out, phi)
+        return self.V1_piece(phi)
 
     def V1_prime(self, phi):
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        ins = lo & (p == self.A) | hi & (p == self.B) | mid
-        out = np.zeros_like(p)
-        out[ins] = (b1 - 1.0) * self.C1 * p[ins]**(b1 - 2.0) \
-            + (b2 - 1.0) * self.C2 * p[ins]**(b2 - 2.0)
-        return self._ret(p, out, phi)
+        return self.V1_piece(phi, 1)
 
     def V1_second(self, phi):
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        self._refuse_kinks(p)
-        out = np.zeros_like(p)
-        out[mid] = (b1 - 1.0) * (b1 - 2.0) * self.C1 * p[mid]**(b1 - 3.0) \
-            + (b2 - 1.0) * (b2 - 2.0) * self.C2 * p[mid]**(b2 - 3.0)
-        return self._ret(p, out, phi)
+        return self.V1_piece(phi, 2)
 
     def V0(self, phi):
-        """Informed player's cost per unit x in the low-drift regime,
-        V0 = V - phi V1; constant above B by the reflection condition."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        out = np.empty_like(p)
-        out[lo] = 1.0
-        out[mid] = (self.D1 - self.C1) * p[mid]**b1 + (self.D2 - self.C2) * p[mid]**b2
-        out[hi] = self.V_B - (1.0 + self.params.eps) * self.B
-        return self._ret(p, out, phi)
+        """Informed player's cost per unit x in the low-drift regime."""
+        return self.V0_piece(phi)
 
     def V0_prime(self, phi):
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        ins = lo & (p == self.A) | hi & (p == self.B) | mid
-        out = np.zeros_like(p)
-        out[ins] = b1 * (self.D1 - self.C1) * p[ins]**(b1 - 1.0) \
-            + b2 * (self.D2 - self.C2) * p[ins]**(b2 - 1.0)
-        return self._ret(p, out, phi)
+        return self.V0_piece(phi, 1)
 
     def V0_second(self, phi):
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p, lo, hi, mid = self._split(phi)
-        self._refuse_kinks(p)
-        out = np.zeros_like(p)
-        out[mid] = b1 * (b1 - 1.0) * (self.D1 - self.C1) * p[mid]**(b1 - 2.0) \
-            + b2 * (b2 - 1.0) * (self.D2 - self.C2) * p[mid]**(b2 - 2.0)
-        return self._ret(p, out, phi)
+        return self.V0_piece(phi, 2)
 
 
 def build_solution(params: ModelParams) -> EquilibriumSolution:
@@ -315,19 +325,9 @@ def deviation_value_player1(sol: EquilibriumSolution, Aprime: float, phi):
     ])
     rhs = np.array([1.0 + Aprime, 1.0 + eps])
     E1, E2 = np.linalg.solve(M, rhs)
-
-    p = np.asarray(phi, dtype=float)
-    if np.any(p <= 0.0) or np.any(np.isnan(p)):
-        raise DomainError("phi must be positive")
-    lo = p <= Aprime
-    hi = p >= sol.B
-    mid = ~(lo | hi)
     WB = E1 * sol.B**b1 + E2 * sol.B**b2
-    out = np.empty_like(p)
-    out[lo] = 1.0 + p[lo]
-    out[mid] = E1 * p[mid]**b1 + E2 * p[mid]**b2
-    out[hi] = WB + (1.0 + eps) * (p[hi] - sol.B)
-    return float(out) if np.ndim(phi) == 0 else out
+    return PowerPiece(Aprime, sol.B, E1, b1, E2, b2, below=(0.0, 1.0, 1.0),
+                      above=(WB, 1.0 + eps, -sol.B))(phi)
 
 
 # -- quasi-variational-inequality checks -----------------------------------
@@ -392,15 +392,12 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
         conds.append(QviCondition(name, r, tol, r <= tol))
 
     # Euler ODEs on the continuation band (A, B).
-    add("ode-V", np.max(_euler_residual(
-        omega, so, params.mu0, sol.V(interior), sol.V_prime(interior),
-        sol.V_second(interior), interior)), ODE_RTOL)
-    add("ode-V1", np.max(_euler_residual(
-        omega, so + omega**2, params.mu1, sol.V1(interior),
-        sol.V1_prime(interior), sol.V1_second(interior), interior)), ODE_RTOL)
-    add("ode-V0", np.max(_euler_residual(
-        omega, so, params.mu0, sol.V0(interior), sol.V0_prime(interior),
-        sol.V0_second(interior), interior)), ODE_RTOL)
+    for name, piece, drift, rate in (("ode-V", sol.V_piece, so, params.mu0),
+                                     ("ode-V1", sol.V1_piece, so + omega**2, params.mu1),
+                                     ("ode-V0", sol.V0_piece, so, params.mu0)):
+        add(name, np.max(_euler_residual(omega, drift, rate,
+                                         *(piece(interior, k) for k in range(3)),
+                                         interior)), ODE_RTOL)
 
     # Obstacle: the game value dominates the stopping payoff everywhere.
     add("obstacle-V", np.max((1.0 + full_grid) - sol.V(full_grid)), BOUNDARY_ATOL)

@@ -280,24 +280,31 @@ def truncate_at_first_hit(traj: Trajectory, lower: float) -> Trajectory:
     return Trajectory(**sliced)
 
 
+def fmt17(val) -> str:
+    """A float with 17 significant digits (round-trips binary floating
+    point), anything else through str()."""
+    return f"{val:.17g}" if isinstance(val, float) else str(val)
+
+
+def write_csv(fh, header, rows, metadata: dict | None = None) -> None:
+    """Optional '# key=value' metadata lines, the header, then one line per
+    row, every value through :func:`fmt17`."""
+    for key, val in (metadata or {}).items():
+        fh.write(f"# {key}={fmt17(val)}\n")
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(fmt17(v) for v in row) + "\n")
+
+
 TRAJECTORY_COLUMNS = ("t", "X", "Phi", "PhiB", "PiStar", "Gamma", "L")
 
 
 def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> None:
-    """Full trajectory export: one row per grid point, 17-significant-digit
-    floats, optional '# key=value' metadata lines before the header."""
+    """Full trajectory export: one row per grid point."""
     if traj.PhiB is None:
         raise ValueError("trajectory has no reflection; call reflect() first")
-    for key, val in (metadata or {}).items():
-        fh.write(f"# {key}={_fmt(val)}\n")
-    fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
     cols = (traj.times, traj.X, traj.Phi, traj.PhiB, traj.PiStar, traj.Gamma, traj.L)
-    for row in zip(*cols):
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _fmt(val) -> str:
-    return f"{val:.17g}" if isinstance(val, float) else str(val)
+    write_csv(fh, TRAJECTORY_COLUMNS, zip(*(c.tolist() for c in cols)), metadata)
 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------

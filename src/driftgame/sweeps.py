@@ -18,7 +18,7 @@ import numpy as np
 from .equilibrium import build_solution
 from .model import DomainError, InvalidParameters, ModelParams, belief_to_ratio
 from .simulate import Measure, SimConfig, Trajectory, first_hit_lower, \
-    generate_trajectory, truncate_at_first_hit
+    generate_trajectory, truncate_at_first_hit, write_csv
 
 SWEEPABLE = ("mu0", "mu1", "sigma", "eps")
 
@@ -114,10 +114,8 @@ class ValueCurve:
 
 def value_curves(params: ModelParams, pi_grid) -> ValueCurve:
     pi = np.asarray(pi_grid, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0) or np.any(np.isnan(pi)):
-        raise DomainError("pi grid must lie in (0, 1)")
+    phi = np.array([belief_to_ratio(p) for p in pi])   # DomainError outside (0, 1)
     sol = build_solution(params)
-    phi = np.array([belief_to_ratio(p) for p in pi])
     v0 = sol.V0(phi)
     v1 = sol.V1(phi)
     return ValueCurve(pi=pi, value_uninformed=(1.0 - pi) * v0 + pi * v1,
@@ -151,35 +149,23 @@ def sample_path_figure(params: ModelParams, seed: int, config: SimConfig,
 
 # -- data-file writers -------------------------------------------------------
 
-def _g17(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
-def _write_csv(fh, header, rows, metadata=None) -> None:
-    for key, val in (metadata or {}).items():
-        fh.write(f"# {key}={_g17(val)}\n")
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_g17(v) for v in row) + "\n")
-
-
 def write_sweep_csv(result: SweepResult, fh, metadata=None) -> None:
-    _write_csv(fh, ("param", "value", "A", "B", "a", "b", "status"),
-               ((r.parameter, r.value, r.A, r.B, r.a, r.b, r.status)
-                for r in result.rows), metadata)
+    write_csv(fh, ("param", "value", "A", "B", "a", "b", "status"),
+              ((r.parameter, r.value, r.A, r.B, r.a, r.b, r.status)
+               for r in result.rows), metadata)
 
 
 def write_values_csv(curve: ValueCurve, fh, metadata=None) -> None:
-    _write_csv(fh, ("pi", "value_uninformed", "V0", "V1"),
-               zip(curve.pi.tolist(), curve.value_uninformed.tolist(),
-                   curve.V0.tolist(), curve.V1.tolist()), metadata)
+    write_csv(fh, ("pi", "value_uninformed", "V0", "V1"),
+              zip(curve.pi.tolist(), curve.value_uninformed.tolist(),
+                  curve.V0.tolist(), curve.V1.tolist()), metadata)
 
 
 def write_path_csv(traj: Trajectory, fh, metadata=None) -> None:
     """Figure-style export: (t, PiStar, Gamma) rows until the stop."""
-    _write_csv(fh, ("t", "PiStar", "Gamma"),
-               zip(traj.times.tolist(), traj.PiStar.tolist(),
-                   traj.Gamma.tolist()), metadata)
+    write_csv(fh, ("t", "PiStar", "Gamma"),
+              zip(traj.times.tolist(), traj.PiStar.tolist(),
+                  traj.Gamma.tolist()), metadata)
 
 
 def plot_manifest(title: str, xlabel: str, ylabel: str, series: list[dict],

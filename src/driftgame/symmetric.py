@@ -9,6 +9,11 @@ ends:
     Vh(As) = 1 + As,        Vh'(As+) = 1,
     Vh(Bs) = (1+eps)(1+Bs), Vh'(Bs-) = 1 + eps.
 
+Matching both coefficients between the two ends makes Bs a closed form of
+delta = As/Bs in two ways; equating them leaves a scalar equation in delta
+on (0, 1), solved by the same bracketed bisection as the asymmetric game's
+threshold ratio.
+
 Comparing the two games per unit of x gives the value of information for
 the uninformed player.
 """
@@ -16,18 +21,22 @@ the uninformed player.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, Exponents, build_solution, compute_exponents
-from .model import DomainError, ModelParams, belief_to_ratio
+from .equilibrium import Exponents, PowerPiece, bisect_unit, build_solution, \
+    compute_exponents
+from .model import ModelParams, belief_to_ratio
 
-NEWTON_TOL = 1e-12       # max-norm of the two smooth-fit residuals
-JACOBIAN_REL_STEP = 1e-7
+# Bound on the smooth-fit residuals after the solve: rounding alone makes
+# the slope residual at As grow like 1/As; capped at the checks' 1e-10.
+SMOOTH_FIT_RTOL = 1e-12
+SMOOTH_FIT_ATOL_MAX = 1e-10
 
 
 class NoConvergence(RuntimeError):
-    """The nonlinear solve for the symmetric thresholds failed."""
+    """The symmetric thresholds miss the smooth-fit conditions."""
 
 
 @dataclass(frozen=True)
@@ -47,124 +56,63 @@ class SymmetricSolution:
     def b(self) -> float:
         return self.Bs / (1.0 + self.Bs)
 
+    @cached_property
+    def piece(self) -> PowerPiece:
+        """Vh, with the stopping payoffs 1 + phi below As and
+        (1+eps)(1+phi) above Bs."""
+        return PowerPiece(self.As, self.Bs, self.Dh1, self.exps.beta1,
+                          self.Dh2, self.exps.beta2, below=(0.0, 1.0, 1.0),
+                          above=(0.0, 1.0 + self.params.eps, 1.0))
+
     def value(self, phi):
         """Vh(phi), extended by the stopping payoffs outside [As, Bs]."""
-        p = np.asarray(phi, dtype=float)
-        if np.any(p <= 0.0) or np.any(np.isnan(p)):
-            raise DomainError("phi must be positive")
-        lo = p <= self.As
-        hi = p >= self.Bs
-        mid = ~(lo | hi)
-        out = np.empty_like(p)
-        out[lo] = 1.0 + p[lo]
-        out[mid] = self.Dh1 * p[mid]**self.exps.beta1 + self.Dh2 * p[mid]**self.exps.beta2
-        out[hi] = (1.0 + self.params.eps) * (1.0 + p[hi])
-        return float(out) if np.ndim(phi) == 0 else out
+        return self.piece(phi)
 
     def value_prime(self, phi):
         """dVh/dphi with the one-sided inside value at the thresholds."""
-        b1, b2 = self.exps.beta1, self.exps.beta2
-        p = np.asarray(phi, dtype=float)
-        if np.any(p <= 0.0) or np.any(np.isnan(p)):
-            raise DomainError("phi must be positive")
-        lo = p <= self.As
-        hi = p >= self.Bs
-        ins = (lo & (p == self.As)) | (hi & (p == self.Bs)) | ~(lo | hi)
-        out = np.empty_like(p)
-        out[lo] = 1.0
-        out[hi] = 1.0 + self.params.eps
-        out[ins] = b1 * self.Dh1 * p[ins]**(b1 - 1.0) + b2 * self.Dh2 * p[ins]**(b2 - 1.0)
-        return float(out) if np.ndim(phi) == 0 else out
+        return self.piece(phi, 1)
 
 
-def _coeffs_and_residuals(exps: Exponents, eps: float, As: float, Bs: float):
-    """Eliminate (Dh1, Dh2) from the two value-matching conditions and
-    return them with the two smooth-fit residuals."""
-    b1, b2 = exps.beta1, exps.beta2
-    M = np.array([[As**b1, As**b2], [Bs**b1, Bs**b2]])
-    rhs = np.array([1.0 + As, (1.0 + eps) * (1.0 + Bs)])
-    d1, d2 = np.linalg.solve(M, rhs)
-    r = np.array([
-        b1 * d1 * As**(b1 - 1.0) + b2 * d2 * As**(b2 - 1.0) - 1.0,
-        b1 * d1 * Bs**(b1 - 1.0) + b2 * d2 * Bs**(b2 - 1.0) - (1.0 + eps),
-    ])
-    return d1, d2, r
-
-
-def _newton(exps: Exponents, eps: float, As: float, Bs: float, max_iter: int = 80):
-    """Damped Newton on (As, Bs) with a finite-difference Jacobian.
-
-    Returns (As, Bs, Dh1, Dh2) or None when the iteration stalls or leaves
-    the ordered positive cone."""
-    x = np.array([As, Bs], dtype=float)
-    try:
-        d1, d2, r = _coeffs_and_residuals(exps, eps, *x)
-    except np.linalg.LinAlgError:
-        return None
-    for _ in range(max_iter):
-        norm = np.max(np.abs(r))
-        if norm <= NEWTON_TOL:
-            return x[0], x[1], d1, d2
-        J = np.empty((2, 2))
-        for i in range(2):
-            h = JACOBIAN_REL_STEP * max(abs(x[i]), 1.0)
-            xp = x.copy()
-            xp[i] += h
-            try:
-                J[:, i] = (_coeffs_and_residuals(exps, eps, *xp)[2] - r) / h
-            except np.linalg.LinAlgError:
-                return None
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        while lam > 1e-10:
-            xn = x + lam * step
-            if 0.0 < xn[0] < xn[1]:
-                try:
-                    d1n, d2n, rn = _coeffs_and_residuals(exps, eps, *xn)
-                except np.linalg.LinAlgError:
-                    lam *= 0.5
-                    continue
-                if np.max(np.abs(rn)) < norm:
-                    x, d1, d2, r = xn, d1n, d2n, rn
-                    break
-            lam *= 0.5
-        else:
-            return None
-    if np.max(np.abs(r)) <= NEWTON_TOL:
-        return x[0], x[1], d1, d2
-    return None
-
-
-def solve_symmetric(params: ModelParams,
-                    asym: EquilibriumSolution | None = None) -> SymmetricSolution:
+def solve_symmetric(params: ModelParams) -> SymmetricSolution:
     """Thresholds and coefficients of the symmetric-information benchmark.
 
-    Starts Newton at the asymmetric thresholds (the right basin for nearby
-    parameters); on failure restarts from a fixed log-spaced grid of
-    starting pairs around them.
+    Value matching and smooth fit at As fix Dh_i As^beta_i, and at Bs they
+    fix Dh_i Bs^beta_i.  Their ratio is delta^beta_i, which gives Bs as a
+    function of delta once per exponent (k = 1 + eps):
+
+        Bs = beta2 (1 - k d^beta1) / ((1 - beta2) (d - k d^beta1))
+           = beta1 (k - d^-beta2) / ((beta1 - 1) (d^(1-beta2) - k)).
+
+    Only non-negative powers of d in (0, 1) appear, so neither side
+    overflows.  Their difference is negative near 0 (the first form
+    diverges) and positive at 1, and bisection finds its root.
     """
-    if asym is None:
-        asym = build_solution(params)
     exps = compute_exponents(params)
-    starts = [(asym.A, asym.B)]
-    for fa in (1.0, 0.5, 0.25, 2.0):
-        for fb in (2.0, 4.0, 8.0, 16.0, 1.0, 0.5):
-            starts.append((fa * asym.A, fb * asym.B))
-    for As0, Bs0 in starts:
-        if not 0.0 < As0 < Bs0:
-            continue
-        got = _newton(exps, params.eps, As0, Bs0)
-        if got is not None:
-            As, Bs, d1, d2 = got
-            return SymmetricSolution(params=params, exps=exps,
-                                     As=As, Bs=Bs, Dh1=d1, Dh2=d2)
-    raise NoConvergence(
-        "symmetric-benchmark solve failed after the restart schedule "
-        f"({len(starts)} starts) for params {params}"
-    )
+    b1, b2 = exps.beta1, exps.beta2
+    k = 1.0 + params.eps
+
+    def bs_beta1(d):
+        t = k * d**b1
+        return b2 * (1.0 - t) / ((1.0 - b2) * (d - t))
+
+    def bs_beta2(d):
+        return b1 * (k - d**-b2) / ((b1 - 1.0) * (d ** (1.0 - b2) - k))
+
+    delta = bisect_unit(lambda d: bs_beta2(d) - bs_beta1(d),
+                        f"the symmetric threshold equation for params {params}")
+    Bs = bs_beta2(delta)
+    As = delta * Bs
+    # Dh1, Dh2 from value matching at both ends; smooth fit is then checked.
+    d1, d2 = np.linalg.solve(np.array([[As**b1, As**b2], [Bs**b1, Bs**b2]]),
+                             np.array([1.0 + As, k * (1.0 + Bs)]))
+    sol = SymmetricSolution(params=params, exps=exps, As=As, Bs=Bs, Dh1=d1, Dh2=d2)
+    r = sol.value_prime(np.array([As, Bs])) - np.array([1.0, k])
+    tol = min(SMOOTH_FIT_ATOL_MAX, SMOOTH_FIT_RTOL * max(1.0, 1.0 / As))
+    if not np.max(np.abs(r)) <= tol:
+        raise NoConvergence(
+            f"smooth-fit residuals {r.tolist()} exceed {tol!r} at "
+            f"As={As!r}, Bs={Bs!r} for params {params}")
+    return sol
 
 
 @dataclass(frozen=True)
@@ -187,11 +135,9 @@ class VoiCurve:
 def value_of_information(params: ModelParams, pi_grid) -> VoiCurve:
     """Evaluate both equilibrium values over a grid of priors."""
     pi = np.asarray(pi_grid, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0) or np.any(np.isnan(pi)):
-        raise DomainError("pi grid must lie in (0, 1)")
+    phi = np.array([belief_to_ratio(p) for p in pi])   # DomainError outside (0, 1)
     asym = build_solution(params)
-    sym = solve_symmetric(params, asym=asym)
-    phi = np.array([belief_to_ratio(p) for p in pi])
+    sym = solve_symmetric(params)
     u_sym = sym.value(phi) / (1.0 + phi)
     u_asym = asym.V(phi) / (1.0 + phi)
     return VoiCurve(pi=pi, value_symmetric=u_sym, value_asymmetric=u_asym,

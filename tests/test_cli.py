@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -218,3 +219,24 @@ def test_repeated_runs_byte_identical(tmp_path):
         _, a = run(tmp_path, *args)
         _, b = run(tmp_path, *args)
         assert a == b and a
+
+
+def test_solve_small_sigma(tmp_path):
+    # omega^2 ~ 4e4 here; the exponent check is relative to q's own scale
+    code, text = run(tmp_path, "solve", "--sigma", "0.01")
+    assert code == 0
+    assert json.loads(text)["qvi"]["all_pass"] is True
+
+
+PROBE_GRID = {"mu0": (-50, -5, -1, -1e-3), "mu1": (1e-3, 1, 5, 50),
+              "sigma": (1e-2, 0.1, 1, 10), "eps": (1e-6, 1e-3, 0.1, 10)}
+
+
+@pytest.mark.parametrize("command", ["solve", "symmetric"])
+def test_domain_probe_exit_codes(tmp_path, command):
+    # every valid parameter set solves, or fails with a documented exit code
+    codes = []
+    for values in itertools.product(*PROBE_GRID.values()):
+        flags = [f for k, v in zip(PROBE_GRID, values) for f in (f"--{k}", repr(v))]
+        codes.append(run(tmp_path, command, *flags)[0])
+    assert set(codes) <= {0, 3, 4}

@@ -327,3 +327,33 @@ def test_qvi_report_shape(base_solution):
     assert set(d) == {"all_pass", "conditions"}
     for c in d["conditions"]:
         assert set(c) == {"name", "max_residual", "tolerance", "pass"}
+
+
+# -- derivatives against finite differences of the values -----------------------
+
+def _sample_points(lo, hi):
+    """Interior points of (lo, hi) and exterior points on both sides, each
+    with a step that keeps its stencil off the thresholds."""
+    pts = [lo + f * (hi - lo) for f in (0.1, 0.5, 0.9)] + [0.5 * lo, 2.0 * hi]
+    return [(x, min(abs(x - lo), abs(x - hi), x)) for x in pts]
+
+
+def check_derivatives(f, lo, hi):
+    """f(phi, order) against central differences of f(phi, 0)."""
+    for x, d in _sample_points(lo, hi):
+        h = 1e-4 * d
+        v = f(x, 0)
+        d1 = (f(x + h, 0) - f(x - h, 0)) / (2 * h)
+        assert f(x, 1) == pytest.approx(d1, rel=1e-7, abs=1e-9 * abs(v) / d)
+        h = 1e-3 * d
+        d2 = (f(x + h, 0) - 2 * v + f(x - h, 0)) / h**2
+        assert f(x, 2) == pytest.approx(d2, rel=1e-5, abs=1e-8 * abs(v) / d**2)
+
+
+def test_derivatives_match_finite_differences(base_solution, random_solutions):
+    for sol in [base_solution] + random_solutions:
+        for value, prime, second in ((sol.V, sol.V_prime, sol.V_second),
+                                     (sol.V0, sol.V0_prime, sol.V0_second),
+                                     (sol.V1, sol.V1_prime, sol.V1_second)):
+            check_derivatives(lambda x, k: (value, prime, second)[k](x),
+                              sol.A, sol.B)

@@ -362,3 +362,22 @@ def test_trajectory_csv(base_params):
     # 17-significant-digit round trip
     row = [float(v) for v in lines[4].split(",")]
     assert row[2] == traj.Phi[1]
+
+
+def test_block_size_changes_only_last_bits(base_params, monkeypatch):
+    # Hitting times are bit-identical for any first block size; the sums
+    # are accumulated block by block, so they move in the last bits only.
+    import driftgame.simulate as sim
+
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=2000, seed=1,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    a = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
+    monkeypatch.setattr(sim, "_BLOCK_START", 256)
+    b = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
+    assert np.array_equal(a.tau, b.tau, equal_nan=True)
+    assert np.array_equal(a.censored, b.censored)
+    assert np.any(a.stieltjes != b.stieltjes)
+    for name in ("stieltjes", "phi_refl_end", "r_pay_end"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.all(np.abs(x - y) <= 1e-13 * np.abs(x)), name

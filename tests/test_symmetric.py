@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
-from driftgame import DomainError, build_solution, compute_exponents, solve_symmetric, \
-    value_of_information
+from driftgame import DomainError, ModelParams, build_solution, compute_exponents, \
+    solve_symmetric, value_of_information
 
 # Frozen base-case thresholds, cross-checked below with scipy.optimize.fsolve
 # on the same four boundary conditions.
@@ -109,19 +109,29 @@ def test_value_of_information_curve(base_params, base_sym):
 
 
 def test_value_of_information_domain():
-    from driftgame import ModelParams
     p = ModelParams(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.1)
     for bad in ([0.0, 0.5], [0.5, 1.0], [-0.1]):
         with pytest.raises(DomainError):
             value_of_information(p, bad)
 
 
+# (mu0, mu1, sigma, eps) sets far from the base case
+HARD_SETS = [(-5.0, 5.0, 10.0, 10.0), (-1e-3, 5.0, 1.0, 0.1), (-1e-3, 50.0, 1.0, 0.1)]
+
+
 def test_random_parameters_solvable(random_param_sets):
-    # the restart schedule covers parameter sets away from the base case
-    for p in random_param_sets[:8]:
+    for p in random_param_sets + [ModelParams(*v) for v in HARD_SETS]:
         sym = solve_symmetric(p)
         for r in _residuals(sym):
             assert abs(r) <= 1e-10
         asym = build_solution(p)
         assert sym.a < asym.a + 1e-12
         assert sym.b > asym.b - 1e-12
+
+
+def test_derivatives_match_finite_differences(base_sym, random_param_sets):
+    from test_equilibrium import check_derivatives
+
+    for sym in [base_sym] + [solve_symmetric(p) for p in random_param_sets]:
+        check_derivatives(sym.piece, sym.As, sym.Bs)
+        assert sym.value_prime(0.5 * sym.As) == sym.piece(0.5 * sym.As, 1)
