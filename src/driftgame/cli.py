@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,7 +38,7 @@ EXIT_VERIFICATION = 4
 _DEFAULTS = {
     "mu0": -1.0, "mu1": 1.0, "sigma": 0.5, "eps": 0.1, "x": 1.0,
     "seed": 0, "paths": 10_000, "dt": 1e-4, "horizon": 50.0,
-    "format": None, "threads": None,
+    "format": None,
 }
 _DEFAULT_PI = 0.5
 _DEFAULT_PI_PATH = 0.35
@@ -48,7 +47,8 @@ _FILE_KEY_TYPES = {
     "mu0": float, "mu1": float, "sigma": float, "eps": float,
     "pi": float, "phi": float, "x": float,
     "seed": int, "paths": int, "dt": float, "horizon": float,
-    "threads": int, "format": str, "output": str,
+    "threads": int,  # accepted for old config files; changes nothing
+    "format": str, "output": str,
 }
 
 
@@ -150,12 +150,9 @@ def _resolve(args, default_pi: float):
         "paths": int(get("paths")),
         "dt": float(get("dt")),
         "horizon": float(get("horizon")),
-        "threads": get("threads"),
         "format": get("format"),
         "output": getattr(args, "output", None) or file_vals.get("output"),
     }
-    if settings["threads"] is None:
-        settings["threads"] = os.cpu_count() or 1
     return params, pi, phi, settings
 
 
@@ -268,7 +265,7 @@ def _cmd_mc(args) -> int:
                 barrier=sol.B, lower=sol.A)
     cfg0 = SimConfig(measure=Measure.TILTED0, **base)
     cfg1 = SimConfig(measure=Measure.TILTED1, **base)
-    checks = mc_oracle_suite(sol, phi, cfg0, cfg1, threads=settings["threads"])
+    checks = mc_oracle_suite(sol, phi, cfg0, cfg1)
     meta = _metadata("mc", params, pi, phi, settings,
                      {"paths": settings["paths"], "dt": settings["dt"],
                       "horizon": settings["horizon"]})
@@ -292,8 +289,7 @@ def _cmd_deviations(args) -> int:
                      measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
     bprime = [m * sol.B for m in args.bprime_mults]
     p2 = deviations_player2(sol, bprime, phi, cfg1,
-                            jump_probs=tuple(args.jump_probs),
-                            threads=settings["threads"])
+                            jump_probs=tuple(args.jump_probs))
     ok = p1.all_pass and p2.all_pass
     meta = _metadata("deviations", params, pi, phi, settings,
                      {"paths": settings["paths"], "dt": settings["dt"],
@@ -352,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--output", help="write to this file instead of stdout")
     o.add_argument("--format", choices=("json", "csv"))
     o.add_argument("--threads", type=int,
-                   help="worker-thread cap (default: available cores); "
-                        "results do not depend on it")
+                   help="accepted so existing scripts and config files keep "
+                        "working; the Monte Carlo kernel runs in one thread "
+                        "and the value never changes results")
 
     parser = argparse.ArgumentParser(
         prog="driftgame",

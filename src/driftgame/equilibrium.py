@@ -32,6 +32,16 @@ class BracketFailure(RuntimeError):
     """The sign change bracketing the threshold-ratio root was not found."""
 
 
+def _power_of_B(B: float, p: float, term: str, beta2: float) -> float:
+    """B**p; an overflow becomes a FloatingPointError naming `term`."""
+    try:
+        return B ** p
+    except OverflowError:
+        raise FloatingPointError(
+            f"{term} overflows double precision (B={B!r}, beta2={beta2!r})"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Roots of q(beta) = (omega^2/2) beta (beta-1) + sigma omega beta + mu0.
@@ -230,7 +240,9 @@ class EquilibriumSolution:
     @property
     def V_B(self) -> float:
         """Continuation value at the reflecting threshold."""
-        return self.D1 * self.B**self.exps.beta1 + self.D2 * self.B**self.exps.beta2
+        b2 = self.exps.beta2
+        return self.D1 * self.B**self.exps.beta1 \
+            + self.D2 * _power_of_B(self.B, b2, "B**beta2 in V(B)", b2)
 
     @cached_property
     def V_piece(self) -> PowerPiece:
@@ -299,7 +311,8 @@ def build_solution(params: ModelParams) -> EquilibriumSolution:
     A = delta * B
     b1, b2 = exps.beta1, exps.beta2
     C1 = (1.0 - b2) * (1.0 + eps) * B ** (1.0 - b1) / (b1 - b2)
-    C2 = (b1 - 1.0) * (1.0 + eps) * B ** (1.0 - b2) / (b1 - b2)
+    C2 = (b1 - 1.0) * (1.0 + eps) \
+        * _power_of_B(B, 1.0 - b2, "B**(1 - beta2) in C2", b2) / (b1 - b2)
     D1 = A ** -b1 * (-b2 + (1.0 - b2) * A) / (b1 - b2)
     D2 = A ** -b2 * (b1 + (b1 - 1.0) * A) / (b1 - b2)
     return EquilibriumSolution(params=params, exps=exps, delta=delta,

@@ -10,16 +10,14 @@ exp(Z_k - R_k), the randomised-stopping intensity is Gamma_k = 1 - e^{-R_k},
 and the local time is L_k = B (R_k - R_0).
 
 Randomness comes from counter-based Philox substreams keyed by
-(master seed, path index, stream role), so path generation is
-embarrassingly parallel and bit-reproducible regardless of execution order
-or blocking.
+(master seed, path index, stream role), so any path can be generated on
+its own and bit-reproducibly, regardless of the order paths are run in.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,7 +60,7 @@ class _StreamPool:
 
     Produces streams bit-identical to :func:`substream` while skipping the
     per-construction entropy gathering, which dominates tight path loops.
-    Not thread safe: use one pool per worker.
+    Not thread safe.
     """
 
     def __init__(self, seed: int):
@@ -313,6 +311,8 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> 
 class PathFunctionals:
     """Per-path outputs of the streaming kernel, in path-index order.
 
+    tau, censored and phi_refl_end have one entry per path; r_pay_end and
+    stieltjes have one row per payoff barrier and one column per path.
     For censored paths tau is NaN and the terminal fields hold the state at
     the horizon; stieltjes then covers [0, horizon] only.  r_pay_end is the
     accumulated log reflection of the payoff barrier, so the surviving
@@ -333,19 +333,18 @@ class PathFunctionals:
 
 def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
                      discount_rate: float, weight_phi: bool = False,
-                     barrier_pay: float | None = None,
-                     threads: int = 1) -> PathFunctionals:
+                     payoff_barriers=None) -> PathFunctionals:
     """Simulate config.n_paths paths and accumulate discounted functionals.
 
     The hitting time is measured on the reflection at config.barrier; the
-    Gamma used in the Stieltjes sum reflects at barrier_pay (defaults to
-    config.barrier), which lets a deviating reflection level be priced
-    against the equilibrium stopping rule with common random numbers.
+    Gamma used in each Stieltjes sum reflects at one of payoff_barriers
+    (defaults to config.barrier alone).  Every payoff barrier is priced on
+    the same scan of each path, so a deviating reflection level is
+    compared with the equilibrium stopping rule on common random numbers.
     With weight_phi the sum is of e^{rate t} Phi_t dGamma_t, else of
     e^{rate t} dGamma_t; both include the possible time-zero jump of Gamma.
-
-    Results are bit-identical for any thread count: each path consumes only
-    its own substream and lands in its own slot.
+    Each path consumes only its own substream and lands in its own slot,
+    and each barrier's sums do not depend on the other barriers.
     """
     if config.lower is None:
         raise ValueError("config.lower is required for first-passage functionals")
@@ -353,9 +352,10 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
         raise ValueError(f"phi0={phi0} must be positive")
     if config.measure is Measure.PHYSICAL:
         raise ValueError("streaming functionals support the tilted measures only")
-    bpay = config.barrier if barrier_pay is None else barrier_pay
-    if not bpay > 0.0:
-        raise ValueError(f"barrier_pay={bpay} must be positive")
+    bpays = (config.barrier,) if payoff_barriers is None else tuple(payoff_barriers)
+    for bpay in bpays:
+        if not bpay > 0.0:
+            raise ValueError(f"payoff barrier {bpay} must be positive")
 
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
@@ -364,88 +364,89 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     c_noise = omega * math.sqrt(dt)
     z0 = math.log(phi0)
     z_hit = math.log(config.barrier)
-    z_pay = math.log(bpay)
+    z_pays = [math.log(bpay) for bpay in bpays]
     z_lo = math.log(config.lower)
     k_max = config.n_steps
     rate = discount_rate
     n = config.n_paths
+    other_barrier = any(zp != z_hit for zp in z_pays)
+    # every path starts from the same state, including Gamma's jump at t = 0
+    r_hit0 = max(0.0, z0 - z_hit)
+    r_pay0 = [r_hit0 if zp == z_hit else max(0.0, z0 - zp) for zp in z_pays]
+    sti0 = [(phi0 if weight_phi else 1.0) * -math.expm1(-r) for r in r_pay0]
 
     tau = np.full(n, np.nan)
     censored = np.zeros(n, dtype=bool)
     phi_end = np.empty(n)
-    r_end = np.empty(n)
-    stj = np.empty(n)
-    same_barrier = z_pay == z_hit
-
-    def worker(p_lo: int, p_hi: int) -> None:
-        pool = _StreamPool(config.seed)
-        for p in range(p_lo, p_hi):
-            z = z0
-            r_hit = max(0.0, z - z_hit)
-            r_pay = r_hit if same_barrier else max(0.0, z - z_pay)
-            g_prev = -math.expm1(-r_pay)
-            sti = phi0 * g_prev if weight_phi else g_prev
-            if z - r_hit <= z_lo:
-                tau[p] = 0.0
-                phi_end[p] = math.exp(z - r_hit)
-                r_end[p] = r_pay
-                stj[p] = sti
-                continue
-            rng = pool.reset(p, ROLE_PATH_NOISE)
-            k_done = 0
-            block = _BLOCK_START
-            done = False
-            while k_done < k_max:
-                nb = min(block, k_max - k_done)
-                zb = c_drift + c_noise * rng.standard_normal(nb)
-                zb.cumsum(out=zb)
-                zb += z
-                rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
-                hit = zb - rh <= z_lo
-                j = int(hit.argmax()) if hit.any() else -1
-                end = j + 1 if j >= 0 else nb
-                # Gamma only moves where the payoff reflection grows; the
-                # Stieltjes weights are needed on that sparse index set only.
-                rp = rh[:end] if same_barrier else \
-                    np.maximum.accumulate(np.maximum(zb[:end] - z_pay, r_pay))
+    r_end = np.empty((len(bpays), n))
+    stj = np.empty((len(bpays), n))
+    pool = _StreamPool(config.seed)
+    for p in range(n):
+        z, r_hit, r_pay, sti = z0, r_hit0, list(r_pay0), list(sti0)
+        if z - r_hit <= z_lo:
+            tau[p] = 0.0
+            phi_end[p] = math.exp(z - r_hit)
+            r_end[:, p] = r_pay
+            stj[:, p] = sti
+            continue
+        rng = pool.reset(p, ROLE_PATH_NOISE)
+        k_done = 0
+        block = _BLOCK_START
+        while k_done < k_max:
+            nb = min(block, k_max - k_done)
+            zb = c_drift + c_noise * rng.standard_normal(nb)
+            zb.cumsum(out=zb)
+            zb += z
+            rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
+            hit = zb - rh <= z_lo
+            j = int(hit.argmax()) if hit.any() else -1
+            end = j + 1 if j >= 0 else nb
+            z_top = zb[:end].max() if other_barrier else None
+            for i, zp in enumerate(z_pays):
+                # Gamma only moves where the payoff reflection grows: skip a
+                # block in which it cannot, else weight the sparse index set
+                # where it does.
+                r0 = r_pay[i]
+                if zp == z_hit:
+                    if rh[end - 1] <= r0:
+                        continue
+                    rp = rh[:end]
+                else:
+                    if z_top - zp <= r0:
+                        continue
+                    rp = np.maximum.accumulate(np.maximum(zb[:end] - zp, r0))
                 rp_prev = np.empty(end)
-                rp_prev[0] = r_pay
+                rp_prev[0] = r0
                 rp_prev[1:] = rp[:-1]
                 idx = (rp > rp_prev).nonzero()[0]
-                if idx.size:
-                    # e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}) in a form that
-                    # neither cancels nor overflows for large R or rate*t.
-                    lw = rate * dt * (k_done + 1.0 + idx) - rp_prev[idx]
-                    if weight_phi:
-                        lw += zb[idx]
-                    sti += float((np.exp(lw)
-                                  * -np.expm1(rp_prev[idx] - rp[idx])).sum())
-                if j >= 0:
-                    tau[p] = (k_done + j + 1) * dt
-                    phi_end[p] = math.exp(zb[j] - rh[j])
-                    r_end[p] = rp[j]
-                    stj[p] = sti
-                    done = True
-                    break
-                z = zb[-1]
-                r_hit = rh[-1]
-                r_pay = rp[-1]
-                k_done += nb
-                block = min(block * 2, _BLOCK_MAX)
-            if not done:
-                censored[p] = True
-                phi_end[p] = math.exp(z - r_hit)
-                r_end[p] = r_pay
-                stj[p] = sti
+                # e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}) in a form that
+                # neither cancels nor overflows for large R or rate*t.
+                lw = rate * dt * (k_done + 1.0 + idx) - rp_prev[idx]
+                if weight_phi:
+                    lw += zb[idx]
+                sti[i] += float((np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).sum())
+                r_pay[i] = rp[-1]
+            if j >= 0:
+                tau[p] = (k_done + j + 1) * dt
+                phi_end[p] = math.exp(zb[j] - rh[j])
+                break
+            z = zb[-1]
+            r_hit = rh[-1]
+            k_done += nb
+            block = min(block * 2, _BLOCK_MAX)
+        else:
+            censored[p] = True
+            phi_end[p] = math.exp(z - r_hit)
+        r_end[:, p] = r_pay
+        stj[:, p] = sti
 
-    _parallel_over_paths(worker, n, threads)
     return PathFunctionals(tau=tau, censored=censored, phi_refl_end=phi_end,
                            r_pay_end=r_end, stieltjes=stj)
 
 
 def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
-                           dt_list, *, discount_rate: float,
-                           threads: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+                           dt_list, *, discount_rate: float
+                           ) -> list[tuple[np.ndarray, np.ndarray]]:
     """e^{rate tau} samples at several grid resolutions on shared noise.
 
     All entries of dt_list must be integer multiples of min(dt_list); the
@@ -487,60 +488,41 @@ def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
     out = [np.zeros(n) for _ in dts]
     cens = [np.zeros(n, dtype=bool) for _ in dts]
 
-    def worker(p_lo: int, p_hi: int) -> None:
-        pool = _StreamPool(config.seed)
-        for p in range(p_lo, p_hi):
-            if z0 - max(0.0, z0 - z_bar) <= z_lo:
-                for r in range(n_res):
-                    out[r][p] = 1.0
-                continue
-            rng = pool.reset(p, ROLE_PATH_NOISE)
-            zw = 0.0   # running value of (m - omega^2/2) t + omega W_t
-            r_state = [max(0.0, z0 - z_bar)] * n_res
-            done = [False] * n_res
-            k_done = 0
-            while k_done < k_max and not all(done):
-                nb = min(nb_full, k_max - k_done)
-                incr = (m_phi - 0.5 * omega**2) * dt_f \
-                    + omega * math.sqrt(dt_f) * rng.standard_normal(nb)
-                np.cumsum(incr, out=incr)
-                zb = z0 + zw + incr
-                for r, s in enumerate(strides):
-                    if done[r]:
-                        continue
-                    zc = zb[s - 1::s]
-                    rc = np.maximum.accumulate(np.maximum(zc - z_bar, r_state[r]))
-                    hit = zc - rc <= z_lo
-                    if hit.any():
-                        j = int(np.argmax(hit))
-                        t_hit = (k_done + (j + 1) * s) * dt_f
-                        out[r][p] = math.exp(discount_rate * t_hit)
-                        done[r] = True
-                    else:
-                        r_state[r] = rc[-1]
-                zw += float(incr[-1])
-                k_done += nb
+    pool = _StreamPool(config.seed)
+    for p in range(n):
+        if z0 - max(0.0, z0 - z_bar) <= z_lo:
             for r in range(n_res):
-                if not done[r]:
-                    cens[r][p] = True
+                out[r][p] = 1.0
+            continue
+        rng = pool.reset(p, ROLE_PATH_NOISE)
+        zw = 0.0   # running value of (m - omega^2/2) t + omega W_t
+        r_state = [max(0.0, z0 - z_bar)] * n_res
+        done = [False] * n_res
+        k_done = 0
+        while k_done < k_max and not all(done):
+            nb = min(nb_full, k_max - k_done)
+            incr = (m_phi - 0.5 * omega**2) * dt_f \
+                + omega * math.sqrt(dt_f) * rng.standard_normal(nb)
+            np.cumsum(incr, out=incr)
+            zb = z0 + zw + incr
+            for r, s in enumerate(strides):
+                if done[r]:
+                    continue
+                zc = zb[s - 1::s]
+                rc = np.maximum.accumulate(np.maximum(zc - z_bar, r_state[r]))
+                hit = zc - rc <= z_lo
+                if hit.any():
+                    j = int(np.argmax(hit))
+                    t_hit = (k_done + (j + 1) * s) * dt_f
+                    out[r][p] = math.exp(discount_rate * t_hit)
+                    done[r] = True
+                else:
+                    r_state[r] = rc[-1]
+            zw += float(incr[-1])
+            k_done += nb
+        for r in range(n_res):
+            if not done[r]:
+                cens[r][p] = True
 
-    _parallel_over_paths(worker, n, threads)
     return list(zip(out, cens))
 
-
-def _parallel_over_paths(worker, n_paths: int, threads: int) -> None:
-    """Run worker(p_lo, p_hi) over a partition of range(n_paths).
-
-    Workers write to disjoint slots of preallocated arrays, so the merge is
-    a no-op and the partition does not affect results.
-    """
-    if threads is None:
-        threads = 1
-    if threads <= 1 or n_paths < 2:
-        worker(0, n_paths)
-        return
-    chunk = max(1, -(-n_paths // (threads * 4)))
-    ranges = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for _ in ex.map(lambda r: worker(*r), ranges):
-            pass

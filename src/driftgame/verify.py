@@ -93,18 +93,18 @@ def _hit_bias(sol: EquilibriumSolution, config: SimConfig) -> float:
     return HIT_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
 
 
-def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
-                threads: int = 1) -> tuple[np.ndarray, np.ndarray, PathFunctionals]:
+def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig
+                ) -> tuple[np.ndarray, np.ndarray, PathFunctionals]:
     """Per-path (J0, Jhat) samples from one tilted0 pass (shared paths)."""
     pf = path_functionals(sol.params, phi, config,
-                          discount_rate=sol.params.mu0, weight_phi=True,
-                          threads=threads)
+                          discount_rate=sol.params.mu0, weight_phi=True)
     eps = sol.params.eps
     tau = np.where(pf.censored, 0.0, pf.tau)
+    stj = pf.stieltjes[0]
     j0 = np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
     jhat = np.where(pf.censored,
-                    (1.0 + eps) * pf.stieltjes,
-                    j0 * (1.0 + pf.phi_refl_end) + (1.0 + eps) * pf.stieltjes)
+                    (1.0 + eps) * stj,
+                    j0 * (1.0 + pf.phi_refl_end) + (1.0 + eps) * stj)
     return j0, jhat, pf
 
 
@@ -126,8 +126,7 @@ def _jhat_estimate(sol: EquilibriumSolution, config: SimConfig, jhat: np.ndarray
                      pf.censored)
 
 
-def mc_J0(sol: EquilibriumSolution, phi: float, config: SimConfig,
-          threads: int = 1) -> MCEstimate:
+def mc_J0(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
     """Estimate of the informed player's low-regime cost per unit x,
     i.e. the expectation of e^{mu0 tau_A} with no low-regime stopping.
 
@@ -135,26 +134,26 @@ def mc_J0(sol: EquilibriumSolution, phi: float, config: SimConfig,
     the bias bound instead of the mean.
     """
     _require(config, Measure.TILTED0, sol)
-    j0, _, pf = _j0_samples(sol, phi, config, threads)
+    j0, _, pf = _j0_samples(sol, phi, config)
     return _j0_estimate(sol, config, j0, pf)
 
 
-def mc_Jhat(sol: EquilibriumSolution, phi: float, config: SimConfig,
-            threads: int = 1) -> MCEstimate:
+def mc_Jhat(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
     """Estimate of the uninformed player's value per unit x via the two-term
     tilted0 representation e^{mu0 tau}(1 + PhiB_tau) + (1+eps) * integral of
     e^{mu0 t} Phi_t dGamma_t."""
     _require(config, Measure.TILTED0, sol)
-    _, jhat, pf = _j0_samples(sol, phi, config, threads)
+    _, jhat, pf = _j0_samples(sol, phi, config)
     return _jhat_estimate(sol, config, jhat, pf)
 
 
 def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
-                barrier_pay: float | None = None,
-                threads: int = 1) -> tuple[np.ndarray, PathFunctionals]:
+                payoff_barriers=None) -> tuple[np.ndarray, PathFunctionals]:
+    """Per-path J1 samples from one tilted1 pass: one row per payoff
+    barrier (config.barrier alone by default), one column per path."""
     pf = path_functionals(sol.params, phi, config,
                           discount_rate=sol.params.mu1, weight_phi=False,
-                          barrier_pay=barrier_pay, threads=threads)
+                          payoff_barriers=payoff_barriers)
     eps = sol.params.eps
     tau = np.where(pf.censored, 0.0, pf.tau)
     # e^{mu1 tau} (1 - Gamma_tau), with 1 - Gamma kept in log space
@@ -165,8 +164,7 @@ def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
     return j1, pf
 
 
-def mc_J1(sol: EquilibriumSolution, phi: float, config: SimConfig,
-          threads: int = 1) -> MCEstimate:
+def mc_J1(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
     """Estimate of the informed player's high-regime cost per unit x:
     e^{mu1 tau}(1 - Gamma_tau) + (1+eps) * integral of e^{mu1 t} dGamma_t.
 
@@ -175,19 +173,18 @@ def mc_J1(sol: EquilibriumSolution, phi: float, config: SimConfig,
     bias bound.
     """
     _require(config, Measure.TILTED1, sol)
-    j1, pf = _j1_samples(sol, phi, config, threads=threads)
+    (j1,), pf = _j1_samples(sol, phi, config)
     eps = sol.params.eps
     miss = np.where(pf.censored,
                     (1.0 + eps)
-                    * np.exp(sol.params.mu1 * config.horizon - pf.r_pay_end),
+                    * np.exp(sol.params.mu1 * config.horizon - pf.r_pay_end[0]),
                     0.0)
     return _estimate(j1, config, _hit_bias(sol, config) + float(miss.mean()),
                      pf.censored)
 
 
 def check_jhat_identity(sol: EquilibriumSolution, phi: float,
-                        config0: SimConfig, config1: SimConfig,
-                        threads: int = 1) -> dict:
+                        config0: SimConfig, config1: SimConfig) -> dict:
     """Consistency of the decomposition Jhat = J0 + phi * J1.
 
     Jhat and J0 come from the same tilted0 paths, so their difference is
@@ -196,8 +193,8 @@ def check_jhat_identity(sol: EquilibriumSolution, phi: float,
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
-    j0, jhat, _ = _j0_samples(sol, phi, config0, threads)
-    j1, _ = _j1_samples(sol, phi, config1, threads=threads)
+    j0, jhat, _ = _j0_samples(sol, phi, config0)
+    (j1,), _ = _j1_samples(sol, phi, config1)
     pair = jhat - j0
     n0, n1 = pair.size, j1.size
     resid = float(pair.mean() - phi * j1.mean())
@@ -231,18 +228,18 @@ def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
 
 
 def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
-                    config1: SimConfig, threads: int = 1) -> list[dict]:
+                    config1: SimConfig) -> list[dict]:
     """J0, J1 and Jhat at one point, each against its closed form.
 
     J0 and Jhat come from a single shared tilted0 pass.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
-    j0, jhat, pf = _j0_samples(sol, phi, config0, threads)
+    j0, jhat, pf = _j0_samples(sol, phi, config0)
     return [
         oracle_report(sol, "J0", phi, _j0_estimate(sol, config0, j0, pf),
                       sol.V0(phi)),
-        oracle_report(sol, "J1", phi, mc_J1(sol, phi, config1, threads),
+        oracle_report(sol, "J1", phi, mc_J1(sol, phi, config1),
                       sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _jhat_estimate(sol, config0, jhat, pf),
                       sol.V(phi)),
@@ -310,39 +307,42 @@ def deviations_player1(sol: EquilibriumSolution, Aprime_grid,
 
 
 def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
-                       config: SimConfig, jump_probs=(0.5, 1.0),
-                       threads: int = 1) -> DeviationReport:
+                       config: SimConfig, jump_probs=(0.5, 1.0)) -> DeviationReport:
     """MC check that the informed player cannot do better than the
     equilibrium reflection, holding the stopper's rule fixed.
 
     The stopping time always comes from the equilibrium reflection at B
     (the stopper cannot observe a deviation); the deviating reflection at
-    B' only changes the payoff.  Each B' run reuses the equilibrium paths
-    (common random numbers), so the comparison is paired: a deviation
-    passes when its estimated cost is no more than SIGMA_LEVEL paired
-    standard errors plus the paired grid-bias budget below the equilibrium
-    cost.  Time-zero jump strategies for the low-regime control are
-    evaluated in closed form from the J0 samples:
+    B' only changes the payoff.  One tilted1 pass scans each path once and
+    prices the equilibrium B and every B' on it (common random numbers),
+    so the comparison is paired: a deviation passes when its estimated
+    cost is no more than SIGMA_LEVEL paired standard errors plus the
+    paired grid-bias budget below the equilibrium cost.  Time-zero jump
+    strategies for the low-regime control are evaluated in closed form
+    from the J0 samples of one tilted0 pass:
     J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
     """
     _require(config, Measure.TILTED1, sol)
-    for bp in np.asarray(Bprime_grid, dtype=float):
+    bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
+    for bp in bprimes:
         if not bp > sol.A:
             raise InvalidDeviation(f"Bprime={bp} must exceed A={sol.A!r}")
+    for p in jump_probs:
+        if not 0.0 <= p <= 1.0:
+            raise InvalidDeviation(f"jump probability p={p} outside [0, 1]")
     eps = sol.params.eps
     rows = []
 
     pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
-    j1_eq, _ = _j1_samples(sol, phi, config, threads=threads)
+    j1, _ = _j1_samples(sol, phi, config, (config.barrier, *bprimes))
+    j1_eq = j1[0]
     eq_mean = float(j1_eq.mean())
-    for bp in np.asarray(Bprime_grid, dtype=float):
-        j1_dev, _ = _j1_samples(sol, phi, config, barrier_pay=float(bp),
-                                threads=threads)
+    for bp, j1_dev in zip(bprimes, j1[1:]):
         diff = j1_dev - j1_eq
         se = float(diff.std(ddof=1) / math.sqrt(diff.size))
         tol = SIGMA_LEVEL * se + pair_bias
         rows.append(DeviationRow(
-            kind="player2-barrier", parameter=float(bp), phi=phi,
+            kind="player2-barrier", parameter=bp, phi=phi,
             equilibrium=eq_mean, deviation=float(j1_dev.mean()), stderr=se,
             tolerance=tol,
             passed=bool(float(diff.mean()) >= -tol),
@@ -350,11 +350,9 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
     # Jump deviations of the low-regime control, against Gamma^0 = 0.
     cfg0 = dataclasses.replace(config, measure=Measure.TILTED0)
-    j0, _, _ = _j0_samples(sol, phi, cfg0, threads)
+    j0, _, _ = _j0_samples(sol, phi, cfg0)
     j0_mean = float(j0.mean())
     for p in jump_probs:
-        if not 0.0 <= p <= 1.0:
-            raise InvalidDeviation(f"jump probability p={p} outside [0, 1]")
         diff = p * ((1.0 + eps) - j0)   # pathwise deviation minus equilibrium
         se = float(diff.std(ddof=1) / math.sqrt(diff.size))
         rows.append(DeviationRow(
@@ -368,8 +366,7 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
 
 def dt_convergence_study(sol: EquilibriumSolution, phi: float,
-                         config: SimConfig, dt_list,
-                         threads: int = 1) -> list[MCEstimate]:
+                         config: SimConfig, dt_list) -> list[MCEstimate]:
     """J0 estimates at several grid resolutions on a shared Brownian path.
 
     Returns one MCEstimate per entry of dt_list (order preserved); the runs
@@ -379,7 +376,7 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     _require(config, Measure.TILTED0, sol)
     results = []
     pairs = multires_hit_discounts(sol.params, phi, config, dt_list,
-                                   discount_rate=sol.params.mu0, threads=threads)
+                                   discount_rate=sol.params.mu0)
     for dt, (samples, censored) in zip(dt_list, pairs):
         cfg = dataclasses.replace(config, dt=float(dt))
         cens_bracket = float(np.mean(censored) * math.exp(sol.params.mu0 * config.horizon))

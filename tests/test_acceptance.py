@@ -19,8 +19,6 @@ from driftgame.symmetric import solve_symmetric
 from driftgame.verify import deviations_player1, deviations_player2, \
     mc_oracle_suite
 
-THREADS = 2  # results are thread-count independent (criterion 9 checks this)
-
 
 def _report(number: int, description: str, failures: list):
     status = "PASS" if not failures else "FAIL"
@@ -129,7 +127,7 @@ def test_criterion_5_mc_oracle_equivalence(base_solution):
     failures = []
     lines = []
     for phi in (sol.A / 2, (sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
-        for rep in mc_oracle_suite(sol, float(phi), cfg0, cfg1, threads=THREADS):
+        for rep in mc_oracle_suite(sol, float(phi), cfg0, cfg1):
             err = abs(rep["estimate"] - rep["oracle"])
             lines.append(f"{rep['check']}(phi={phi:.4f}): err={err:.2e} "
                          f"se={rep['stderr']:.2e}")
@@ -157,7 +155,7 @@ def test_criterion_6_nash_deviation_suite(base_solution):
     cfg1 = SimConfig(dt=1e-4, horizon=50.0, n_paths=20_000, seed=777,
                      measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
     p2 = deviations_player2(sol, [m * sol.B for m in (0.5, 0.75, 1.25, 1.5, 2.0)],
-                            0.6, cfg1, jump_probs=(0.5, 1.0), threads=THREADS)
+                            0.6, cfg1, jump_probs=(0.5, 1.0))
     if not p2.all_pass:
         failures += [r.as_dict() for r in p2.rows if not r.passed]
     # the CLI surfaces any violation as exit code 4 (exercised with a forced

@@ -163,7 +163,7 @@ def test_mc_thread_count_does_not_change_output(tmp_path):
 def test_mc_verification_failure_exit_code(tmp_path, monkeypatch):
     import driftgame.cli as cli
 
-    def fake_suite(sol, phi, c0, c1, threads=1):
+    def fake_suite(sol, phi, c0, c1):
         return [{"check": "J0", "params": {}, "phi": phi, "estimate": 0.0,
                  "stderr": 0.0, "oracle": 1.0, "tolerance": 0.0,
                  "bias_bound": 0.0, "censored_fraction": 0.0, "pass": False}]
@@ -185,6 +185,33 @@ def test_deviations_command(tmp_path):
     assert kinds == {"player2-barrier", "player2-jump0"}
     # the sampled-strategy-classes limitation is stated in the report
     assert "refute" in doc["metadata"]["limitation"]
+
+
+def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
+                                                        capsys):
+    import driftgame.verify as verify
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("simulated before checking the jump probabilities")
+
+    monkeypatch.setattr(verify, "path_functionals", no_kernel)
+    code, _ = run(tmp_path, "deviations", "--jump-probs", "1.5", "--paths", "5000")
+    assert code == 2
+    assert "jump probability p=1.5" in capsys.readouterr().err
+
+
+def test_overflow_names_the_term(tmp_path, capsys):
+    # B**beta2 (in V(B)) and B**(1 - beta2) (in C2) overflow on these sets;
+    # the exit-3 message names the term, B and beta2
+    for flags, term in ((("--mu0=-0.001", "--mu1=1.0", "--sigma=10.0", "--eps=0.1"),
+                         "B**beta2 in V(B)"),
+                        (("--mu0=-1", "--mu1=0.001", "--sigma=10", "--eps=1e-6"),
+                         "B**(1 - beta2) in C2")):
+        code, _ = run(tmp_path, "solve", *flags)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {term} overflows" in err
+        assert "B=" in err and "beta2=" in err
 
 
 def test_sweep_command(tmp_path):

@@ -301,17 +301,100 @@ def test_kernel_matches_trajectory_hits(base_params):
             assert pf.tau[i] == tau
 
 
-def test_kernel_thread_count_invariance(base_params):
+def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay):
+    """Reference: the kernel as it was before the payoff barriers shared one
+    scan, for a single payoff barrier and with every float operation and
+    summation order of the fused pass.  Returns (tau, censored,
+    phi_refl_end, r_pay_end, stieltjes)."""
+    import driftgame.simulate as sim
+
+    d = derive(params)
+    m_phi, _ = log_drifts(params, d, config.measure)
+    c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
+    c_noise = d.omega * math.sqrt(config.dt)
+    z0, z_hit = math.log(phi0), math.log(config.barrier)
+    z_pay, z_lo = math.log(barrier_pay), math.log(config.lower)
+    same = z_pay == z_hit
+    n, dt, k_max = config.n_paths, config.dt, config.n_steps
+    tau = np.full(n, np.nan)
+    cens = np.zeros(n, dtype=bool)
+    phi_end, r_end, stj = np.empty(n), np.empty(n), np.empty(n)
+    for p in range(n):
+        z = z0
+        r_hit = max(0.0, z - z_hit)
+        r_pay = r_hit if same else max(0.0, z - z_pay)
+        g = -math.expm1(-r_pay)
+        sti = phi0 * g if weight_phi else g
+        if z - r_hit <= z_lo:
+            tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z - r_hit), r_pay, sti
+            continue
+        rng = substream(config.seed, p, ROLE_PATH_NOISE)
+        k_done, block, done = 0, sim._BLOCK_START, False
+        while k_done < k_max:
+            nb = min(block, k_max - k_done)
+            zb = c_drift + c_noise * rng.standard_normal(nb)
+            zb.cumsum(out=zb)
+            zb += z
+            rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
+            hit = zb - rh <= z_lo
+            j = int(hit.argmax()) if hit.any() else -1
+            end = j + 1 if j >= 0 else nb
+            rp = rh[:end] if same else \
+                np.maximum.accumulate(np.maximum(zb[:end] - z_pay, r_pay))
+            rp_prev = np.empty(end)
+            rp_prev[0] = r_pay
+            rp_prev[1:] = rp[:-1]
+            idx = (rp > rp_prev).nonzero()[0]
+            if idx.size:
+                lw = rate * dt * (k_done + 1.0 + idx) - rp_prev[idx]
+                if weight_phi:
+                    lw += zb[idx]
+                sti += float((np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).sum())
+            if j >= 0:
+                tau[p] = (k_done + j + 1) * dt
+                phi_end[p], r_end[p], stj[p] = math.exp(zb[j] - rh[j]), rp[j], sti
+                done = True
+                break
+            z, r_hit, r_pay = zb[-1], rh[-1], rp[-1]
+            k_done += nb
+            block = min(block * 2, sim._BLOCK_MAX)
+        if not done:
+            cens[p] = True
+            phi_end[p], r_end[p], stj[p] = math.exp(z - r_hit), r_pay, sti
+    return tau, cens, phi_end, r_end, stj
+
+
+def test_fused_pass_matches_one_pass_per_barrier(base_params):
+    # One scan that prices several payoff barriers is bitwise equal to one
+    # pass per barrier: tilted0 with the Phi weight and tilted1, barriers
+    # below and above B, paths that outlive the first 1024-step block,
+    # paths censored at a short horizon, and a start above B (time-zero
+    # jump of every barrier below phi0).
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=64, seed=7,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-    a = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1,
-                         threads=1)
-    b = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1,
-                         threads=4)
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert np.array_equal(np.nan_to_num(x, nan=-1.0), np.nan_to_num(y, nan=-1.0))
+    barriers = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
+    cases = [(Measure.TILTED0, True, 0.6, 10.0),
+             (Measure.TILTED1, False, 0.6, 10.0),
+             (Measure.TILTED1, False, 0.6, 0.15),
+             (Measure.TILTED0, True, 1.7 * sol.B, 0.15)]
+    for measure, weight_phi, phi0, horizon in cases:
+        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7,
+                        measure=measure, barrier=sol.B, lower=sol.A)
+        rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
+        fused = path_functionals(base_params, phi0, cfg, discount_rate=rate,
+                                 weight_phi=weight_phi, payoff_barriers=barriers)
+        assert fused.tau.shape == fused.censored.shape == (64,)
+        assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
+        # some paths outlive the first block; the short horizon censors some
+        assert np.any(np.nan_to_num(fused.tau, nan=horizon) > 1024 * cfg.dt)
+        assert fused.censored.any() == (horizon < 1.0)
+        for i, bpay in enumerate(barriers):
+            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+                base_params, phi0, cfg, rate, weight_phi, bpay)
+            assert np.array_equal(fused.tau, tau, equal_nan=True)
+            assert np.array_equal(fused.censored, cens)
+            assert np.array_equal(fused.phi_refl_end, phi_end)
+            assert np.array_equal(fused.r_pay_end[i], r_end)
+            assert np.array_equal(fused.stieltjes[i], stj)
 
 
 def test_multires_requires_integer_strides(base_params):
