@@ -32,9 +32,7 @@ from .model import (
 from .simulate import (
     Measure,
     SimConfig,
-    StopSample,
     Trajectory,
-    draw_randomised_stop,
     first_hit_lower,
     generate_trajectory,
     reflect,
@@ -43,8 +41,7 @@ from .simulate import (
 )
 from .symmetric import NoConvergence, SymmetricSolution, VoiCurve, solve_symmetric, \
     value_of_information
-from .sweeps import SweepResult, SweepSpec, ValueCurve, run_sweep, sample_path_figure, \
-    value_curves
+from .sweeps import SweepResult, SweepSpec, run_sweep, sample_path_figure
 from .verify import (
     DeviationReport,
     MCEstimate,

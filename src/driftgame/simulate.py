@@ -27,7 +27,6 @@ from .model import DerivedQuantities, ModelParams, derive
 
 # Stream roles within a path's key space.
 ROLE_PATH_NOISE = 0
-ROLE_UNIFORM_DRAW = 1
 ROLE_REGIME_DRAW = 2
 
 _BLOCK_START = 1024
@@ -156,19 +155,6 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-@dataclass(frozen=True)
-class StopSample:
-    """Stopping data extracted from one trajectory.
-
-    Times are None when the event was not reached before the horizon
-    (censoring is explicit, never folded into a time value).
-    """
-
-    tau_a: float | None = None        # first time the reflected ratio <= lower
-    gamma_time: float | None = None   # randomised stop inf{t: Gamma_t > U}
-    uniform_draw: float | None = None
-
-
 def simulate_phi(config: SimConfig, params: ModelParams,
                  rng: np.random.Generator, theta: int | None = None) -> Trajectory:
     """Exact log-space simulation of (X, Phi) on the full grid.
@@ -237,17 +223,6 @@ def first_hit_lower(traj: Trajectory, lower: float) -> float | None:
     return float(traj.times[int(np.argmax(mask))])
 
 
-def draw_randomised_stop(traj: Trajectory, uniform_draw: float) -> StopSample:
-    """Randomised stopping time inf{t: Gamma_t > U} for one uniform draw."""
-    if traj.Gamma is None:
-        raise ValueError("trajectory has no reflection; call reflect() first")
-    if not 0.0 <= uniform_draw <= 1.0:
-        raise ValueError(f"uniform_draw={uniform_draw} outside [0, 1]")
-    mask = traj.Gamma > uniform_draw
-    t = float(traj.times[int(np.argmax(mask))]) if mask.any() else None
-    return StopSample(gamma_time=t, uniform_draw=uniform_draw)
-
-
 def generate_trajectory(config: SimConfig, params: ModelParams,
                         path_index: int = 0) -> Trajectory:
     """Simulate one path with its substreams and reflect it at the barrier."""
@@ -306,6 +281,26 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> 
 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
+
+def _log_ratio_blocks(pool: _StreamPool, path_index: int, z0: float,
+                      c_drift: float, c_noise: float, k_max: int):
+    """Yield (k_done, zb) along one path: zb[i] is log Phi after fine step
+    k_done + i + 1, for steps 1..k_max.
+
+    The path's noise substream is drawn in blocks of _BLOCK_START steps,
+    doubling up to _BLOCK_MAX, so a path that stops early draws little.
+    """
+    rng = pool.reset(path_index, ROLE_PATH_NOISE)
+    z, k_done, block = z0, 0, _BLOCK_START
+    while k_done < k_max:
+        zb = c_drift + c_noise * rng.standard_normal(min(block, k_max - k_done))
+        zb.cumsum(out=zb)
+        zb += z
+        yield k_done, zb
+        z = zb[-1]
+        k_done += zb.size
+        block = min(block * 2, _BLOCK_MAX)
+
 
 @dataclass(frozen=True)
 class PathFunctionals:
@@ -382,25 +377,18 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     stj = np.empty((len(bpays), n))
     pool = _StreamPool(config.seed)
     for p in range(n):
-        z, r_hit, r_pay, sti = z0, r_hit0, list(r_pay0), list(sti0)
-        if z - r_hit <= z_lo:
+        r_hit, r_pay, sti = r_hit0, list(r_pay0), list(sti0)
+        if z0 - r_hit <= z_lo:
             tau[p] = 0.0
-            phi_end[p] = math.exp(z - r_hit)
+            phi_end[p] = math.exp(z0 - r_hit)
             r_end[:, p] = r_pay
             stj[:, p] = sti
             continue
-        rng = pool.reset(p, ROLE_PATH_NOISE)
-        k_done = 0
-        block = _BLOCK_START
-        while k_done < k_max:
-            nb = min(block, k_max - k_done)
-            zb = c_drift + c_noise * rng.standard_normal(nb)
-            zb.cumsum(out=zb)
-            zb += z
+        for k_done, zb in _log_ratio_blocks(pool, p, z0, c_drift, c_noise, k_max):
             rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
             hit = zb - rh <= z_lo
             j = int(hit.argmax()) if hit.any() else -1
-            end = j + 1 if j >= 0 else nb
+            end = j + 1 if j >= 0 else zb.size
             z_top = zb[:end].max() if other_barrier else None
             for i, zp in enumerate(z_pays):
                 # Gamma only moves where the payoff reflection grows: skip a
@@ -430,13 +418,10 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
                 tau[p] = (k_done + j + 1) * dt
                 phi_end[p] = math.exp(zb[j] - rh[j])
                 break
-            z = zb[-1]
             r_hit = rh[-1]
-            k_done += nb
-            block = min(block * 2, _BLOCK_MAX)
         else:
             censored[p] = True
-            phi_end[p] = math.exp(z - r_hit)
+            phi_end[p] = math.exp(zb[-1] - r_hit)
         r_end[:, p] = r_pay
         stj[:, p] = sti
 
@@ -472,57 +457,37 @@ def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
 
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
-    omega = d.omega
+    c_drift = (m_phi - 0.5 * d.omega**2) * dt_f
+    c_noise = d.omega * math.sqrt(dt_f)
     z0 = math.log(phi0)
     z_bar = math.log(config.barrier)
     z_lo = math.log(config.lower)
     n = config.n_paths
-    n_res = len(dts)
     k_max = int(round(config.horizon / dt_f))
-    stride_lcm = math.lcm(*strides)
-    nb_full = stride_lcm * 1024
-    # trim the horizon to a common multiple of every stride so block starts
-    # stay aligned with every coarse grid
-    k_max -= k_max % stride_lcm
+    r0 = max(0.0, z0 - z_bar)
+    if z0 - r0 <= z_lo:   # every path stops at time zero
+        return [(np.ones(n), np.zeros(n, dtype=bool)) for _ in dts]
 
     out = [np.zeros(n) for _ in dts]
-    cens = [np.zeros(n, dtype=bool) for _ in dts]
-
+    cens = [np.ones(n, dtype=bool) for _ in dts]
     pool = _StreamPool(config.seed)
     for p in range(n):
-        if z0 - max(0.0, z0 - z_bar) <= z_lo:
-            for r in range(n_res):
-                out[r][p] = 1.0
-            continue
-        rng = pool.reset(p, ROLE_PATH_NOISE)
-        zw = 0.0   # running value of (m - omega^2/2) t + omega W_t
-        r_state = [max(0.0, z0 - z_bar)] * n_res
-        done = [False] * n_res
-        k_done = 0
-        while k_done < k_max and not all(done):
-            nb = min(nb_full, k_max - k_done)
-            incr = (m_phi - 0.5 * omega**2) * dt_f \
-                + omega * math.sqrt(dt_f) * rng.standard_normal(nb)
-            np.cumsum(incr, out=incr)
-            zb = z0 + zw + incr
+        r_state = [r0] * len(dts)
+        for k_done, zb in _log_ratio_blocks(pool, p, z0, c_drift, c_noise, k_max):
             for r, s in enumerate(strides):
-                if done[r]:
+                if not cens[r][p]:
                     continue
-                zc = zb[s - 1::s]
+                # grid s keeps the fine steps k with k % s == 0
+                first = (s - 1 - k_done) % s
+                zc = zb[first::s]
                 rc = np.maximum.accumulate(np.maximum(zc - z_bar, r_state[r]))
                 hit = zc - rc <= z_lo
                 if hit.any():
-                    j = int(np.argmax(hit))
-                    t_hit = (k_done + (j + 1) * s) * dt_f
-                    out[r][p] = math.exp(discount_rate * t_hit)
-                    done[r] = True
-                else:
+                    t_hit = (k_done + first + int(hit.argmax()) * s + 1) * dt_f
+                    out[r][p], cens[r][p] = math.exp(discount_rate * t_hit), False
+                elif rc.size:   # a short last block may hold no step of grid s
                     r_state[r] = rc[-1]
-            zw += float(incr[-1])
-            k_done += nb
-        for r in range(n_res):
-            if not done[r]:
-                cens[r][p] = True
+            if not any(c[p] for c in cens):
+                break
 
     return list(zip(out, cens))
-

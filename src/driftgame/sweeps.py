@@ -1,10 +1,8 @@
-"""Parameter sweeps, value curves, and sample-path exports.
+"""Parameter sweeps and sample-path exports.
 
 Reproduces the numerical study as data files: threshold curves under
-one-parameter sweeps, the uninformed player's value curve over the prior,
-and seeded sample paths of the adjusted belief with its stopping intensity.
-Outputs are CSV plus a machine-readable plot manifest (JSON); no rendering
-happens here.
+one-parameter sweeps and seeded sample paths of the adjusted belief with
+its stopping intensity.  Outputs are CSV; no rendering happens here.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import build_solution
-from .model import DomainError, InvalidParameters, ModelParams, belief_to_ratio
+from .model import DomainError, InvalidParameters, ModelParams
 from .simulate import Measure, SimConfig, Trajectory, first_hit_lower, \
     generate_trajectory, truncate_at_first_hit, write_csv
 
@@ -101,27 +99,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ValueCurve:
-    """Per-unit-of-x values along a prior grid: the uninformed player's
-    value (1-pi) V0 + pi V1 next to the informed player's costs."""
-
-    pi: np.ndarray
-    value_uninformed: np.ndarray
-    V0: np.ndarray
-    V1: np.ndarray
-
-
-def value_curves(params: ModelParams, pi_grid) -> ValueCurve:
-    pi = np.asarray(pi_grid, dtype=float)
-    phi = np.array([belief_to_ratio(p) for p in pi])   # DomainError outside (0, 1)
-    sol = build_solution(params)
-    v0 = sol.V0(phi)
-    v1 = sol.V1(phi)
-    return ValueCurve(pi=pi, value_uninformed=(1.0 - pi) * v0 + pi * v1,
-                      V0=v0, V1=v1)
-
-
 def sample_path_figure(params: ModelParams, seed: int, config: SimConfig,
                        path_index: int = 0) -> tuple[Trajectory, dict]:
     """One physical-measure path of (PiStar, Gamma) until the stop.
@@ -155,41 +132,8 @@ def write_sweep_csv(result: SweepResult, fh, metadata=None) -> None:
                for r in result.rows), metadata)
 
 
-def write_values_csv(curve: ValueCurve, fh, metadata=None) -> None:
-    write_csv(fh, ("pi", "value_uninformed", "V0", "V1"),
-              zip(curve.pi.tolist(), curve.value_uninformed.tolist(),
-                  curve.V0.tolist(), curve.V1.tolist()), metadata)
-
-
 def write_path_csv(traj: Trajectory, fh, metadata=None) -> None:
     """Figure-style export: (t, PiStar, Gamma) rows until the stop."""
     write_csv(fh, ("t", "PiStar", "Gamma"),
               zip(traj.times.tolist(), traj.PiStar.tolist(),
                   traj.Gamma.tolist()), metadata)
-
-
-def plot_manifest(title: str, xlabel: str, ylabel: str, series: list[dict],
-                  reference_lines: list[dict]) -> dict:
-    """Machine-readable plot description with a fixed key set."""
-    return {"title": title, "xlabel": xlabel, "ylabel": ylabel,
-            "series": series, "reference_lines": reference_lines}
-
-
-def sweep_manifest(result: SweepResult, data_file: str) -> dict:
-    param = result.rows[0].parameter if result.rows else ""
-    return plot_manifest(
-        title=f"optimal boundaries vs {param}",
-        xlabel=param, ylabel="boundary (probability coordinate)",
-        series=[{"name": "a", "file": data_file, "x": "value", "y": "a"},
-                {"name": "b", "file": data_file, "x": "value", "y": "b"}],
-        reference_lines=[])
-
-
-def path_manifest(meta: dict, data_file: str) -> dict:
-    return plot_manifest(
-        title="adjusted belief and stopping intensity",
-        xlabel="t", ylabel="value",
-        series=[{"name": "PiStar", "file": data_file, "x": "t", "y": "PiStar"},
-                {"name": "Gamma", "file": data_file, "x": "t", "y": "Gamma"}],
-        reference_lines=[{"axis": "y", "value": meta["a"], "label": "a"},
-                         {"axis": "y", "value": meta["b"], "label": "b"}])

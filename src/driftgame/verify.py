@@ -76,13 +76,16 @@ def _require(config: SimConfig, measure: Measure, sol: EquilibriumSolution) -> N
     if config.lower is None or not math.isclose(config.lower, sol.A, rel_tol=1e-12):
         raise ConfigMismatch(
             f"config.lower={config.lower!r} is not the equilibrium A={sol.A!r}")
+    if config.n_paths < 2:
+        raise ConfigMismatch(
+            f"n_paths={config.n_paths}: a standard error needs at least 2 paths")
 
 
 def _estimate(samples: np.ndarray, config: SimConfig, bias: float,
               censored: np.ndarray) -> MCEstimate:
     n = samples.size
     mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(samples.std(ddof=1) / math.sqrt(n))
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=config.dt,
                       horizon=config.horizon,
                       censored_fraction=float(np.mean(censored)),

@@ -187,6 +187,23 @@ def test_deviations_command(tmp_path):
     assert "refute" in doc["metadata"]["limitation"]
 
 
+@pytest.mark.parametrize("command", ["mc", "deviations"])
+def test_one_path_is_rejected_before_simulating(tmp_path, monkeypatch, capsys,
+                                                command):
+    # a standard error needs two paths: exit 2 with a one-line error
+    import driftgame.verify as verify
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("simulated one path")
+
+    monkeypatch.setattr(verify, "path_functionals", no_kernel)
+    code, text = run(tmp_path, command, "--paths", "1")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "n_paths=1" in err and "at least 2 paths" in err
+
+
 def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
                                                         capsys):
     import driftgame.verify as verify

@@ -8,11 +8,10 @@ import pytest
 from driftgame import InvalidParameters, ModelParams, build_solution, derive
 from driftgame.simulate import (
     ROLE_PATH_NOISE,
-    ROLE_UNIFORM_DRAW,
+    ROLE_REGIME_DRAW,
     Measure,
     SimConfig,
     Trajectory,
-    draw_randomised_stop,
     first_hit_lower,
     generate_trajectory,
     log_drifts,
@@ -73,7 +72,7 @@ def test_substreams_are_deterministic_and_disjoint():
     a = substream(42, 7, ROLE_PATH_NOISE).standard_normal(8)
     b = substream(42, 7, ROLE_PATH_NOISE).standard_normal(8)
     c = substream(42, 8, ROLE_PATH_NOISE).standard_normal(8)
-    d = substream(42, 7, ROLE_UNIFORM_DRAW).standard_normal(8)
+    d = substream(42, 7, ROLE_REGIME_DRAW).standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -211,7 +210,7 @@ def test_reflection_is_measure_independent(base_params):
     assert np.array_equal(a.L, b.L)
 
 
-# -- hitting and randomised stopping ----------------------------------------------
+# -- hitting ----------------------------------------------------------------------
 
 def test_first_hit_immediate():
     r = reflect(_manual_traj([0.2, 0.25, 0.3]), barrier=1.0)
@@ -238,36 +237,6 @@ def test_censored_fraction_small_at_base_case(base_params):
                     measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
     pf = path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0)
     assert pf.censored.mean() < 1e-3
-
-
-def test_randomised_stop_edges():
-    r = reflect(_manual_traj([2.0, 2.5, 3.0]), barrier=1.0)
-    assert draw_randomised_stop(r, 1.0).gamma_time is None   # Gamma < 1 always
-    s = draw_randomised_stop(r, 0.0)
-    assert s.gamma_time == 0.0                               # initial jump
-    assert s.uniform_draw == 0.0
-    with pytest.raises(ValueError):
-        draw_randomised_stop(r, 1.5)
-    with pytest.raises(ValueError):
-        draw_randomised_stop(_manual_traj([0.5]), 0.5)
-
-
-def test_randomised_stop_law(base_params):
-    # empirical P(gamma <= t | path) matches Gamma_t over 1e4 uniform draws
-    sol = build_solution(base_params)
-    cfg = _cfg(dt=1e-3, horizon=4.0, measure=Measure.TILTED1, barrier=sol.B)
-    r = reflect(simulate_phi(cfg, base_params, substream(29, 0, ROLE_PATH_NOISE)),
-                sol.B)
-    n = 10_000
-    u = substream(29, 0, ROLE_UNIFORM_DRAW).random(n)
-    times = np.array([math.inf if (s := draw_randomised_stop(r, ui).gamma_time) is None
-                      else s for ui in u])
-    for t_idx in (500, 1500, 3000):
-        t = r.times[t_idx]
-        emp = np.mean(times <= t)
-        g = r.Gamma[t_idx]
-        band = 4.0 * math.sqrt(g * (1 - g) / n) + 1e-9
-        assert abs(emp - g) <= band
 
 
 # -- trajectories end to end -------------------------------------------------------
@@ -407,16 +376,57 @@ def test_multires_requires_integer_strides(base_params):
 
 
 def test_multires_finest_matches_plain_kernel(base_params):
+    # the finest grid is the kernel's own scan: bitwise equal discounts
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3,
                     measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
     (coarse, _), (fine, cens) = multires_hit_discounts(
         base_params, sol.B, cfg, [4e-3, 1e-3], discount_rate=base_params.mu0)
     pf = path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0)
-    ref = np.where(pf.censored, 0.0, np.exp(base_params.mu0 *
-                                            np.where(pf.censored, 0.0, pf.tau)))
-    assert fine == pytest.approx(ref, rel=1e-12)
+    ref = [0.0 if c else math.exp(base_params.mu0 * t)
+           for c, t in zip(pf.censored, pf.tau)]
+    assert np.array_equal(fine, ref)
+    assert np.array_equal(cens, pf.censored)
     assert not np.array_equal(coarse, fine)
+
+
+def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
+    # Grid s keeps the fine steps k with k % s == 0 wherever the blocks
+    # start: first blocks of 1024 and 256 steps give identical samples,
+    # equal to subsampling the whole fine path drawn at once.  The horizon
+    # (3073 steps) ends on a one-step block that holds no point of the
+    # stride-3 and stride-2 grids, and censors some paths.
+    import driftgame.simulate as sim
+
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    strides = (3, 2, 1)
+    runs = []
+    for block in (1024, 256):
+        monkeypatch.setattr(sim, "_BLOCK_START", block)
+        runs.append(multires_hit_discounts(
+            base_params, sol.B, cfg, [s * cfg.dt for s in strides],
+            discount_rate=base_params.mu0))
+    for (a, cens_a), (b, cens_b) in zip(*runs):
+        assert np.array_equal(a, b)
+        assert np.array_equal(cens_a, cens_b)
+        assert cens_a.any() and not cens_a.all()
+
+    d = derive(base_params)
+    m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
+    z_bar, z_lo = math.log(sol.B), math.log(sol.A)
+    for i in range(cfg.n_paths):
+        xi = substream(cfg.seed, i, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
+        z = z_bar + np.cumsum((m_phi - 0.5 * d.omega**2) * cfg.dt
+                              + d.omega * math.sqrt(cfg.dt) * xi)
+        for s, (samples, cens) in zip(strides, runs[0]):
+            zc = z[s - 1::s]
+            hit = zc - np.maximum.accumulate(np.maximum(zc - z_bar, 0.0)) <= z_lo
+            assert cens[i] == (not hit.any())
+            if hit.any():
+                t = (int(hit.argmax()) + 1) * s * cfg.dt
+                assert samples[i] == math.exp(base_params.mu0 * t)
 
 
 # -- truncation and CSV export ------------------------------------------------------

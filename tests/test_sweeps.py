@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import numpy as np
@@ -10,15 +9,10 @@ from driftgame.simulate import Measure, SimConfig, first_hit_lower
 from driftgame.sweeps import (
     SweepSpec,
     default_sweep_values,
-    path_manifest,
-    plot_manifest,
     run_sweep,
     sample_path_figure,
-    sweep_manifest,
-    value_curves,
     write_path_csv,
     write_sweep_csv,
-    write_values_csv,
 )
 
 
@@ -73,28 +67,6 @@ def test_sweep_spec_validation(base_params):
         SweepSpec(parameter="prior", values=[0.5], base=base_params)
 
 
-# -- value curves -----------------------------------------------------------------
-
-def test_value_curve_boundaries(base_params):
-    sol = build_solution(base_params)
-    curve = value_curves(base_params, [sol.a, sol.b, 0.9])
-    # at pi = a the uninformed player's value equals the stopping payoff
-    assert curve.value_uninformed[0] == pytest.approx(1.0, abs=1e-12)
-    # at and beyond pi = b the high-regime cost is pinned at 1 + eps
-    assert curve.V1[1] == pytest.approx(1.1, abs=1e-10)
-    assert curve.V1[2] == 1.1
-    with pytest.raises(DomainError):
-        value_curves(base_params, [0.0, 0.5])
-
-
-def test_value_curve_is_V_over_one_plus_phi(base_params):
-    sol = build_solution(base_params)
-    pis = np.linspace(0.05, 0.95, 19)
-    curve = value_curves(base_params, pis)
-    phi = pis / (1 - pis)
-    assert curve.value_uninformed == pytest.approx(sol.V(phi) / (1 + phi), rel=1e-12)
-
-
 # -- sample paths ------------------------------------------------------------------
 
 def _fig_cfg(seed):
@@ -129,7 +101,7 @@ def test_sample_path_requires_physical_measure(base_params):
         sample_path_figure(base_params, 1, cfg)
 
 
-# -- writers and manifests -----------------------------------------------------------
+# -- writers -------------------------------------------------------------------------
 
 def test_sweep_csv_schema(base_params):
     res = _sweep(base_params, "eps", values=[0.05, 0.1])
@@ -141,17 +113,6 @@ def test_sweep_csv_schema(base_params):
     assert len(lines) == 4
     assert lines[3].startswith("eps,0.1")
     assert lines[3].endswith(",ok")
-
-
-def test_values_csv_schema(base_params):
-    curve = value_curves(base_params, [0.3, 0.5])
-    buf = io.StringIO()
-    write_values_csv(curve, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "pi,value_uninformed,V0,V1"
-    assert len(lines) == 3
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 0.3
 
 
 def test_path_csv_schema(base_params):
@@ -166,14 +127,3 @@ def test_path_csv_schema(base_params):
     assert lines[2] == "t,PiStar,Gamma"
     assert len(lines) == 3 + traj.times.size
 
-
-def test_manifest_key_set(base_params):
-    res = _sweep(base_params, "mu1", values=[1.0])
-    m = sweep_manifest(res, "sweep.csv")
-    assert set(m) == {"title", "xlabel", "ylabel", "series", "reference_lines"}
-    json.dumps(m)
-    pm = path_manifest({"a": 0.2, "b": 0.4}, "path.csv")
-    assert set(pm) == {"title", "xlabel", "ylabel", "series", "reference_lines"}
-    assert {r["label"] for r in pm["reference_lines"]} == {"a", "b"}
-    generic = plot_manifest("t", "x", "y", [], [])
-    assert set(generic) == {"title", "xlabel", "ylabel", "series", "reference_lines"}

@@ -108,6 +108,16 @@ def test_value_of_information_curve(base_params, base_sym):
     assert curve.difference.max() > 1e-3
 
 
+def test_value_asymmetric_is_uninformed_value(base_params):
+    # V / (1 + phi) is the uninformed player's (1 - pi) V0 + pi V1
+    sol = build_solution(base_params)
+    pis = np.linspace(0.05, 0.95, 19)
+    phi = pis / (1 - pis)
+    curve = value_of_information(base_params, pis)
+    assert curve.value_asymmetric == pytest.approx(
+        (1 - pis) * sol.V0(phi) + pis * sol.V1(phi), rel=1e-12)
+
+
 def test_value_of_information_domain():
     p = ModelParams(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.1)
     for bad in ([0.0, 0.5], [0.5, 1.0], [-0.1]):
