@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,47 @@ def random_param_sets():
 @pytest.fixture(scope="session")
 def random_solutions(random_param_sets):
     return [build_solution(p) for p in random_param_sets]
+
+
+class HelperSwitch:
+    """Turns path_functionals' helper processes on (one helper, started
+    however short the scan) or off.
+
+    While on, the calling process holds its first claim in each split scan
+    until the helper has claimed a chunk, so that both processes scan
+    paths; helper_chunks is the number of chunks the helper took in the
+    last split scan.
+    """
+
+    WAIT_S = 60.0   # a helper that never starts fails the test, not hangs it
+
+    def __init__(self, monkeypatch):
+        import driftgame._spread as spread
+        import driftgame.simulate as sim
+
+        self._monkeypatch = monkeypatch
+        self._sim = sim
+        self._real_claim = spread._claim
+        self._end0 = None
+        self.helper_chunks = 0
+        monkeypatch.setattr(spread, "_claim", self._claim)
+        monkeypatch.setattr(spread, "HELPER_START_S", 0.0)
+
+    def set(self, on: bool) -> None:
+        self._monkeypatch.setattr(self._sim, "_cpu_count", lambda: 2 if on else 1)
+
+    def _claim(self, claims, front):
+        if self._end0 is None:
+            self._end0 = claims[1]
+            deadline = time.monotonic() + self.WAIT_S
+            while claims[1] == self._end0 and time.monotonic() < deadline:
+                time.sleep(0.002)
+        chunk = self._real_claim(claims, front)
+        if chunk is None:
+            self.helper_chunks, self._end0 = self._end0 - claims[1], None
+        return chunk
+
+
+@pytest.fixture
+def helper_switch(monkeypatch):
+    return HelperSwitch(monkeypatch)

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,34 @@ def test_mc_thread_count_does_not_change_output(tmp_path):
     _, one = run(tmp_path, *args, "--threads", "1")
     _, four = run(tmp_path, *args, "--threads", "4")
     assert one == four
+
+
+@pytest.mark.parametrize("command", ["mc", "deviations"])
+def test_helper_processes_do_not_change_output(capsys, helper_switch, command):
+    # from 2048 paths the kernel shares paths with helper processes
+    outputs = []
+    for on in (False, True):
+        helper_switch.set(on)
+        assert main([command, "--phi", "0.6", "--paths", "2048", "--dt", "4e-4",
+                     "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert helper_switch.helper_chunks >= 1
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # multiprocessing is imported only when the kernel spawns helpers, so
+    # the set-up of a command does not pay for it
+    import driftgame
+
+    src = str(Path(driftgame.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, driftgame.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_mc_verification_failure_exit_code(tmp_path, monkeypatch):

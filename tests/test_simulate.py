@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -364,6 +365,85 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
             assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
+
+
+def test_helper_processes_match_serial_scan(base_params, monkeypatch,
+                                           helper_switch):
+    # Paths scanned by a spawned helper process land bit-identically in
+    # their slots: path counts not a multiple of the chunk and below two
+    # chunks, censored paths, starts above B and at A, and three payoff
+    # barriers with the Phi weight.
+    import multiprocessing
+
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_PARALLEL_MIN_PATHS", 100)
+    sol = build_solution(base_params)
+    chunk = spread.CHUNK_PATHS
+    barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
+    cases = [(3 * chunk - 84, Measure.TILTED0, 0.6, 10.0, True, None),
+             (chunk + 72, Measure.TILTED1, 0.6, 10.0, False, None),
+             (chunk + 72, Measure.TILTED1, 0.6, 0.15, False, None),
+             (chunk + 72, Measure.TILTED0, 1.7 * sol.B, 10.0, True, None),
+             (chunk + 72, Measure.TILTED0, sol.A, 10.0, False, None),
+             (chunk + 72, Measure.TILTED1, 0.6, 10.0, True, barriers)]
+    for n, measure, phi0, horizon, weight_phi, bpays in cases:
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5,
+                        measure=measure, barrier=sol.B, lower=sol.A)
+        runs = []
+        for on in (False, True):
+            helper_switch.set(on)
+            runs.append(path_functionals(
+                base_params, phi0, cfg, discount_rate=base_params.mu0,
+                weight_phi=weight_phi, payoff_barriers=bpays))
+        assert helper_switch.helper_chunks >= 1
+        serial, split = runs
+        for field in dataclasses.fields(serial):
+            assert np.array_equal(getattr(split, field.name),
+                                  getattr(serial, field.name), equal_nan=True)
+        assert serial.censored.any() == (horizon < 1.0)
+        assert (serial.tau == 0.0).all() == (phi0 == sol.A)
+    assert multiprocessing.active_children() == []
+
+
+class _ExitWhenUnpickled:
+    """A scan job whose unpickling ends the process that reads it."""
+
+    z_pays = (0.0,)
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_helper_failures_reach_the_caller(monkeypatch):
+    # The caller scans nothing itself (its first chunk is faked) and leaves
+    # every other chunk to the helper.  An exception in the helper is
+    # raised in the caller with its type; a helper that dies is an error,
+    # not a wait for results that never come.
+    import multiprocessing
+
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    def no_scan(job, lo, hi):
+        return sim.PathFunctionals(
+            tau=np.zeros(hi - lo), censored=np.zeros(hi - lo, dtype=bool),
+            phi_refl_end=np.zeros(hi - lo), r_pay_end=np.zeros((1, hi - lo)),
+            stieltjes=np.zeros((1, hi - lo)))
+
+    monkeypatch.setattr(spread, "HELPER_START_S", 0.0)
+    monkeypatch.setattr(sim, "_scan_paths", no_scan)
+    monkeypatch.setattr(spread, "_claim", lambda claims, front: None)
+    bad_seed = sim._ScanJob(
+        seed=2**64, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10, dt=0.1,
+        rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,),
+        block_start=8, block_max=8)
+    with pytest.raises(ValueError, match="outside"):
+        spread.scan(bad_seed, 300, 1)
+    with pytest.raises(RuntimeError, match="died"):
+        spread.scan(_ExitWhenUnpickled(), 300, 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_multires_requires_integer_strides(base_params):
