@@ -1,26 +1,34 @@
-"""One streaming-kernel scan spread over spawned helper processes.
+"""One streaming-kernel scan shared with a helper process.
 
-The calling process claims chunks of CHUNK_PATHS paths from the front of
-the path range and the helpers claim them from the back, through a shared
-[next, end) pair of chunk indices under its lock, so the split balances
-itself around a helper's start-up (a fresh interpreter importing numpy,
-about 0.2 s on a 2-vCPU VM).  The caller scans the first chunk before it
-starts any helper and starts none when that chunk's time predicts less
-than HELPER_START_S of work left: a helper would not start before the scan
-ends.  Every path lands in its own slot, so the result is bit-identical to
+simulate.path_functionals calls scan() from simulate._SPREAD_MIN_PATHS
+(2048) paths up; the rest of the decision is made here.  The path range is
+cut into chunks of CHUNK_PATHS paths and the caller scans chunk 0 first.
+It starts one helper only when this process may run on another CPU (its
+affinity set, so taskset limits it) and chunk 0's time predicts at least
+HELPER_START_S of work left: a helper's start-up (a fresh interpreter
+importing numpy, about 0.2 s on a 2-vCPU VM) would not end before the scan
+does.
+
+The helper is ``python -S -c`` running serve(), started with posix_spawn.
+It imports the kernel and never the caller's __main__, so a script needs
+no ``if __name__ == "__main__"`` guard.  It reads the pickled job and then
+path ranges on its stdin and answers each range on its stdout.  The caller
+scans chunks from the front and hands chunks from the back to the helper,
+HELPER_HOLDS at a time, so the helper never waits for the caller to finish
+a chunk of its own.  Every path lands in its own slot, so the result is bit-identical to
 one scan in one process.
-
-simulate.path_functionals imports this module only when it may start
-helpers, so that importing the package neither loads multiprocessing nor
-compiles this file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import os
+import pickle
+import select
+import signal
+import struct
+import sys
 import time
-from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -29,110 +37,174 @@ from .simulate import PathFunctionals, _ScanJob
 
 CHUNK_PATHS = 128
 HELPER_START_S = 0.25
+HELPER_HOLDS = 2   # chunks handed to the helper and not yet returned, at most
+
+_HEADER = struct.Struct("<Q")   # byte length of the pickled message after it
 
 
-def scan(job: _ScanJob, n: int, n_helpers: int) -> PathFunctionals:
-    """simulate._scan_paths(job, 0, n), with up to n_helpers spawned helper
-    processes scanning some chunks of it; none is left running on return."""
-    chunk = CHUNK_PATHS
+def scan(job: _ScanJob, out: PathFunctionals) -> None:
+    """simulate._scan_paths(job, 0, out), with a helper process scanning
+    some of its chunks when that pays; the helper has ended on return."""
+    n, chunk = out.n_paths, CHUNK_PATHS
     n_chunks = -(-n // chunk)
-    out = PathFunctionals(
-        tau=np.empty(n), censored=np.empty(n, dtype=bool),
-        phi_refl_end=np.empty(n), r_pay_end=np.empty((len(job.z_pays), n)),
-        stieltjes=np.empty((len(job.z_pays), n)))
     t0 = time.perf_counter()
-    _put(out, 0, simulate._scan_paths(job, 0, chunk))
-    if (time.perf_counter() - t0) * (n_chunks - 1) < HELPER_START_S:
-        _put(out, chunk, simulate._scan_paths(job, chunk, n))
-        return out
+    simulate._scan_paths(job, 0, _slots(out, 0, chunk))
+    left_s = (time.perf_counter() - t0) * (n_chunks - 1)
+    helper = None
+    if _cpu_count() > 1 and left_s >= HELPER_START_S:
+        helper = _start_helper()
+    if helper is None:
+        simulate._scan_paths(job, chunk, _slots(out, chunk, n))
+        return
 
-    ctx = multiprocessing.get_context("spawn")   # fork is unsafe with threads
-    claims = ctx.Array("q", [1, n_chunks])
-    procs, live = [], []
     try:
-        for _ in range(n_helpers):
-            recv, send = ctx.Pipe(duplex=False)
-            live.append(recv)
-            proc = ctx.Process(target=_helper, args=(job, n, chunk, claims, send),
-                               daemon=True)
-            try:
-                proc.start()
-            finally:
-                send.close()
-            procs.append(proc)
-        received = 1
-        while (c := _claim(claims, front=True)) is not None:
-            lo = c * chunk
-            _put(out, lo, simulate._scan_paths(job, lo, min(n, lo + chunk)))
-            received += 1 + _collect(live, out, timeout=0)
-        while received < n_chunks:
-            if not live:
-                raise RuntimeError("path_functionals helpers ended with "
-                                   f"{n_chunks - received} chunks unscanned")
-            received += _collect(live, out, timeout=None)
+        _send(helper, job)
+        front, back = 1, n_chunks   # chunks [front, back) are unclaimed
+        held = None                 # the helper's chunks; None until it is up
+        while front < back or held:
+            for msg in _receive(helper, wait=front == back):
+                if msg is None:     # the helper is up
+                    held = 0
+                else:
+                    _put(out, *msg)
+                    held -= 1
+            while held is not None and held < HELPER_HOLDS and front < back:
+                back -= 1
+                _send(helper, (back * chunk, min(n, back * chunk + chunk)))
+                held += 1
+            if front < back:
+                lo = front * chunk
+                front += 1
+                simulate._scan_paths(job, lo, _slots(out, lo, lo + chunk))
     finally:
-        for proc in procs:
-            proc.terminate()   # only ones still starting up or exiting remain
-        for proc in procs:
-            proc.join()
-            proc.close()
-        for conn in live:
-            conn.close()
-    return out
+        _end_helper(helper)
 
 
-def _claim(claims, front: bool) -> int | None:
-    """Take the first (front) or last unclaimed chunk; None when none is left."""
-    with claims.get_lock():
-        pair = claims.get_obj()
-        if pair[0] >= pair[1]:
-            return None
-        if front:
-            pair[0] += 1
-            return pair[0] - 1
-        pair[1] -= 1
-        return pair[1]
-
-
-def _helper(job: _ScanJob, n: int, chunk: int, claims, conn) -> None:
-    """Helper process: scan chunks claimed from the back and send each as
-    (first path, PathFunctionals), then None; an exception is sent instead."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, so taskset limits it."""
     try:
-        while (c := _claim(claims, front=False)) is not None:
-            lo = c * chunk
-            conn.send((lo, simulate._scan_paths(job, lo, min(n, lo + chunk))))
-        conn.send(None)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_helper() -> tuple[int, int, int] | None:
+    """(pid, fd of its stdin, fd of its stdout) of a new helper process;
+    None where none can start."""
+    if not hasattr(os, "posix_spawn"):
+        return None
+    # The caller's sys.path stands in for site (-S), and a bare package
+    # object for driftgame/__init__, which would import the closed-form
+    # layer: about 0.08 s less start-up on a 2-vCPU VM.
+    path = [entry for entry in sys.path if isinstance(entry, str)]
+    package_dir = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys, types; "
+            f"sys.path[:] = {path!r}; "
+            "sys.modules['driftgame'] = package = types.ModuleType('driftgame'); "
+            f"package.__path__ = [{package_dir!r}]; "
+            "import driftgame._spread; driftgame._spread.serve()")
+    stdin_r, stdin_w = os.pipe()
+    stdout_r, stdout_w = os.pipe()
+    try:
+        # a process group of its own: ^C at a terminal reaches only the caller
+        pid = os.posix_spawn(
+            sys.executable, [sys.executable, "-S", "-c", code], os.environ,
+            file_actions=[(os.POSIX_SPAWN_DUP2, stdin_r, 0),
+                          (os.POSIX_SPAWN_DUP2, stdout_w, 1)],
+            setpgroup=0)
+    except OSError:
+        os.close(stdin_w)
+        os.close(stdout_r)
+        return None
+    finally:
+        os.close(stdin_r)
+        os.close(stdout_w)
+    return pid, stdin_w, stdout_r
+
+
+def _end_helper(helper: tuple[int, int, int]) -> None:
+    """Kill the helper (idle by now unless the scan failed) and reap it."""
+    pid, stdin_w, stdout_r = helper
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    os.close(stdin_w)
+    os.close(stdout_r)
+
+
+def serve() -> None:
+    """Helper process: read the job, report None once up, then answer each
+    path range (lo, hi) with (lo, its PathFunctionals) until stdin closes;
+    an exception is sent instead and ends the helper."""
+    out = os.dup(1)
+    os.dup2(2, 1)   # a stray print goes to stderr, not into the messages
+    job = _read(0)
+    _write(out, None)
+    try:
+        while True:
+            lo, hi = _read(0)
+            part = simulate._unscanned(hi - lo, len(job.z_pays))
+            simulate._scan_paths(job, lo, part)
+            _write(out, (lo, part))
+    except EOFError:
+        pass
     except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-        conn.send(exc)
-    finally:
-        conn.close()
+        _write(out, exc)
 
 
-def _collect(live: list, out: PathFunctionals, timeout: float | None) -> int:
-    """Store what the helpers have sent, waiting up to timeout for the first
-    message; returns the number of chunks stored.  A helper's pipe leaves
-    live once it reports that no chunk is left."""
-    stored = 0
-    ready = wait(live, timeout)
-    while ready:
-        for conn in ready:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                raise RuntimeError("a path_functionals helper process died") from None
-            if msg is None:
-                live.remove(conn)
-                conn.close()
-            elif isinstance(msg, Exception):
-                raise msg
-            else:
-                _put(out, *msg)
-                stored += 1
-        ready = wait(live, 0)
-    return stored
+def _send(helper: tuple[int, int, int], msg) -> None:
+    try:
+        _write(helper[1], msg)
+    except BrokenPipeError:
+        raise _died() from None
+
+
+def _receive(helper: tuple[int, int, int], wait: bool) -> list:
+    """The messages the helper has sent; with wait, at least one.  A
+    helper's exception is raised here."""
+    fd = helper[2]
+    msgs = []
+    while select.select([fd], [], [], None if wait and not msgs else 0)[0]:
+        try:
+            msg = _read(fd)
+        except EOFError:
+            raise _died() from None
+        if isinstance(msg, Exception):
+            raise msg
+        msgs.append(msg)
+    return msgs
+
+
+def _died() -> RuntimeError:
+    return RuntimeError("a path_functionals helper process died")
+
+
+def _write(fd: int, msg) -> None:
+    data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_HEADER.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int):
+    """The next message on fd; EOFError once its writer has closed it."""
+    size, = _HEADER.unpack(_read_bytes(fd, _HEADER.size))
+    return pickle.loads(_read_bytes(fd, size))
+
+
+def _read_bytes(fd: int, size: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < size:
+        part = os.read(fd, size - len(buf))
+        if not part:
+            raise EOFError
+        buf += part
+    return buf
+
+
+def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
+    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
+    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
+                              for field in dataclasses.fields(PathFunctionals)})
 
 
 def _put(out: PathFunctionals, lo: int, part: PathFunctionals) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -285,16 +284,15 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
 
 def _log_ratio_blocks(pool: _StreamPool, path_index: int, z0: float,
-                      c_drift: float, c_noise: float, k_max: int,
-                      block_start: int, block_max: int):
+                      c_drift: float, c_noise: float, k_max: int):
     """Yield (k_done, zb) along one path: zb[i] is log Phi after fine step
     k_done + i + 1, for steps 1..k_max.
 
-    The path's noise substream is drawn in blocks of block_start steps,
-    doubling up to block_max, so a path that stops early draws little.
+    The path's noise substream is drawn in blocks of _BLOCK_START steps,
+    doubling up to _BLOCK_MAX, so a path that stops early draws little.
     """
     rng = pool.reset(path_index, ROLE_PATH_NOISE)
-    z, k_done, block = z0, 0, block_start
+    z, k_done, block = z0, 0, _BLOCK_START
     while k_done < k_max:
         zb = c_drift + c_noise * rng.standard_normal(min(block, k_max - k_done))
         zb.cumsum(out=zb)
@@ -302,7 +300,7 @@ def _log_ratio_blocks(pool: _StreamPool, path_index: int, z0: float,
         yield k_done, zb
         z = zb[-1]
         k_done += zb.size
-        block = min(block * 2, block_max)
+        block = min(block * 2, _BLOCK_MAX)
 
 
 @dataclass(frozen=True)
@@ -332,10 +330,9 @@ class PathFunctionals:
 class _ScanJob(NamedTuple):
     """Everything a scan of some of path_functionals' paths needs.
 
-    A helper process receives it pickled and re-imports this module, so no
-    module constant may stand in for a field (a monkeypatched value would
-    not reach the helper).  A NamedTuple, not a dataclass: it is defined on
-    every import, where a dataclass of this size costs about 2 ms.
+    A helper process receives it pickled.  A NamedTuple, not a dataclass:
+    it is defined on every import, where a dataclass of this size costs
+    about 2 ms.
     """
 
     seed: int
@@ -349,8 +346,6 @@ class _ScanJob(NamedTuple):
     z_hit: float         # log of the reflection barrier that times the stop
     z_lo: float          # log of the absorbing lower threshold
     z_pays: tuple        # logs of the payoff barriers
-    block_start: int
-    block_max: int
 
 
 def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
@@ -368,10 +363,9 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     Each path consumes only its own substream and lands in its own slot,
     and each barrier's sums do not depend on the other barriers.
 
-    From _PARALLEL_MIN_PATHS paths up, the paths may be shared with
-    helper processes on the other CPUs this process may run on (see
-    :mod:`driftgame._spread`); the result is bit-identical for any number
-    of them.
+    From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
+    process on another CPU (see :mod:`driftgame._spread`); the result is
+    bit-identical either way.
     """
     if config.lower is None:
         raise ValueError("config.lower is required for first-passage functionals")
@@ -393,33 +387,39 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
         k_max=config.n_steps, dt=config.dt, rate=discount_rate,
         weight_phi=weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
-        z_pays=tuple(math.log(bpay) for bpay in bpays),
-        block_start=_BLOCK_START, block_max=_BLOCK_MAX)
-    n = config.n_paths
-    n_helpers = min(_cpu_count() - 1, n // _PARALLEL_MIN_PATHS)
-    if n_helpers < 1:
-        return _scan_paths(job, 0, n)
-    from . import _spread   # loads multiprocessing, which few calls need
-    return _spread.scan(job, n, n_helpers)
+        z_pays=tuple(math.log(bpay) for bpay in bpays))
+    out = _unscanned(config.n_paths, len(bpays))
+    if config.n_paths < _SPREAD_MIN_PATHS:
+        _scan_paths(job, 0, out)
+    else:
+        from . import _spread
+        _spread.scan(job, out)
+    return out
 
 
-def _scan_paths(job: _ScanJob, lo: int, hi: int) -> PathFunctionals:
-    """Scan paths lo..hi-1; slot i of the result holds path lo + i."""
+def _unscanned(n: int, n_barriers: int) -> PathFunctionals:
+    """Slots for n paths, ready for _scan_paths: tau NaN, none censored."""
+    return PathFunctionals(
+        tau=np.full(n, np.nan), censored=np.zeros(n, dtype=bool),
+        phi_refl_end=np.empty(n), r_pay_end=np.empty((n_barriers, n)),
+        stieltjes=np.empty((n_barriers, n)))
+
+
+def _scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
+    """Scan paths lo, lo + 1, ... into the slots of out (from _unscanned,
+    or views of such slots), one path per slot."""
     z0 = math.log(job.phi0)
     z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
     dt, rate, weight_phi = job.dt, job.rate, job.weight_phi
-    n = hi - lo
+    n = out.n_paths
     other_barrier = any(zp != z_hit for zp in z_pays)
     # every path starts from the same state, including Gamma's jump at t = 0
     r_hit0 = max(0.0, z0 - z_hit)
     r_pay0 = [r_hit0 if zp == z_hit else max(0.0, z0 - zp) for zp in z_pays]
     sti0 = [(job.phi0 if weight_phi else 1.0) * -math.expm1(-r) for r in r_pay0]
 
-    tau = np.full(n, np.nan)
-    censored = np.zeros(n, dtype=bool)
-    phi_end = np.empty(n)
-    r_end = np.empty((len(z_pays), n))
-    stj = np.empty((len(z_pays), n))
+    tau, censored, phi_end = out.tau, out.censored, out.phi_refl_end
+    r_end, stj = out.r_pay_end, out.stieltjes
     pool = _StreamPool(job.seed)
     for p in range(n):
         r_hit, r_pay, sti = r_hit0, list(r_pay0), list(sti0)
@@ -430,8 +430,7 @@ def _scan_paths(job: _ScanJob, lo: int, hi: int) -> PathFunctionals:
             stj[:, p] = sti
             continue
         for k_done, zb in _log_ratio_blocks(pool, lo + p, z0, job.c_drift,
-                                            job.c_noise, job.k_max,
-                                            job.block_start, job.block_max):
+                                            job.c_noise, job.k_max):
             rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
             hit = zb - rh <= z_lo
             j = int(hit.argmax()) if hit.any() else -1
@@ -472,21 +471,11 @@ def _scan_paths(job: _ScanJob, lo: int, hi: int) -> PathFunctionals:
         r_end[:, p] = r_pay
         stj[:, p] = sti
 
-    return PathFunctionals(tau=tau, censored=censored, phi_refl_end=phi_end,
-                           r_pay_end=r_end, stieltjes=stj)
 
-
-# Paths per helper process: path_functionals starts at most one helper per
-# this many paths, so below it a call never pays for a helper's start-up.
-_PARALLEL_MIN_PATHS = 2048
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, so taskset limits it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+# Below this many paths path_functionals never shares its scan with a helper
+# process (whose start-up costs about as much as a scan of 2048 paths), and
+# so never imports _spread, where the rest of that decision is made.
+_SPREAD_MIN_PATHS = 2048
 
 
 def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
@@ -533,8 +522,7 @@ def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
     pool = _StreamPool(config.seed)
     for p in range(n):
         r_state = [r0] * len(dts)
-        for k_done, zb in _log_ratio_blocks(pool, p, z0, c_drift, c_noise, k_max,
-                                            _BLOCK_START, _BLOCK_MAX):
+        for k_done, zb in _log_ratio_blocks(pool, p, z0, c_drift, c_noise, k_max):
             for r, s in enumerate(strides):
                 if not cens[r][p]:
                     continue

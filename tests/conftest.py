@@ -1,4 +1,4 @@
-import time
+import os
 
 import numpy as np
 import pytest
@@ -46,42 +46,53 @@ def random_solutions(random_param_sets):
 
 
 class HelperSwitch:
-    """Turns path_functionals' helper processes on (one helper, started
-    however short the scan) or off.
+    """Turns path_functionals' helper process on (started however short the
+    scan) or off.
 
-    While on, the calling process holds its first claim in each split scan
-    until the helper has claimed a chunk, so that both processes scan
-    paths; helper_chunks is the number of chunks the helper took in the
-    last split scan.
+    While on, the calling process waits for the helper to be up before it
+    scans its second chunk, so that both processes scan paths.
+    helper_chunks is the number of chunks the helper returned in the last
+    split scan, and helpers lists every helper process started.
     """
-
-    WAIT_S = 60.0   # a helper that never starts fails the test, not hangs it
 
     def __init__(self, monkeypatch):
         import driftgame._spread as spread
-        import driftgame.simulate as sim
 
         self._monkeypatch = monkeypatch
-        self._sim = sim
-        self._real_claim = spread._claim
-        self._end0 = None
+        self._spread = spread
+        self._real_start = spread._start_helper
+        self._real_receive = spread._receive
+        self._up = False
         self.helper_chunks = 0
-        monkeypatch.setattr(spread, "_claim", self._claim)
+        self.helpers = []
+        monkeypatch.setattr(spread, "_start_helper", self._start_helper)
+        monkeypatch.setattr(spread, "_receive", self._receive)
         monkeypatch.setattr(spread, "HELPER_START_S", 0.0)
 
     def set(self, on: bool) -> None:
-        self._monkeypatch.setattr(self._sim, "_cpu_count", lambda: 2 if on else 1)
+        self._monkeypatch.setattr(self._spread, "_cpu_count", lambda: 2 if on else 1)
 
-    def _claim(self, claims, front):
-        if self._end0 is None:
-            self._end0 = claims[1]
-            deadline = time.monotonic() + self.WAIT_S
-            while claims[1] == self._end0 and time.monotonic() < deadline:
-                time.sleep(0.002)
-        chunk = self._real_claim(claims, front)
-        if chunk is None:
-            self.helper_chunks, self._end0 = self._end0 - claims[1], None
-        return chunk
+    def all_ended(self) -> bool:
+        """Whether every helper started has ended and been reaped."""
+        for pid, _, _ in self.helpers:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+    def _start_helper(self):
+        self._up, self.helper_chunks = False, 0
+        helper = self._real_start()
+        self.helpers.append(helper)
+        return helper
+
+    def _receive(self, helper, wait):
+        msgs = self._real_receive(helper, wait or not self._up)
+        self._up = True   # the helper's first message says it is up
+        self.helper_chunks += sum(msg is not None for msg in msgs)
+        return msgs
 
 
 @pytest.fixture

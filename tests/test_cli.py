@@ -165,8 +165,8 @@ def test_mc_thread_count_does_not_change_output(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["mc", "deviations"])
-def test_helper_processes_do_not_change_output(capsys, helper_switch, command):
-    # from 2048 paths the kernel shares paths with helper processes
+def test_helper_process_does_not_change_output(capsys, helper_switch, command):
+    # from 2048 paths the kernel may share its paths with a helper process
     outputs = []
     for on in (False, True):
         helper_switch.set(on)
@@ -174,22 +174,52 @@ def test_helper_processes_do_not_change_output(capsys, helper_switch, command):
                      "--seed", "3"]) == 0
         outputs.append(capsys.readouterr().out)
     assert helper_switch.helper_chunks >= 1
+    assert helper_switch.all_ended()
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # multiprocessing is imported only when the kernel spawns helpers, so
-    # the set-up of a command does not pay for it
+def _python_env():
+    """os.environ with this checkout's driftgame first on PYTHONPATH."""
     import driftgame
 
     src = str(Path(driftgame.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_helper_code_out():
+    # the helper code is imported only when the kernel may start a helper,
+    # so the set-up of a command does not pay for it
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, driftgame.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+         "import sys, driftgame.cli; print('driftgame._spread' in sys.modules)"],
+        capture_output=True, text=True, env=_python_env(), timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_quick_start_runs_as_a_script(tmp_path):
+    # The README's library quick start, saved as a script without an
+    # ``if __name__ == "__main__"`` guard and run with the helper process
+    # forced on, prints what it prints with the helper off: the helper
+    # never runs the caller's script.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    assert code.count("n_paths=100_000") == 2
+    code = code.replace("n_paths=100_000", "n_paths=4096")
+    outputs = []
+    for on in (False, True):
+        script = tmp_path / f"quick_start_{on}.py"
+        script.write_text(
+            "import driftgame._spread as spread\n"
+            f"spread._cpu_count = lambda: {2 if on else 1}\n"
+            "spread.HELPER_START_S = 0.0\n" + code)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, env=_python_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_mc_verification_failure_exit_code(tmp_path, monkeypatch):

@@ -367,18 +367,16 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
             assert np.array_equal(fused.stieltjes[i], stj)
 
 
-def test_helper_processes_match_serial_scan(base_params, monkeypatch,
+def test_helper_process_matches_serial_scan(base_params, monkeypatch,
                                            helper_switch):
-    # Paths scanned by a spawned helper process land bit-identically in
-    # their slots: path counts not a multiple of the chunk and below two
-    # chunks, censored paths, starts above B and at A, and three payoff
-    # barriers with the Phi weight.
-    import multiprocessing
-
+    # Paths scanned by the helper process land bit-identically in their
+    # slots: path counts not a multiple of the chunk and below two chunks,
+    # censored paths, starts above B and at A, and three payoff barriers
+    # with the Phi weight.  No helper is left running.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
-    monkeypatch.setattr(sim, "_PARALLEL_MIN_PATHS", 100)
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     chunk = spread.CHUNK_PATHS
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
@@ -404,46 +402,36 @@ def test_helper_processes_match_serial_scan(base_params, monkeypatch,
                                   getattr(serial, field.name), equal_nan=True)
         assert serial.censored.any() == (horizon < 1.0)
         assert (serial.tau == 0.0).all() == (phi0 == sol.A)
-    assert multiprocessing.active_children() == []
+    assert len(helper_switch.helpers) == len(cases)
+    assert helper_switch.all_ended()
 
 
 class _ExitWhenUnpickled:
     """A scan job whose unpickling ends the process that reads it."""
 
-    z_pays = (0.0,)
-
     def __reduce__(self):
         return os._exit, (3,)
 
 
-def test_helper_failures_reach_the_caller(monkeypatch):
-    # The caller scans nothing itself (its first chunk is faked) and leaves
-    # every other chunk to the helper.  An exception in the helper is
-    # raised in the caller with its type; a helper that dies is an error,
-    # not a wait for results that never come.
-    import multiprocessing
-
+def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
+    # The caller's own chunks are faked, and once the helper is up every
+    # chunk left is handed to it.  An exception in the helper is raised in
+    # the caller with its type; a helper that dies is an error, not a wait
+    # for results that never come.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
-    def no_scan(job, lo, hi):
-        return sim.PathFunctionals(
-            tau=np.zeros(hi - lo), censored=np.zeros(hi - lo, dtype=bool),
-            phi_refl_end=np.zeros(hi - lo), r_pay_end=np.zeros((1, hi - lo)),
-            stieltjes=np.zeros((1, hi - lo)))
-
-    monkeypatch.setattr(spread, "HELPER_START_S", 0.0)
-    monkeypatch.setattr(sim, "_scan_paths", no_scan)
-    monkeypatch.setattr(spread, "_claim", lambda claims, front: None)
+    helper_switch.set(True)
+    monkeypatch.setattr(sim, "_scan_paths", lambda job, lo, out: None)
     bad_seed = sim._ScanJob(
         seed=2**64, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10, dt=0.1,
-        rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,),
-        block_start=8, block_max=8)
+        rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,))
     with pytest.raises(ValueError, match="outside"):
-        spread.scan(bad_seed, 300, 1)
+        spread.scan(bad_seed, sim._unscanned(300, 1))
     with pytest.raises(RuntimeError, match="died"):
-        spread.scan(_ExitWhenUnpickled(), 300, 1)
-    assert multiprocessing.active_children() == []
+        spread.scan(_ExitWhenUnpickled(), sim._unscanned(300, 1))
+    assert len(helper_switch.helpers) == 2
+    assert helper_switch.all_ended()
 
 
 def test_multires_requires_integer_strides(base_params):
