@@ -33,10 +33,10 @@ from .simulate import (
     Measure,
     SimConfig,
     Trajectory,
-    first_hit_lower,
     generate_trajectory,
     reflect,
     simulate_phi,
+    stop_at_lower,
     substream,
 )
 from .symmetric import NoConvergence, SymmetricSolution, VoiCurve, solve_symmetric, \
@@ -47,9 +47,6 @@ from .verify import (
     MCEstimate,
     deviations_player1,
     deviations_player2,
-    mc_J0,
-    mc_J1,
-    mc_Jhat,
     mc_oracle_suite,
 )
 

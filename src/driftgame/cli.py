@@ -245,8 +245,7 @@ def _cmd_path(args) -> int:
     config = SimConfig(dt=settings["dt"], horizon=settings["horizon"], n_paths=1,
                        seed=settings["seed"], measure=Measure.PHYSICAL,
                        barrier=1.0)  # barrier replaced by the solve inside
-    traj, info = sample_path_figure(params, settings["seed"], config,
-                                    path_index=args.path_index)
+    traj, info = sample_path_figure(params, config, path_index=args.path_index)
     meta = _metadata("path", params, pi, phi, settings,
                      {"dt": settings["dt"], "horizon": settings["horizon"],
                       "path_index": args.path_index, "a": info["a"],

@@ -209,8 +209,8 @@ class EquilibriumSolution:
     V1 = C1 phi^(beta1-1) + C2 phi^(beta2-1) on (A,B); the uninformed
     player's (scaled) value is V = D1 phi^beta1 + D2 phi^beta2 there, and
     V0 = V - phi V1.  Outside (A,B) all three extend piecewise (constant,
-    affine, or obstacle).  Evaluators accept scalars or arrays and return
-    per-unit-of-x values.
+    affine, or obstacle).  V, V0 and V1 are PowerPieces: sol.V(phi) is the
+    per-unit-of-x value and sol.V(phi, 1), sol.V(phi, 2) its derivatives.
     """
 
     params: ModelParams
@@ -245,61 +245,34 @@ class EquilibriumSolution:
             + self.D2 * _power_of_B(self.B, b2, "B**beta2 in V(B)", b2)
 
     @cached_property
-    def V_piece(self) -> PowerPiece:
-        """V: the obstacle 1 + phi below A, slope 1 + eps above B."""
+    def V(self) -> PowerPiece:
+        """Game value per unit x (uninformed player's scaled value): the
+        obstacle 1 + phi below A, slope 1 + eps above B.  V is C1, so
+        V(phi, 1) takes the inside value at A and B; V(phi, 2) is refused
+        there."""
         b1, b2 = self.exps.beta1, self.exps.beta2
         return PowerPiece(self.A, self.B, self.D1, b1, self.D2, b2,
                           below=(0.0, 1.0, 1.0),
                           above=(self.V_B, 1.0 + self.params.eps, -self.B))
 
     @cached_property
-    def V1_piece(self) -> PowerPiece:
-        """V1: the payoffs 1 below A and 1 + eps above B."""
+    def V1(self) -> PowerPiece:
+        """Informed player's cost per unit x in the high-drift regime: the
+        payoffs 1 below A and 1 + eps above B."""
         b1, b2 = self.exps.beta1, self.exps.beta2
         return PowerPiece(self.A, self.B, self.C1, b1 - 1.0, self.C2, b2 - 1.0,
                           below=(1.0, 0.0, 0.0),
                           above=(1.0 + self.params.eps, 0.0, 0.0))
 
     @cached_property
-    def V0_piece(self) -> PowerPiece:
-        """V0 = V - phi V1: 1 below A, constant above B (reflection)."""
+    def V0(self) -> PowerPiece:
+        """Informed player's cost per unit x in the low-drift regime,
+        V0 = V - phi V1: 1 below A, constant above B (reflection)."""
         b1, b2 = self.exps.beta1, self.exps.beta2
         top = self.V_B - (1.0 + self.params.eps) * self.B
         return PowerPiece(self.A, self.B, self.D1 - self.C1, b1,
                           self.D2 - self.C2, b2,
                           below=(1.0, 0.0, 0.0), above=(top, 0.0, 0.0))
-
-    def V(self, phi):
-        """Game value per unit x (uninformed player's scaled value)."""
-        return self.V_piece(phi)
-
-    def V_prime(self, phi):
-        """dV/dphi; the one-sided inside value at the thresholds (V is C1)."""
-        return self.V_piece(phi, 1)
-
-    def V_second(self, phi):
-        """d2V/dphi2; refused exactly at A and B where V is not C2."""
-        return self.V_piece(phi, 2)
-
-    def V1(self, phi):
-        """Informed player's cost per unit x in the high-drift regime."""
-        return self.V1_piece(phi)
-
-    def V1_prime(self, phi):
-        return self.V1_piece(phi, 1)
-
-    def V1_second(self, phi):
-        return self.V1_piece(phi, 2)
-
-    def V0(self, phi):
-        """Informed player's cost per unit x in the low-drift regime."""
-        return self.V0_piece(phi)
-
-    def V0_prime(self, phi):
-        return self.V0_piece(phi, 1)
-
-    def V0_second(self, phi):
-        return self.V0_piece(phi, 2)
 
 
 def build_solution(params: ModelParams) -> EquilibriumSolution:
@@ -405,9 +378,9 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
         conds.append(QviCondition(name, r, tol, r <= tol))
 
     # Euler ODEs on the continuation band (A, B).
-    for name, piece, drift, rate in (("ode-V", sol.V_piece, so, params.mu0),
-                                     ("ode-V1", sol.V1_piece, so + omega**2, params.mu1),
-                                     ("ode-V0", sol.V0_piece, so, params.mu0)):
+    for name, piece, drift, rate in (("ode-V", sol.V, so, params.mu0),
+                                     ("ode-V1", sol.V1, so + omega**2, params.mu1),
+                                     ("ode-V0", sol.V0, so, params.mu0)):
         add(name, np.max(_euler_residual(omega, drift, rate,
                                          *(piece(interior, k) for k in range(3)),
                                          interior)), ODE_RTOL)
@@ -425,17 +398,17 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
 
     # Reflection conditions at and above B (flat costs in phi).
     add("reflection-smooth-V0",
-        max(abs(sol.V0_prime(B)), np.max(np.abs(sol.V0_prime(upper_grid)))),
+        max(abs(sol.V0(B, 1)), np.max(np.abs(sol.V0(upper_grid, 1)))),
         BOUNDARY_ATOL)
     add("reflection-smooth-V1",
-        max(abs(sol.V1_prime(B)), np.max(np.abs(sol.V1_prime(upper_grid)))),
+        max(abs(sol.V1(B, 1)), np.max(np.abs(sol.V1(upper_grid, 1)))),
         BOUNDARY_ATOL)
 
     # Boundary and smooth-fit conditions that pin down A, B and the
     # coefficients.
     add("boundary-V-at-A", abs(sol.V(A) - (1.0 + A)), BOUNDARY_ATOL)
-    add("smooth-fit-V-at-A", abs(sol.V_prime(A) - 1.0), BOUNDARY_ATOL)
-    add("boundary-V-slope-at-B", abs(sol.V_prime(B) - (1.0 + eps)), BOUNDARY_ATOL)
+    add("smooth-fit-V-at-A", abs(sol.V(A, 1) - 1.0), BOUNDARY_ATOL)
+    add("boundary-V-slope-at-B", abs(sol.V(B, 1) - (1.0 + eps)), BOUNDARY_ATOL)
     add("boundary-V1-at-A", abs(sol.V1(A) - 1.0), BOUNDARY_ATOL)
     add("boundary-V1-at-B", abs(sol.V1(B) - (1.0 + eps)), BOUNDARY_ATOL)
     add("boundary-V0-at-A", abs(sol.V0(A) - 1.0), BOUNDARY_ATOL)

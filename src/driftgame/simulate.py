@@ -99,6 +99,11 @@ class SimConfig:
             raise ValueError(f"dt={self.dt} must be positive")
         if not self.dt < self.horizon:
             raise ValueError(f"dt={self.dt} must be smaller than horizon={self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon={self.horizon} must be finite")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon/dt={self.horizon / self.dt} must be finite "
+                             f"(horizon={self.horizon}, dt={self.dt})")
         if self.n_paths < 1:
             raise ValueError(f"n_paths={self.n_paths} must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -150,10 +155,6 @@ class Trajectory:
     PiStar: np.ndarray | None = None
     theta: int | None = None        # regime label, physical measure only
     barrier: float | None = None    # reflection level used by reflect()
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 def simulate_phi(config: SimConfig, params: ModelParams,
@@ -212,18 +213,6 @@ def reflect(traj: Trajectory, barrier: float) -> Trajectory:
     )
 
 
-def first_hit_lower(traj: Trajectory, lower: float) -> float | None:
-    """First grid time with PhiB <= lower; None when censored at horizon."""
-    if traj.PhiB is None:
-        raise ValueError("trajectory has no reflection; call reflect() first")
-    if traj.barrier is not None and not lower < traj.barrier:
-        raise ValueError(f"lower={lower} must be below barrier={traj.barrier}")
-    mask = traj.PhiB <= lower
-    if not mask.any():
-        return None
-    return float(traj.times[int(np.argmax(mask))])
-
-
 def generate_trajectory(config: SimConfig, params: ModelParams,
                         path_index: int = 0) -> Trajectory:
     """Simulate one path with its substreams and reflect it at the barrier."""
@@ -236,22 +225,21 @@ def generate_trajectory(config: SimConfig, params: ModelParams,
     return reflect(traj, config.barrier)
 
 
-def truncate_at_first_hit(traj: Trajectory, lower: float) -> Trajectory:
-    """Slice a reflected trajectory at the first PhiB <= lower crossing
-    (inclusive); returns the whole trajectory when censored."""
+def stop_at_lower(traj: Trajectory, lower: float) -> tuple[Trajectory, bool]:
+    """Slice a reflected trajectory at its first grid point with
+    PhiB <= lower (inclusive).  Returns (sliced trajectory, censored); a
+    censored path never reaches lower and comes back whole."""
     if traj.PhiB is None:
         raise ValueError("trajectory has no reflection; call reflect() first")
+    if traj.barrier is not None and not lower < traj.barrier:
+        raise ValueError(f"lower={lower} must be below barrier={traj.barrier}")
     mask = traj.PhiB <= lower
     if not mask.any():
-        return traj
-    k = int(np.argmax(mask))
-    sliced = {
-        name: (arr[: k + 1] if isinstance(arr, np.ndarray) else arr)
-        for name, arr in (
-            (f.name, getattr(traj, f.name)) for f in dataclasses.fields(traj)
-        )
-    }
-    return Trajectory(**sliced)
+        return traj, True
+    end = int(np.argmax(mask)) + 1
+    return dataclasses.replace(traj, **{
+        f.name: getattr(traj, f.name)[:end] for f in dataclasses.fields(traj)
+        if isinstance(getattr(traj, f.name), np.ndarray)}), False
 
 
 def fmt17(val) -> str:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .equilibrium import build_solution
 from .model import DomainError, InvalidParameters, ModelParams
-from .simulate import Measure, SimConfig, Trajectory, first_hit_lower, \
-    generate_trajectory, truncate_at_first_hit, write_csv
+from .simulate import Measure, SimConfig, Trajectory, generate_trajectory, \
+    stop_at_lower, write_csv
 
 SWEEPABLE = ("mu0", "mu1", "sigma", "eps")
 
@@ -99,7 +99,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def sample_path_figure(params: ModelParams, seed: int, config: SimConfig,
+def sample_path_figure(params: ModelParams, config: SimConfig,
                        path_index: int = 0) -> tuple[Trajectory, dict]:
     """One physical-measure path of (PiStar, Gamma) until the stop.
 
@@ -107,21 +107,13 @@ def sample_path_figure(params: ModelParams, seed: int, config: SimConfig,
     threshold (the whole grid when censored) together with metadata
     carrying the probability-coordinate boundaries a and b.
     """
-    if Measure(config.measure) is not Measure.PHYSICAL:
+    if config.measure is not Measure.PHYSICAL:
         raise ValueError("sample paths use the physical measure")
     sol = build_solution(params)
-    cfg = dataclasses.replace(config, seed=seed, barrier=sol.B, lower=sol.A)
-    traj = generate_trajectory(cfg, params, path_index)
-    tau = first_hit_lower(traj, sol.A)
-    meta = {
-        "a": sol.a,
-        "b": sol.b,
-        "pi": params.prior,
-        "seed": seed,
-        "path_index": path_index,
-        "censored": tau is None,
-    }
-    return truncate_at_first_hit(traj, sol.A), meta
+    cfg = dataclasses.replace(config, barrier=sol.B, lower=sol.A)
+    traj, censored = stop_at_lower(generate_trajectory(cfg, params, path_index),
+                                   sol.A)
+    return traj, {"a": sol.a, "b": sol.b, "censored": censored}
 
 
 # -- data-file writers -------------------------------------------------------

@@ -57,20 +57,13 @@ class SymmetricSolution:
         return self.Bs / (1.0 + self.Bs)
 
     @cached_property
-    def piece(self) -> PowerPiece:
-        """Vh, with the stopping payoffs 1 + phi below As and
-        (1+eps)(1+phi) above Bs."""
+    def value(self) -> PowerPiece:
+        """Vh(phi), extended by the stopping payoffs 1 + phi below As and
+        (1+eps)(1+phi) above Bs; value(phi, 1) takes the inside value at
+        the thresholds."""
         return PowerPiece(self.As, self.Bs, self.Dh1, self.exps.beta1,
                           self.Dh2, self.exps.beta2, below=(0.0, 1.0, 1.0),
                           above=(0.0, 1.0 + self.params.eps, 1.0))
-
-    def value(self, phi):
-        """Vh(phi), extended by the stopping payoffs outside [As, Bs]."""
-        return self.piece(phi)
-
-    def value_prime(self, phi):
-        """dVh/dphi with the one-sided inside value at the thresholds."""
-        return self.piece(phi, 1)
 
 
 def solve_symmetric(params: ModelParams) -> SymmetricSolution:
@@ -106,7 +99,7 @@ def solve_symmetric(params: ModelParams) -> SymmetricSolution:
     d1, d2 = np.linalg.solve(np.array([[As**b1, As**b2], [Bs**b1, Bs**b2]]),
                              np.array([1.0 + As, k * (1.0 + Bs)]))
     sol = SymmetricSolution(params=params, exps=exps, As=As, Bs=Bs, Dh1=d1, Dh2=d2)
-    r = sol.value_prime(np.array([As, Bs])) - np.array([1.0, k])
+    r = sol.value(np.array([As, Bs]), 1) - np.array([1.0, k])
     tol = min(SMOOTH_FIT_ATOL_MAX, SMOOTH_FIT_RTOL * max(1.0, 1.0 / As))
     if not np.max(np.abs(r)) <= tol:
         raise NoConvergence(

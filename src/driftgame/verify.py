@@ -4,10 +4,11 @@ Three payoff functionals are estimated by simulation and compared to their
 closed forms: the informed player's cost in each regime (J0 under the
 tilted low-regime measure, J1 under the tilted high-regime measure) and the
 uninformed player's value Jhat (a two-term representation under the tilted
-low-regime measure).  A deviation suite then perturbs each player's
-strategy: closed-form threshold deviations for the stopper, and
-common-random-number Monte Carlo for the informed player's reflection level
-and time-zero jump strategies.
+low-regime measure).  :func:`mc_oracle_suite` is the entry point for these
+three checks; it runs one pass under each tilted measure.  A deviation
+suite then perturbs each player's strategy: closed-form threshold
+deviations for the stopper, and common-random-number Monte Carlo for the
+informed player's reflection level and time-zero jump strategies.
 
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
@@ -81,19 +82,25 @@ def _require(config: SimConfig, measure: Measure, sol: EquilibriumSolution) -> N
             f"n_paths={config.n_paths}: a standard error needs at least 2 paths")
 
 
-def _estimate(samples: np.ndarray, config: SimConfig, bias: float,
-              censored: np.ndarray) -> MCEstimate:
+def _estimate(samples: np.ndarray, sol: EquilibriumSolution, config: SimConfig,
+              bracket: float, censored: np.ndarray) -> MCEstimate:
+    """Mean and standard error of the samples; the bias bound is the grid
+    hitting budget at config.dt plus the censoring bracket."""
     n = samples.size
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n))
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=config.dt,
                       horizon=config.horizon,
                       censored_fraction=float(np.mean(censored)),
-                      bias_bound=bias)
+                      bias_bound=HIT_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
+                      + bracket)
 
 
-def _hit_bias(sol: EquilibriumSolution, config: SimConfig) -> float:
-    return HIT_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
+def _j0_bracket(sol: EquilibriumSolution, config: SimConfig,
+                censored: np.ndarray) -> float:
+    """J0's censoring bracket: a censored path contributes 0 in place of a
+    value in (0, e^{mu0 horizon}]."""
+    return float(np.mean(censored) * math.exp(sol.params.mu0 * config.horizon))
 
 
 def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig
@@ -111,45 +118,6 @@ def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig
     return j0, jhat, pf
 
 
-def _j0_estimate(sol: EquilibriumSolution, config: SimConfig, j0: np.ndarray,
-                 pf: PathFunctionals) -> MCEstimate:
-    cens_bracket = float(np.mean(pf.censored) * math.exp(sol.params.mu0 * config.horizon))
-    return _estimate(j0, config, _hit_bias(sol, config) + cens_bracket, pf.censored)
-
-
-def _jhat_estimate(sol: EquilibriumSolution, config: SimConfig, jhat: np.ndarray,
-                   pf: PathFunctionals) -> MCEstimate:
-    eps = sol.params.eps
-    # per censored path the missing mass is e^{mu0 T} V(PhiB_T), bounded a
-    # priori using V0 <= 1 and V1 <= 1+eps
-    miss = np.where(pf.censored,
-                    math.exp(sol.params.mu0 * config.horizon)
-                    * (1.0 + (1.0 + eps) * pf.phi_refl_end), 0.0)
-    return _estimate(jhat, config, _hit_bias(sol, config) + float(miss.mean()),
-                     pf.censored)
-
-
-def mc_J0(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
-    """Estimate of the informed player's low-regime cost per unit x,
-    i.e. the expectation of e^{mu0 tau_A} with no low-regime stopping.
-
-    Censored paths contribute 0 and the bracket (0, e^{mu0 horizon}] enters
-    the bias bound instead of the mean.
-    """
-    _require(config, Measure.TILTED0, sol)
-    j0, _, pf = _j0_samples(sol, phi, config)
-    return _j0_estimate(sol, config, j0, pf)
-
-
-def mc_Jhat(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
-    """Estimate of the uninformed player's value per unit x via the two-term
-    tilted0 representation e^{mu0 tau}(1 + PhiB_tau) + (1+eps) * integral of
-    e^{mu0 t} Phi_t dGamma_t."""
-    _require(config, Measure.TILTED0, sol)
-    _, jhat, pf = _j0_samples(sol, phi, config)
-    return _jhat_estimate(sol, config, jhat, pf)
-
-
 def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
                 payoff_barriers=None) -> tuple[np.ndarray, PathFunctionals]:
     """Per-path J1 samples from one tilted1 pass: one row per payoff
@@ -165,51 +133,6 @@ def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
                   np.exp(sol.params.mu1 * tau - pf.r_pay_end)
                   + (1.0 + eps) * pf.stieltjes)
     return j1, pf
-
-
-def mc_J1(sol: EquilibriumSolution, phi: float, config: SimConfig) -> MCEstimate:
-    """Estimate of the informed player's high-regime cost per unit x:
-    e^{mu1 tau}(1 - Gamma_tau) + (1+eps) * integral of e^{mu1 t} dGamma_t.
-
-    The censored contribution is bracketed by the martingale bound
-    [e^{mu1 T}(1-Gamma_T), (1+eps) e^{mu1 T}(1-Gamma_T)] and reported in the
-    bias bound.
-    """
-    _require(config, Measure.TILTED1, sol)
-    (j1,), pf = _j1_samples(sol, phi, config)
-    eps = sol.params.eps
-    miss = np.where(pf.censored,
-                    (1.0 + eps)
-                    * np.exp(sol.params.mu1 * config.horizon - pf.r_pay_end[0]),
-                    0.0)
-    return _estimate(j1, config, _hit_bias(sol, config) + float(miss.mean()),
-                     pf.censored)
-
-
-def check_jhat_identity(sol: EquilibriumSolution, phi: float,
-                        config0: SimConfig, config1: SimConfig) -> dict:
-    """Consistency of the decomposition Jhat = J0 + phi * J1.
-
-    Jhat and J0 come from the same tilted0 paths, so their difference is
-    paired; J1 is an independent tilted1 run.  Passes when the residual is
-    within SIGMA_LEVEL combined standard errors.
-    """
-    _require(config0, Measure.TILTED0, sol)
-    _require(config1, Measure.TILTED1, sol)
-    j0, jhat, _ = _j0_samples(sol, phi, config0)
-    (j1,), _ = _j1_samples(sol, phi, config1)
-    pair = jhat - j0
-    n0, n1 = pair.size, j1.size
-    resid = float(pair.mean() - phi * j1.mean())
-    se = math.sqrt(pair.var(ddof=1) / n0 + phi**2 * j1.var(ddof=1) / n1)
-    return {
-        "check": "jhat-identity",
-        "phi": phi,
-        "residual": resid,
-        "stderr": se,
-        "tolerance": SIGMA_LEVEL * se,
-        "pass": abs(resid) <= SIGMA_LEVEL * se,
-    }
 
 
 def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
@@ -232,20 +155,39 @@ def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
 
 def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
                     config1: SimConfig) -> list[dict]:
-    """J0, J1 and Jhat at one point, each against its closed form.
+    """The Monte Carlo oracle: J0, J1 and Jhat at one point, each against
+    its closed form V0, V1 and V.
 
-    J0 and Jhat come from a single shared tilted0 pass.
+    J0 = E[e^{mu0 tau_A}] (no low-regime stopping) and
+    Jhat = E[e^{mu0 tau}(1 + PhiB_tau) + (1+eps) * integral of
+    e^{mu0 t} Phi_t dGamma_t] come from one shared tilted0 pass;
+    J1 = E[e^{mu1 tau}(1 - Gamma_tau) + (1+eps) * integral of
+    e^{mu1 t} dGamma_t] from one tilted1 pass.  A censored path's missing
+    mass is never folded into the mean; its bound enters the bias bound.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
-    j0, jhat, pf = _j0_samples(sol, phi, config0)
+    eps = sol.params.eps
+    j0, jhat, pf0 = _j0_samples(sol, phi, config0)
+    (j1,), pf1 = _j1_samples(sol, phi, config1)
+    # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
+    # using V0 <= 1 and V1 <= 1+eps
+    miss_hat = np.where(pf0.censored,
+                        math.exp(sol.params.mu0 * config0.horizon)
+                        * (1.0 + (1.0 + eps) * pf0.phi_refl_end), 0.0)
+    # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T)
+    miss1 = np.where(pf1.censored,
+                     (1.0 + eps)
+                     * np.exp(sol.params.mu1 * config1.horizon - pf1.r_pay_end[0]),
+                     0.0)
     return [
-        oracle_report(sol, "J0", phi, _j0_estimate(sol, config0, j0, pf),
-                      sol.V0(phi)),
-        oracle_report(sol, "J1", phi, mc_J1(sol, phi, config1),
-                      sol.V1(phi)),
-        oracle_report(sol, "Jhat", phi, _jhat_estimate(sol, config0, jhat, pf),
-                      sol.V(phi)),
+        oracle_report(sol, "J0", phi, _estimate(
+            j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),
+            pf0.censored), sol.V0(phi)),
+        oracle_report(sol, "J1", phi, _estimate(
+            j1, sol, config1, float(miss1.mean()), pf1.censored), sol.V1(phi)),
+        oracle_report(sol, "Jhat", phi, _estimate(
+            jhat, sol, config0, float(miss_hat.mean()), pf0.censored), sol.V(phi)),
     ]
 
 
@@ -377,14 +319,11 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     noise free and the O(sqrt(dt)) hitting bias is visible directly.
     """
     _require(config, Measure.TILTED0, sol)
-    results = []
     pairs = multires_hit_discounts(sol.params, phi, config, dt_list,
                                    discount_rate=sol.params.mu0)
+    results = []
     for dt, (samples, censored) in zip(dt_list, pairs):
         cfg = dataclasses.replace(config, dt=float(dt))
-        cens_bracket = float(np.mean(censored) * math.exp(sol.params.mu0 * config.horizon))
-        results.append(_estimate(
-            samples, cfg,
-            HIT_BIAS_COEFF * sol.omega * math.sqrt(float(dt)) + cens_bracket,
-            censored))
+        results.append(_estimate(samples, sol, cfg,
+                                 _j0_bracket(sol, cfg, censored), censored))
     return results

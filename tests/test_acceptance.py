@@ -65,13 +65,13 @@ def test_criterion_3_closed_form_consistency(base_solution, random_solutions):
         eps = sol.params.eps
         bcs = {
             "V(A)=1+A": sol.V(sol.A) - (1 + sol.A),
-            "V'(A)=1": sol.V_prime(sol.A) - 1.0,
-            "V'(B)=1+eps": sol.V_prime(sol.B) - (1 + eps),
+            "V'(A)=1": sol.V(sol.A, 1) - 1.0,
+            "V'(B)=1+eps": sol.V(sol.B, 1) - (1 + eps),
             "V1(A)=1": sol.V1(sol.A) - 1.0,
             "V1(B)=1+eps": sol.V1(sol.B) - (1 + eps),
-            "V1'(B)=0": sol.V1_prime(sol.B),
+            "V1'(B)=0": sol.V1(sol.B, 1),
             "V0(A)=1": sol.V0(sol.A) - 1.0,
-            "V0'(B)=0": sol.V0_prime(sol.B),
+            "V0'(B)=0": sol.V0(sol.B, 1),
         }
         for name, resid in bcs.items():
             if abs(resid) > 1e-10:
@@ -93,14 +93,14 @@ def test_criterion_4_value_function_structure(base_solution, random_solutions):
                f"sigma={sol.params.sigma:.3f},eps={sol.params.eps:.3f}")
         band = np.linspace(sol.A, sol.B, 10_000)
         v1 = sol.V1(band)
-        if not np.all(sol.V1_prime(band) >= -1e-12):
+        if not np.all(sol.V1(band, 1) >= -1e-12):
             failures.append(f"{tag}: V1 not monotone")
         if not (np.all(v1 >= 1 - 1e-12) and np.all(v1 <= 1 + sol.params.eps + 1e-12)):
             failures.append(f"{tag}: V1 out of [1, 1+eps]")
         inner = band[1:-1]
         if not np.all(sol.V(inner) > 1 + inner):
             failures.append(f"{tag}: V does not dominate 1+phi")
-        if not np.all(sol.V_prime(inner) > 1):
+        if not np.all(sol.V(inner, 1) > 1):
             failures.append(f"{tag}: V' not above 1")
         if sol.A > -sol.params.mu0 / sol.params.mu1 + 1e-12:
             failures.append(f"{tag}: A exceeds -mu0/mu1")
@@ -178,7 +178,7 @@ def test_criterion_7_sample_path_properties(base_params):
     for seed in range(100):
         cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed,
                         measure=Measure.PHYSICAL, barrier=1.0)
-        traj, meta = sample_path_figure(params, seed, cfg)
+        traj, meta = sample_path_figure(params, cfg)
         if meta["censored"]:
             censored += 1
             failures.append(f"seed {seed}: censored at horizon")

@@ -267,6 +267,21 @@ def test_one_path_is_rejected_before_simulating(tmp_path, monkeypatch, capsys,
     assert "n_paths=1" in err and "at least 2 paths" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mc", "--horizon", "inf", "--paths", "10"),
+    ("path", "--horizon", "inf"),
+    ("deviations", "--horizon", "inf"),
+    ("mc", "--horizon", "1e300", "--dt", "1e-10"),
+], ids=["mc-inf", "path-inf", "deviations-inf", "mc-overflow"])
+def test_unbounded_step_count_is_invalid_input(tmp_path, capsys, argv):
+    # an infinite horizon, or a horizon/dt that overflows, has no step count
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: horizon")
+
+
 def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
                                                         capsys):
     import driftgame.verify as verify

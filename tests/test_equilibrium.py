@@ -156,13 +156,13 @@ def test_boundary_conditions(base_solution, random_solutions):
     for sol in [base_solution] + random_solutions:
         eps = sol.params.eps
         assert abs(sol.V(sol.A) - (1 + sol.A)) <= 1e-10
-        assert abs(sol.V_prime(sol.A) - 1.0) <= 1e-10
-        assert abs(sol.V_prime(sol.B) - (1 + eps)) <= 1e-10
+        assert abs(sol.V(sol.A, 1) - 1.0) <= 1e-10
+        assert abs(sol.V(sol.B, 1) - (1 + eps)) <= 1e-10
         assert abs(sol.V1(sol.A) - 1.0) <= 1e-10
         assert abs(sol.V1(sol.B) - (1 + eps)) <= 1e-10
-        assert abs(sol.V1_prime(sol.B)) <= 1e-10
+        assert abs(sol.V1(sol.B, 1)) <= 1e-10
         assert abs(sol.V0(sol.A) - 1.0) <= 1e-10
-        assert abs(sol.V0_prime(sol.B)) <= 1e-10
+        assert abs(sol.V0(sol.B, 1)) <= 1e-10
 
 
 def test_stopping_region_values(base_solution):
@@ -171,8 +171,8 @@ def test_stopping_region_values(base_solution):
     assert sol.V(phi) == 1.0 + phi
     assert sol.V0(phi) == 1.0
     assert sol.V1(phi) == 1.0
-    assert sol.V_prime(phi) == 1.0
-    assert sol.V_second(phi) == 0.0
+    assert sol.V(phi, 1) == 1.0
+    assert sol.V(phi, 2) == 0.0
 
 
 def test_upper_region_values(base_solution):
@@ -180,7 +180,7 @@ def test_upper_region_values(base_solution):
     eps = sol.params.eps
     phi = 2.0 * sol.B
     assert sol.V1(phi) == 1.0 + eps
-    assert sol.V_prime(phi) == 1.0 + eps
+    assert sol.V(phi, 1) == 1.0 + eps
     assert sol.V(phi) == pytest.approx(sol.V_B + (1 + eps) * (phi - sol.B), rel=1e-14)
     # V0 constant above B at its reflected level
     assert sol.V0(phi) == pytest.approx(sol.V0(sol.B), rel=1e-12)
@@ -198,23 +198,24 @@ def test_evaluators_accept_arrays(base_solution):
 def test_second_derivative_refused_at_kinks(base_solution):
     sol = base_solution
     for bad in (sol.A, sol.B):
-        for f in (sol.V_second, sol.V0_second, sol.V1_second):
+        for f in (sol.V, sol.V0, sol.V1):
             with pytest.raises(DomainError):
-                f(bad)
+                f(bad, 2)
     # fine anywhere else
-    assert np.isfinite(sol.V_second(0.99 * sol.A))
-    assert np.isfinite(sol.V_second(0.5 * (sol.A + sol.B)))
+    assert np.isfinite(sol.V(0.99 * sol.A, 2))
+    assert np.isfinite(sol.V(0.5 * (sol.A + sol.B), 2))
 
 
 def test_evaluator_domain_errors(base_solution):
     sol = base_solution
-    for f in (sol.V, sol.V0, sol.V1, sol.V_prime, sol.V0_prime, sol.V1_prime):
-        with pytest.raises(DomainError):
-            f(0.0)
-        with pytest.raises(DomainError):
-            f(-1.0)
-        with pytest.raises(DomainError):
-            f(np.array([0.5, -0.5]))
+    for f in (sol.V, sol.V0, sol.V1):
+        for order in (0, 1):
+            with pytest.raises(DomainError):
+                f(0.0, order)
+            with pytest.raises(DomainError):
+                f(-1.0, order)
+            with pytest.raises(DomainError):
+                f(np.array([0.5, -0.5]), order)
 
 
 # -- structural properties of the value functions ------------------------------
@@ -223,7 +224,7 @@ def test_V1_monotone_and_bounded(base_solution, random_solutions):
     for sol in [base_solution] + random_solutions:
         grid = np.linspace(sol.A, sol.B, 10_000)
         v1 = sol.V1(grid)
-        assert np.all(sol.V1_prime(grid) >= -1e-12)
+        assert np.all(sol.V1(grid, 1) >= -1e-12)
         assert np.all(v1 >= 1.0 - 1e-12)
         assert np.all(v1 <= 1.0 + sol.params.eps + 1e-12)
 
@@ -232,7 +233,7 @@ def test_V_dominates_obstacle(base_solution, random_solutions):
     for sol in [base_solution] + random_solutions:
         inner = np.linspace(sol.A, sol.B, 2_000)[1:-1]
         assert np.all(sol.V(inner) > 1.0 + inner)
-        assert np.all(sol.V_prime(inner) > 1.0)
+        assert np.all(sol.V(inner, 1) > 1.0)
 
 
 def test_V_convex(base_solution, random_solutions):
@@ -352,8 +353,5 @@ def check_derivatives(f, lo, hi):
 
 def test_derivatives_match_finite_differences(base_solution, random_solutions):
     for sol in [base_solution] + random_solutions:
-        for value, prime, second in ((sol.V, sol.V_prime, sol.V_second),
-                                     (sol.V0, sol.V0_prime, sol.V0_second),
-                                     (sol.V1, sol.V1_prime, sol.V1_second)):
-            check_derivatives(lambda x, k: (value, prime, second)[k](x),
-                              sol.A, sol.B)
+        for f in (sol.V, sol.V0, sol.V1):
+            check_derivatives(f, sol.A, sol.B)

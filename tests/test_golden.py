@@ -1,8 +1,9 @@
 """Byte-for-byte outputs of the command line against stored files.
 
-These outputs depend only on the order-0 value functions and on the CSV
-and JSON writers, so a change to any of their bytes is a change to the
-output contract.  To accept such a change on purpose, rewrite a file with
+These outputs depend on the value functions (the `solve` QVI residuals
+use their first and second derivatives as well as their values) and on
+the CSV and JSON writers, so a change to any of their bytes is a change to
+the output contract.  To accept such a change on purpose, rewrite a file with
 `driftgame <its command line> --output tests/data/<name>`.
 """
 
@@ -16,6 +17,8 @@ DATA = Path(__file__).parent / "data"
 
 CASES = {
     "solve.csv": ("solve", "--format", "csv"),
+    "solve.json": ("solve",),
+    "symmetric.json": ("symmetric",),
     "sweep_eps.csv": ("sweep", "--param", "eps", "--points", "5"),
     "path_full.csv": ("path", "--pi", "0.35", "--seed", "7", "--dt", "1e-3",
                       "--horizon", "10", "--columns", "full"),

@@ -13,15 +13,14 @@ from driftgame.simulate import (
     Measure,
     SimConfig,
     Trajectory,
-    first_hit_lower,
     generate_trajectory,
     log_drifts,
     multires_hit_discounts,
     path_functionals,
     reflect,
     simulate_phi,
+    stop_at_lower,
     substream,
-    truncate_at_first_hit,
     write_trajectory_csv,
 )
 
@@ -58,6 +57,10 @@ def test_config_validation():
         _cfg(lower=1.5)         # lower must stay below barrier
     with pytest.raises(ValueError):
         _cfg(measure="nonsense")
+    with pytest.raises(ValueError, match="horizon=inf"):
+        _cfg(horizon=math.inf)
+    with pytest.raises(ValueError, match="horizon/dt=inf"):
+        _cfg(horizon=1e300, dt=1e-10)   # the step count overflows
     assert _cfg(measure="tilted1").measure is Measure.TILTED1
 
 
@@ -215,21 +218,32 @@ def test_reflection_is_measure_independent(base_params):
 
 def test_first_hit_immediate():
     r = reflect(_manual_traj([0.2, 0.25, 0.3]), barrier=1.0)
-    assert first_hit_lower(r, 0.3) == 0.0
+    t, censored = stop_at_lower(r, 0.3)
+    assert not censored
+    assert t.times.tolist() == [0.0]
 
 
 def test_first_hit_grid_crossing():
     r = reflect(_manual_traj([0.9, 0.7, 0.5, 0.3, 0.2], dt=0.1), barrier=1.0)
-    assert first_hit_lower(r, 0.3) == pytest.approx(0.3)
+    t, censored = stop_at_lower(r, 0.3)
+    assert not censored
+    assert t.times.size == 4
+    assert t.times[-1] == pytest.approx(0.3)
+    assert t.PhiB[-1] <= 0.3
+    for name in ("X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
+        assert np.array_equal(getattr(t, name), getattr(r, name)[:4])
+    assert t.barrier == r.barrier
 
 
 def test_first_hit_censored_and_errors():
     r = reflect(_manual_traj([0.9, 0.8, 0.9]), barrier=1.0)
-    assert first_hit_lower(r, 0.1) is None
+    t, censored = stop_at_lower(r, 0.1)
+    assert censored
+    assert t.times.size == r.times.size
     with pytest.raises(ValueError):
-        first_hit_lower(_manual_traj([0.5]), 0.1)   # not reflected yet
+        stop_at_lower(_manual_traj([0.5]), 0.1)   # not reflected yet
     with pytest.raises(ValueError):
-        first_hit_lower(r, 2.0)                     # lower above barrier
+        stop_at_lower(r, 2.0)                     # lower above barrier
 
 
 def test_censored_fraction_small_at_base_case(base_params):
@@ -264,11 +278,10 @@ def test_kernel_matches_trajectory_hits(base_params):
     for i in range(cfg.n_paths):
         traj = reflect(simulate_phi(cfg, base_params,
                                     substream(99, i, ROLE_PATH_NOISE)), sol.B)
-        tau = first_hit_lower(traj, sol.A)
-        if tau is None:
-            assert pf.censored[i]
-        else:
-            assert pf.tau[i] == tau
+        stopped, censored = stop_at_lower(traj, sol.A)
+        assert pf.censored[i] == censored
+        if not censored:
+            assert pf.tau[i] == stopped.times[-1]
 
 
 def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay):
@@ -497,16 +510,7 @@ def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
                 assert samples[i] == math.exp(base_params.mu0 * t)
 
 
-# -- truncation and CSV export ------------------------------------------------------
-
-def test_truncate_at_first_hit():
-    r = reflect(_manual_traj([0.9, 0.7, 0.5, 0.3, 0.2], dt=0.1), barrier=1.0)
-    t = truncate_at_first_hit(r, 0.3)
-    assert t.times.size == 4
-    assert t.PhiB[-1] <= 0.3
-    censored = truncate_at_first_hit(r, 0.01)
-    assert censored.times.size == r.times.size
-
+# -- CSV export ------------------------------------------------------
 
 def test_trajectory_csv(base_params):
     sol = build_solution(base_params)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftgame import DomainError, build_solution
-from driftgame.simulate import Measure, SimConfig, first_hit_lower
+from driftgame.simulate import Measure, SimConfig
 from driftgame.sweeps import (
     SweepSpec,
     default_sweep_values,
@@ -79,7 +79,7 @@ def test_sample_path_properties(base_params):
     params = dataclasses.replace(base_params, prior=0.35)
     sol = build_solution(params)
     for seed in (1, 2, 3, 4, 5):
-        traj, meta = sample_path_figure(params, seed, _fig_cfg(seed))
+        traj, meta = sample_path_figure(params, _fig_cfg(seed))
         assert meta["a"] == pytest.approx(sol.a, rel=1e-14)
         assert meta["b"] == pytest.approx(sol.b, rel=1e-14)
         assert not meta["censored"]
@@ -98,7 +98,7 @@ def test_sample_path_requires_physical_measure(base_params):
     cfg = SimConfig(dt=1e-3, horizon=5.0, n_paths=1, seed=1,
                     measure=Measure.TILTED0, barrier=1.0)
     with pytest.raises(ValueError):
-        sample_path_figure(base_params, 1, cfg)
+        sample_path_figure(base_params, cfg)
 
 
 # -- writers -------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_sweep_csv_schema(base_params):
 def test_path_csv_schema(base_params):
     import dataclasses
     params = dataclasses.replace(base_params, prior=0.35)
-    traj, meta = sample_path_figure(params, 7, _fig_cfg(7))
+    traj, meta = sample_path_figure(params, _fig_cfg(7))
     buf = io.StringIO()
     write_path_csv(traj, buf, metadata={"a": meta["a"], "b": meta["b"]})
     lines = buf.getvalue().splitlines()

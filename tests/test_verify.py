@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,15 +9,12 @@ from driftgame.simulate import Measure, SimConfig
 from driftgame.verify import (
     ConfigMismatch,
     InvalidDeviation,
-    check_jhat_identity,
+    _j0_samples,
+    _j1_samples,
     deviations_player1,
     deviations_player2,
     dt_convergence_study,
-    mc_J0,
-    mc_J1,
-    mc_Jhat,
     mc_oracle_suite,
-    oracle_report,
 )
 
 
@@ -27,6 +25,11 @@ def _configs(sol, n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
             SimConfig(measure=Measure.TILTED1, **base))
 
 
+def _suite(sol, phi, config0, config1):
+    """The suite's reports keyed by check name."""
+    return {r["check"]: r for r in mc_oracle_suite(sol, phi, config0, config1)}
+
+
 @pytest.fixture(scope="module")
 def sol(base_params):
     return build_solution(base_params)
@@ -34,24 +37,17 @@ def sol(base_params):
 
 # -- exact short-circuit points ------------------------------------------------
 
-def test_j0_in_stopping_region_is_exact(sol):
-    cfg0, _ = _configs(sol, n_paths=50)
-    est = mc_J0(sol, sol.A / 2, cfg0)
-    assert est.mean == 1.0
-    assert est.stderr == 0.0
-    assert est.censored_fraction == 0.0
-
-
-def test_j1_at_lower_threshold_is_exact(sol):
-    _, cfg1 = _configs(sol, n_paths=50)
-    est = mc_J1(sol, sol.A, cfg1)
-    assert est.mean == 1.0
-
-
-def test_jhat_in_stopping_region_is_exact(sol):
-    cfg0, _ = _configs(sol, n_paths=50)
-    est = mc_Jhat(sol, sol.A, cfg0)
-    assert est.mean == pytest.approx(1.0 + sol.A, rel=1e-14)
+def test_stopping_region_is_exact(sol):
+    # every path stops at time zero, at A/2 as at A itself
+    cfg0, cfg1 = _configs(sol, n_paths=50)
+    for phi in (sol.A / 2, sol.A):
+        rep = _suite(sol, phi, cfg0, cfg1)
+        for check in ("J0", "J1"):
+            assert rep[check]["estimate"] == 1.0
+            assert rep[check]["stderr"] == 0.0
+            assert rep[check]["censored_fraction"] == 0.0
+        assert rep["Jhat"]["estimate"] == pytest.approx(1.0 + phi, rel=1e-14)
+        assert all(r["pass"] for r in rep.values())
 
 
 # -- oracle consistency across a phi grid ---------------------------------------
@@ -68,57 +64,66 @@ def test_oracle_consistency_grid(sol):
 
 
 def test_j1_bounded_between_payoffs(sol):
-    _, cfg1 = _configs(sol, n_paths=3_000)
+    cfg0, cfg1 = _configs(sol, n_paths=3_000)
     mid = 0.5 * (sol.A + sol.B)
-    est = mc_J1(sol, mid, cfg1)
-    assert 1.0 - 1e-12 <= est.mean <= 1.0 + sol.params.eps + 0.05
-    assert abs(est.mean - sol.V1(mid)) <= 3 * est.stderr + est.bias_bound
+    j1 = _suite(sol, mid, cfg0, cfg1)["J1"]
+    assert 1.0 - 1e-12 <= j1["estimate"] <= 1.0 + sol.params.eps + 0.05
+    assert j1["oracle"] == sol.V1(mid)
+    assert abs(j1["estimate"] - j1["oracle"]) <= 3 * j1["stderr"] + j1["bias_bound"]
 
 
 def test_j0_strictly_below_one_for_very_negative_drift():
     p = ModelParams(mu0=-10.0, mu1=1.0, sigma=0.5, eps=0.1)
     s = build_solution(p)
-    cfg0 = SimConfig(dt=2e-4, horizon=50.0, n_paths=400, seed=5,
-                     measure=Measure.TILTED0, barrier=s.B, lower=s.A)
-    est = mc_J0(s, s.B, cfg0)
-    assert est.mean < 1.0
+    cfg0, cfg1 = _configs(s, n_paths=400, dt=2e-4, seed=5)
+    assert _suite(s, s.B, cfg0, cfg1)["J0"]["estimate"] < 1.0
 
 
 def test_jhat_identity(sol):
+    # Jhat = J0 + phi J1: Jhat and J0 come from the same tilted0 paths, so
+    # their difference is paired; J1 is an independent tilted1 run.
+    phi = 0.6
     cfg0, cfg1 = _configs(sol, n_paths=6_000)
-    rep = check_jhat_identity(sol, 0.6, cfg0, cfg1)
-    assert rep["pass"], rep
-    assert abs(rep["residual"]) <= 3.0 * rep["stderr"]
+    j0, jhat, _ = _j0_samples(sol, phi, cfg0)
+    (j1,), _ = _j1_samples(sol, phi, cfg1)
+    pair = jhat - j0
+    resid = pair.mean() - phi * j1.mean()
+    se = math.sqrt(pair.var(ddof=1) / pair.size + phi**2 * j1.var(ddof=1) / j1.size)
+    assert abs(resid) <= 3.0 * se
 
 
 # -- config validation -----------------------------------------------------------
 
 def test_measure_mismatch_rejected(sol):
     cfg0, cfg1 = _configs(sol, n_paths=10)
-    with pytest.raises(ConfigMismatch):
-        mc_J0(sol, 0.5, cfg1)
-    with pytest.raises(ConfigMismatch):
-        mc_J1(sol, 0.5, cfg0)
-    with pytest.raises(ConfigMismatch):
-        mc_Jhat(sol, 0.5, cfg1)
+    for bad in ((cfg1, cfg1), (cfg0, cfg0), (cfg1, cfg0)):
+        with pytest.raises(ConfigMismatch):
+            mc_oracle_suite(sol, 0.5, *bad)
 
 
 def test_threshold_mismatch_rejected(sol):
-    cfg0, _ = _configs(sol, n_paths=10)
-    with pytest.raises(ConfigMismatch):
-        mc_J0(sol, 0.5, dataclasses.replace(cfg0, barrier=1.1 * sol.B))
-    with pytest.raises(ConfigMismatch):
-        mc_J0(sol, 0.5, dataclasses.replace(cfg0, lower=0.9 * sol.A))
+    cfg0, cfg1 = _configs(sol, n_paths=10)
+    for field, scale in (("barrier", 1.1), ("lower", 0.9)):
+        wrong = {field: scale * getattr(cfg0, field)}
+        with pytest.raises(ConfigMismatch):
+            mc_oracle_suite(sol, 0.5, dataclasses.replace(cfg0, **wrong), cfg1)
+        with pytest.raises(ConfigMismatch):
+            mc_oracle_suite(sol, 0.5, cfg0, dataclasses.replace(cfg1, **wrong))
 
 
 # -- report schema -----------------------------------------------------------------
 
 def test_oracle_report_schema(sol):
-    cfg0, _ = _configs(sol, n_paths=200)
-    rep = oracle_report(sol, "J0", sol.B, mc_J0(sol, sol.B, cfg0), sol.V0(sol.B))
-    assert set(rep) == {"check", "params", "phi", "estimate", "stderr", "oracle",
-                        "tolerance", "bias_bound", "censored_fraction", "pass"}
-    assert rep["params"]["mu0"] == sol.params.mu0
+    cfg0, cfg1 = _configs(sol, n_paths=200)
+    reports = mc_oracle_suite(sol, sol.B, cfg0, cfg1)
+    assert [r["check"] for r in reports] == ["J0", "J1", "Jhat"]
+    oracles = (sol.V0(sol.B), sol.V1(sol.B), sol.V(sol.B))
+    for rep, oracle in zip(reports, oracles):
+        assert set(rep) == {"check", "params", "phi", "estimate", "stderr",
+                            "oracle", "tolerance", "bias_bound",
+                            "censored_fraction", "pass"}
+        assert rep["params"]["mu0"] == sol.params.mu0
+        assert rep["oracle"] == oracle
 
 
 # -- deviation suites -----------------------------------------------------------------
