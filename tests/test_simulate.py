@@ -227,12 +227,7 @@ def test_first_hit_grid_crossing():
     r = reflect(_manual_traj([0.9, 0.7, 0.5, 0.3, 0.2], dt=0.1), barrier=1.0)
     t, censored = stop_at_lower(r, 0.3)
     assert not censored
-    assert t.times.size == 4
     assert t.times[-1] == pytest.approx(0.3)
-    assert t.PhiB[-1] <= 0.3
-    for name in ("X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
-        assert np.array_equal(getattr(t, name), getattr(r, name)[:4])
-    assert t.barrier == r.barrier
 
 
 def test_first_hit_censored_and_errors():
@@ -510,7 +505,20 @@ def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
                 assert samples[i] == math.exp(base_params.mu0 * t)
 
 
-# -- CSV export ------------------------------------------------------
+# -- truncation and CSV export ------------------------------------------------------
+
+def test_truncate_at_first_hit():
+    r = reflect(_manual_traj([0.9, 0.7, 0.5, 0.3, 0.2], dt=0.1), barrier=1.0)
+    t, censored = stop_at_lower(r, 0.3)
+    assert not censored
+    assert t.times.size == 4
+    assert t.PhiB[-1] <= 0.3
+    for name in ("X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
+        assert np.array_equal(getattr(t, name), getattr(r, name)[:4])
+    assert t.barrier == r.barrier
+    whole, censored = stop_at_lower(r, 0.01)
+    assert censored
+    assert whole.times.size == r.times.size
 
 def test_trajectory_csv(base_params):
     sol = build_solution(base_params)

@@ -37,15 +37,30 @@ def sol(base_params):
 
 # -- exact short-circuit points ------------------------------------------------
 
-def test_stopping_region_is_exact(sol):
+def _stopping_region_reports(sol):
     # every path stops at time zero, at A/2 as at A itself
     cfg0, cfg1 = _configs(sol, n_paths=50)
-    for phi in (sol.A / 2, sol.A):
-        rep = _suite(sol, phi, cfg0, cfg1)
-        for check in ("J0", "J1"):
-            assert rep[check]["estimate"] == 1.0
-            assert rep[check]["stderr"] == 0.0
-            assert rep[check]["censored_fraction"] == 0.0
+    return {phi: _suite(sol, phi, cfg0, cfg1) for phi in (sol.A / 2, sol.A)}
+
+
+def test_j0_in_stopping_region_is_exact(sol):
+    for rep in _stopping_region_reports(sol).values():
+        assert rep["J0"]["estimate"] == 1.0
+        assert rep["J0"]["stderr"] == 0.0
+        assert rep["J0"]["censored_fraction"] == 0.0
+        assert rep["J0"]["pass"]
+
+
+def test_j1_at_lower_threshold_is_exact(sol):
+    for rep in _stopping_region_reports(sol).values():
+        assert rep["J1"]["estimate"] == 1.0
+        assert rep["J1"]["stderr"] == 0.0
+        assert rep["J1"]["censored_fraction"] == 0.0
+        assert rep["J1"]["pass"]
+
+
+def test_jhat_in_stopping_region_is_exact(sol):
+    for phi, rep in _stopping_region_reports(sol).items():
         assert rep["Jhat"]["estimate"] == pytest.approx(1.0 + phi, rel=1e-14)
         assert all(r["pass"] for r in rep.values())
 
