@@ -32,10 +32,10 @@ import time
 
 import numpy as np
 
-from . import simulate
-from .simulate import PathFunctionals, _ScanJob
+from . import _scan, simulate
+from .simulate import PathFunctionals, _ScanJob, _slots
 
-CHUNK_PATHS = 128
+CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
 HELPER_START_S = 0.25
 HELPER_HOLDS = 2   # chunks handed to the helper and not yet returned, at most
 
@@ -199,12 +199,6 @@ def _read_bytes(fd: int, size: int) -> bytearray:
             raise EOFError
         buf += part
     return buf
-
-
-def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
-    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
-    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
-                              for field in dataclasses.fields(PathFunctionals)})
 
 
 def _put(out: PathFunctionals, lo: int, part: PathFunctionals) -> None:

@@ -12,6 +12,16 @@ and the local time is L_k = B (R_k - R_0).
 Randomness comes from counter-based Philox substreams keyed by
 (master seed, path index, stream role), so any path can be generated on
 its own and bit-reproducibly, regardless of the order paths are run in.
+
+The Monte Carlo backend (path_functionals) streams its paths instead of
+holding a grid.  Each path's noise is drawn in blocks of _BLOCK_START
+steps, doubling up to _BLOCK_MAX, and its sums are formed block by block.
+_scan_paths steps a batch of up to 128 paths together through those
+blocks, in chunks of steps that cover every live path with one numpy call
+per operation; a path leaves the batch at its stop, so its draws end
+within a chunk of it.  The result is bit-identical to scanning each path
+alone, for any batch size and chunk length: the rules that keep it so are
+in _scan_paths.
 """
 
 from __future__ import annotations
@@ -56,31 +66,35 @@ def substream(seed: int, path_index: int, role: int) -> np.random.Generator:
 
 
 class _StreamPool:
-    """Reusable generator that is rekeyed per (path, role) substream.
+    """Reusable generators, each rekeyed per (path, role) substream.
 
     Produces streams bit-identical to :func:`substream` while skipping the
     per-construction entropy gathering, which dominates tight path loops.
+    Slot i holds one stream at a time; a slot is made on its first use.
     Not thread safe.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self):
+        self._bgs: list[np.random.Philox] = []
+        self._gens: list[np.random.Generator] = []
+        self._state = np.random.Philox(key=0).state
+
+    def reset(self, seed: int, path_index: int, role: int,
+              slot: int = 0) -> np.random.Generator:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed={seed} outside [0, 2^64)")
-        self._seed = seed
-        self._bg = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def reset(self, path_index: int, role: int) -> np.random.Generator:
+        while slot >= len(self._bgs):
+            self._bgs.append(np.random.Philox(key=0))
+            self._gens.append(np.random.Generator(self._bgs[-1]))
         st = self._state
         st["state"]["key"][0] = (path_index << 2) | role
-        st["state"]["key"][1] = self._seed
+        st["state"]["key"][1] = seed
         st["state"]["counter"][:] = 0
         st["buffer_pos"] = 4
         st["has_uint32"] = 0
         st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
+        self._bgs[slot].state = st
+        return self._gens[slot]
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,12 @@ class Trajectory:
     barrier: float | None = None    # reflection level used by reflect()
 
 
+# The most steps simulate_phi holds on its full grid: 20 times the default
+# grid (horizon 50, dt 1e-4).  The streaming kernel keeps no grid and has
+# no such limit.
+_MAX_GRID_STEPS = 10**7
+
+
 def simulate_phi(config: SimConfig, params: ModelParams,
                  rng: np.random.Generator, theta: int | None = None) -> Trajectory:
     """Exact log-space simulation of (X, Phi) on the full grid.
@@ -164,10 +184,16 @@ def simulate_phi(config: SimConfig, params: ModelParams,
     X and Phi are driven by the same Brownian increments, so one normal
     draw per step serves both.  Under the physical measure the caller
     supplies the regime draw theta (it belongs to a separate stream role).
+    A grid of more than _MAX_GRID_STEPS steps is refused before anything
+    is allocated.
     """
+    n = config.n_steps
+    if n > _MAX_GRID_STEPS:
+        raise ValueError(f"horizon={config.horizon} / dt={config.dt} is "
+                         f"{float(n):.4g} steps; a full path holds at most "
+                         f"{_MAX_GRID_STEPS:.0e}")
     d = derive(params)
     m_phi, m_x = log_drifts(params, d, config.measure, theta)
-    n = config.n_steps
     dt = config.dt
     xi = rng.standard_normal(n)
     z = np.empty(n + 1)
@@ -271,7 +297,7 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
 
-def _log_ratio_blocks(pool: _StreamPool, path_index: int, z0: float,
+def _log_ratio_blocks(pool: _StreamPool, seed: int, path_index: int, z0: float,
                       c_drift: float, c_noise: float, k_max: int):
     """Yield (k_done, zb) along one path: zb[i] is log Phi after fine step
     k_done + i + 1, for steps 1..k_max.
@@ -279,7 +305,7 @@ def _log_ratio_blocks(pool: _StreamPool, path_index: int, z0: float,
     The path's noise substream is drawn in blocks of _BLOCK_START steps,
     doubling up to _BLOCK_MAX, so a path that stops early draws little.
     """
-    rng = pool.reset(path_index, ROLE_PATH_NOISE)
+    rng = pool.reset(seed, path_index, ROLE_PATH_NOISE)
     z, k_done, block = z0, 0, _BLOCK_START
     while k_done < k_max:
         zb = c_drift + c_noise * rng.standard_normal(min(block, k_max - k_done))
@@ -395,69 +421,38 @@ def _unscanned(n: int, n_barriers: int) -> PathFunctionals:
 
 def _scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
     """Scan paths lo, lo + 1, ... into the slots of out (from _unscanned,
-    or views of such slots), one path per slot."""
-    z0 = math.log(job.phi0)
-    z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
-    dt, rate, weight_phi = job.dt, job.rate, job.weight_phi
-    n = out.n_paths
-    other_barrier = any(zp != z_hit for zp in z_pays)
-    # every path starts from the same state, including Gamma's jump at t = 0
-    r_hit0 = max(0.0, z0 - z_hit)
-    r_pay0 = [r_hit0 if zp == z_hit else max(0.0, z0 - zp) for zp in z_pays]
-    sti0 = [(job.phi0 if weight_phi else 1.0) * -math.expm1(-r) for r in r_pay0]
+    or views of such slots), one path per slot.
 
-    tau, censored, phi_end = out.tau, out.censored, out.phi_refl_end
-    r_end, stj = out.r_pay_end, out.stieltjes
-    pool = _StreamPool(job.seed)
-    for p in range(n):
-        r_hit, r_pay, sti = r_hit0, list(r_pay0), list(sti0)
-        if z0 - r_hit <= z_lo:
-            tau[p] = 0.0
-            phi_end[p] = math.exp(z0 - r_hit)
-            r_end[:, p] = r_pay
-            stj[:, p] = sti
-            continue
-        for k_done, zb in _log_ratio_blocks(pool, lo + p, z0, job.c_drift,
-                                            job.c_noise, job.k_max):
-            rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
-            hit = zb - rh <= z_lo
-            j = int(hit.argmax()) if hit.any() else -1
-            end = j + 1 if j >= 0 else zb.size
-            z_top = zb[:end].max() if other_barrier else None
-            for i, zp in enumerate(z_pays):
-                # Gamma only moves where the payoff reflection grows: skip a
-                # block in which it cannot, else weight the sparse index set
-                # where it does.
-                r0 = r_pay[i]
-                if zp == z_hit:
-                    if rh[end - 1] <= r0:
-                        continue
-                    rp = rh[:end]
-                else:
-                    if z_top - zp <= r0:
-                        continue
-                    rp = np.maximum.accumulate(np.maximum(zb[:end] - zp, r0))
-                rp_prev = np.empty(end)
-                rp_prev[0] = r0
-                rp_prev[1:] = rp[:-1]
-                idx = (rp > rp_prev).nonzero()[0]
-                # e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}) in a form that
-                # neither cancels nor overflows for large R or rate*t.
-                lw = rate * dt * (k_done + 1.0 + idx) - rp_prev[idx]
-                if weight_phi:
-                    lw += zb[idx]
-                sti[i] += float((np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).sum())
-                r_pay[i] = rp[-1]
-            if j >= 0:
-                tau[p] = (k_done + j + 1) * dt
-                phi_end[p] = math.exp(zb[j] - rh[j])
-                break
-            r_hit = rh[-1]
-        else:
-            censored[p] = True
-            phi_end[p] = math.exp(zb[-1] - r_hit)
-        r_end[:, p] = r_pay
-        stj[:, p] = sti
+    The scan is driftgame._scan's, imported on the first scan.  It steps
+    batches of _scan.BATCH_PATHS rows together through the blocks of
+    _log_ratio_blocks' schedule.  Each block is walked in chunks of
+    min(rest of block, max(_scan.CHUNK_MIN, _scan.CHUNK_CELLS // live
+    rows)) steps, each chunk one numpy call per operation over every live
+    row, and a row leaves the batch at its stop, so its draws end within
+    one chunk of it.  The result is bit-identical to scanning each path
+    alone, block by block:
+
+    - a row's noise is drawn from its own substream a chunk at a time,
+      which is the sequence one draw of the whole block gives;
+    - the log ratio is a block-local cumsum that carries its last value
+      into the chunk's first element, plus the block's starting value
+      after it, as one cumsum of the block would round;
+    - every reflection is max(M - z_b, r0) with M the running maximum of
+      the log ratio: rounding a subtraction is monotone, so that is the
+      running maximum of max(log ratio - z_b, r0) bit for bit;
+    - a Stieltjes sum takes the terms of a (row, barrier, block) in step
+      order and sums them with one .sum(), never in parts, because numpy's
+      pairwise sum depends on how the terms are grouped.
+    """
+    from . import _scan
+
+    _scan.scan_paths(job, lo, out)
+
+
+def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
+    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
+    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
+                              for field in dataclasses.fields(PathFunctionals)})
 
 
 # Below this many paths path_functionals never shares its scan with a helper
@@ -507,10 +502,11 @@ def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
 
     out = [np.zeros(n) for _ in dts]
     cens = [np.ones(n, dtype=bool) for _ in dts]
-    pool = _StreamPool(config.seed)
+    pool = _StreamPool()
     for p in range(n):
         r_state = [r0] * len(dts)
-        for k_done, zb in _log_ratio_blocks(pool, p, z0, c_drift, c_noise, k_max):
+        for k_done, zb in _log_ratio_blocks(pool, config.seed, p, z0, c_drift,
+                                            c_noise, k_max):
             for r, s in enumerate(strides):
                 if not cens[r][p]:
                     continue

@@ -282,6 +282,18 @@ def test_unbounded_step_count_is_invalid_input(tmp_path, capsys, argv):
     assert err.startswith("error: horizon")
 
 
+@pytest.mark.parametrize("horizon, steps", [("1e9", "1e+12"), ("1e300", "1e+303")])
+def test_path_grid_too_large_is_invalid_input(tmp_path, capsys, horizon, steps):
+    # a full path grid past the cap is refused before it is allocated, with
+    # the inputs in the message; mc and deviations stream their paths
+    code, text = run(tmp_path, "path", "--horizon", horizon, "--dt", "1e-3")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: horizon={float(horizon)} / dt=0.001 is "
+                          f"{steps} steps")
+
+
 def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
                                                         capsys):
     import driftgame.verify as verify

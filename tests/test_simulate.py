@@ -279,11 +279,12 @@ def test_kernel_matches_trajectory_hits(base_params):
             assert pf.tau[i] == stopped.times[-1]
 
 
-def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay):
+def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
+                      first=0):
     """Reference: the kernel as it was before the payoff barriers shared one
     scan, for a single payoff barrier and with every float operation and
-    summation order of the fused pass.  Returns (tau, censored,
-    phi_refl_end, r_pay_end, stieltjes)."""
+    summation order of the fused pass, for paths first, first + 1, ...
+    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes)."""
     import driftgame.simulate as sim
 
     d = derive(params)
@@ -306,7 +307,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay):
         if z - r_hit <= z_lo:
             tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z - r_hit), r_pay, sti
             continue
-        rng = substream(config.seed, p, ROLE_PATH_NOISE)
+        rng = substream(config.seed, first + p, ROLE_PATH_NOISE)
         k_done, block, done = 0, sim._BLOCK_START, False
         while k_done < k_max:
             nb = min(block, k_max - k_done)
@@ -373,6 +374,100 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
             assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
+
+
+def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
+    # The batched scan is bitwise equal to one pass per path and barrier:
+    # 300 paths (not a multiple of the batch), paths that reach the
+    # 8192-step blocks (at dt 1e-5), a horizon of 3001 steps that ends
+    # inside a chunk and censors some paths, starts above B and at A, paths
+    # from a nonzero offset scanned by _scan_paths directly, and a first
+    # block of 256 steps.
+    import driftgame.simulate as sim
+
+    sol = build_solution(base_params)
+    barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
+    d = derive(base_params)
+    n = 300
+    cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0, 1024),
+             (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000, 1024),
+             (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77, 1024),
+             (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5, 256)]
+    for measure, weight_phi, phi0, dt, horizon, lo, block in cases:
+        monkeypatch.setattr(sim, "_BLOCK_START", block)
+        cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11,
+                        measure=measure, barrier=sol.B, lower=sol.A)
+        rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
+        if lo == 0:
+            got = path_functionals(base_params, phi0, cfg, discount_rate=rate,
+                                   weight_phi=weight_phi, payoff_barriers=barriers)
+        else:
+            m_phi, _ = log_drifts(base_params, d, measure)
+            job = sim._ScanJob(
+                seed=cfg.seed, phi0=phi0,
+                c_drift=(m_phi - 0.5 * d.omega**2) * cfg.dt,
+                c_noise=d.omega * math.sqrt(cfg.dt), k_max=cfg.n_steps,
+                dt=cfg.dt, rate=rate, weight_phi=weight_phi,
+                z_hit=math.log(sol.B), z_lo=math.log(sol.A),
+                z_pays=tuple(math.log(b) for b in barriers))
+            got = sim._unscanned(n, len(barriers))
+            sim._scan_paths(job, lo, got)
+        steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
+        if dt < 1e-4:
+            assert steps.max() > 1024 + 2048 + 4096   # an 8192-step block
+        assert got.censored.any() == (horizon < 1.0)
+        assert (got.tau == 0.0).all() == (phi0 == sol.A)
+        for i, bpay in enumerate(barriers):
+            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+                base_params, phi0, cfg, rate, weight_phi, bpay, first=lo)
+            assert np.array_equal(got.tau, tau, equal_nan=True)
+            assert np.array_equal(got.censored, cens)
+            assert np.array_equal(got.phi_refl_end, phi_end)
+            assert np.array_equal(got.r_pay_end[i], r_end)
+            assert np.array_equal(got.stieltjes[i], stj)
+
+
+def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
+    # Batches of 7 paths walked in chunks of 5 to 40 steps give the same
+    # bits as the default batches and chunks: three payoff barriers with
+    # the Phi weight, a start above B, and a horizon that censors some paths.
+    import driftgame._scan as scan
+
+    sol = build_solution(base_params)
+    barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
+    for phi0 in (0.6, 1.7 * sol.B):
+        cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12,
+                        measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+        runs = []
+        for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
+            monkeypatch.setattr(scan, "BATCH_PATHS", batch)
+            monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
+            monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
+            runs.append(path_functionals(
+                base_params, phi0, cfg, discount_rate=base_params.mu1,
+                weight_phi=True, payoff_barriers=barriers))
+        assert runs[0].censored.any() and not runs[0].censored.all()
+        for field in dataclasses.fields(runs[0]):
+            assert np.array_equal(getattr(runs[1], field.name),
+                                  getattr(runs[0], field.name), equal_nan=True)
+
+
+def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
+    # A scan that raises midway leaves the thread's reused scratch behind;
+    # the next scan gives the same bits as one before it.
+    import driftgame._scan as scan
+
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-4, horizon=1.0, n_paths=40, seed=13,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    kw = dict(discount_rate=base_params.mu1, weight_phi=True)
+    before = path_functionals(base_params, sol.B, cfg, **kw)
+    with monkeypatch.context() as patch:
+        patch.setattr(scan._BlockTerms, "add_sums", lambda self, stj: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            path_functionals(base_params, sol.B, cfg, **kw)
+    after = path_functionals(base_params, sol.B, cfg, **kw)
+    assert np.array_equal(after.stieltjes, before.stieltjes)
 
 
 def test_helper_process_matches_serial_scan(base_params, monkeypatch,
