@@ -13,6 +13,7 @@ digits so outputs are byte-stable and round-trip binary floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aprime-points", type=int, default=25)
     p.add_argument("--phi-points", type=int, default=9)
     p.add_argument("--bprime-mults", type=float, nargs="+",
-                   default=[0.5, 0.75, 1.25, 1.5, 2.0],
+                   default=(0.5, 0.75, 1.25, 1.5, 2.0),
                    help="deviating reflection levels as multiples of B")
-    p.add_argument("--jump-probs", type=float, nargs="+", default=[0.5, 1.0])
+    p.add_argument("--jump-probs", type=float, nargs="+", default=(0.5, 1.0))
     p.set_defaults(func=_cmd_deviations)
 
     p = sub.add_parser("sweep", parents=[shared],
@@ -403,9 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about 40 times a parse; a process that runs
+    # many commands builds it once.  Every parse gets the same default
+    # objects, so defaults are immutable and no command changes args.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # numerical failures first: LinAlgError subclasses ValueError

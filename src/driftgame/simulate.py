@@ -22,6 +22,12 @@ per operation; a path leaves the batch at its stop, so its draws end
 within a chunk of it.  The result is bit-identical to scanning each path
 alone, for any batch size and chunk length: the rules that keep it so are
 in _scan_paths.
+
+A sample path with a lower threshold (generate_trajectory) is walked in
+the same block schedule and ends with the block that holds its stop.  Its
+block steps continue one pass over the grid exactly, so the walk equals
+the full grid (simulate_phi, reflect) sliced at the stop, bit for bit; the
+rules that keep it so are in generate_trajectory.
 """
 
 from __future__ import annotations
@@ -171,10 +177,59 @@ class Trajectory:
     barrier: float | None = None    # reflection level used by reflect()
 
 
-# The most steps simulate_phi holds on its full grid: 20 times the default
-# grid (horizon 50, dt 1e-4).  The streaming kernel keeps no grid and has
-# no such limit.
+# A full path grid past this many steps is refused before any draw: 20
+# times the default grid (horizon 50, dt 1e-4).  The streaming kernel
+# keeps no grid and has no such limit.
 _MAX_GRID_STEPS = 10**7
+
+
+def _refuse_long_grid(config: SimConfig) -> None:
+    n = config.n_steps
+    if n > _MAX_GRID_STEPS:
+        raise ValueError(f"horizon={config.horizon} / dt={config.dt} is "
+                         f"{float(n):.4g} steps; a full path holds at most "
+                         f"{_MAX_GRID_STEPS:.0e}")
+
+
+def _log_block(start: float, a: float, b: float, xi: np.ndarray, k0: int,
+               carry: float) -> tuple[np.ndarray, float]:
+    """Log levels after steps k0 + 1 .. k0 + xi.size, led by the level at
+    grid point 0 when k0 == 0, and the running sum they end on.
+
+    The running sum of a + b xi is carried across blocks before the start
+    level is added: carry (the previous block's last sum) goes into the
+    block's first increment, so the cumsum continues exactly as one cumsum
+    of the whole grid.  Adding the running level after a block-local
+    cumsum instead, as the streaming kernel does, rounds differently.
+    """
+    head = int(k0 == 0)
+    inc = a + b * xi
+    out = np.empty(inc.size + head)
+    if head:
+        out[0] = start
+    else:
+        inc[0] += carry
+    np.cumsum(inc, out=out[head:])
+    carry = float(out[-1])
+    out[head:] += start
+    return out, carry
+
+
+def _simulate_block(config: SimConfig, params: ModelParams, theta: int | None,
+                    xi: np.ndarray, k0: int, carry: tuple) -> tuple[Trajectory, tuple]:
+    """(X, Phi) at the grid points of steps k0 + 1 .. k0 + xi.size (and of
+    point 0 when k0 == 0), continuing the running sums in carry.  X and
+    Phi are driven by the same normal draws xi."""
+    d = derive(params)
+    m_phi, m_x = log_drifts(params, d, config.measure, theta)
+    dt = config.dt
+    z, carry_z = _log_block(math.log(d.phi0), (m_phi - 0.5 * d.omega**2) * dt,
+                            d.omega * math.sqrt(dt), xi, k0, carry[0])
+    lx, carry_x = _log_block(math.log(params.x0), m_x * dt,
+                             params.sigma * math.sqrt(dt), xi, k0, carry[1])
+    times = np.arange(k0 + 1 if k0 else 0, k0 + xi.size + 1) * dt
+    return (Trajectory(times=times, X=np.exp(lx), Phi=np.exp(z), theta=theta),
+            (carry_z, carry_x))
 
 
 def simulate_phi(config: SimConfig, params: ModelParams,
@@ -185,33 +240,44 @@ def simulate_phi(config: SimConfig, params: ModelParams,
     draw per step serves both.  Under the physical measure the caller
     supplies the regime draw theta (it belongs to a separate stream role).
     A grid of more than _MAX_GRID_STEPS steps is refused before anything
-    is allocated.
+    is drawn.  This is the one-block case of generate_trajectory's walk.
     """
-    n = config.n_steps
-    if n > _MAX_GRID_STEPS:
-        raise ValueError(f"horizon={config.horizon} / dt={config.dt} is "
-                         f"{float(n):.4g} steps; a full path holds at most "
-                         f"{_MAX_GRID_STEPS:.0e}")
-    d = derive(params)
-    m_phi, m_x = log_drifts(params, d, config.measure, theta)
-    dt = config.dt
-    xi = rng.standard_normal(n)
-    z = np.empty(n + 1)
-    z[0] = math.log(d.phi0)
-    np.cumsum((m_phi - 0.5 * d.omega**2) * dt + d.omega * math.sqrt(dt) * xi,
-              out=z[1:])
-    z[1:] += z[0]
-    lx = np.empty(n + 1)
-    lx[0] = math.log(params.x0)
-    np.cumsum(m_x * dt + params.sigma * math.sqrt(dt) * xi, out=lx[1:])
-    lx[1:] += lx[0]
-    return Trajectory(times=np.arange(n + 1) * dt, X=np.exp(lx), Phi=np.exp(z),
-                      theta=theta)
+    _refuse_long_grid(config)
+    xi = rng.standard_normal(config.n_steps)
+    return _simulate_block(config, params, theta, xi, 0, (0.0, 0.0))[0]
 
 
 # Largest double below 1: the stopping intensity is strictly below 1 on any
 # finite path, and rounding must not destroy that.
 _ONE_MINUS = math.nextafter(1.0, 0.0)
+
+
+def _reflect_block(traj: Trajectory, barrier: float,
+                   carry: tuple | None) -> tuple[Trajectory, tuple]:
+    """Reflect one block of a path at the barrier, continuing the running
+    maximum R of the block before it.
+
+    carry is (last R, first R of the whole grid), None for the block that
+    starts at grid point 0.  The last R is folded into the block's first
+    element before the running maximum; L = barrier (R - R_0) takes R_0
+    from the whole grid.  Every other output is elementwise in Phi and R.
+    """
+    z = np.log(traj.Phi)
+    r = np.maximum(z - math.log(barrier), 0.0)
+    if carry is not None:
+        r[0] = max(r[0], carry[0])
+    R = np.maximum.accumulate(r)
+    r0 = R[0] if carry is None else carry[1]
+    gamma = np.minimum(-np.expm1(-R), _ONE_MINUS)
+    phi_b = np.minimum(traj.Phi * np.exp(-R), barrier)
+    return dataclasses.replace(
+        traj,
+        PhiB=phi_b,
+        Gamma=gamma,
+        L=barrier * (R - r0),
+        PiStar=phi_b / (1.0 + phi_b),
+        barrier=barrier,
+    ), (float(R[-1]), r0)
 
 
 def reflect(traj: Trajectory, barrier: float) -> Trajectory:
@@ -225,30 +291,60 @@ def reflect(traj: Trajectory, barrier: float) -> Trajectory:
     """
     if not barrier > 0.0:
         raise ValueError(f"barrier={barrier} must be positive")
-    z = np.log(traj.Phi)
-    R = np.maximum.accumulate(np.maximum(z - math.log(barrier), 0.0))
-    gamma = np.minimum(-np.expm1(-R), _ONE_MINUS)
-    phi_b = np.minimum(traj.Phi * np.exp(-R), barrier)
-    return dataclasses.replace(
-        traj,
-        PhiB=phi_b,
-        Gamma=gamma,
-        L=barrier * (R - R[0]),
-        PiStar=phi_b / (1.0 + phi_b),
-        barrier=barrier,
-    )
+    return _reflect_block(traj, barrier, None)[0]
 
 
 def generate_trajectory(config: SimConfig, params: ModelParams,
                         path_index: int = 0) -> Trajectory:
-    """Simulate one path with its substreams and reflect it at the barrier."""
+    """Simulate one path with its substreams and reflect it at the barrier.
+
+    Without config.lower the whole grid is simulated and reflected as one
+    block.  With it the path ends at its stop: it is walked in blocks of
+    _BLOCK_START steps, doubling up to _BLOCK_MAX, each block simulated,
+    reflected and cut with stop_at_lower, and the walk ends with the block
+    that holds the first grid point where PhiB <= lower (a censored path
+    runs the whole grid).  The result equals
+    stop_at_lower(reflect(simulate_phi(...)), lower)[0] bit for bit:
+
+    - each block draws standard_normal(block) from the same substream,
+      which continues the sequence one draw of the whole grid gives;
+    - log Phi and log X continue one cumsum of the grid's increments, and
+      the start level is added after it (_log_block);
+    - times are arange(k0, k1) dt, as slices of arange(n + 1) dt;
+    - the reflection keeps log(Phi), folds the last R of the block before
+      into the block's first element ahead of the running maximum, and
+      takes R_0 of L = B (R - R_0) from the whole grid (_reflect_block).
+
+    The _MAX_GRID_STEPS refusal comes before any draw, as in simulate_phi.
+    """
     theta = None
     if config.measure is Measure.PHYSICAL:
         regime = substream(config.seed, path_index, ROLE_REGIME_DRAW)
         theta = int(regime.random() < params.prior)
     noise = substream(config.seed, path_index, ROLE_PATH_NOISE)
-    traj = simulate_phi(config, params, noise, theta)
-    return reflect(traj, config.barrier)
+    if config.lower is None:
+        return reflect(simulate_phi(config, params, noise, theta), config.barrier)
+
+    _refuse_long_grid(config)
+    n = config.n_steps
+    parts = []
+    k, block, carry_sim, carry_refl = 0, _BLOCK_START, (0.0, 0.0), None
+    while k < n:
+        xi = noise.standard_normal(min(block, n - k))
+        part, carry_sim = _simulate_block(config, params, theta, xi, k, carry_sim)
+        part, carry_refl = _reflect_block(part, config.barrier, carry_refl)
+        part, censored = stop_at_lower(part, config.lower)
+        parts.append(part)
+        if not censored:
+            break
+        k += xi.size
+        block = min(block * 2, _BLOCK_MAX)
+    if len(parts) == 1:
+        return parts[0]
+    return dataclasses.replace(parts[0], **{
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in dataclasses.fields(Trajectory)
+        if isinstance(getattr(parts[0], f.name), np.ndarray)})
 
 
 def stop_at_lower(traj: Trajectory, lower: float) -> tuple[Trajectory, bool]:

@@ -175,11 +175,12 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     miss_hat = np.where(pf0.censored,
                         math.exp(sol.params.mu0 * config0.horizon)
                         * (1.0 + (1.0 + eps) * pf0.phi_refl_end), 0.0)
-    # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T)
-    miss1 = np.where(pf1.censored,
-                     (1.0 + eps)
-                     * np.exp(sol.params.mu1 * config1.horizon - pf1.r_pay_end[0]),
-                     0.0)
+    # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T),
+    # formed only on the censored paths: e^{mu1 T} may overflow on the others
+    miss1 = np.zeros(pf1.n_paths)
+    miss1[pf1.censored] = (
+        (1.0 + eps)
+        * np.exp(sol.params.mu1 * config1.horizon - pf1.r_pay_end[0, pf1.censored]))
     return [
         oracle_report(sol, "J0", phi, _estimate(
             j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),

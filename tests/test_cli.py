@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,60 @@ def test_overflow_names_the_term(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"numerical failure: {term} overflows" in err
         assert "B=" in err and "beta2=" in err
+
+
+# the commands of one parameter set of the numerical study
+_STUDY = (("solve", "--pi", "0.35"), ("symmetric",), ("voi", "--grid", "9"),
+          ("sweep", "--param", "mu0", "--points", "5"),
+          ("path", "--pi", "0.35", "--seed", "3", "--dt", "1e-3"))
+
+
+def test_parser_built_once_and_reused(monkeypatch, capsys):
+    # main keeps the first parser it builds; later commands, --version and
+    # rejected flags in the same process leave its output unchanged
+    import driftgame.cli as cli
+
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+
+    def study():
+        outs = []
+        for argv in _STUDY:
+            assert main([*argv, *BASE_FLAGS]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    first = study()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out.strip()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--sigma", "wide"])
+    assert exc.value.code == 2 and "invalid float value" in capsys.readouterr().err
+    assert study() == first
+    # a command's handler still finds the module's functions at call time
+    reached = []
+    monkeypatch.setattr(cli, "mc_oracle_suite",
+                        lambda *args: reached.append(args) or [])
+    assert main(["mc", "--paths", "10"]) == 0
+    assert len(reached) == 1 and builds == [1]
+    cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ("path", "--horizon", "10000", "--dt", "1e-3"),
+    ("mc", "--horizon", "1e9", "--dt", "1e-3", "--paths", "20"),
+], ids=["path-long-horizon", "mc-long-horizon"])
+def test_long_horizon_warns_nothing(tmp_path, capsys, argv):
+    # the path walk ends at its stop, and the J1 censoring bound is formed
+    # only on censored paths, so no discarded value overflows or meets log 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, *argv)
+    assert code == 0 and text
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_command(tmp_path):

@@ -24,6 +24,8 @@ CASES = {
                       "--horizon", "10", "--columns", "full"),
     "path_figure.csv": ("path", "--pi", "0.35", "--seed", "7", "--dt", "1e-3",
                         "--horizon", "10", "--columns", "figure"),
+    "path_blocks.csv": ("path", "--seed", "1", "--dt", "1e-5", "--columns",
+                        "figure"),
     "mc.json": ("mc", "--paths", "200", "--threads", "1", "--seed", "3"),
     "deviations.json": ("deviations", "--paths", "200", "--threads", "1",
                         "--seed", "3"),

@@ -264,6 +264,74 @@ def test_generate_trajectory_deterministic(base_params):
     assert not np.array_equal(a.Phi, c.Phi)
 
 
+def _full_grid_stop(cfg, params, path_index):
+    """The path on its whole grid, reflected, then cut at the stop.  The
+    grid runs on past the stop, where Phi may overflow or underflow."""
+    theta = None
+    if cfg.measure is Measure.PHYSICAL:
+        regime = substream(cfg.seed, path_index, ROLE_REGIME_DRAW)
+        theta = int(regime.random() < params.prior)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        traj = simulate_phi(cfg, params,
+                            substream(cfg.seed, path_index, ROLE_PATH_NOISE), theta)
+        return stop_at_lower(reflect(traj, cfg.barrier), cfg.lower)
+
+
+def _block_of(step, block_start):
+    """Index of the walk's block that holds the given step (1-based)."""
+    import driftgame.simulate as sim
+
+    j, end, size = 0, block_start, block_start
+    while step > end:
+        size = min(size * 2, sim._BLOCK_MAX)
+        j, end = j + 1, end + size
+    return j
+
+
+# study-range parameter sets (mu0, mu1, sigma, eps, prior)
+_STUDY_SETS = ((-1.0, 1.0, 0.5, 0.1, 0.35), (-2.4, 0.64, 0.55, 0.13, 0.83),
+               (-0.3, 2.2, 1.8, 0.04, 0.2), (-1.7, 0.3, 0.3, 0.35, 0.6))
+
+
+@pytest.mark.parametrize("block_start", [1024, 16])
+def test_path_walk_matches_full_grid_slice(monkeypatch, block_start):
+    # generate_trajectory walks block by block up to the stop; it must give
+    # the full grid's cut bit for bit, wherever the stop falls
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_BLOCK_START", block_start)
+    blocks, thetas, censored_seen = set(), set(), 0
+    cases = []
+    for mu0, mu1, sigma, eps, prior in _STUDY_SETS:
+        params = ModelParams(mu0=mu0, mu1=mu1, sigma=sigma, eps=eps, prior=prior)
+        sol = build_solution(params)
+        base = dict(n_paths=1, barrier=sol.B, lower=sol.A)
+        for measure in Measure:
+            cases += [(params, SimConfig(dt=1e-3, horizon=50.0, seed=5,
+                                         measure=measure, **base), i)
+                      for i in range(4)]
+            cases += [(params, SimConfig(dt=1e-5, horizon=0.5, seed=6,
+                                         measure=measure, **base), i)
+                      for i in range(4)]
+            cases += [(params, SimConfig(dt=1e-5, horizon=0.02, seed=7,
+                                         measure=measure, **base), i)
+                      for i in range(2)]
+    for params, cfg, i in cases:
+        want, censored = _full_grid_stop(cfg, params, i)
+        got = generate_trajectory(cfg, params, i)
+        assert (got.theta, got.barrier) == (want.theta, want.barrier)
+        for name in ("times", "X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        censored_seen += censored
+        thetas.add(got.theta)
+        if not censored and cfg.dt == 1e-5:
+            blocks.add(_block_of(want.times.size - 1, block_start))
+    assert censored_seen and thetas == {None, 0, 1}
+    # stops in the first block and later ones; with 16-step blocks, in many
+    assert {0, 1} <= blocks if block_start == 1024 else len(blocks) >= 4
+
+
 def test_kernel_matches_trajectory_hits(base_params):
     sol = build_solution(base_params)
     phi0 = derive(base_params).phi0
