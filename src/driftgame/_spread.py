@@ -1,34 +1,40 @@
-"""One streaming-kernel scan shared with a helper process.
+"""One streaming-kernel scan shared with a forked helper process.
 
 simulate.path_functionals calls scan() from simulate._SPREAD_MIN_PATHS
-(2048) paths up; the rest of the decision is made here.  The path range is
-cut into chunks of CHUNK_PATHS paths and the caller scans chunk 0 first.
-It starts one helper only when this process may run on another CPU (its
-affinity set, so taskset limits it) and chunk 0's time predicts at least
-HELPER_START_S of work left: a helper's start-up (a fresh interpreter
-importing numpy, about 0.2 s on a 2-vCPU VM) would not end before the scan
-does.
+(1024) paths up; the rest of the decision is made here.  On Linux, when
+this process may run on another CPU (its affinity set, so taskset limits
+it), the scan forks one helper.  Elsewhere it scans serially: fork is unsafe
+on macOS, and no other platform is tested.
 
-The helper is ``python -S -c`` running serve(), started with posix_spawn.
-It imports the kernel and never the caller's __main__, so a script needs
-no ``if __name__ == "__main__"`` guard.  It reads the pickled job and then
-path ranges on its stdin and answers each range on its stdout.  The caller
-scans chunks from the front and hands chunks from the back to the helper,
-HELPER_HOLDS at a time, so the helper never waits for the caller to finish
-a chunk of its own.  Every path lands in its own slot, so the result is bit-identical to
-one scan in one process.
+Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
+every chunk's index is written into one pipe, the queue, as an 8-byte
+record.  Caller and helper each read one record at a time and scan that
+chunk, until the queue is empty; a pipe read of a whole record already in
+the pipe is atomic, so each chunk is scanned once, and neither process
+waits on the other before its last chunk.  The output slots live in an
+anonymous shared mapping, so the helper writes its paths in place.  Every
+path lands in its own slot, so the result is bit-identical to one scan in
+one process.
+
+The helper is a fork of the caller: it starts with the kernel imported and
+its scratch built, and shares the caller's memory copy on write.  It ignores
+SIGINT, so ^C reaches only the caller, and ends within one chunk of the
+caller's death.  It reports only a failure, as a pickled exception on a
+second pipe; the caller re-raises it with its type, and a helper that dies
+is a RuntimeError.  The helper has ended and been reaped before scan()
+returns or raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fcntl
+import mmap
 import os
 import pickle
-import select
 import signal
-import struct
 import sys
-import time
+import warnings
 
 import numpy as np
 
@@ -36,48 +42,60 @@ from . import _scan, simulate
 from .simulate import PathFunctionals, _ScanJob, _slots
 
 CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
-HELPER_START_S = 0.25
-HELPER_HOLDS = 2   # chunks handed to the helper and not yet returned, at most
 
-_HEADER = struct.Struct("<Q")   # byte length of the pickled message after it
+_RECORD = np.dtype("<i8")   # one chunk index in the queue
 
 
 def scan(job: _ScanJob, out: PathFunctionals) -> None:
-    """simulate._scan_paths(job, 0, out), with a helper process scanning
-    some of its chunks when that pays; the helper has ended on return."""
-    n, chunk = out.n_paths, CHUNK_PATHS
-    n_chunks = -(-n // chunk)
-    t0 = time.perf_counter()
-    simulate._scan_paths(job, 0, _slots(out, 0, chunk))
-    left_s = (time.perf_counter() - t0) * (n_chunks - 1)
-    helper = None
-    if _cpu_count() > 1 and left_s >= HELPER_START_S:
-        helper = _start_helper()
-    if helper is None:
-        simulate._scan_paths(job, chunk, _slots(out, chunk, n))
+    """simulate._scan_paths(job, 0, out), with a forked helper process
+    scanning some of its chunks where this process may use a second CPU
+    on Linux; the helper has ended on return."""
+    if sys.platform != "linux" or _cpu_count() < 2:
+        simulate._scan_paths(job, 0, out)
         return
+    _scan._scan_scratch()   # built once, before the fork, for both processes
+    shared = _shared_slots(out)
+    queue_r, queue_w = os.pipe()
+    error_r, error_w = os.pipe()
+    open_fds = [queue_r, queue_w, error_r, error_w]
 
+    def close(fd: int) -> None:
+        open_fds.remove(fd)
+        os.close(fd)
+
+    helper, status = None, 0
     try:
-        _send(helper, job)
-        front, back = 1, n_chunks   # chunks [front, back) are unclaimed
-        held = None                 # the helper's chunks; None until it is up
-        while front < back or held:
-            for msg in _receive(helper, wait=front == back):
-                if msg is None:     # the helper is up
-                    held = 0
-                else:
-                    _put(out, *msg)
-                    held -= 1
-            while held is not None and held < HELPER_HOLDS and front < back:
-                back -= 1
-                _send(helper, (back * chunk, min(n, back * chunk + chunk)))
-                held += 1
-            if front < back:
-                lo = front * chunk
-                front += 1
-                simulate._scan_paths(job, lo, _slots(out, lo, lo + chunk))
+        chunk = _fill_queue(queue_w, out.n_paths)
+        close(queue_w)
+        caller = os.getpid()
+        # SIGINT waits until the child ignores it and the caller holds its pid
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            helper = _fork()
+            if helper == 0:
+                _serve(job, shared, chunk, queue_r, error_w, caller, mask)
+        except OSError:   # no process to spare: this one scans every chunk
+            pass
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        close(error_w)
+        _scan_queue(job, shared, chunk, queue_r)
+        error = _read_to_end(error_r)   # ends when the helper does
+        if helper is not None:
+            _, status = os.waitpid(helper, 0)
+            helper = None
     finally:
-        _end_helper(helper)
+        if helper is not None:
+            os.kill(helper, signal.SIGKILL)
+            os.waitpid(helper, 0)
+        for fd in open_fds:
+            os.close(fd)
+    if error:
+        raise pickle.loads(error)
+    if status:
+        raise RuntimeError("a path_functionals helper process died")
+    for field in dataclasses.fields(PathFunctionals):
+        getattr(out, field.name)[...] = getattr(shared, field.name)
 
 
 def _cpu_count() -> int:
@@ -88,120 +106,97 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper() -> tuple[int, int, int] | None:
-    """(pid, fd of its stdin, fd of its stdout) of a new helper process;
-    None where none can start."""
-    if not hasattr(os, "posix_spawn"):
-        return None
-    # The caller's sys.path stands in for site (-S), and a bare package
-    # object for driftgame/__init__, which would import the closed-form
-    # layer: about 0.08 s less start-up on a 2-vCPU VM.
-    path = [entry for entry in sys.path if isinstance(entry, str)]
-    package_dir = os.path.dirname(os.path.abspath(__file__))
-    code = ("import sys, types; "
-            f"sys.path[:] = {path!r}; "
-            "sys.modules['driftgame'] = package = types.ModuleType('driftgame'); "
-            f"package.__path__ = [{package_dir!r}]; "
-            "import driftgame._spread; driftgame._spread.serve()")
-    stdin_r, stdin_w = os.pipe()
-    stdout_r, stdout_w = os.pipe()
-    try:
-        # a process group of its own: ^C at a terminal reaches only the caller
-        pid = os.posix_spawn(
-            sys.executable, [sys.executable, "-S", "-c", code], os.environ,
-            file_actions=[(os.POSIX_SPAWN_DUP2, stdin_r, 0),
-                          (os.POSIX_SPAWN_DUP2, stdout_w, 1)],
-            setpgroup=0)
-    except OSError:
-        os.close(stdin_w)
-        os.close(stdout_r)
-        return None
-    finally:
-        os.close(stdin_r)
-        os.close(stdout_w)
-    return pid, stdin_w, stdout_r
+def _shared_slots(out: PathFunctionals) -> PathFunctionals:
+    """A copy of out's slots in one anonymous shared mapping, which a
+    forked helper writes in place."""
+    fields = [getattr(out, field.name) for field in dataclasses.fields(PathFunctionals)]
+    sizes = [-(-array.nbytes // 8) * 8 for array in fields]   # 8-byte aligned
+    memory = mmap.mmap(-1, max(1, sum(sizes)))
+    views, offset = [], 0
+    for array, size in zip(fields, sizes):
+        view = np.frombuffer(memory, array.dtype, array.size, offset)
+        view = view.reshape(array.shape)
+        view[...] = array
+        views.append(view)
+        offset += size
+    return PathFunctionals(*views)
 
 
-def _end_helper(helper: tuple[int, int, int]) -> None:
-    """Kill the helper (idle by now unless the scan failed) and reap it."""
-    pid, stdin_w, stdout_r = helper
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    os.close(stdin_w)
-    os.close(stdout_r)
-
-
-def serve() -> None:
-    """Helper process: read the job, report None once up, then answer each
-    path range (lo, hi) with (lo, its PathFunctionals) until stdin closes;
-    an exception is sent instead and ends the helper."""
-    out = os.dup(1)
-    os.dup2(2, 1)   # a stray print goes to stderr, not into the messages
-    job = _read(0)
-    _write(out, None)
-    try:
-        while True:
-            lo, hi = _read(0)
-            part = simulate._unscanned(hi - lo, len(job.z_pays))
-            simulate._scan_paths(job, lo, part)
-            _write(out, (lo, part))
-    except EOFError:
-        pass
-    except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-        _write(out, exc)
-
-
-def _send(helper: tuple[int, int, int], msg) -> None:
-    try:
-        _write(helper[1], msg)
-    except BrokenPipeError:
-        raise _died() from None
-
-
-def _receive(helper: tuple[int, int, int], wait: bool) -> list:
-    """The messages the helper has sent; with wait, at least one.  A
-    helper's exception is raised here."""
-    fd = helper[2]
-    msgs = []
-    while select.select([fd], [], [], None if wait and not msgs else 0)[0]:
+def _fill_queue(queue_w: int, n: int) -> int:
+    """Write the index of every chunk of the n paths into the empty queue
+    pipe, and return the paths per chunk: CHUNK_PATHS, or more where the
+    pipe cannot grow to hold a record per chunk of CHUNK_PATHS."""
+    need = -(-n // CHUNK_PATHS) * _RECORD.itemsize
+    if need > fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ):
         try:
-            msg = _read(fd)
-        except EOFError:
-            raise _died() from None
-        if isinstance(msg, Exception):
-            raise msg
-        msgs.append(msg)
-    return msgs
+            fcntl.fcntl(queue_w, fcntl.F_SETPIPE_SZ, need)
+        except OSError:   # above this user's pipe size limits
+            pass
+    records = fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ) // _RECORD.itemsize
+    chunk = max(CHUNK_PATHS, -(-n // records))
+    view = memoryview(np.arange(-(-n // chunk), dtype=_RECORD).tobytes())
+    while view:   # never blocks: the records fit in the pipe
+        view = view[os.write(queue_w, view):]
+    return chunk
 
 
-def _died() -> RuntimeError:
-    return RuntimeError("a path_functionals helper process died")
+def _fork() -> int:
+    """os.fork(), without the warning Python 3.12+ gives when the process
+    has other threads.
+
+    numpy's OpenBLAS pool is such a thread.  The child is safe without
+    it: the kernel calls no BLAS routine, and the child imports nothing,
+    logs nothing and touches no stdio, so it takes no lock that another
+    thread held at the fork (glibc resets malloc's own locks in the
+    child).  It leaves only through os._exit.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", category=DeprecationWarning,
+            message=r"This process \(pid=\d+\) is multi-threaded, "
+                    r"use of fork\(\) may lead to deadlocks in the child\.")
+        return os.fork()
 
 
-def _write(fd: int, msg) -> None:
-    data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEADER.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
+def _serve(job: _ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
+           error_w: int, caller: int, mask) -> None:
+    """The helper process: scan chunks from the queue until it is empty or
+    the caller has died, and write a pickled exception to error_w if the
+    scan raises.  Never returns into the caller's frames."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # drops one pending
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            _scan_queue(job, shared, chunk, queue_r, caller)
+            code = 0
+        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+            view = memoryview(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            while view:
+                view = view[os.write(error_w, view):]
+    finally:
+        os._exit(code)
 
 
-def _read(fd: int):
-    """The next message on fd; EOFError once its writer has closed it."""
-    size, = _HEADER.unpack(_read_bytes(fd, _HEADER.size))
-    return pickle.loads(_read_bytes(fd, size))
+def _scan_queue(job: _ScanJob, shared: PathFunctionals, chunk: int,
+                queue_r: int, caller: int | None = None) -> None:
+    """Scan the chunks whose indices this process reads from the queue until
+    it is empty; with caller, stop as well once that process has died."""
+    while (index := _claim(queue_r)) is not None:
+        lo = index * chunk
+        simulate._scan_paths(job, lo, _slots(shared, lo, lo + chunk))
+        if caller is not None and os.getppid() != caller:
+            return
 
 
-def _read_bytes(fd: int, size: int) -> bytearray:
-    buf = bytearray()
-    while len(buf) < size:
-        part = os.read(fd, size - len(buf))
-        if not part:
-            raise EOFError
-        buf += part
-    return buf
+def _claim(queue_r: int) -> int | None:
+    """The next chunk index in the queue; None once it is empty."""
+    record = os.read(queue_r, _RECORD.itemsize)
+    return int.from_bytes(record, "little") if record else None
 
 
-def _put(out: PathFunctionals, lo: int, part: PathFunctionals) -> None:
-    """Copy the paths of part into out's slots from lo on."""
-    for field in dataclasses.fields(PathFunctionals):
-        getattr(out, field.name)[..., lo:lo + part.n_paths] = getattr(part, field.name)
+def _read_to_end(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 65536):
+        parts.append(part)
+    return b"".join(parts)

@@ -440,9 +440,8 @@ class PathFunctionals:
 class _ScanJob(NamedTuple):
     """Everything a scan of some of path_functionals' paths needs.
 
-    A helper process receives it pickled.  A NamedTuple, not a dataclass:
-    it is defined on every import, where a dataclass of this size costs
-    about 2 ms.
+    A NamedTuple, not a dataclass: it is defined on every import, where a
+    dataclass of this size costs about 2 ms.
     """
 
     seed: int
@@ -471,7 +470,9 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     With weight_phi the sum is of e^{rate t} Phi_t dGamma_t, else of
     e^{rate t} dGamma_t; both include the possible time-zero jump of Gamma.
     Each path consumes only its own substream and lands in its own slot,
-    and each barrier's sums do not depend on the other barriers.
+    and each barrier's sums do not depend on the other barriers.  An
+    empty payoff_barriers prices no sum: r_pay_end and stieltjes then have
+    no rows.
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
@@ -552,9 +553,12 @@ def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
 
 
 # Below this many paths path_functionals never shares its scan with a helper
-# process (whose start-up costs about as much as a scan of 2048 paths), and
-# so never imports _spread, where the rest of that decision is made.
-_SPREAD_MIN_PATHS = 2048
+# process, and so never imports _spread, where the rest of that decision is
+# made.  Forking, ending and reaping the helper costs about 4 ms; on a
+# 2-vCPU VM (dt 1e-4) a split pass of 1024 paths took 0.67-0.76x the time
+# of a serial one, of 512 paths 0.74-0.87x, and of 384 or 256 paths up to
+# 1.21x on tilted0, where paths are short.
+_SPREAD_MIN_PATHS = 1024
 
 
 def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,

@@ -103,15 +103,20 @@ def _j0_bracket(sol: EquilibriumSolution, config: SimConfig,
     return float(np.mean(censored) * math.exp(sol.params.mu0 * config.horizon))
 
 
+def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
+    """Per-path J0 samples of a tilted0 pass: e^{mu0 tau}, 0 if censored."""
+    tau = np.where(pf.censored, 0.0, pf.tau)
+    return np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
+
+
 def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig
                 ) -> tuple[np.ndarray, np.ndarray, PathFunctionals]:
     """Per-path (J0, Jhat) samples from one tilted0 pass (shared paths)."""
     pf = path_functionals(sol.params, phi, config,
                           discount_rate=sol.params.mu0, weight_phi=True)
     eps = sol.params.eps
-    tau = np.where(pf.censored, 0.0, pf.tau)
     stj = pf.stieltjes[0]
-    j0 = np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
+    j0 = _j0(sol, pf)
     jhat = np.where(pf.censored,
                     (1.0 + eps) * stj,
                     j0 * (1.0 + pf.phi_refl_end) + (1.0 + eps) * stj)
@@ -294,9 +299,12 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
             passed=bool(float(diff.mean()) >= -tol),
             method="mc-paired"))
 
-    # Jump deviations of the low-regime control, against Gamma^0 = 0.
+    # Jump deviations of the low-regime control, against Gamma^0 = 0: J0
+    # needs only the stop, so the tilted0 pass prices no Stieltjes sum.
     cfg0 = dataclasses.replace(config, measure=Measure.TILTED0)
-    j0, _, _ = _j0_samples(sol, phi, cfg0)
+    j0 = _j0(sol, path_functionals(sol.params, phi, cfg0,
+                                   discount_rate=sol.params.mu0,
+                                   payoff_barriers=()))
     j0_mean = float(j0.mean())
     for p in jump_probs:
         diff = p * ((1.0 + eps) - j0)   # pathwise deviation minus equilibrium

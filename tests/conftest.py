@@ -1,4 +1,6 @@
+import mmap
 import os
+import time
 
 import numpy as np
 import pytest
@@ -46,13 +48,13 @@ def random_solutions(random_param_sets):
 
 
 class HelperSwitch:
-    """Turns path_functionals' helper process on (started however short the
-    scan) or off.
+    """Turns path_functionals' helper process on or off.
 
-    While on, the calling process waits for the helper to be up before it
-    scans its second chunk, so that both processes scan paths.
-    helper_chunks is the number of chunks the helper returned in the last
-    split scan, and helpers lists every helper process started.
+    While on, the calling process takes its first chunk only after the
+    helper has taken one, so that both processes scan paths.
+    helper_chunks is the number of chunks the helper took in the last split
+    scan (counted in memory shared with it), and helpers lists every helper
+    process started.
     """
 
     def __init__(self, monkeypatch):
@@ -60,21 +62,25 @@ class HelperSwitch:
 
         self._monkeypatch = monkeypatch
         self._spread = spread
-        self._real_start = spread._start_helper
-        self._real_receive = spread._receive
-        self._up = False
-        self.helper_chunks = 0
+        self._real_fork = spread._fork
+        self._real_claim = spread._claim
+        self._caller = os.getpid()
+        self._taken = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        self._waited = True
         self.helpers = []
-        monkeypatch.setattr(spread, "_start_helper", self._start_helper)
-        monkeypatch.setattr(spread, "_receive", self._receive)
-        monkeypatch.setattr(spread, "HELPER_START_S", 0.0)
+        monkeypatch.setattr(spread, "_fork", self._fork)
+        monkeypatch.setattr(spread, "_claim", self._claim)
 
     def set(self, on: bool) -> None:
         self._monkeypatch.setattr(self._spread, "_cpu_count", lambda: 2 if on else 1)
 
+    @property
+    def helper_chunks(self) -> int:
+        return int(self._taken[0])
+
     def all_ended(self) -> bool:
         """Whether every helper started has ended and been reaped."""
-        for pid, _, _ in self.helpers:
+        for pid in self.helpers:
             try:
                 os.waitpid(pid, os.WNOHANG)
             except ChildProcessError:
@@ -82,17 +88,27 @@ class HelperSwitch:
             return False
         return True
 
-    def _start_helper(self):
-        self._up, self.helper_chunks = False, 0
-        helper = self._real_start()
-        self.helpers.append(helper)
-        return helper
+    def _fork(self):
+        self._taken[0] = 0
+        pid = self._real_fork()
+        if pid:
+            self.helpers.append(pid)
+            self._waited = False
+        return pid
 
-    def _receive(self, helper, wait):
-        msgs = self._real_receive(helper, wait or not self._up)
-        self._up = True   # the helper's first message says it is up
-        self.helper_chunks += sum(msg is not None for msg in msgs)
-        return msgs
+    def _claim(self, queue_r):
+        if os.getpid() != self._caller:   # in the helper
+            index = self._real_claim(queue_r)
+            self._taken[0] += index is not None
+            return index
+        if not self._waited:
+            self._waited = True
+            deadline = time.monotonic() + 60.0
+            while (self._taken[0] == 0 and time.monotonic() < deadline
+                   and os.waitid(os.P_PID, self.helpers[-1], os.WEXITED
+                                 | os.WNOHANG | os.WNOWAIT) is None):
+                time.sleep(0.001)
+        return self._real_claim(queue_r)
 
 
 @pytest.fixture

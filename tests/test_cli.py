@@ -167,7 +167,7 @@ def test_mc_thread_count_does_not_change_output(tmp_path):
 
 @pytest.mark.parametrize("command", ["mc", "deviations"])
 def test_helper_process_does_not_change_output(capsys, helper_switch, command):
-    # from 2048 paths the kernel may share its paths with a helper process
+    # from 1024 paths the kernel may share its paths with a helper process
     outputs = []
     for on in (False, True):
         helper_switch.set(on)
@@ -214,8 +214,7 @@ def test_readme_quick_start_runs_as_a_script(tmp_path):
         script = tmp_path / f"quick_start_{on}.py"
         script.write_text(
             "import driftgame._spread as spread\n"
-            f"spread._cpu_count = lambda: {2 if on else 1}\n"
-            "spread.HELPER_START_S = 0.0\n" + code)
+            f"spread._cpu_count = lambda: {2 if on else 1}\n" + code)
         proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                               text=True, env=_python_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr

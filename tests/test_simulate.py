@@ -2,6 +2,12 @@ import dataclasses
 import io
 import math
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -577,32 +583,231 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     assert helper_switch.all_ended()
 
 
-class _ExitWhenUnpickled:
-    """A scan job whose unpickling ends the process that reads it."""
-
-    def __reduce__(self):
-        return os._exit, (3,)
-
-
 def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
-    # The caller's own chunks are faked, and once the helper is up every
-    # chunk left is handed to it.  An exception in the helper is raised in
-    # the caller with its type; a helper that dies is an error, not a wait
-    # for results that never come.
+    # The caller's own chunks are faked, so the helper scans the real ones.
+    # An exception in the helper is raised in the caller with its type; a
+    # helper that dies is an error, not a wait for results that never come.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
     helper_switch.set(True)
-    monkeypatch.setattr(sim, "_scan_paths", lambda job, lo, out: None)
+    caller, real_scan = os.getpid(), sim._scan_paths
+
+    def scan_in_helper(helper_scan):
+        return lambda job, lo, out: (None if os.getpid() == caller
+                                     else helper_scan(job, lo, out))
+
     bad_seed = sim._ScanJob(
         seed=2**64, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10, dt=0.1,
         rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,))
+    monkeypatch.setattr(sim, "_scan_paths", scan_in_helper(real_scan))
     with pytest.raises(ValueError, match="outside"):
         spread.scan(bad_seed, sim._unscanned(300, 1))
+    assert helper_switch.helper_chunks >= 1
+    monkeypatch.setattr(sim, "_scan_paths",
+                        scan_in_helper(lambda job, lo, out: os._exit(3)))
     with pytest.raises(RuntimeError, match="died"):
-        spread.scan(_ExitWhenUnpickled(), sim._unscanned(300, 1))
+        spread.scan(bad_seed._replace(seed=1), sim._unscanned(300, 1))
+    assert helper_switch.helper_chunks >= 1
     assert len(helper_switch.helpers) == 2
     assert helper_switch.all_ended()
+
+
+def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
+    # Where no helper can be forked, the caller scans every chunk itself.
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    job = sim._ScanJob(
+        seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
+        rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
+    serial, split = sim._unscanned(300, 1), sim._unscanned(300, 1)
+    sim._scan_paths(job, 0, serial)
+    helper_switch.set(True)
+    monkeypatch.setattr(spread, "_fork", no_fork)
+    spread.scan(job, split)
+    for field in dataclasses.fields(serial):
+        assert np.array_equal(getattr(split, field.name),
+                              getattr(serial, field.name), equal_nan=True)
+    assert not helper_switch.helpers
+
+
+def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switch):
+    # With no payoff barrier a pass prices no Stieltjes sum: r_pay_end and
+    # stieltjes have no rows, and tau, censored and phi_refl_end keep the
+    # bits of the one-barrier pass, serial and split.
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=300, seed=6,
+                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
+    kw = dict(discount_rate=base_params.mu0, weight_phi=True)
+    for on in (False, True):
+        helper_switch.set(on)
+        one = path_functionals(base_params, 0.6, cfg, **kw)
+        none = path_functionals(base_params, 0.6, cfg, payoff_barriers=(), **kw)
+        assert none.r_pay_end.shape == none.stieltjes.shape == (0, 300)
+        for name in ("tau", "censored", "phi_refl_end"):
+            assert np.array_equal(getattr(none, name), getattr(one, name),
+                                  equal_nan=True)
+    assert helper_switch.helper_chunks >= 1
+    assert one.censored.any() and not one.censored.all()
+
+
+def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
+    # One-path chunks: 9000 chunk records (72 000 bytes) are more than a
+    # 64 KiB pipe holds, and the split pass still gives the serial bits.
+    import driftgame._spread as spread
+
+    real_fill, chunk_sizes = spread._fill_queue, []
+
+    def fill_queue(queue_w, n):
+        chunk_sizes.append(real_fill(queue_w, n))
+        return chunk_sizes[-1]
+
+    monkeypatch.setattr(spread, "CHUNK_PATHS", 1)
+    monkeypatch.setattr(spread, "_fill_queue", fill_queue)
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=9000, seed=7,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    runs = []
+    for on in (False, True):
+        helper_switch.set(on)
+        runs.append(path_functionals(base_params, 0.6, cfg,
+                                     discount_rate=base_params.mu1))
+    assert chunk_sizes == [1]
+    assert helper_switch.helper_chunks >= 1
+    assert helper_switch.all_ended()
+    serial, split = runs
+    assert serial.censored.any() and not serial.censored.all()
+    for field in dataclasses.fields(serial):
+        assert np.array_equal(getattr(split, field.name),
+                              getattr(serial, field.name), equal_nan=True)
+
+
+# A caller whose pass of 4000 one-path chunks takes about 20 s: it prints
+# its helper's pid when it forks it, and "reaped" at exit if no helper is
+# left to reap.
+_SLOW_CALLER = """
+import atexit, os, time
+import driftgame._spread as spread
+import driftgame.simulate as sim
+
+real_fork, real_scan, helpers = spread._fork, sim._scan_paths, []
+
+def fork():
+    pid = real_fork()
+    if pid:
+        helpers.append(pid)
+        print(pid, flush=True)
+    return pid
+
+def slow_scan(job, lo, out):
+    time.sleep(0.01)
+    real_scan(job, lo, out)
+
+@atexit.register
+def report():
+    for pid in helpers:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            print("reaped", flush=True)
+
+spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
+spread._fork, sim._scan_paths = fork, slow_scan
+job = sim._ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
+                   dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
+                   z_pays=(0.0,))
+spread.scan(job, sim._unscanned(4000, 1))
+"""
+
+
+def _start_slow_caller(**popen_kw):
+    """A running _SLOW_CALLER process, once its helper is forked, and the
+    helper's pid."""
+    import driftgame
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driftgame.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", _SLOW_CALLER], env=env,
+                            stdout=subprocess.PIPE, text=True, **popen_kw)
+    return proc, int(proc.stdout.readline())
+
+
+def _ended(pid: int) -> bool:
+    """Whether process pid has exited (gone, or a zombie nobody reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _wait_until_ended(pid: int, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not _ended(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+def test_helper_ends_soon_after_its_caller_dies():
+    # Without its caller, the helper stops at its next chunk and does not
+    # scan the rest of the 20 s pass.
+    proc, helper = _start_slow_caller(stderr=subprocess.DEVNULL)
+    time.sleep(0.3)
+    proc.kill()
+    proc.wait(timeout=60)
+    proc.stdout.close()   # the helper holds the pipe too: never read to its end
+    assert _wait_until_ended(helper, timeout=5.0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+def test_interrupt_reaches_only_the_caller():
+    # ^C at a terminal sends SIGINT to the whole process group: the caller
+    # raises KeyboardInterrupt and reaps its helper, which ignores it.
+    proc, helper = _start_slow_caller(stderr=subprocess.PIPE, start_new_session=True)
+    os.kill(helper, signal.SIGINT)
+    time.sleep(0.3)
+    assert not _ended(helper)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode != 0
+    assert err.count("Traceback (most recent call last)") == 1
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert out.split() == ["reaped"]
+    assert _wait_until_ended(helper, timeout=5.0)
+
+
+def test_fork_gives_no_thread_warning():
+    # Python 3.12+ warns when a process with other threads forks, and
+    # numpy's BLAS pool is such a thread; the helper's fork filters that
+    # warning alone.
+    import driftgame._spread as spread
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pid = spread._fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_multires_requires_integer_strides(base_params):
