@@ -18,8 +18,9 @@ one process.
 
 The helper is a fork of the caller: it starts with the kernel imported and
 its scratch built, and shares the caller's memory copy on write.  It ignores
-SIGINT, so ^C reaches only the caller, and ends within one chunk of the
-caller's death.  It reports only a failure, as a pickled exception on a
+SIGINT, so ^C reaches only the caller, closes every file descriptor it
+inherited but its two pipes, and ends within one chunk of the caller's
+death.  It reports only a failure, as a pickled exception on a
 second pipe; the caller re-raises it with its type, and a helper that dies
 is a RuntimeError.  The helper has ended and been reaped before scan()
 returns or raises.
@@ -125,13 +126,7 @@ def _shared_slots(out: PathFunctionals) -> PathFunctionals:
 def _fill_queue(queue_w: int, n: int) -> int:
     """Write the index of every chunk of the n paths into the empty queue
     pipe, and return the paths per chunk: CHUNK_PATHS, or more where the
-    pipe cannot grow to hold a record per chunk of CHUNK_PATHS."""
-    need = -(-n // CHUNK_PATHS) * _RECORD.itemsize
-    if need > fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ):
-        try:
-            fcntl.fcntl(queue_w, fcntl.F_SETPIPE_SZ, need)
-        except OSError:   # above this user's pipe size limits
-            pass
+    pipe cannot hold a record per chunk of CHUNK_PATHS."""
     records = fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ) // _RECORD.itemsize
     chunk = max(CHUNK_PATHS, -(-n // records))
     view = memoryview(np.arange(-(-n // chunk), dtype=_RECORD).tobytes())
@@ -167,6 +162,13 @@ def _serve(job: _ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # drops one pending
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # Other threads' pipes, stdio and sockets were copied in by the
+        # fork; holding them would keep their readers from seeing EOF.
+        low = 0
+        for fd in sorted((queue_r, error_w)):
+            os.closerange(low, fd)
+            low = fd + 1
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         try:
             _scan_queue(job, shared, chunk, queue_r, caller)
             code = 0

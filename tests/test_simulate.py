@@ -635,6 +635,73 @@ def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
     assert not helper_switch.helpers
 
 
+def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
+    # The fork copies every descriptor of the caller, such as the pipes of
+    # a split pass another thread is setting up.  The helper closes all but
+    # its own two, so no reader of those waits on it for an end of file.
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    caller, real_scan = os.getpid(), sim._scan_paths
+    read_end, write_end = os.pipe()
+
+    def scan_checking_descriptors(job, lo, out):
+        if os.getpid() != caller:
+            try:
+                os.fstat(write_end)
+            except OSError:
+                pass
+            else:
+                raise ValueError("the helper holds a descriptor of its caller")
+        real_scan(job, lo, out)
+
+    job = sim._ScanJob(
+        seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
+        rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
+    helper_switch.set(True)
+    monkeypatch.setattr(sim, "_scan_paths", scan_checking_descriptors)
+    try:
+        spread.scan(job, sim._unscanned(300, 1))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert helper_switch.helper_chunks >= 1
+    assert helper_switch.all_ended()
+
+
+def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
+    # Two threads run split passes at once, each with its own helper; each
+    # result has the serial bits, and both helpers are reaped.
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    sol = build_solution(base_params)
+    cfgs = [SimConfig(dt=1e-3, horizon=10.0, n_paths=600, seed=seed,
+                      measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+            for seed in (8, 9)]
+    kw = dict(discount_rate=base_params.mu1)
+    helper_switch.set(False)
+    serial = [path_functionals(base_params, 0.6, cfg, **kw) for cfg in cfgs]
+    helper_switch.set(True)
+    split = [None] * len(cfgs)
+
+    def run(i):
+        split[i] = path_functionals(base_params, 0.6, cfgs[i], **kw)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(helper_switch.helpers) == len(cfgs)
+    assert helper_switch.all_ended()
+    for one, other in zip(serial, split):
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(other, field.name),
+                                  getattr(one, field.name), equal_nan=True)
+
+
 def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switch):
     # With no payoff barrier a pass prices no Stieltjes sum: r_pay_end and
     # stieltjes have no rows, and tau, censored and phi_refl_end keep the
@@ -659,8 +726,9 @@ def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switc
 
 
 def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
-    # One-path chunks: 9000 chunk records (72 000 bytes) are more than a
-    # 64 KiB pipe holds, and the split pass still gives the serial bits.
+    # With one-path chunks, 9000 chunk records (72 000 bytes) are more than
+    # a 64 KiB pipe holds: the chunks grow until their records fit, and the
+    # split pass still gives the serial bits.
     import driftgame._spread as spread
 
     real_fill, chunk_sizes = spread._fill_queue, []
@@ -679,7 +747,7 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
         helper_switch.set(on)
         runs.append(path_functionals(base_params, 0.6, cfg,
                                      discount_rate=base_params.mu1))
-    assert chunk_sizes == [1]
+    assert len(chunk_sizes) == 1 and chunk_sizes[0] > 1
     assert helper_switch.helper_chunks >= 1
     assert helper_switch.all_ended()
     serial, split = runs
