@@ -53,7 +53,8 @@ def _scan_batch(job: _ScanJob, lo: int, out: PathFunctionals,
     z0 = math.log(job.phi0)
     z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
     r_hit0 = max(0.0, z0 - z_hit)
-    c_drift, c_noise, k_max, dt = job.c_drift, job.c_noise, job.k_max, job.dt
+    c_drift, c_noise, dt, stride = job.c_drift, job.c_noise, job.dt, job.stride
+    k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
     rate_dt = job.rate * dt
     n = out.n_paths
     gens = [scratch.pool.reset(job.seed, lo + p, ROLE_PATH_NOISE, p)
@@ -71,9 +72,8 @@ def _scan_batch(job: _ScanJob, lo: int, out: PathFunctionals,
         while ids.size and off < n_block:
             live = ids.size
             m = min(n_block - off, max(CHUNK_MIN, CHUNK_CELLS // live))
-            zb, mx, zr = (buf[:live * m].reshape(live, m)
-                          for buf in scratch.floats)
-            hit = scratch.hit[:live * m].reshape(live, m)
+            k_chunk = k_done + off
+            zb = scratch.floats[0][:live * m].reshape(live, m)
             for gen, row in zip(gens, zb):
                 gen.standard_normal(out=row)
             zb *= c_noise
@@ -84,18 +84,30 @@ def _scan_batch(job: _ScanJob, lo: int, out: PathFunctionals,
             if off + m < n_block:
                 carry = zb[:, -1].copy()
             zb += z_start[:, None]
-            np.maximum.accumulate(zb, axis=1, out=mx)
+            if off + m == n_block:
+                z_start = zb[:, -1].copy()
+            # the grid keeps the fine steps k with k % stride == 0
+            first = (stride - 1 - k_chunk) % stride
+            zg = zb[:, first::stride]
+            mg = zg.shape[1]
+            if not mg:   # no grid point; the horizon's chunk always has one
+                off += m
+                continue
+            mx, zr = (buf[:live * mg].reshape(live, mg)
+                      for buf in scratch.floats[1:])
+            hit = scratch.hit[:live * mg].reshape(live, mg)
+            np.maximum.accumulate(zg, axis=1, out=mx)
             np.maximum(mx, top[:, None], out=mx)
             # zr: the log of the ratio reflected at the hit barrier
             np.subtract(mx, z_hit, out=zr)
             np.maximum(zr, r_hit0, out=zr)
-            np.subtract(zb, zr, out=zr)
+            np.subtract(zg, zr, out=zr)
             np.less_equal(zr, z_lo, out=hit)
             stop = hit.any(axis=1).nonzero()[0]
-            end = np.full(live, m)             # steps of the chunk each row takes
+            end = np.full(live, mg)            # grid points of the chunk each row takes
             end[stop] = hit[stop].argmax(axis=1) + 1
-            at = (np.arange(live), end - 1)    # each row's last step taken
-            k_chunk = k_done + off
+            at = (np.arange(live), end - 1)    # each row's last grid point taken
+            # payoff barriers come with stride 1 only: grid points are fine steps
             for b, zp in enumerate(z_pays):
                 r_now = np.maximum(mx[at] - zp, r_pay0[b])
                 grow = (r_now > r_pay[b]).nonzero()[0]
@@ -110,24 +122,22 @@ def _scan_batch(job: _ScanJob, lo: int, out: PathFunctionals,
                     rp_prev[:, 0] = r_pay[b, grow]
                     rp_prev[:, 1:] = rp[:, :-1]
                     up = rp > rp_prev
-                    for g in (end[grow] < m).nonzero()[0].tolist():
+                    for g in (end[grow] < mg).nonzero()[0].tolist():
                         up[g, end[grow[g]]:] = False
                     gi, idx = up.nonzero()
                     lw = rate_dt * (k_chunk + 1.0 + idx) - rp_prev[gi, idx]
                     if job.weight_phi:
-                        lw += zb[grow[gi], idx]
+                        lw += zg[grow[gi], idx]
                     terms[b].append(ids[grow[gi]], np.exp(lw)
                                     * -np.expm1(rp_prev[gi, idx] - rp[gi, idx]))
                 r_pay[b] = r_now
-            if off + m == n_block:
-                z_start = zb[:, -1].copy()
             leave = stop
             if off + m == n_block and k_done + n_block == k_max:
                 # the horizon: every row that has not stopped is censored
                 leave = np.arange(live)
                 censored[np.delete(ids, stop)] = True
             if leave.size:
-                tau[ids[stop]] = (k_chunk + end[stop]) * dt
+                tau[ids[stop]] = (k_chunk + first + 1 + (end[stop] - 1) * stride) * dt
                 for s, r, j in zip(ids[leave].tolist(), leave.tolist(),
                                    (end[leave] - 1).tolist()):
                     phi_end[s] = math.exp(zr[r, j])

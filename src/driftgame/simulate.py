@@ -21,7 +21,10 @@ blocks, in chunks of steps that cover every live path with one numpy call
 per operation; a path leaves the batch at its stop, so its draws end
 within a chunk of it.  The result is bit-identical to scanning each path
 alone, for any batch size and chunk length: the rules that keep it so are
-in _scan_paths.
+in _scan_paths.  A pass with a stride s tests the stop on every s-th step
+only, which is the grid s times coarser on the same Brownian path: the
+dt-refinement study (verify.dt_convergence_study) runs one such pass per
+grid.
 
 A sample path with a lower threshold (generate_trajectory) is walked in
 the same block schedule and ends with the block that holds its stop.  Its
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -86,7 +90,7 @@ class _StreamPool:
         self._state = np.random.Philox(key=0).state
 
     def reset(self, seed: int, path_index: int, role: int,
-              slot: int = 0) -> np.random.Generator:
+              slot: int) -> np.random.Generator:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed={seed} outside [0, 2^64)")
         while slot >= len(self._bgs):
@@ -393,26 +397,6 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
 
-def _log_ratio_blocks(pool: _StreamPool, seed: int, path_index: int, z0: float,
-                      c_drift: float, c_noise: float, k_max: int):
-    """Yield (k_done, zb) along one path: zb[i] is log Phi after fine step
-    k_done + i + 1, for steps 1..k_max.
-
-    The path's noise substream is drawn in blocks of _BLOCK_START steps,
-    doubling up to _BLOCK_MAX, so a path that stops early draws little.
-    """
-    rng = pool.reset(seed, path_index, ROLE_PATH_NOISE)
-    z, k_done, block = z0, 0, _BLOCK_START
-    while k_done < k_max:
-        zb = c_drift + c_noise * rng.standard_normal(min(block, k_max - k_done))
-        zb.cumsum(out=zb)
-        zb += z
-        yield k_done, zb
-        z = zb[-1]
-        k_done += zb.size
-        block = min(block * 2, _BLOCK_MAX)
-
-
 @dataclass(frozen=True)
 class PathFunctionals:
     """Per-path outputs of the streaming kernel, in path-index order.
@@ -420,10 +404,11 @@ class PathFunctionals:
     tau, censored and phi_refl_end have one entry per path; r_pay_end and
     stieltjes have one row per payoff barrier and one column per path.
     For censored paths tau is NaN and the terminal fields hold the state at
-    the horizon; stieltjes then covers [0, horizon] only.  r_pay_end is the
-    accumulated log reflection of the payoff barrier, so the surviving
-    probability mass is 1 - Gamma = exp(-r_pay_end) (kept in log space to
-    stay accurate when Gamma is close to 1).
+    the last grid point at or before the horizon; stieltjes then covers
+    [0, horizon] only.  r_pay_end is the accumulated log reflection of the
+    payoff barrier, so the surviving probability mass is
+    1 - Gamma = exp(-r_pay_end) (kept in log space to stay accurate when
+    Gamma is close to 1).
     """
 
     tau: np.ndarray          # hitting time of the lower threshold, NaN if censored
@@ -455,11 +440,12 @@ class _ScanJob(NamedTuple):
     z_hit: float         # log of the reflection barrier that times the stop
     z_lo: float          # log of the absorbing lower threshold
     z_pays: tuple        # logs of the payoff barriers
+    stride: int = 1      # the stop is tested on steps k with k % stride == 0
 
 
 def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
                      discount_rate: float, weight_phi: bool = False,
-                     payoff_barriers=None) -> PathFunctionals:
+                     payoff_barriers=None, stride: int = 1) -> PathFunctionals:
     """Simulate config.n_paths paths and accumulate discounted functionals.
 
     The hitting time is measured on the reflection at config.barrier; the
@@ -473,6 +459,11 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     and each barrier's sums do not depend on the other barriers.  An
     empty payoff_barriers prices no sum: r_pay_end and stieltjes then have
     no rows.
+
+    With stride s the stop is tested on every s-th step of config's grid
+    only, up to its last such step at or before the horizon: the grid of
+    step s * config.dt, on the same Brownian path for every s.  Such a pass
+    prices no sum, so a stride above 1 needs an empty payoff_barriers.
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
@@ -488,6 +479,14 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     for bpay in bpays:
         if not bpay > 0.0:
             raise ValueError(f"payoff barrier {bpay} must be positive")
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride={stride!r} must be an integer >= 1")
+    if stride > 1 and bpays:
+        raise ValueError(f"a pass with stride={stride} prices no sum; "
+                         f"payoff_barriers must be empty")
+    if stride > config.n_steps:
+        raise ValueError(f"stride={stride} is longer than the "
+                         f"{config.n_steps} steps to the horizon")
 
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
@@ -498,7 +497,7 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
         k_max=config.n_steps, dt=config.dt, rate=discount_rate,
         weight_phi=weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
-        z_pays=tuple(math.log(bpay) for bpay in bpays))
+        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride))
     out = _unscanned(config.n_paths, len(bpays))
     if config.n_paths < _SPREAD_MIN_PATHS:
         _scan_paths(job, 0, out)
@@ -521,12 +520,12 @@ def _scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
     or views of such slots), one path per slot.
 
     The scan is driftgame._scan's, imported on the first scan.  It steps
-    batches of _scan.BATCH_PATHS rows together through the blocks of
-    _log_ratio_blocks' schedule.  Each block is walked in chunks of
-    min(rest of block, max(_scan.CHUNK_MIN, _scan.CHUNK_CELLS // live
-    rows)) steps, each chunk one numpy call per operation over every live
-    row, and a row leaves the batch at its stop, so its draws end within
-    one chunk of it.  The result is bit-identical to scanning each path
+    batches of _scan.BATCH_PATHS rows together through blocks of
+    _BLOCK_START steps, doubling up to _BLOCK_MAX.  Each block is walked in
+    chunks of min(rest of block, max(_scan.CHUNK_MIN, _scan.CHUNK_CELLS //
+    live rows)) steps, each chunk one numpy call per operation over every
+    live row, and a row leaves the batch at its stop, so its draws end
+    within one chunk of it.  The result is bit-identical to scanning each path
     alone, block by block:
 
     - a row's noise is drawn from its own substream a chunk at a time,
@@ -539,7 +538,11 @@ def _scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
       running maximum of max(log ratio - z_b, r0) bit for bit;
     - a Stieltjes sum takes the terms of a (row, barrier, block) in step
       order and sums them with one .sum(), never in parts, because numpy's
-      pairwise sum depends on how the terms are grouped.
+      pairwise sum depends on how the terms are grouped;
+    - with a stride s the noise, the log ratio and the blocks stay on the
+      fine steps, and the maximum, reflection and stop read the columns of
+      steps k with k % s == 0 alone, so every stride reads one path and a
+      chunk that holds no such step only carries the log ratio forward.
     """
     from . import _scan
 
@@ -560,67 +563,3 @@ def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
 # 1.21x on tilted0, where paths are short.
 _SPREAD_MIN_PATHS = 1024
 
-
-def multires_hit_discounts(params: ModelParams, phi0: float, config: SimConfig,
-                           dt_list, *, discount_rate: float
-                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """e^{rate tau} samples at several grid resolutions on shared noise.
-
-    All entries of dt_list must be integer multiples of min(dt_list); the
-    coarser grids subsample the same Brownian path as the finest one, so
-    the runs are coupled pathwise (proper common random numbers for a
-    dt-refinement study).  config.dt is ignored; horizon, n_paths, seed,
-    measure, barrier and lower are taken from config.  Returns one
-    (samples, censored) pair per entry of dt_list, censored samples set
-    to 0.
-    """
-    if config.lower is None:
-        raise ValueError("config.lower is required")
-    if config.measure is Measure.PHYSICAL:
-        raise ValueError("streaming functionals support the tilted measures only")
-    dts = [float(v) for v in dt_list]
-    dt_f = min(dts)
-    strides = []
-    for v in dts:
-        s = v / dt_f
-        if abs(s - round(s)) > 1e-9:
-            raise ValueError(f"dt={v} is not an integer multiple of {dt_f}")
-        strides.append(int(round(s)))
-
-    d = derive(params)
-    m_phi, _ = log_drifts(params, d, config.measure)
-    c_drift = (m_phi - 0.5 * d.omega**2) * dt_f
-    c_noise = d.omega * math.sqrt(dt_f)
-    z0 = math.log(phi0)
-    z_bar = math.log(config.barrier)
-    z_lo = math.log(config.lower)
-    n = config.n_paths
-    k_max = int(round(config.horizon / dt_f))
-    r0 = max(0.0, z0 - z_bar)
-    if z0 - r0 <= z_lo:   # every path stops at time zero
-        return [(np.ones(n), np.zeros(n, dtype=bool)) for _ in dts]
-
-    out = [np.zeros(n) for _ in dts]
-    cens = [np.ones(n, dtype=bool) for _ in dts]
-    pool = _StreamPool()
-    for p in range(n):
-        r_state = [r0] * len(dts)
-        for k_done, zb in _log_ratio_blocks(pool, config.seed, p, z0, c_drift,
-                                            c_noise, k_max):
-            for r, s in enumerate(strides):
-                if not cens[r][p]:
-                    continue
-                # grid s keeps the fine steps k with k % s == 0
-                first = (s - 1 - k_done) % s
-                zc = zb[first::s]
-                rc = np.maximum.accumulate(np.maximum(zc - z_bar, r_state[r]))
-                hit = zc - rc <= z_lo
-                if hit.any():
-                    t_hit = (k_done + first + int(hit.argmax()) * s + 1) * dt_f
-                    out[r][p], cens[r][p] = math.exp(discount_rate * t_hit), False
-                elif rc.size:   # a short last block may hold no step of grid s
-                    r_state[r] = rc[-1]
-            if not any(c[p] for c in cens):
-                break
-
-    return list(zip(out, cens))

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumSolution, deviation_value_player1
-from .simulate import Measure, PathFunctionals, SimConfig, multires_hit_discounts, \
-    path_functionals
+from .simulate import Measure, PathFunctionals, SimConfig, path_functionals
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst observed ratio ~0.12; factor-2 safety).
@@ -326,13 +325,26 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     Returns one MCEstimate per entry of dt_list (order preserved); the runs
     are coupled pathwise, so differences between resolutions are nearly
     noise free and the O(sqrt(dt)) hitting bias is visible directly.
+    Every entry must be an integer multiple of the smallest; config.dt is
+    ignored.  Each resolution is one kernel pass on the finest grid that
+    tests the stop on every s-th step, and each pass draws the same
+    substream per path, so every resolution reads the same Brownian path.
     """
     _require(config, Measure.TILTED0, sol)
-    pairs = multires_hit_discounts(sol.params, phi, config, dt_list,
-                                   discount_rate=sol.params.mu0)
+    configs = [dataclasses.replace(config, dt=float(dt)) for dt in dt_list]
+    if not configs:
+        raise ValueError("dt_list is empty")
+    fine = min(configs, key=lambda cfg: cfg.dt)
+    strides = []
+    for cfg in configs:
+        s = cfg.dt / fine.dt
+        if abs(s - round(s)) > 1e-9:
+            raise ValueError(f"dt={cfg.dt} is not an integer multiple of {fine.dt}")
+        strides.append(round(s))
     results = []
-    for dt, (samples, censored) in zip(dt_list, pairs):
-        cfg = dataclasses.replace(config, dt=float(dt))
-        results.append(_estimate(samples, sol, cfg,
-                                 _j0_bracket(sol, cfg, censored), censored))
+    for cfg, stride in zip(configs, strides):
+        pf = path_functionals(sol.params, phi, fine, discount_rate=sol.params.mu0,
+                              payoff_barriers=(), stride=stride)
+        results.append(_estimate(_j0(sol, pf), sol, cfg,
+                                 _j0_bracket(sol, cfg, pf.censored), pf.censored))
     return results

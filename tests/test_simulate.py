@@ -21,7 +21,6 @@ from driftgame.simulate import (
     Trajectory,
     generate_trajectory,
     log_drifts,
-    multires_hit_discounts,
     path_functionals,
     reflect,
     simulate_phi,
@@ -46,7 +45,7 @@ def _manual_traj(phi, dt=0.1):
 
 # -- configuration validation ---------------------------------------------------
 
-def test_config_validation():
+def test_config_validation(base_params):
     with pytest.raises(ValueError):
         _cfg(dt=0.0)
     with pytest.raises(ValueError):
@@ -68,6 +67,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="horizon/dt=inf"):
         _cfg(horizon=1e300, dt=1e-10)   # the step count overflows
     assert _cfg(measure="tilted1").measure is Measure.TILTED1
+    kw = dict(discount_rate=base_params.mu0, payoff_barriers=())
+    for stride in (0, -1, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match="stride"):
+            path_functionals(base_params, 0.6, _cfg(), stride=stride, **kw)
+    with pytest.raises(ValueError, match="payoff_barriers must be empty"):
+        path_functionals(base_params, 0.6, _cfg(), discount_rate=base_params.mu0,
+                         stride=2)            # the default prices one sum
+    with pytest.raises(ValueError, match="5000 steps"):
+        path_functionals(base_params, 0.6, _cfg(), stride=5001, **kw)
 
 
 def test_degenerate_drift_rejected_at_model_level():
@@ -504,7 +512,8 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
 def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     # Batches of 7 paths walked in chunks of 5 to 40 steps give the same
     # bits as the default batches and chunks: three payoff barriers with
-    # the Phi weight, a start above B, and a horizon that censors some paths.
+    # the Phi weight, a start above B, and a horizon that censors some paths;
+    # and a stride-7 pass, where some 5-step chunks hold no grid point.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -512,18 +521,19 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     for phi0 in (0.6, 1.7 * sol.B):
         cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12,
                         measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-        runs = []
-        for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
-            monkeypatch.setattr(scan, "BATCH_PATHS", batch)
-            monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
-            monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
-            runs.append(path_functionals(
-                base_params, phi0, cfg, discount_rate=base_params.mu1,
-                weight_phi=True, payoff_barriers=barriers))
-        assert runs[0].censored.any() and not runs[0].censored.all()
-        for field in dataclasses.fields(runs[0]):
-            assert np.array_equal(getattr(runs[1], field.name),
-                                  getattr(runs[0], field.name), equal_nan=True)
+        for bpays, stride in ((barriers, 1), ((), 7)):
+            runs = []
+            for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
+                monkeypatch.setattr(scan, "BATCH_PATHS", batch)
+                monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
+                monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
+                runs.append(path_functionals(
+                    base_params, phi0, cfg, discount_rate=base_params.mu1,
+                    weight_phi=True, payoff_barriers=bpays, stride=stride))
+            assert runs[0].censored.any() and not runs[0].censored.all()
+            for field in dataclasses.fields(runs[0]):
+                assert np.array_equal(getattr(runs[1], field.name),
+                                      getattr(runs[0], field.name), equal_nan=True)
 
 
 def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
@@ -548,8 +558,8 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
                                            helper_switch):
     # Paths scanned by the helper process land bit-identically in their
     # slots: path counts not a multiple of the chunk and below two chunks,
-    # censored paths, starts above B and at A, and three payoff barriers
-    # with the Phi weight.  No helper is left running.
+    # censored paths, starts above B and at A, three payoff barriers with
+    # the Phi weight, and a stride-3 pass.  No helper is left running.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
@@ -557,13 +567,14 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     sol = build_solution(base_params)
     chunk = spread.CHUNK_PATHS
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
-    cases = [(3 * chunk - 84, Measure.TILTED0, 0.6, 10.0, True, None),
-             (chunk + 72, Measure.TILTED1, 0.6, 10.0, False, None),
-             (chunk + 72, Measure.TILTED1, 0.6, 0.15, False, None),
-             (chunk + 72, Measure.TILTED0, 1.7 * sol.B, 10.0, True, None),
-             (chunk + 72, Measure.TILTED0, sol.A, 10.0, False, None),
-             (chunk + 72, Measure.TILTED1, 0.6, 10.0, True, barriers)]
-    for n, measure, phi0, horizon, weight_phi, bpays in cases:
+    cases = [(3 * chunk - 84, Measure.TILTED0, 0.6, 10.0, True, None, 1),
+             (chunk + 72, Measure.TILTED1, 0.6, 10.0, False, None, 1),
+             (chunk + 72, Measure.TILTED1, 0.6, 0.15, False, None, 1),
+             (chunk + 72, Measure.TILTED0, 1.7 * sol.B, 10.0, True, None, 1),
+             (chunk + 72, Measure.TILTED0, sol.A, 10.0, False, None, 1),
+             (chunk + 72, Measure.TILTED1, 0.6, 10.0, True, barriers, 1),
+             (chunk + 72, Measure.TILTED0, 0.6, 10.0, False, (), 3)]
+    for n, measure, phi0, horizon, weight_phi, bpays, stride in cases:
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5,
                         measure=measure, barrier=sol.B, lower=sol.A)
         runs = []
@@ -571,7 +582,7 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
             helper_switch.set(on)
             runs.append(path_functionals(
                 base_params, phi0, cfg, discount_rate=base_params.mu0,
-                weight_phi=weight_phi, payoff_barriers=bpays))
+                weight_phi=weight_phi, payoff_barriers=bpays, stride=stride))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
         for field in dataclasses.fields(serial):
@@ -878,33 +889,26 @@ def test_fork_gives_no_thread_warning():
     assert [str(w.message) for w in caught] == []
 
 
-def test_multires_requires_integer_strides(base_params):
-    sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=2.0, n_paths=4, seed=1,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    with pytest.raises(ValueError):
-        multires_hit_discounts(base_params, 0.6, cfg, [1e-3, 2.5e-4 * 1.3],
-                               discount_rate=base_params.mu0)
-
-
-def test_multires_finest_matches_plain_kernel(base_params):
-    # the finest grid is the kernel's own scan: bitwise equal discounts
+def test_stride_one_is_the_default_pass(base_params):
+    # stride 1 is the kernel's own scan, bitwise in every field; stride 4
+    # tests the stop on a coarser grid and so stops elsewhere
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3,
                     measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    (coarse, _), (fine, cens) = multires_hit_discounts(
-        base_params, sol.B, cfg, [4e-3, 1e-3], discount_rate=base_params.mu0)
-    pf = path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0)
-    ref = [0.0 if c else math.exp(base_params.mu0 * t)
-           for c, t in zip(pf.censored, pf.tau)]
-    assert np.array_equal(fine, ref)
-    assert np.array_equal(cens, pf.censored)
-    assert not np.array_equal(coarse, fine)
+    kw = dict(discount_rate=base_params.mu0)
+    plain = path_functionals(base_params, sol.B, cfg, **kw)
+    one = path_functionals(base_params, sol.B, cfg, stride=1, **kw)
+    for field in dataclasses.fields(plain):
+        assert np.array_equal(getattr(one, field.name),
+                              getattr(plain, field.name), equal_nan=True)
+    four = path_functionals(base_params, sol.B, cfg, payoff_barriers=(),
+                            stride=4, **kw)
+    assert not np.array_equal(four.tau, plain.tau, equal_nan=True)
 
 
-def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
+def test_strided_grids_ignore_block_size(base_params, monkeypatch):
     # Grid s keeps the fine steps k with k % s == 0 wherever the blocks
-    # start: first blocks of 1024 and 256 steps give identical samples,
+    # start: first blocks of 1024 and 256 steps give identical stops,
     # equal to subsampling the whole fine path drawn at once.  The horizon
     # (3073 steps) ends on a one-step block that holds no point of the
     # stride-3 and stride-2 grids, and censors some paths.
@@ -917,13 +921,14 @@ def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
     runs = []
     for block in (1024, 256):
         monkeypatch.setattr(sim, "_BLOCK_START", block)
-        runs.append(multires_hit_discounts(
-            base_params, sol.B, cfg, [s * cfg.dt for s in strides],
-            discount_rate=base_params.mu0))
-    for (a, cens_a), (b, cens_b) in zip(*runs):
-        assert np.array_equal(a, b)
-        assert np.array_equal(cens_a, cens_b)
-        assert cens_a.any() and not cens_a.all()
+        runs.append([path_functionals(base_params, sol.B, cfg,
+                                      discount_rate=base_params.mu0,
+                                      payoff_barriers=(), stride=s)
+                     for s in strides])
+    for a, b in zip(*runs):
+        assert np.array_equal(a.tau, b.tau, equal_nan=True)
+        assert np.array_equal(a.censored, b.censored)
+        assert a.censored.any() and not a.censored.all()
 
     d = derive(base_params)
     m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
@@ -932,13 +937,12 @@ def test_multires_coarse_grids_ignore_block_size(base_params, monkeypatch):
         xi = substream(cfg.seed, i, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
         z = z_bar + np.cumsum((m_phi - 0.5 * d.omega**2) * cfg.dt
                               + d.omega * math.sqrt(cfg.dt) * xi)
-        for s, (samples, cens) in zip(strides, runs[0]):
+        for s, pf in zip(strides, runs[0]):
             zc = z[s - 1::s]
             hit = zc - np.maximum.accumulate(np.maximum(zc - z_bar, 0.0)) <= z_lo
-            assert cens[i] == (not hit.any())
+            assert pf.censored[i] == (not hit.any())
             if hit.any():
-                t = (int(hit.argmax()) + 1) * s * cfg.dt
-                assert samples[i] == math.exp(base_params.mu0 * t)
+                assert pf.tau[i] == (int(hit.argmax()) + 1) * s * cfg.dt
 
 
 # -- truncation and CSV export ------------------------------------------------------

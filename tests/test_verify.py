@@ -214,3 +214,15 @@ def test_dt_convergence_with_common_noise(sol):
     for e, dt in zip(ests, dts):
         assert e.dt == dt
         assert abs(e.mean - oracle) <= 3.0 * e.stderr + e.bias_bound
+
+
+@pytest.mark.parametrize("dts, match", [
+    ([], "empty"),
+    ([0.0, 1e-3], "positive"),
+    ([-1e-3], "positive"),
+    ([1e-3, 2.5e-4 * 1.3], "integer multiple"),
+], ids=["empty", "zero", "negative", "not-a-multiple"])
+def test_dt_convergence_refuses_bad_dt_list(sol, dts, match):
+    cfg0, _ = _configs(sol, n_paths=4, horizon=2.0)
+    with pytest.raises(ValueError, match=match):
+        dt_convergence_study(sol, sol.B, cfg0, dts)
