@@ -1,28 +1,112 @@
-"""The batched scan behind simulate._scan_paths.
+"""The Monte Carlo kernel: one pass of simulate.path_functionals.
 
-Imported on the first Monte Carlo pass, so that importing the CLI compiles
-none of it.  The batch and chunk walk, and the rules that keep it
-bit-identical to scanning each path alone, are described at
-simulate._scan_paths.  Block sizes are read from simulate at call time.
+This module owns how a pass runs: the job (ScanJob), the per-path
+generators (_StreamPool), the output slots (unscanned) and the batched
+scan (scan_paths).  path_functionals builds the job and hands it to scan()
+here, or to driftgame._spread from 1024 paths up.  It imports this module
+on its first pass, so that importing the CLI compiles none of it.
+
+Each path's noise is drawn in blocks of simulate._BLOCK_START steps,
+doubling up to simulate._BLOCK_MAX (read at call time), and its sums are
+formed block by block.  scan_paths steps batches of BATCH_PATHS rows
+together through those blocks.  Each block is walked in chunks of
+min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // live rows)) steps, each
+chunk one numpy call per operation over every live row, and a row leaves
+the batch at its stop, so its draws end within one chunk of it.  The
+result is bit-identical to scanning each path alone, block by block, for
+any batch size and chunk length:
+
+- a row's noise is drawn from its own substream a chunk at a time, which
+  is the sequence one draw of the whole block gives;
+- the log ratio is a block-local cumsum that carries its last value into
+  the chunk's first element, plus the block's starting value after it, as
+  one cumsum of the block would round;
+- every reflection is max(M - z_b, r0) with M the running maximum of the
+  log ratio: rounding a subtraction is monotone, so that is the running
+  maximum of max(log ratio - z_b, r0) bit for bit;
+- a Stieltjes sum takes the terms of a (row, barrier, block) in step order
+  and sums them with one .sum(), never in parts, because numpy's pairwise
+  sum depends on how the terms are grouped;
+- with a stride s the noise, the log ratio and the blocks stay on the fine
+  steps, and the maximum, reflection and stop read the columns of steps k
+  with k % s == 0 alone, so every stride reads one path and a chunk that
+  holds no such step only carries the log ratio forward.
+
+Each path lands in its own slot, so ranges of a pass's paths may be
+scanned anywhere, in any order, into views of one set of slots (slots()).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from . import simulate
-from .simulate import ROLE_PATH_NOISE, PathFunctionals, _ScanJob, _slots, _StreamPool
+from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
 BATCH_PATHS = 128     # paths scanned together
 CHUNK_MIN = 64        # fewest steps in one chunk
 CHUNK_CELLS = 8192    # rows x steps of a chunk above that minimum
 
 
-def scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
-    """simulate._scan_paths(job, lo, out)."""
+class ScanJob(NamedTuple):
+    """Everything a scan of some of a pass's paths needs.
+
+    A NamedTuple, not a dataclass: a dataclass of this size costs about
+    2 ms to define.
+    """
+
+    seed: int
+    phi0: float
+    c_drift: float       # log-ratio drift per step
+    c_noise: float       # log-ratio noise scale per step
+    k_max: int           # steps to the horizon
+    dt: float
+    rate: float          # discount rate
+    weight_phi: bool
+    z_hit: float         # log of the reflection barrier that times the stop
+    z_lo: float          # log of the absorbing lower threshold
+    z_pays: tuple        # logs of the payoff barriers
+    stride: int = 1      # the stop is tested on steps k with k % stride == 0
+
+
+def unscanned(n: int, n_barriers: int, alloc=bytearray) -> PathFunctionals:
+    """Slots for n paths and n_barriers payoff barriers, ready for
+    scan_paths: tau NaN, none censored.  Every field is a view of one
+    buffer of alloc(size in bytes): the heap by default, or for example a
+    shared mapping that a forked process writes in place."""
+    rows = 2 + 2 * n_barriers   # tau, phi_refl_end, then r_pay_end, stieltjes
+    buffer = alloc(rows * n * 8 + n)
+    floats = np.ndarray((rows, n), np.float64, buffer)
+    floats[0] = np.nan
+    censored = np.ndarray(n, np.bool_, buffer, rows * n * 8)
+    censored[:] = False
+    return PathFunctionals(tau=floats[0], censored=censored,
+                           phi_refl_end=floats[1],
+                           r_pay_end=floats[2:2 + n_barriers],
+                           stieltjes=floats[2 + n_barriers:])
+
+
+def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
+    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
+    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
+                              for field in dataclasses.fields(PathFunctionals)})
+
+
+def scan(job: ScanJob, n: int) -> PathFunctionals:
+    """Paths 0..n-1 of the job, scanned in this process."""
+    out = unscanned(n, len(job.z_pays))
+    scan_paths(job, 0, out)
+    return out
+
+
+def scan_paths(job: ScanJob, lo: int, out: PathFunctionals) -> None:
+    """Scan paths lo, lo + 1, ... into the slots of out (from unscanned,
+    or views of such slots), one path per slot."""
     z0 = math.log(job.phi0)
     z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
     # every path starts from the same state, including Gamma's jump at t = 0
@@ -37,14 +121,14 @@ def scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
         out.tau[:] = 0.0
         out.phi_refl_end[:] = math.exp(z0 - r_hit0)
         return
-    scratch = _scan_scratch()
+    scratch = scan_scratch()
     terms = [_BlockTerms() for _ in z_pays]
     for first in range(0, out.n_paths, BATCH_PATHS):
-        _scan_batch(job, lo + first, _slots(out, first, first + BATCH_PATHS),
+        _scan_batch(job, lo + first, slots(out, first, first + BATCH_PATHS),
                     r_pay0, scratch, terms)
 
 
-def _scan_batch(job: _ScanJob, lo: int, out: PathFunctionals,
+def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
                 r_pay0: np.ndarray, scratch: _ScanScratch,
                 terms: list[_BlockTerms]) -> None:
     """scan_paths(job, lo, out) as one batch, with out's slots already
@@ -196,6 +280,38 @@ class _BlockTerms:
             stj[s] += float(terms[a:b].sum())
 
 
+class _StreamPool:
+    """Reusable generators, each rekeyed per (path, role) substream.
+
+    Produces streams bit-identical to simulate.substream while skipping
+    the per-construction entropy gathering, which dominates tight path
+    loops.  Slot i holds one stream at a time; a slot is made on its first
+    use.  Not thread safe.
+    """
+
+    def __init__(self):
+        self._bgs: list[np.random.Philox] = []
+        self._gens: list[np.random.Generator] = []
+        self._state = np.random.Philox(key=0).state
+
+    def reset(self, seed: int, path_index: int, role: int,
+              slot: int) -> np.random.Generator:
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed={seed} outside [0, 2^64)")
+        while slot >= len(self._bgs):
+            self._bgs.append(np.random.Philox(key=0))
+            self._gens.append(np.random.Generator(self._bgs[-1]))
+        st = self._state
+        st["state"]["key"][0] = (path_index << 2) | role
+        st["state"]["key"][1] = seed
+        st["state"]["counter"][:] = 0
+        st["buffer_pos"] = 4
+        st["has_uint32"] = 0
+        st["uinteger"] = 0
+        self._bgs[slot].state = st
+        return self._gens[slot]
+
+
 class _ScanScratch:
     """Buffers and generators of _scan_batch, reused across calls: three
     float buffers and one bool buffer of `cells` cells (a chunk's rows x
@@ -210,7 +326,7 @@ class _ScanScratch:
 _per_thread = threading.local()
 
 
-def _scan_scratch() -> _ScanScratch:
+def scan_scratch() -> _ScanScratch:
     """This thread's scratch, made on its first scan (and again if the
     chunk sizes have grown since).  No result depends on what an earlier
     scan left in it: each batch rekeys its generators, and each chunk

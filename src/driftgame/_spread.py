@@ -1,20 +1,23 @@
-"""One streaming-kernel scan shared with a forked helper process.
+"""One Monte Carlo pass shared with a forked helper process.
 
-simulate.path_functionals calls scan() from simulate._SPREAD_MIN_PATHS
-(1024) paths up; the rest of the decision is made here.  On Linux, when
-this process may run on another CPU (its affinity set, so taskset limits
-it), the scan forks one helper.  Elsewhere it scans serially: fork is unsafe
-on macOS, and no other platform is tested.
+simulate.path_functionals hands a pass to scan() here from
+simulate._SPREAD_MIN_PATHS (1024) paths up; the rest of the decision is
+made here.  On Linux, when this process may run on another CPU (its
+affinity set, so taskset limits it), the pass forks one helper.  Elsewhere
+it runs serially in driftgame._scan: fork is unsafe on macOS, and no other
+platform is tested.
 
 Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
 every chunk's index is written into one pipe, the queue, as an 8-byte
 record.  Caller and helper each read one record at a time and scan that
-chunk, until the queue is empty; a pipe read of a whole record already in
-the pipe is atomic, so each chunk is scanned once, and neither process
-waits on the other before its last chunk.  The output slots live in an
-anonymous shared mapping, so the helper writes its paths in place.  Every
-path lands in its own slot, so the result is bit-identical to one scan in
-one process.
+chunk with _scan.scan_paths, until the queue is empty; a pipe read of a
+whole record already in the pipe is atomic, so each chunk is scanned once,
+and neither process waits on the other before its last chunk.  The slots
+come from _scan.unscanned laid out in an anonymous shared mapping, so the
+helper writes its paths in place.  Every path lands in its own slot, so the
+result is bit-identical to one scan in one process.  scan() returns a
+private heap copy of the slots: the mapping would stay shared with any
+process the caller forks later, which could then write into the result.
 
 The helper is a fork of the caller: it starts with the kernel imported and
 its scratch built, and shares the caller's memory copy on write.  It ignores
@@ -39,23 +42,22 @@ import warnings
 
 import numpy as np
 
-from . import _scan, simulate
-from .simulate import PathFunctionals, _ScanJob, _slots
+from . import _scan
+from ._scan import PathFunctionals, ScanJob
 
 CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
 
 _RECORD = np.dtype("<i8")   # one chunk index in the queue
 
 
-def scan(job: _ScanJob, out: PathFunctionals) -> None:
-    """simulate._scan_paths(job, 0, out), with a forked helper process
-    scanning some of its chunks where this process may use a second CPU
-    on Linux; the helper has ended on return."""
+def scan(job: ScanJob, n: int) -> PathFunctionals:
+    """_scan.scan(job, n), with a forked helper process scanning some of
+    its chunks where this process may use a second CPU on Linux; the
+    helper has ended on return."""
     if sys.platform != "linux" or _cpu_count() < 2:
-        simulate._scan_paths(job, 0, out)
-        return
-    _scan._scan_scratch()   # built once, before the fork, for both processes
-    shared = _shared_slots(out)
+        return _scan.scan(job, n)
+    _scan.scan_scratch()   # built once, before the fork, for both processes
+    shared = _scan.unscanned(n, len(job.z_pays), lambda size: mmap.mmap(-1, size))
     queue_r, queue_w = os.pipe()
     error_r, error_w = os.pipe()
     open_fds = [queue_r, queue_w, error_r, error_w]
@@ -66,7 +68,7 @@ def scan(job: _ScanJob, out: PathFunctionals) -> None:
 
     helper, status = None, 0
     try:
-        chunk = _fill_queue(queue_w, out.n_paths)
+        chunk = _fill_queue(queue_w, n)
         close(queue_w)
         caller = os.getpid()
         # SIGINT waits until the child ignores it and the caller holds its pid
@@ -95,8 +97,8 @@ def scan(job: _ScanJob, out: PathFunctionals) -> None:
         raise pickle.loads(error)
     if status:
         raise RuntimeError("a path_functionals helper process died")
-    for field in dataclasses.fields(PathFunctionals):
-        getattr(out, field.name)[...] = getattr(shared, field.name)
+    return PathFunctionals(*(getattr(shared, field.name).copy()
+                             for field in dataclasses.fields(PathFunctionals)))
 
 
 def _cpu_count() -> int:
@@ -105,22 +107,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _shared_slots(out: PathFunctionals) -> PathFunctionals:
-    """A copy of out's slots in one anonymous shared mapping, which a
-    forked helper writes in place."""
-    fields = [getattr(out, field.name) for field in dataclasses.fields(PathFunctionals)]
-    sizes = [-(-array.nbytes // 8) * 8 for array in fields]   # 8-byte aligned
-    memory = mmap.mmap(-1, max(1, sum(sizes)))
-    views, offset = [], 0
-    for array, size in zip(fields, sizes):
-        view = np.frombuffer(memory, array.dtype, array.size, offset)
-        view = view.reshape(array.shape)
-        view[...] = array
-        views.append(view)
-        offset += size
-    return PathFunctionals(*views)
 
 
 def _fill_queue(queue_w: int, n: int) -> int:
@@ -153,7 +139,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(job: _ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
+def _serve(job: ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
            error_w: int, caller: int, mask) -> None:
     """The helper process: scan chunks from the queue until it is empty or
     the caller has died, and write a pickled exception to error_w if the
@@ -180,13 +166,13 @@ def _serve(job: _ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
         os._exit(code)
 
 
-def _scan_queue(job: _ScanJob, shared: PathFunctionals, chunk: int,
+def _scan_queue(job: ScanJob, shared: PathFunctionals, chunk: int,
                 queue_r: int, caller: int | None = None) -> None:
     """Scan the chunks whose indices this process reads from the queue until
     it is empty; with caller, stop as well once that process has died."""
     while (index := _claim(queue_r)) is not None:
         lo = index * chunk
-        simulate._scan_paths(job, lo, _slots(shared, lo, lo + chunk))
+        _scan.scan_paths(job, lo, _scan.slots(shared, lo, lo + chunk))
         if caller is not None and os.getppid() != caller:
             return
 

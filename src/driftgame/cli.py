@@ -24,9 +24,10 @@ from . import __version__
 from .equilibrium import BracketFailure, build_solution, check_qvi
 from .model import DomainError, InvalidParameters, ModelParams, belief_to_ratio, \
     ratio_to_belief
-from .simulate import Measure, SimConfig, fmt17, write_csv, write_trajectory_csv
+from .simulate import TRAJECTORY_COLUMNS, Measure, SimConfig, fmt17, write_csv, \
+    write_trajectory_csv
 from .sweeps import DEFAULT_SWEEP_POINTS, SWEEPABLE, SweepSpec, default_sweep_values, \
-    run_sweep, sample_path_figure, write_path_csv, write_sweep_csv
+    run_sweep, sample_path_figure, write_sweep_csv
 from .symmetric import NoConvergence, solve_symmetric, value_of_information
 from .verify import deviations_player1, deviations_player2, mc_oracle_suite
 
@@ -252,8 +253,8 @@ def _cmd_path(args) -> int:
                       "path_index": args.path_index, "a": info["a"],
                       "b": info["b"], "censored": info["censored"],
                       "columns": args.columns})
-    writer = write_path_csv if args.columns == "figure" else write_trajectory_csv
-    _emit(settings, "csv", None, lambda fh: writer(traj, fh, metadata=meta))
+    _emit(settings, "csv", None, lambda fh: write_trajectory_csv(
+        traj, fh, metadata=meta, columns=args.columns))
     return EXIT_OK
 
 
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", parents=[shared],
                        help="one seeded sample path until the stop")
     p.add_argument("--path-index", type=int, default=0)
-    p.add_argument("--columns", choices=("full", "figure"), default="full",
+    p.add_argument("--columns", choices=tuple(TRAJECTORY_COLUMNS), default="full",
                    help="full trajectory columns or (t, PiStar, Gamma)")
     p.set_defaults(func=_cmd_path)
 

@@ -14,23 +14,18 @@ Randomness comes from counter-based Philox substreams keyed by
 its own and bit-reproducibly, regardless of the order paths are run in.
 
 The Monte Carlo backend (path_functionals) streams its paths instead of
-holding a grid.  Each path's noise is drawn in blocks of _BLOCK_START
-steps, doubling up to _BLOCK_MAX, and its sums are formed block by block.
-_scan_paths steps a batch of up to 128 paths together through those
-blocks, in chunks of steps that cover every live path with one numpy call
-per operation; a path leaves the batch at its stop, so its draws end
-within a chunk of it.  The result is bit-identical to scanning each path
-alone, for any batch size and chunk length: the rules that keep it so are
-in _scan_paths.  A pass with a stride s tests the stop on every s-th step
-only, which is the grid s times coarser on the same Brownian path: the
-dt-refinement study (verify.dt_convergence_study) runs one such pass per
-grid.
+holding a grid.  It checks its arguments and hands one job to the batched
+kernel in driftgame._scan, which owns how a pass runs; from
+_SPREAD_MIN_PATHS paths up the pass goes through driftgame._spread, which
+may share it with a forked helper process.  A pass with a stride s tests
+the stop on every s-th step only: the grid s times coarser on the same
+Brownian path, one pass per grid of the dt-refinement study.
 
-A sample path with a lower threshold (generate_trajectory) is walked in
-the same block schedule and ends with the block that holds its stop.  Its
-block steps continue one pass over the grid exactly, so the walk equals
-the full grid (simulate_phi, reflect) sliced at the stop, bit for bit; the
-rules that keep it so are in generate_trajectory.
+The kernel and the sample-path walk (generate_trajectory) draw a path in
+blocks of _BLOCK_START steps, doubling up to _BLOCK_MAX.  The walk ends
+with the block that holds its stop, and equals the full grid
+(simulate_phi, reflect) sliced at the stop, bit for bit; the rules that
+keep it so are in generate_trajectory.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,38 +67,6 @@ def substream(seed: int, path_index: int, role: int) -> np.random.Generator:
         raise ValueError(f"path_index={path_index} out of range")
     key = (seed << 64) | (path_index << 2) | role
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class _StreamPool:
-    """Reusable generators, each rekeyed per (path, role) substream.
-
-    Produces streams bit-identical to :func:`substream` while skipping the
-    per-construction entropy gathering, which dominates tight path loops.
-    Slot i holds one stream at a time; a slot is made on its first use.
-    Not thread safe.
-    """
-
-    def __init__(self):
-        self._bgs: list[np.random.Philox] = []
-        self._gens: list[np.random.Generator] = []
-        self._state = np.random.Philox(key=0).state
-
-    def reset(self, seed: int, path_index: int, role: int,
-              slot: int) -> np.random.Generator:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed={seed} outside [0, 2^64)")
-        while slot >= len(self._bgs):
-            self._bgs.append(np.random.Philox(key=0))
-            self._gens.append(np.random.Generator(self._bgs[-1]))
-        st = self._state
-        st["state"]["key"][0] = (path_index << 2) | role
-        st["state"]["key"][1] = seed
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bgs[slot].state = st
-        return self._gens[slot]
 
 
 @dataclass(frozen=True)
@@ -299,16 +261,16 @@ def reflect(traj: Trajectory, barrier: float) -> Trajectory:
 
 
 def generate_trajectory(config: SimConfig, params: ModelParams,
-                        path_index: int = 0) -> Trajectory:
-    """Simulate one path with its substreams and reflect it at the barrier.
+                        path_index: int = 0) -> tuple[Trajectory, bool]:
+    """Simulate one path with its substreams, reflect it at config.barrier
+    and end it at its stop at config.lower.  Returns (trajectory,
+    censored), as stop_at_lower does.
 
-    Without config.lower the whole grid is simulated and reflected as one
-    block.  With it the path ends at its stop: it is walked in blocks of
-    _BLOCK_START steps, doubling up to _BLOCK_MAX, each block simulated,
-    reflected and cut with stop_at_lower, and the walk ends with the block
-    that holds the first grid point where PhiB <= lower (a censored path
-    runs the whole grid).  The result equals
-    stop_at_lower(reflect(simulate_phi(...)), lower)[0] bit for bit:
+    The path is walked in blocks of _BLOCK_START steps, doubling up to
+    _BLOCK_MAX, each block simulated, reflected and cut with stop_at_lower,
+    and the walk ends with the block that holds the first grid point where
+    PhiB <= lower (a censored path runs the whole grid).  The result equals
+    stop_at_lower(reflect(simulate_phi(...)), lower) bit for bit:
 
     - each block draws standard_normal(block) from the same substream,
       which continues the sequence one draw of the whole grid gives;
@@ -321,14 +283,13 @@ def generate_trajectory(config: SimConfig, params: ModelParams,
 
     The _MAX_GRID_STEPS refusal comes before any draw, as in simulate_phi.
     """
+    if config.lower is None:
+        raise ValueError("config.lower is required for a sample path")
     theta = None
     if config.measure is Measure.PHYSICAL:
         regime = substream(config.seed, path_index, ROLE_REGIME_DRAW)
         theta = int(regime.random() < params.prior)
     noise = substream(config.seed, path_index, ROLE_PATH_NOISE)
-    if config.lower is None:
-        return reflect(simulate_phi(config, params, noise, theta), config.barrier)
-
     _refuse_long_grid(config)
     n = config.n_steps
     parts = []
@@ -344,11 +305,11 @@ def generate_trajectory(config: SimConfig, params: ModelParams,
         k += xi.size
         block = min(block * 2, _BLOCK_MAX)
     if len(parts) == 1:
-        return parts[0]
+        return parts[0], censored
     return dataclasses.replace(parts[0], **{
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
         for f in dataclasses.fields(Trajectory)
-        if isinstance(getattr(parts[0], f.name), np.ndarray)})
+        if isinstance(getattr(parts[0], f.name), np.ndarray)}), censored
 
 
 def stop_at_lower(traj: Trajectory, lower: float) -> tuple[Trajectory, bool]:
@@ -384,15 +345,21 @@ def write_csv(fh, header, rows, metadata: dict | None = None) -> None:
         fh.write(",".join(fmt17(v) for v in row) + "\n")
 
 
-TRAJECTORY_COLUMNS = ("t", "X", "Phi", "PhiB", "PiStar", "Gamma", "L")
+# Column sets of write_trajectory_csv; "t" is the grid time.
+TRAJECTORY_COLUMNS = {"full": ("t", "X", "Phi", "PhiB", "PiStar", "Gamma", "L"),
+                      "figure": ("t", "PiStar", "Gamma")}
 
 
-def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None) -> None:
-    """Full trajectory export: one row per grid point."""
+def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None,
+                         columns: str = "full") -> None:
+    """A reflected trajectory, one row per grid point, in the columns of
+    TRAJECTORY_COLUMNS[columns]."""
     if traj.PhiB is None:
         raise ValueError("trajectory has no reflection; call reflect() first")
-    cols = (traj.times, traj.X, traj.Phi, traj.PhiB, traj.PiStar, traj.Gamma, traj.L)
-    write_csv(fh, TRAJECTORY_COLUMNS, zip(*(c.tolist() for c in cols)), metadata)
+    header = TRAJECTORY_COLUMNS[columns]
+    cols = [getattr(traj, "times" if name == "t" else name).tolist()
+            for name in header]
+    write_csv(fh, header, zip(*cols), metadata)
 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
@@ -420,27 +387,6 @@ class PathFunctionals:
     @property
     def n_paths(self) -> int:
         return self.tau.size
-
-
-class _ScanJob(NamedTuple):
-    """Everything a scan of some of path_functionals' paths needs.
-
-    A NamedTuple, not a dataclass: it is defined on every import, where a
-    dataclass of this size costs about 2 ms.
-    """
-
-    seed: int
-    phi0: float
-    c_drift: float       # log-ratio drift per step
-    c_noise: float       # log-ratio noise scale per step
-    k_max: int           # steps to the horizon
-    dt: float
-    rate: float          # discount rate
-    weight_phi: bool
-    z_hit: float         # log of the reflection barrier that times the stop
-    z_lo: float          # log of the absorbing lower threshold
-    z_pays: tuple        # logs of the payoff barriers
-    stride: int = 1      # the stop is tested on steps k with k % stride == 0
 
 
 def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
@@ -488,9 +434,11 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
         raise ValueError(f"stride={stride} is longer than the "
                          f"{config.n_steps} steps to the horizon")
 
+    from . import _scan
+
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
-    job = _ScanJob(
+    job = _scan.ScanJob(
         seed=config.seed, phi0=phi0,
         c_drift=(m_phi - 0.5 * d.omega**2) * config.dt,
         c_noise=d.omega * math.sqrt(config.dt),
@@ -498,61 +446,10 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
         weight_phi=weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
         z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride))
-    out = _unscanned(config.n_paths, len(bpays))
     if config.n_paths < _SPREAD_MIN_PATHS:
-        _scan_paths(job, 0, out)
-    else:
-        from . import _spread
-        _spread.scan(job, out)
-    return out
-
-
-def _unscanned(n: int, n_barriers: int) -> PathFunctionals:
-    """Slots for n paths, ready for _scan_paths: tau NaN, none censored."""
-    return PathFunctionals(
-        tau=np.full(n, np.nan), censored=np.zeros(n, dtype=bool),
-        phi_refl_end=np.empty(n), r_pay_end=np.empty((n_barriers, n)),
-        stieltjes=np.empty((n_barriers, n)))
-
-
-def _scan_paths(job: _ScanJob, lo: int, out: PathFunctionals) -> None:
-    """Scan paths lo, lo + 1, ... into the slots of out (from _unscanned,
-    or views of such slots), one path per slot.
-
-    The scan is driftgame._scan's, imported on the first scan.  It steps
-    batches of _scan.BATCH_PATHS rows together through blocks of
-    _BLOCK_START steps, doubling up to _BLOCK_MAX.  Each block is walked in
-    chunks of min(rest of block, max(_scan.CHUNK_MIN, _scan.CHUNK_CELLS //
-    live rows)) steps, each chunk one numpy call per operation over every
-    live row, and a row leaves the batch at its stop, so its draws end
-    within one chunk of it.  The result is bit-identical to scanning each path
-    alone, block by block:
-
-    - a row's noise is drawn from its own substream a chunk at a time,
-      which is the sequence one draw of the whole block gives;
-    - the log ratio is a block-local cumsum that carries its last value
-      into the chunk's first element, plus the block's starting value
-      after it, as one cumsum of the block would round;
-    - every reflection is max(M - z_b, r0) with M the running maximum of
-      the log ratio: rounding a subtraction is monotone, so that is the
-      running maximum of max(log ratio - z_b, r0) bit for bit;
-    - a Stieltjes sum takes the terms of a (row, barrier, block) in step
-      order and sums them with one .sum(), never in parts, because numpy's
-      pairwise sum depends on how the terms are grouped;
-    - with a stride s the noise, the log ratio and the blocks stay on the
-      fine steps, and the maximum, reflection and stop read the columns of
-      steps k with k % s == 0 alone, so every stride reads one path and a
-      chunk that holds no such step only carries the log ratio forward.
-    """
-    from . import _scan
-
-    _scan.scan_paths(job, lo, out)
-
-
-def _slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
-    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
-    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
-                              for field in dataclasses.fields(PathFunctionals)})
+        return _scan.scan(job, config.n_paths)
+    from . import _spread
+    return _spread.scan(job, config.n_paths)
 
 
 # Below this many paths path_functionals never shares its scan with a helper

@@ -15,8 +15,7 @@ import numpy as np
 
 from .equilibrium import build_solution
 from .model import DomainError, InvalidParameters, ModelParams
-from .simulate import Measure, SimConfig, Trajectory, generate_trajectory, \
-    stop_at_lower, write_csv
+from .simulate import Measure, SimConfig, Trajectory, generate_trajectory, write_csv
 
 SWEEPABLE = ("mu0", "mu1", "sigma", "eps")
 
@@ -111,8 +110,7 @@ def sample_path_figure(params: ModelParams, config: SimConfig,
         raise ValueError("sample paths use the physical measure")
     sol = build_solution(params)
     cfg = dataclasses.replace(config, barrier=sol.B, lower=sol.A)
-    traj, censored = stop_at_lower(generate_trajectory(cfg, params, path_index),
-                                   sol.A)
+    traj, censored = generate_trajectory(cfg, params, path_index)
     return traj, {"a": sol.a, "b": sol.b, "censored": censored}
 
 
@@ -123,9 +121,3 @@ def write_sweep_csv(result: SweepResult, fh, metadata=None) -> None:
               ((r.parameter, r.value, r.A, r.B, r.a, r.b, r.status)
                for r in result.rows), metadata)
 
-
-def write_path_csv(traj: Trajectory, fh, metadata=None) -> None:
-    """Figure-style export: (t, PiStar, Gamma) rows until the stop."""
-    write_csv(fh, ("t", "PiStar", "Gamma"),
-              zip(traj.times.tolist(), traj.PiStar.tolist(),
-                  traj.Gamma.tolist()), metadata)

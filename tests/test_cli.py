@@ -189,12 +189,14 @@ def _python_env():
 
 
 def test_cli_import_leaves_helper_code_out():
-    # the helper code is imported only when the kernel may start a helper,
-    # so the set-up of a command does not pay for it
+    # the kernel is imported on the first pass, and the helper code only
+    # when the kernel may start a helper, so the set-up of a command pays
+    # for neither
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, driftgame.cli; "
-         "print(sorted({'driftgame._spread', 'multiprocessing'} & set(sys.modules)))"],
+         "print(sorted({'driftgame._scan', 'driftgame._spread', 'multiprocessing'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, env=_python_env(), timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 

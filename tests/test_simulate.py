@@ -269,13 +269,32 @@ def test_generate_trajectory_deterministic(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=2.0, n_paths=1, seed=31,
                     measure=Measure.PHYSICAL, barrier=sol.B, lower=sol.A)
-    a = generate_trajectory(cfg, base_params, path_index=4)
-    b = generate_trajectory(cfg, base_params, path_index=4)
+    a, _ = generate_trajectory(cfg, base_params, path_index=4)
+    b, _ = generate_trajectory(cfg, base_params, path_index=4)
     assert a.theta == b.theta
     for name in ("times", "X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    c = generate_trajectory(cfg, base_params, path_index=5)
+    c, _ = generate_trajectory(cfg, base_params, path_index=5)
     assert not np.array_equal(a.Phi, c.Phi)
+
+
+def test_generate_trajectory_reports_its_stop(base_params):
+    # the walk returns the censored flag of the full grid's cut, and a
+    # config without a lower threshold has no stop to walk to
+    sol = build_solution(base_params)
+    flags = set()
+    for horizon in (50.0, 0.02):
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=1, seed=31,
+                        measure=Measure.PHYSICAL, barrier=sol.B, lower=sol.A)
+        for i in range(3):
+            traj, censored = generate_trajectory(cfg, base_params, i)
+            want, want_censored = _full_grid_stop(cfg, base_params, i)
+            assert censored == want_censored
+            assert traj.times.size == want.times.size
+            flags.add(censored)
+    assert flags == {False, True}
+    with pytest.raises(ValueError, match="lower"):
+        generate_trajectory(dataclasses.replace(cfg, lower=None), base_params)
 
 
 def _full_grid_stop(cfg, params, path_index):
@@ -332,7 +351,7 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, block_start):
                       for i in range(2)]
     for params, cfg, i in cases:
         want, censored = _full_grid_stop(cfg, params, i)
-        got = generate_trajectory(cfg, params, i)
+        got, _ = generate_trajectory(cfg, params, i)
         assert (got.theta, got.barrier) == (want.theta, want.barrier)
         for name in ("times", "X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
             a, b = getattr(got, name), getattr(want, name)
@@ -463,8 +482,9 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
     # 300 paths (not a multiple of the batch), paths that reach the
     # 8192-step blocks (at dt 1e-5), a horizon of 3001 steps that ends
     # inside a chunk and censors some paths, starts above B and at A, paths
-    # from a nonzero offset scanned by _scan_paths directly, and a first
+    # from a nonzero offset scanned by scan_paths directly, and a first
     # block of 256 steps.
+    import driftgame._scan as scan
     import driftgame.simulate as sim
 
     sol = build_solution(base_params)
@@ -485,15 +505,15 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
                                    weight_phi=weight_phi, payoff_barriers=barriers)
         else:
             m_phi, _ = log_drifts(base_params, d, measure)
-            job = sim._ScanJob(
+            job = scan.ScanJob(
                 seed=cfg.seed, phi0=phi0,
                 c_drift=(m_phi - 0.5 * d.omega**2) * cfg.dt,
                 c_noise=d.omega * math.sqrt(cfg.dt), k_max=cfg.n_steps,
                 dt=cfg.dt, rate=rate, weight_phi=weight_phi,
                 z_hit=math.log(sol.B), z_lo=math.log(sol.A),
                 z_pays=tuple(math.log(b) for b in barriers))
-            got = sim._unscanned(n, len(barriers))
-            sim._scan_paths(job, lo, got)
+            got = scan.unscanned(n, len(barriers))
+            scan.scan_paths(job, lo, got)
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
             assert steps.max() > 1024 + 2048 + 4096   # an 8192-step block
@@ -598,27 +618,27 @@ def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
     # The caller's own chunks are faked, so the helper scans the real ones.
     # An exception in the helper is raised in the caller with its type; a
     # helper that dies is an error, not a wait for results that never come.
+    import driftgame._scan as scan
     import driftgame._spread as spread
-    import driftgame.simulate as sim
 
     helper_switch.set(True)
-    caller, real_scan = os.getpid(), sim._scan_paths
+    caller, real_scan = os.getpid(), scan.scan_paths
 
     def scan_in_helper(helper_scan):
         return lambda job, lo, out: (None if os.getpid() == caller
                                      else helper_scan(job, lo, out))
 
-    bad_seed = sim._ScanJob(
+    bad_seed = scan.ScanJob(
         seed=2**64, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10, dt=0.1,
         rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,))
-    monkeypatch.setattr(sim, "_scan_paths", scan_in_helper(real_scan))
+    monkeypatch.setattr(scan, "scan_paths", scan_in_helper(real_scan))
     with pytest.raises(ValueError, match="outside"):
-        spread.scan(bad_seed, sim._unscanned(300, 1))
+        spread.scan(bad_seed, 300)
     assert helper_switch.helper_chunks >= 1
-    monkeypatch.setattr(sim, "_scan_paths",
+    monkeypatch.setattr(scan, "scan_paths",
                         scan_in_helper(lambda job, lo, out: os._exit(3)))
     with pytest.raises(RuntimeError, match="died"):
-        spread.scan(bad_seed._replace(seed=1), sim._unscanned(300, 1))
+        spread.scan(bad_seed._replace(seed=1), 300)
     assert helper_switch.helper_chunks >= 1
     assert len(helper_switch.helpers) == 2
     assert helper_switch.all_ended()
@@ -626,20 +646,19 @@ def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
 
 def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
     # Where no helper can be forked, the caller scans every chunk itself.
+    import driftgame._scan as scan
     import driftgame._spread as spread
-    import driftgame.simulate as sim
 
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
-    job = sim._ScanJob(
+    job = scan.ScanJob(
         seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
         rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
-    serial, split = sim._unscanned(300, 1), sim._unscanned(300, 1)
-    sim._scan_paths(job, 0, serial)
+    serial = scan.scan(job, 300)
     helper_switch.set(True)
     monkeypatch.setattr(spread, "_fork", no_fork)
-    spread.scan(job, split)
+    split = spread.scan(job, 300)
     for field in dataclasses.fields(serial):
         assert np.array_equal(getattr(split, field.name),
                               getattr(serial, field.name), equal_nan=True)
@@ -650,10 +669,10 @@ def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
     # The fork copies every descriptor of the caller, such as the pipes of
     # a split pass another thread is setting up.  The helper closes all but
     # its own two, so no reader of those waits on it for an end of file.
+    import driftgame._scan as scan
     import driftgame._spread as spread
-    import driftgame.simulate as sim
 
-    caller, real_scan = os.getpid(), sim._scan_paths
+    caller, real_scan = os.getpid(), scan.scan_paths
     read_end, write_end = os.pipe()
 
     def scan_checking_descriptors(job, lo, out):
@@ -666,13 +685,13 @@ def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
                 raise ValueError("the helper holds a descriptor of its caller")
         real_scan(job, lo, out)
 
-    job = sim._ScanJob(
+    job = scan.ScanJob(
         seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
         rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
     helper_switch.set(True)
-    monkeypatch.setattr(sim, "_scan_paths", scan_checking_descriptors)
+    monkeypatch.setattr(scan, "scan_paths", scan_checking_descriptors)
     try:
-        spread.scan(job, sim._unscanned(300, 1))
+        spread.scan(job, 300)
     finally:
         os.close(read_end)
         os.close(write_end)
@@ -711,6 +730,32 @@ def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(other, field.name),
                                   getattr(one, field.name), equal_nan=True)
+
+
+def test_split_pass_returns_private_arrays(base_params, monkeypatch, helper_switch):
+    # A split pass returns heap copies of its shared slots: a process the
+    # caller forks later writes into its own copy of the result only.
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=10,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    helper_switch.set(True)
+    pf = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
+    assert helper_switch.helper_chunks >= 1
+    tau, stieltjes = pf.tau.copy(), pf.stieltjes.copy()
+    pid = spread._fork()
+    if pid == 0:
+        try:
+            pf.tau[:] = -1.0
+            pf.stieltjes[:] = -1.0
+        finally:
+            os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert np.array_equal(pf.tau, tau, equal_nan=True)
+    assert np.array_equal(pf.stieltjes, stieltjes)
 
 
 def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switch):
@@ -773,10 +818,10 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
 # left to reap.
 _SLOW_CALLER = """
 import atexit, os, time
+import driftgame._scan as scan
 import driftgame._spread as spread
-import driftgame.simulate as sim
 
-real_fork, real_scan, helpers = spread._fork, sim._scan_paths, []
+real_fork, real_scan, helpers = spread._fork, scan.scan_paths, []
 
 def fork():
     pid = real_fork()
@@ -798,11 +843,11 @@ def report():
             print("reaped", flush=True)
 
 spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
-spread._fork, sim._scan_paths = fork, slow_scan
-job = sim._ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
+spread._fork, scan.scan_paths = fork, slow_scan
+job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
                    dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
                    z_pays=(0.0,))
-spread.scan(job, sim._unscanned(4000, 1))
+spread.scan(job, 4000)
 """
 
 
@@ -964,7 +1009,7 @@ def test_trajectory_csv(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2,
                     measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    traj = generate_trajectory(cfg, base_params, 0)
+    traj, _ = generate_trajectory(cfg, base_params, 0)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, metadata={"seed": 2, "b": sol.b})
     lines = buf.getvalue().splitlines()

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from driftgame import DomainError, build_solution
-from driftgame.simulate import Measure, SimConfig
+from driftgame.simulate import Measure, SimConfig, write_trajectory_csv
 from driftgame.sweeps import (
     SweepSpec,
     default_sweep_values,
     run_sweep,
     sample_path_figure,
-    write_path_csv,
     write_sweep_csv,
 )
 
@@ -120,7 +119,8 @@ def test_path_csv_schema(base_params):
     params = dataclasses.replace(base_params, prior=0.35)
     traj, meta = sample_path_figure(params, _fig_cfg(7))
     buf = io.StringIO()
-    write_path_csv(traj, buf, metadata={"a": meta["a"], "b": meta["b"]})
+    write_trajectory_csv(traj, buf, metadata={"a": meta["a"], "b": meta["b"]},
+                         columns="figure")
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("# a=0.2476673491")
     assert lines[1].startswith("# b=0.4646989377")
