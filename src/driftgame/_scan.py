@@ -24,6 +24,11 @@ any batch size and chunk length:
 - every reflection is max(M - z_b, r0) with M the running maximum of the
   log ratio: rounding a subtraction is monotone, so that is the running
   maximum of max(log ratio - z_b, r0) bit for bit;
+- so a reflection is constant, bit for bit, between two steps where M
+  grows, and a chunk prices every payoff barrier at once on those steps
+  alone: a reflection's value before such a step is its value at M one
+  step back, the log ratio at it is M itself, and each term takes the
+  float operations that pricing every step would;
 - a Stieltjes sum takes the terms of a (row, barrier, block) in step order
   and sums them with one .sum(), never in parts, because numpy's pairwise
   sum depends on how the terms are grouped;
@@ -122,7 +127,7 @@ def scan_paths(job: ScanJob, lo: int, out: PathFunctionals) -> None:
         out.phi_refl_end[:] = math.exp(z0 - r_hit0)
         return
     scratch = scan_scratch()
-    terms = [_BlockTerms() for _ in z_pays]
+    terms = _BlockTerms(len(z_pays), BATCH_PATHS)
     for first in range(0, out.n_paths, BATCH_PATHS):
         _scan_batch(job, lo + first, slots(out, first, first + BATCH_PATHS),
                     r_pay0, scratch, terms)
@@ -130,10 +135,10 @@ def scan_paths(job: ScanJob, lo: int, out: PathFunctionals) -> None:
 
 def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
                 r_pay0: np.ndarray, scratch: _ScanScratch,
-                terms: list[_BlockTerms]) -> None:
+                terms: _BlockTerms) -> None:
     """scan_paths(job, lo, out) as one batch, with out's slots already
     holding the time-zero reflections r_pay0 and Stieltjes sums, and an
-    empty _BlockTerms per payoff barrier."""
+    empty _BlockTerms with a key for each payoff barrier and slot."""
     z0 = math.log(job.phi0)
     z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
     r_hit0 = max(0.0, z0 - z_hit)
@@ -146,7 +151,7 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
     ids = np.arange(n)                # the live rows' slots in out
     z_start = np.full(n, z0)          # log ratio at the block's start
     top = np.full(n, -np.inf)         # running maximum of the log ratio
-    r_pay = np.repeat(r_pay0[:, None], n, axis=1)
+    z_col, r0_col = np.array(z_pays)[:, None], r_pay0[:, None]
     tau, censored, phi_end = out.tau, out.censored, out.phi_refl_end
 
     k_done, block = 0, simulate._BLOCK_START
@@ -177,11 +182,14 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
             if not mg:   # no grid point; the horizon's chunk always has one
                 off += m
                 continue
-            mx, zr = (buf[:live * mg].reshape(live, mg)
-                      for buf in scratch.floats[1:])
+            # mxb: top, then the running maximum at each grid point (mx)
+            mxb = scratch.floats[1][:live * (mg + 1)].reshape(live, mg + 1)
+            mxb[:, 0] = top
+            mxb[:, 1:] = zg
+            np.maximum.accumulate(mxb, axis=1, out=mxb)
+            mx = mxb[:, 1:]
+            zr = scratch.floats[2][:live * mg].reshape(live, mg)
             hit = scratch.hit[:live * mg].reshape(live, mg)
-            np.maximum.accumulate(zg, axis=1, out=mx)
-            np.maximum(mx, top[:, None], out=mx)
             # zr: the log of the ratio reflected at the hit barrier
             np.subtract(mx, z_hit, out=zr)
             np.maximum(zr, r_hit0, out=zr)
@@ -190,31 +198,32 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
             stop = hit.any(axis=1).nonzero()[0]
             end = np.full(live, mg)            # grid points of the chunk each row takes
             end[stop] = hit[stop].argmax(axis=1) + 1
-            at = (np.arange(live), end - 1)    # each row's last grid point taken
-            # payoff barriers come with stride 1 only: grid points are fine steps
-            for b, zp in enumerate(z_pays):
-                r_now = np.maximum(mx[at] - zp, r_pay0[b])
-                grow = (r_now > r_pay[b]).nonzero()[0]
-                if grow.size:
-                    # Gamma only moves where the payoff reflection grows:
-                    # e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}) there, in a
-                    # form that neither cancels nor overflows.
-                    rp = mx[grow]
-                    rp -= zp
-                    np.maximum(rp, r_pay0[b], out=rp)
-                    rp_prev = np.empty_like(rp)
-                    rp_prev[:, 0] = r_pay[b, grow]
-                    rp_prev[:, 1:] = rp[:, :-1]
-                    up = rp > rp_prev
-                    for g in (end[grow] < mg).nonzero()[0].tolist():
-                        up[g, end[grow[g]]:] = False
-                    gi, idx = up.nonzero()
-                    lw = rate_dt * (k_chunk + 1.0 + idx) - rp_prev[gi, idx]
-                    if job.weight_phi:
-                        lw += zg[grow[gi], idx]
-                    terms[b].append(ids[grow[gi]], np.exp(lw)
-                                    * -np.expm1(rp_prev[gi, idx] - rp[gi, idx]))
-                r_pay[b] = r_now
+            if z_pays:   # payoff barriers come with stride 1: grid points are steps
+                # Gamma moves only where a reflection max(M - z_b, r0_b)
+                # grows, so only on steps up to the row's stop where the
+                # running maximum M grows: p, their flat positions in mxb.
+                # The log ratio there is M, and M one step back (top, for
+                # the chunk's first step) gives each reflection before it.
+                flat = mxb.reshape(-1)
+                new = np.greater(flat[1:], flat[:-1], out=scratch.hit[:flat.size - 1])
+                new[mg::mg + 1] = False   # a row's top is no step
+                for r, j in zip(stop.tolist(), end[stop].tolist()):
+                    new[r * (mg + 1) + j:(r + 1) * (mg + 1)] = False
+                p = new.nonzero()[0] + 1
+                m_new = flat[p]
+                rp = m_new - z_col             # (barrier, step)
+                rp_prev = flat[p - 1] - z_col
+                np.maximum(rp, r0_col, out=rp)
+                np.maximum(rp_prev, r0_col, out=rp_prev)
+                row, col = np.divmod(p, mg + 1)
+                # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}), in
+                # a form that neither cancels nor overflows
+                lw = rate_dt * (k_chunk + col) - rp_prev
+                if job.weight_phi:
+                    lw += m_new
+                grows = rp > rp_prev
+                terms.append((terms.first_keys + ids[row])[grows],
+                             np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
             leave = stop
             if off + m == n_block and k_done + n_block == k_max:
                 # the horizon: every row that has not stopped is censored
@@ -225,59 +234,68 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
                 for s, r, j in zip(ids[leave].tolist(), leave.tolist(),
                                    (end[leave] - 1).tolist()):
                     phi_end[s] = math.exp(zr[r, j])
-                out.r_pay_end[:, ids[leave]] = r_pay[:, leave]
+                if z_pays:
+                    out.r_pay_end[:, ids[leave]] = np.maximum(
+                        mx[leave, end[leave] - 1] - z_col, r0_col)
                 keep = np.ones(live, dtype=bool)
                 keep[leave] = False
                 gens = [gen for gen, k in zip(gens, keep.tolist()) if k]
-                ids, z_start, r_pay = ids[keep], z_start[keep], r_pay[:, keep]
+                ids, z_start = ids[keep], z_start[keep]
                 top = mx[keep, -1]
                 if off + m < n_block:
                     carry = carry[keep]
             else:
                 top = mx[:, -1].copy()
             off += m
-        for stj, block_terms in zip(out.stieltjes, terms):
-            block_terms.add_sums(stj)
+        terms.add_sums(out.stieltjes)
         k_done += n_block
         block = min(block * 2, simulate._BLOCK_MAX)
 
 
 class _BlockTerms:
-    """One payoff barrier's Stieltjes terms in a block, chunk by chunk: the
-    slot and the term of each step where its reflection grows.  Kept in
+    """The payoff barriers' Stieltjes terms in a block, chunk by chunk: the
+    key and the term of each step where a barrier's reflection grows.  The
+    key of barrier b and slot s is b * rows + s, in the narrowest unsigned
+    integer that holds every key (2 bytes up to 512 barriers of 128 rows);
+    first_keys holds each barrier's key of slot 0, as a column.  Kept in
     buffers that outlive the block and grow when a block needs more (by a
     fixed step: the largest block sets the scan's peak memory)."""
 
-    def __init__(self):
-        self._slots = np.empty(0, dtype=np.int16)   # a batch has < 2**15 rows
+    def __init__(self, n_barriers: int, rows: int):
+        self.first_keys = np.arange(0, n_barriers * rows, rows)[:, None]
+        self._shape = (n_barriers, rows)
+        self._keys = np.empty(0, np.min_scalar_type(max(n_barriers * rows - 1, 0)))
         self._terms = np.empty(0)
         self._size = 0
 
-    def append(self, slots: np.ndarray, terms: np.ndarray) -> None:
-        """Terms of one chunk, in slot order and then step order."""
+    def append(self, keys: np.ndarray, terms: np.ndarray) -> None:
+        """Terms of one chunk, in step order within each key."""
         size, end = self._size, self._size + terms.size
         if end > self._terms.size:
             cap = end + 1024
-            self._slots = np.concatenate((self._slots[:size],
-                                          np.empty(cap - size, dtype=np.int16)))
+            self._keys = np.concatenate((self._keys[:size],
+                                         np.empty(cap - size, self._keys.dtype)))
             self._terms = np.concatenate((self._terms[:size], np.empty(cap - size)))
-        self._slots[size:end] = slots
+        self._keys[size:end] = keys
         self._terms[size:end] = terms
         self._size = end
 
     def add_sums(self, stj: np.ndarray) -> None:
-        """Add to stj[s] the terms of slot s, in step order, with one .sum()
-        (numpy's pairwise sum depends on how terms are grouped), and empty
-        the buffers for the next block."""
+        """Add to stj (barriers x slots) the sum of each key's terms, taken
+        in step order with one .sum() (numpy's pairwise sum depends on how
+        terms are grouped), and empty the buffers for the next block.  The
+        sums go into one array, added to stj at once: a key without terms
+        adds 0.0, which changes no bit."""
         if not self._size:
             return
-        order = np.argsort(self._slots[:self._size], kind="stable")
-        slots, terms = self._slots[order], self._terms[order]
+        order = np.argsort(self._keys[:self._size], kind="stable")
+        keys, terms = self._keys[order], self._terms[order]
         self._size = 0
-        cuts = ((slots[1:] != slots[:-1]).nonzero()[0] + 1).tolist()
-        for s, a, b in zip(slots[[0] + cuts].tolist(), [0] + cuts,
-                           cuts + [slots.size]):
-            stj[s] += float(terms[a:b].sum())
+        cuts = ((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()
+        sums = np.zeros(self._shape)
+        sums.reshape(-1)[keys[[0] + cuts]] = [
+            terms[a:b].sum() for a, b in zip([0] + cuts, cuts + [keys.size])]
+        stj += sums[:, :stj.shape[1]]
 
 
 class _StreamPool:
@@ -315,7 +333,7 @@ class _StreamPool:
 class _ScanScratch:
     """Buffers and generators of _scan_batch, reused across calls: three
     float buffers and one bool buffer of `cells` cells (a chunk's rows x
-    steps at most), and a generator for each batch row."""
+    (steps + 1) at most), and a generator for each batch row."""
 
     def __init__(self, cells: int):
         self.floats = tuple(np.empty(cells) for _ in range(3))
@@ -331,7 +349,7 @@ def scan_scratch() -> _ScanScratch:
     chunk sizes have grown since).  No result depends on what an earlier
     scan left in it: each batch rekeys its generators, and each chunk
     writes its buffers before reading them."""
-    cells = max(BATCH_PATHS * CHUNK_MIN, CHUNK_CELLS)
+    cells = max(BATCH_PATHS * CHUNK_MIN, CHUNK_CELLS) + BATCH_PATHS
     scratch = getattr(_per_thread, "scratch", None)
     if scratch is None or scratch.hit.size < cells:
         scratch = _per_thread.scratch = _ScanScratch(cells)

@@ -59,6 +59,7 @@ def scan(job: ScanJob, n: int) -> PathFunctionals:
     _scan.scan_scratch()   # built once, before the fork, for both processes
     shared = _scan.unscanned(n, len(job.z_pays), lambda size: mmap.mmap(-1, size))
     queue_r, queue_w = os.pipe()
+    os.set_blocking(queue_w, False)   # see _fill_queue
     error_r, error_w = os.pipe()
     open_fds = [queue_r, queue_w, error_r, error_w]
 
@@ -112,11 +113,15 @@ def _cpu_count() -> int:
 def _fill_queue(queue_w: int, n: int) -> int:
     """Write the index of every chunk of the n paths into the empty queue
     pipe, and return the paths per chunk: CHUNK_PATHS, or more where the
-    pipe cannot hold a record per chunk of CHUNK_PATHS."""
+    pipe cannot hold a record per chunk of CHUNK_PATHS.
+
+    Nothing reads the pipe yet, so a write that found it full would wait
+    forever; queue_w is non-blocking, and such a write raises
+    BlockingIOError instead."""
     records = fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ) // _RECORD.itemsize
     chunk = max(CHUNK_PATHS, -(-n // records))
     view = memoryview(np.arange(-(-n // chunk), dtype=_RECORD).tobytes())
-    while view:   # never blocks: the records fit in the pipe
+    while view:   # the records fit in the pipe
         view = view[os.write(queue_w, view):]
     return chunk
 

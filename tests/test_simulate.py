@@ -447,11 +447,12 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
 def test_fused_pass_matches_one_pass_per_barrier(base_params):
     # One scan that prices several payoff barriers is bitwise equal to one
     # pass per barrier: tilted0 with the Phi weight and tilted1, barriers
-    # below and above B, paths that outlive the first 1024-step block,
-    # paths censored at a short horizon, and a start above B (time-zero
-    # jump of every barrier below phi0).
+    # below and above B, a repeated level, a level no path reaches, paths
+    # that outlive the first 1024-step block, paths censored at a short
+    # horizon, and a start above B (time-zero jump of every barrier below
+    # phi0).
     sol = build_solution(base_params)
-    barriers = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
+    barriers = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 1.25, 50.0)]
     cases = [(Measure.TILTED0, True, 0.6, 10.0),
              (Measure.TILTED1, False, 0.6, 10.0),
              (Measure.TILTED1, False, 0.6, 0.15),
@@ -475,6 +476,29 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
             assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
+
+
+def test_many_payoff_barriers_in_one_pass(base_params):
+    # 300 payoff barriers give more (barrier, slot) keys than a signed
+    # 2-byte integer holds, 600 more than an unsigned one; the first, a
+    # middle and the last barrier are bitwise equal to one pass each.
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=3.0, n_paths=6, seed=21,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    for n_barriers in (300, 600):
+        barriers = list(np.linspace(0.5, 2.0, n_barriers) * sol.B)
+        got = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1,
+                               weight_phi=True, payoff_barriers=barriers)
+        assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
+        for i in (0, n_barriers // 2, n_barriers - 1):
+            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+                base_params, 0.6, cfg, base_params.mu1, True, barriers[i])
+            assert np.array_equal(got.tau, tau, equal_nan=True)
+            assert np.array_equal(got.censored, cens)
+            assert np.array_equal(got.phi_refl_end, phi_end)
+            assert np.array_equal(got.r_pay_end[i], r_end)
+            assert np.array_equal(got.stieltjes[i], stj)
+            assert (stj > 0.0).any()   # a level some path prices
 
 
 def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
@@ -813,6 +837,54 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
                               getattr(serial, field.name), equal_nan=True)
 
 
+def _child_env() -> dict:
+    """The environment of a Python child process that imports this driftgame."""
+    import driftgame
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driftgame.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# A split pass whose queue needs twice the records its pipe holds, because
+# F_GETPIPE_SZ reports four times the pipe's real size: it prints "raised"
+# on BlockingIOError, and whether every descriptor it opened was closed.
+_MISCOUNTED_QUEUE = """
+import fcntl, os, types
+import driftgame._scan as scan
+import driftgame._spread as spread
+
+def fcntl_4x(fd, cmd, *args):
+    size = fcntl.fcntl(fd, cmd, *args)
+    return 4 * size if cmd == fcntl.F_GETPIPE_SZ else size
+
+read_end, write_end = os.pipe()
+records = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 8
+os.close(read_end)
+os.close(write_end)
+spread.fcntl = types.SimpleNamespace(fcntl=fcntl_4x, F_GETPIPE_SZ=fcntl.F_GETPIPE_SZ)
+spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
+job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
+                   dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
+                   z_pays=())
+before = os.listdir("/proc/self/fd")
+try:
+    spread.scan(job, 2 * records)
+except BlockingIOError:
+    print("raised", os.listdir("/proc/self/fd") == before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+def test_overfull_queue_raises_instead_of_waiting():
+    # Nothing reads the queue while it is filled, so a write to a full pipe
+    # would wait forever; it raises, and the pass closes its pipes.
+    proc = subprocess.run([sys.executable, "-c", _MISCOUNTED_QUEUE], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "True"]
+
+
 # A caller whose pass of 4000 one-path chunks takes about 20 s: it prints
 # its helper's pid when it forks it, and "reaped" at exit if no helper is
 # left to reap.
@@ -854,12 +926,7 @@ spread.scan(job, 4000)
 def _start_slow_caller(**popen_kw):
     """A running _SLOW_CALLER process, once its helper is forked, and the
     helper's pid."""
-    import driftgame
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(driftgame.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-c", _SLOW_CALLER], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", _SLOW_CALLER], env=_child_env(),
                             stdout=subprocess.PIPE, text=True, **popen_kw)
     return proc, int(proc.stdout.readline())
 
