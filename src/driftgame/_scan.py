@@ -1,23 +1,36 @@
-"""The Monte Carlo kernel: one pass of simulate.path_functionals.
+"""The Monte Carlo kernel: one pass of simulate.stacked_path_functionals.
 
-This module owns how a pass runs: the job (ScanJob), the per-path
-generators (_StreamPool), the output slots (unscanned) and the batched
-scan (scan_paths).  path_functionals builds the job and hands it to scan()
-here, or to driftgame._spread from 1024 paths up.  It imports this module
-on its first pass, so that importing the CLI compiles none of it.
+This module owns how a pass runs: the jobs (a ScanJob for each measure
+of the pass), the per-path generators (_StreamPool), the output slots
+(unscanned) and the batched scan (scan_paths).  stacked_path_functionals
+builds the jobs and hands them to scan() here, or to driftgame._spread
+from 1024 paths up.  It imports this module on its first
+pass, so that importing the CLI compiles none of it.
+
+A pass may scan one path under several measures.  A path's noise comes
+from its own substream whatever the measure, and the measures' log ratios
+differ only in their drift, so their jobs share seed, phi0, c_noise, the
+grid, z_hit, z_lo and stride, and each adds its own c_drift, rate,
+weight_phi and z_pays.  A batch holds a row for each (measure, path).
 
 Each path's noise is drawn in blocks of simulate._BLOCK_START steps,
 doubling up to simulate._BLOCK_MAX (read at call time), and its sums are
-formed block by block.  scan_paths steps batches of BATCH_PATHS rows
-together through those blocks.  Each block is walked in chunks of
-min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // live rows)) steps, each
-chunk one numpy call per operation over every live row, and a row leaves
-the batch at its stop, so its draws end within one chunk of it.  The
-result is bit-identical to scanning each path alone, block by block, for
-any batch size and chunk length:
+formed block by block.  scan_paths steps batches of BATCH_PATHS paths, one
+row per measure and path, together through those blocks.  Each block is
+walked in chunks of min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // drawn
+paths)) steps, each chunk one numpy call per operation over every live row
+(or every live row of one measure), and a row leaves the batch at its
+stop.  A path is drawn while it has a live row, so a second measure adds
+rows to a chunk but not chunks to a block.  The result is bit-identical
+to scanning each path alone under each measure, block by block, for any
+batch size and chunk length:
 
-- a row's noise is drawn from its own substream a chunk at a time, which
+- a path's noise is drawn from its own substream a chunk at a time, which
   is the sequence one draw of the whole block gives;
+- one draw of a path feeds the rows of every measure: each row scales the
+  same normals by the shared c_noise and adds its measure's drift, as a
+  pass of that measure alone would, and the path's draws end within one
+  chunk of its last measure's stop;
 - the log ratio is a block-local cumsum that carries its last value into
   the chunk's first element, plus the block's starting value after it, as
   one cumsum of the block would round;
@@ -25,13 +38,13 @@ any batch size and chunk length:
   log ratio: rounding a subtraction is monotone, so that is the running
   maximum of max(log ratio - z_b, r0) bit for bit;
 - so a reflection is constant, bit for bit, between two steps where M
-  grows, and a chunk prices every payoff barrier at once on those steps
-  alone: a reflection's value before such a step is its value at M one
-  step back, the log ratio at it is M itself, and each term takes the
-  float operations that pricing every step would;
-- a Stieltjes sum takes the terms of a (row, barrier, block) in step order
-  and sums them with one .sum(), never in parts, because numpy's pairwise
-  sum depends on how the terms are grouped;
+  grows, and a chunk prices every payoff barrier of a measure at once on
+  those steps alone: a reflection's value before such a step is its value
+  at M one step back, the log ratio at it is M itself, and each term takes
+  the float operations that pricing every step would;
+- a Stieltjes sum takes the terms of a (measure, row, barrier, block) in
+  step order and sums them with one .sum(), never in parts, because
+  numpy's pairwise sum depends on how the terms are grouped;
 - with a stride s the noise, the log ratio and the blocks stay on the fine
   steps, and the maximum, reflection and stop read the columns of steps k
   with k % s == 0 alone, so every stride reads one path and a chunk that
@@ -55,11 +68,13 @@ from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
 BATCH_PATHS = 128     # paths scanned together
 CHUNK_MIN = 64        # fewest steps in one chunk
-CHUNK_CELLS = 8192    # rows x steps of a chunk above that minimum
+CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
 
 
 class ScanJob(NamedTuple):
-    """Everything a scan of some of a pass's paths needs.
+    """Everything a scan of some of a pass's paths under one measure needs.
+    A pass over several measures is a tuple of ScanJobs that differ in
+    c_drift, rate, weight_phi and z_pays alone.
 
     A NamedTuple, not a dataclass: a dataclass of this size costs about
     2 ms to define.
@@ -102,57 +117,79 @@ def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
                               for field in dataclasses.fields(PathFunctionals)})
 
 
-def scan(job: ScanJob, n: int) -> PathFunctionals:
-    """Paths 0..n-1 of the job, scanned in this process."""
-    out = unscanned(n, len(job.z_pays))
-    scan_paths(job, 0, out)
-    return out
+def scan(jobs: tuple, n: int) -> tuple:
+    """Paths 0..n-1 of a pass, scanned in this process under each of jobs,
+    its measures: slots from unscanned, one per job."""
+    outs = tuple(unscanned(n, len(job.z_pays)) for job in jobs)
+    scan_paths(jobs, 0, outs)
+    return outs
 
 
-def scan_paths(job: ScanJob, lo: int, out: PathFunctionals) -> None:
-    """Scan paths lo, lo + 1, ... into the slots of out (from unscanned,
-    or views of such slots), one path per slot."""
-    z0 = math.log(job.phi0)
-    z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
+def scan_paths(jobs, lo: int, outs) -> None:
+    """Scan paths lo, lo + 1, ... into the slots of outs, one path per slot:
+    jobs is a tuple of ScanJobs of one pass and outs a tuple of slots (from
+    unscanned, or views of such slots), one per job; or one ScanJob and its
+    slots.  Any order of the jobs gives the same bits; the largest drift
+    first draws fastest (see _scan_batch)."""
+    if isinstance(jobs, ScanJob):
+        jobs, outs = (jobs,), (outs,)
+    head = jobs[0]
+    z0 = math.log(head.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
-    r_hit0 = max(0.0, z0 - z_hit)
-    r_pay0 = np.array([r_hit0 if zp == z_hit else max(0.0, z0 - zp)
-                       for zp in z_pays])
-    sti0 = np.array([(job.phi0 if job.weight_phi else 1.0) * -math.expm1(-r)
-                     for r in r_pay0.tolist()])
-    out.r_pay_end[:] = r_pay0[:, None]
-    out.stieltjes[:] = sti0[:, None]
-    if z0 - r_hit0 <= z_lo:   # every path stops at time zero
-        out.tau[:] = 0.0
-        out.phi_refl_end[:] = math.exp(z0 - r_hit0)
+    r_hit0 = max(0.0, z0 - head.z_hit)
+    r_pay0s = []
+    for one, part in zip(jobs, outs):
+        r_pay0 = np.array([r_hit0 if zp == one.z_hit else max(0.0, z0 - zp)
+                           for zp in one.z_pays])
+        sti0 = np.array([(one.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
+                         for r in r_pay0.tolist()])
+        part.r_pay_end[:] = r_pay0[:, None]
+        part.stieltjes[:] = sti0[:, None]
+        r_pay0s.append(r_pay0)
+    if z0 - r_hit0 <= head.z_lo:   # every path stops at time zero
+        for part in outs:
+            part.tau[:] = 0.0
+            part.phi_refl_end[:] = math.exp(z0 - r_hit0)
         return
-    scratch = scan_scratch()
-    terms = _BlockTerms(len(z_pays), BATCH_PATHS)
-    for first in range(0, out.n_paths, BATCH_PATHS):
-        _scan_batch(job, lo + first, slots(out, first, first + BATCH_PATHS),
-                    r_pay0, scratch, terms)
+    scratch = scan_scratch(len(jobs))
+    terms = _BlockTerms([len(one.z_pays) for one in jobs], BATCH_PATHS)
+    for first in range(0, outs[0].n_paths, BATCH_PATHS):
+        _scan_batch(jobs, lo + first,
+                    [slots(out, first, first + BATCH_PATHS) for out in outs],
+                    r_pay0s, scratch, terms)
 
 
-def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
-                r_pay0: np.ndarray, scratch: _ScanScratch,
-                terms: _BlockTerms) -> None:
-    """scan_paths(job, lo, out) as one batch, with out's slots already
-    holding the time-zero reflections r_pay0 and Stieltjes sums, and an
-    empty _BlockTerms with a key for each payoff barrier and slot."""
-    z0 = math.log(job.phi0)
-    z_hit, z_lo, z_pays = job.z_hit, job.z_lo, job.z_pays
+def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
+                scratch: _ScanScratch, terms: _BlockTerms) -> None:
+    """scan_paths(jobs, lo, outs) as one batch, with outs' slots already
+    holding the time-zero reflections r_pay0s and Stieltjes sums, and an
+    empty _BlockTerms with a key for each measure, payoff barrier and slot.
+
+    The batch has a row for each measure and path that have not stopped,
+    measure by measure: bounds[i]:bounds[i + 1] are the rows of jobs[i],
+    ids their slots.  Each chunk draws the noise of every path with a row
+    once, into the first measure's rows while they are those paths, else
+    into a buffer, and copies it into the other rows.  A path is drawn
+    until its last row has stopped.  The same noise with a larger drift
+    stops no earlier (in exact arithmetic), so with the largest drift
+    first the draws go in place."""
+    head = jobs[0]
+    z0 = math.log(head.phi0)
+    z_hit, z_lo = head.z_hit, head.z_lo
     r_hit0 = max(0.0, z0 - z_hit)
-    c_drift, c_noise, dt, stride = job.c_drift, job.c_noise, job.dt, job.stride
-    k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
-    rate_dt = job.rate * dt
-    n = out.n_paths
-    gens = [scratch.pool.reset(job.seed, lo + p, ROLE_PATH_NOISE, p)
-            for p in range(n)]
-    ids = np.arange(n)                # the live rows' slots in out
-    z_start = np.full(n, z0)          # log ratio at the block's start
-    top = np.full(n, -np.inf)         # running maximum of the log ratio
-    z_col, r0_col = np.array(z_pays)[:, None], r_pay0[:, None]
-    tau, censored, phi_end = out.tau, out.censored, out.phi_refl_end
+    c_noise, dt, stride = head.c_noise, head.dt, head.stride
+    k_max = head.k_max - head.k_max % stride   # the horizon's last grid point
+    n = outs[0].n_paths
+    slot_gens = [scratch.pool.reset(head.seed, lo + p, ROLE_PATH_NOISE, p)
+                 for p in range(n)]
+    ids = np.tile(np.arange(n), len(jobs))   # the live rows' slots in outs
+    bounds = [i * n for i in range(len(jobs) + 1)]
+    paths, copies = _draws(ids, n, n)
+    gens = slot_gens                      # the drawn paths' generators
+    z_start = np.full(ids.size, z0)       # log ratio at the block's start
+    top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
+    parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None], keys)
+             for one, out, r_pay0, keys in zip(jobs, outs, r_pay0s, terms.first_keys)]
 
     k_done, block = 0, simulate._BLOCK_START
     while ids.size and k_done < k_max:
@@ -160,13 +197,19 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
         off = 0
         while ids.size and off < n_block:
             live = ids.size
-            m = min(n_block - off, max(CHUNK_MIN, CHUNK_CELLS // live))
+            m = min(n_block - off, max(CHUNK_MIN, CHUNK_CELLS // paths.size))
             k_chunk = k_done + off
             zb = scratch.floats[0][:live * m].reshape(live, m)
-            for gen, row in zip(gens, zb):
+            # in place when the rows that copy nothing are the drawn paths
+            drawn = zb[:paths.size] if live - copies.size == paths.size else \
+                scratch.floats[2][:paths.size * m].reshape(paths.size, m)
+            for gen, row in zip(gens, drawn):
                 gen.standard_normal(out=row)
-            zb *= c_noise
-            zb += c_drift
+            drawn *= c_noise
+            if copies.size:
+                np.take(drawn, copies, axis=0, out=zb[live - copies.size:], mode="clip")
+            for one, a, b in zip(jobs, bounds, bounds[1:]):
+                zb[a:b] += one.c_drift
             if off:
                 zb[:, 0] += carry
             np.cumsum(zb, axis=1, out=zb)
@@ -198,73 +241,119 @@ def _scan_batch(job: ScanJob, lo: int, out: PathFunctionals,
             stop = hit.any(axis=1).nonzero()[0]
             end = np.full(live, mg)            # grid points of the chunk each row takes
             end[stop] = hit[stop].argmax(axis=1) + 1
-            if z_pays:   # payoff barriers come with stride 1: grid points are steps
-                # Gamma moves only where a reflection max(M - z_b, r0_b)
-                # grows, so only on steps up to the row's stop where the
-                # running maximum M grows: p, their flat positions in mxb.
-                # The log ratio there is M, and M one step back (top, for
-                # the chunk's first step) gives each reflection before it.
-                flat = mxb.reshape(-1)
-                new = np.greater(flat[1:], flat[:-1], out=scratch.hit[:flat.size - 1])
-                new[mg::mg + 1] = False   # a row's top is no step
-                for r, j in zip(stop.tolist(), end[stop].tolist()):
-                    new[r * (mg + 1) + j:(r + 1) * (mg + 1)] = False
-                p = new.nonzero()[0] + 1
-                m_new = flat[p]
-                rp = m_new - z_col             # (barrier, step)
-                rp_prev = flat[p - 1] - z_col
-                np.maximum(rp, r0_col, out=rp)
-                np.maximum(rp_prev, r0_col, out=rp_prev)
-                row, col = np.divmod(p, mg + 1)
-                # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}), in
-                # a form that neither cancels nor overflows
-                lw = rate_dt * (k_chunk + col) - rp_prev
-                if job.weight_phi:
-                    lw += m_new
-                grows = rp > rp_prev
-                terms.append((terms.first_keys + ids[row])[grows],
-                             np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
-            leave = stop
-            if off + m == n_block and k_done + n_block == k_max:
-                # the horizon: every row that has not stopped is censored
-                leave = np.arange(live)
-                censored[np.delete(ids, stop)] = True
+            horizon = off + m == n_block and k_done + n_block == k_max
+            # a row leaves at its stop; at the horizon every row that has
+            # not stopped leaves too, censored
+            leave = np.arange(live) if horizon else stop
             if leave.size:
-                tau[ids[stop]] = (k_chunk + first + 1 + (end[stop] - 1) * stride) * dt
-                for s, r, j in zip(ids[leave].tolist(), leave.tolist(),
-                                   (end[leave] - 1).tolist()):
-                    phi_end[s] = math.exp(zr[r, j])
-                if z_pays:
-                    out.r_pay_end[:, ids[leave]] = np.maximum(
-                        mx[leave, end[leave] - 1] - z_col, r0_col)
+                tau = (k_chunk + first + 1 + (end[stop] - 1) * stride) * dt
+                last = end[leave] - 1
+                phi_end = [math.exp(v) for v in zr[leave, last].tolist()]
+                top_end = mx[leave, last]
+                stopped, gone = ids[stop], ids[leave]
+            stop_cuts = _cuts(stop, bounds)
+            leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
+            for (one, out, z_col, r0_col, keys), a, b, s_a, s_b, l_a, l_b in zip(
+                    parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
+                    leave_cuts, leave_cuts[1:]):
+                # payoff barriers come with stride 1: grid points are steps
+                if one.z_pays and a < b:
+                    # Gamma moves only where a reflection max(M - z_b, r0_b)
+                    # grows, so only on steps up to the row's stop where the
+                    # running maximum M grows: p, their flat positions in
+                    # the measure's rows of mxb.  The log ratio there is M,
+                    # and M one step back (top, for the chunk's first step)
+                    # gives each reflection before it.
+                    flat = mxb[a:b].reshape(-1)
+                    new = np.greater(flat[1:], flat[:-1],
+                                     out=scratch.hit[:flat.size - 1])
+                    new[mg::mg + 1] = False   # a row's top is no step
+                    rows = stop[s_a:s_b]
+                    for r, j in zip(rows.tolist(), end[rows].tolist()):
+                        new[(r - a) * (mg + 1) + j:(r - a + 1) * (mg + 1)] = False
+                    p = new.nonzero()[0] + 1
+                    m_new = flat[p]
+                    rp = m_new - z_col             # (barrier, step)
+                    rp_prev = flat[p - 1] - z_col
+                    np.maximum(rp, r0_col, out=rp)
+                    np.maximum(rp_prev, r0_col, out=rp_prev)
+                    row, col = np.divmod(p, mg + 1)
+                    # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
+                    # in a form that neither cancels nor overflows
+                    lw = one.rate * dt * (k_chunk + col) - rp_prev
+                    if one.weight_phi:
+                        lw += m_new
+                    grows = rp > rp_prev
+                    terms.append((keys + ids[a:b][row])[grows],
+                                 np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
+                if l_a < l_b:
+                    out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
+                    out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
+                    if one.z_pays:
+                        out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
+                            top_end[l_a:l_b] - z_col, r0_col)
+                    if horizon:
+                        out.censored[np.delete(ids[a:b], stop[s_a:s_b] - a)] = True
+            if leave.size:
                 keep = np.ones(live, dtype=bool)
                 keep[leave] = False
-                gens = [gen for gen, k in zip(gens, keep.tolist()) if k]
                 ids, z_start = ids[keep], z_start[keep]
                 top = mx[keep, -1]
                 if off + m < n_block:
                     carry = carry[keep]
+                bounds = [b - c for b, c in zip(bounds, leave_cuts)]
+                paths, copies = _draws(ids, bounds[1], n)
+                if paths.size < len(gens):
+                    gens = [slot_gens[p] for p in paths.tolist()]
             else:
                 top = mx[:, -1].copy()
             off += m
-        terms.add_sums(out.stieltjes)
+        terms.add_sums([out.stieltjes for out in outs])
         k_done += n_block
         block = min(block * 2, simulate._BLOCK_MAX)
+
+
+def _cuts(rows: np.ndarray, bounds: list) -> list:
+    """For rows, sorted row indices, where each measure's (bounds[i] up to
+    bounds[i + 1]) begin and end in it."""
+    if len(bounds) == 2:
+        return [0, rows.size]
+    return [0, *np.searchsorted(rows, bounds[1:-1]).tolist(), rows.size]
+
+
+def _draws(ids: np.ndarray, lead: int, n: int) -> tuple:
+    """The slots of the paths a chunk draws (those with a row, in slot
+    order) among n, and where in those draws each row that copies its
+    noise finds it.  The first measure's rows (before lead) take the draws
+    in place while they are all those paths, and copy nothing."""
+    if lead == ids.size:   # no other measure has a row
+        return ids, ids[:0]
+    has_row = np.zeros(n, dtype=bool)
+    has_row[ids] = True
+    paths = has_row.nonzero()[0]
+    at = np.empty(n, dtype=np.intp)
+    at[paths] = np.arange(paths.size)
+    return paths, at[ids[lead if lead == paths.size else 0:]]
 
 
 class _BlockTerms:
     """The payoff barriers' Stieltjes terms in a block, chunk by chunk: the
     key and the term of each step where a barrier's reflection grows.  The
-    key of barrier b and slot s is b * rows + s, in the narrowest unsigned
-    integer that holds every key (2 bytes up to 512 barriers of 128 rows);
-    first_keys holds each barrier's key of slot 0, as a column.  Kept in
-    buffers that outlive the block and grow when a block needs more (by a
-    fixed step: the largest block sets the scan's peak memory)."""
+    measures' barriers are numbered on, measure after measure; the key of
+    barrier b and slot s is b * rows + s, in the narrowest unsigned integer
+    that holds every key (2 bytes up to 512 barriers of 128 rows), and
+    first_keys holds, for each measure, its barriers' keys of slot 0, as a
+    column.  Kept in buffers that outlive the block and grow when a block
+    needs more (by a fixed step: the largest block sets the scan's peak
+    memory)."""
 
-    def __init__(self, n_barriers: int, rows: int):
-        self.first_keys = np.arange(0, n_barriers * rows, rows)[:, None]
-        self._shape = (n_barriers, rows)
-        self._keys = np.empty(0, np.min_scalar_type(max(n_barriers * rows - 1, 0)))
+    def __init__(self, n_barriers: list, rows: int):
+        cuts = np.cumsum([0] + n_barriers)
+        self.first_keys = [np.arange(a * rows, b * rows, rows)[:, None]
+                           for a, b in zip(cuts[:-1], cuts[1:])]
+        self._cuts = cuts.tolist()
+        self._shape = (self._cuts[-1], rows)
+        self._keys = np.empty(0, np.min_scalar_type(max(self._cuts[-1] * rows - 1, 0)))
         self._terms = np.empty(0)
         self._size = 0
 
@@ -280,12 +369,13 @@ class _BlockTerms:
         self._terms[size:end] = terms
         self._size = end
 
-    def add_sums(self, stj: np.ndarray) -> None:
-        """Add to stj (barriers x slots) the sum of each key's terms, taken
-        in step order with one .sum() (numpy's pairwise sum depends on how
-        terms are grouped), and empty the buffers for the next block.  The
-        sums go into one array, added to stj at once: a key without terms
-        adds 0.0, which changes no bit."""
+    def add_sums(self, stjs: list) -> None:
+        """Add to each measure's stj (barriers x slots) in stjs the sum of
+        each of its keys' terms, taken in step order with one .sum()
+        (numpy's pairwise sum depends on how terms are grouped), and empty
+        the buffers for the next block.  The sums go into one array, added
+        to each stj at once: a key without terms adds 0.0, which changes no
+        bit."""
         if not self._size:
             return
         order = np.argsort(self._keys[:self._size], kind="stable")
@@ -295,7 +385,8 @@ class _BlockTerms:
         sums = np.zeros(self._shape)
         sums.reshape(-1)[keys[[0] + cuts]] = [
             terms[a:b].sum() for a, b in zip([0] + cuts, cuts + [keys.size])]
-        stj += sums[:, :stj.shape[1]]
+        for a, b, stj in zip(self._cuts[:-1], self._cuts[1:], stjs):
+            stj += sums[a:b, :stj.shape[1]]
 
 
 class _StreamPool:
@@ -333,7 +424,7 @@ class _StreamPool:
 class _ScanScratch:
     """Buffers and generators of _scan_batch, reused across calls: three
     float buffers and one bool buffer of `cells` cells (a chunk's rows x
-    (steps + 1) at most), and a generator for each batch row."""
+    (steps + 1) at most), and a generator for each path of a batch."""
 
     def __init__(self, cells: int):
         self.floats = tuple(np.empty(cells) for _ in range(3))
@@ -344,12 +435,13 @@ class _ScanScratch:
 _per_thread = threading.local()
 
 
-def scan_scratch() -> _ScanScratch:
-    """This thread's scratch, made on its first scan (and again if the
-    chunk sizes have grown since).  No result depends on what an earlier
-    scan left in it: each batch rekeys its generators, and each chunk
-    writes its buffers before reading them."""
-    cells = max(BATCH_PATHS * CHUNK_MIN, CHUNK_CELLS) + BATCH_PATHS
+def scan_scratch(n_measures: int = 1) -> _ScanScratch:
+    """This thread's scratch for a pass of n_measures measures (a chunk
+    has at most n_measures rows per drawn path), made on its first scan
+    and again when a pass needs more cells than it has.  No result depends on
+    what an earlier scan left in it: each batch rekeys its generators, and
+    each chunk writes its buffers before reading them."""
+    cells = n_measures * (max(BATCH_PATHS * CHUNK_MIN, CHUNK_CELLS) + BATCH_PATHS)
     scratch = getattr(_per_thread, "scratch", None)
     if scratch is None or scratch.hit.size < cells:
         scratch = _per_thread.scratch = _ScanScratch(cells)

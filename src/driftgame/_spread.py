@@ -1,20 +1,21 @@
 """One Monte Carlo pass shared with a forked helper process.
 
-simulate.path_functionals hands a pass to scan() here from
-simulate._SPREAD_MIN_PATHS (1024) paths up; the rest of the decision is
-made here.  On Linux, when this process may run on another CPU (its
-affinity set, so taskset limits it), the pass forks one helper.  Elsewhere
-it runs serially in driftgame._scan: fork is unsafe on macOS, and no other
-platform is tested.
+simulate.stacked_path_functionals hands a pass, with every measure it
+scans, to scan() here from simulate._SPREAD_MIN_PATHS (1024) paths up; the
+rest of the decision is made here.  On Linux, when this process may run on
+another CPU (its affinity set, so taskset limits it), the pass forks one
+helper.  Elsewhere it runs serially in driftgame._scan: fork is unsafe on
+macOS, and no other platform is tested.
 
 Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
 every chunk's index is written into one pipe, the queue, as an 8-byte
 record.  Caller and helper each read one record at a time and scan that
-chunk with _scan.scan_paths, until the queue is empty; a pipe read of a
-whole record already in the pipe is atomic, so each chunk is scanned once,
-and neither process waits on the other before its last chunk.  The slots
-come from _scan.unscanned laid out in an anonymous shared mapping, so the
-helper writes its paths in place.  Every path lands in its own slot, so the
+chunk with _scan.scan_paths, under every measure of the pass, until the
+queue is empty; a pipe read of a whole record already in the pipe is
+atomic, so each chunk is scanned once, and neither process waits on the
+other before its last chunk.  Each measure's slots come from
+_scan.unscanned laid out in an anonymous shared mapping, so the helper
+writes its paths in place.  Every path lands in its own slot, so the
 result is bit-identical to one scan in one process.  scan() returns a
 private heap copy of the slots: the mapping would stay shared with any
 process the caller forks later, which could then write into the result.
@@ -43,21 +44,23 @@ import warnings
 import numpy as np
 
 from . import _scan
-from ._scan import PathFunctionals, ScanJob
+from ._scan import PathFunctionals
 
 CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
 
 _RECORD = np.dtype("<i8")   # one chunk index in the queue
 
 
-def scan(job: ScanJob, n: int) -> PathFunctionals:
-    """_scan.scan(job, n), with a forked helper process scanning some of
-    its chunks where this process may use a second CPU on Linux; the
-    helper has ended on return."""
+def scan(jobs: tuple, n: int) -> tuple:
+    """_scan.scan(jobs, n), with a forked helper process scanning some of
+    its chunks, under every measure of the pass, where this process may
+    use a second CPU on Linux; the helper has ended on return."""
     if sys.platform != "linux" or _cpu_count() < 2:
-        return _scan.scan(job, n)
-    _scan.scan_scratch()   # built once, before the fork, for both processes
-    shared = _scan.unscanned(n, len(job.z_pays), lambda size: mmap.mmap(-1, size))
+        return _scan.scan(jobs, n)
+    _scan.scan_scratch(len(jobs))   # built once, before the fork, for both processes
+    shared = tuple(_scan.unscanned(n, len(job.z_pays),
+                                   lambda size: mmap.mmap(-1, size))
+                   for job in jobs)
     queue_r, queue_w = os.pipe()
     os.set_blocking(queue_w, False)   # see _fill_queue
     error_r, error_w = os.pipe()
@@ -77,13 +80,13 @@ def scan(job: ScanJob, n: int) -> PathFunctionals:
         try:
             helper = _fork()
             if helper == 0:
-                _serve(job, shared, chunk, queue_r, error_w, caller, mask)
+                _serve(jobs, shared, chunk, queue_r, error_w, caller, mask)
         except OSError:   # no process to spare: this one scans every chunk
             pass
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         close(error_w)
-        _scan_queue(job, shared, chunk, queue_r)
+        _scan_queue(jobs, shared, chunk, queue_r)
         error = _read_to_end(error_r)   # ends when the helper does
         if helper is not None:
             _, status = os.waitpid(helper, 0)
@@ -98,8 +101,9 @@ def scan(job: ScanJob, n: int) -> PathFunctionals:
         raise pickle.loads(error)
     if status:
         raise RuntimeError("a path_functionals helper process died")
-    return PathFunctionals(*(getattr(shared, field.name).copy()
-                             for field in dataclasses.fields(PathFunctionals)))
+    return tuple(PathFunctionals(*(getattr(pf, field.name).copy()
+                                   for field in dataclasses.fields(PathFunctionals)))
+                 for pf in shared)
 
 
 def _cpu_count() -> int:
@@ -144,7 +148,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(job: ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
+def _serve(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
            error_w: int, caller: int, mask) -> None:
     """The helper process: scan chunks from the queue until it is empty or
     the caller has died, and write a pickled exception to error_w if the
@@ -161,7 +165,7 @@ def _serve(job: ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
             low = fd + 1
         os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         try:
-            _scan_queue(job, shared, chunk, queue_r, caller)
+            _scan_queue(jobs, shared, chunk, queue_r, caller)
             code = 0
         except Exception as exc:  # noqa: BLE001 - re-raised in the caller
             view = memoryview(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
@@ -171,13 +175,14 @@ def _serve(job: ScanJob, shared: PathFunctionals, chunk: int, queue_r: int,
         os._exit(code)
 
 
-def _scan_queue(job: ScanJob, shared: PathFunctionals, chunk: int,
-                queue_r: int, caller: int | None = None) -> None:
+def _scan_queue(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
+                caller: int | None = None) -> None:
     """Scan the chunks whose indices this process reads from the queue until
     it is empty; with caller, stop as well once that process has died."""
     while (index := _claim(queue_r)) is not None:
         lo = index * chunk
-        _scan.scan_paths(job, lo, _scan.slots(shared, lo, lo + chunk))
+        _scan.scan_paths(jobs, lo, tuple(_scan.slots(out, lo, lo + chunk)
+                                         for out in shared))
         if caller is not None and os.getppid() != caller:
             return
 

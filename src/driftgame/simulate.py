@@ -13,13 +13,15 @@ Randomness comes from counter-based Philox substreams keyed by
 (master seed, path index, stream role), so any path can be generated on
 its own and bit-reproducibly, regardless of the order paths are run in.
 
-The Monte Carlo backend (path_functionals) streams its paths instead of
-holding a grid.  It checks its arguments and hands one job to the batched
-kernel in driftgame._scan, which owns how a pass runs; from
-_SPREAD_MIN_PATHS paths up the pass goes through driftgame._spread, which
-may share it with a forked helper process.  A pass with a stride s tests
-the stop on every s-th step only: the grid s times coarser on the same
-Brownian path, one pass per grid of the dt-refinement study.
+The Monte Carlo backend (stacked_path_functionals, and path_functionals,
+its one-measure case) streams its paths instead of holding a grid.  It
+checks its arguments and hands one job to the batched kernel in
+driftgame._scan, which owns how a pass runs; from _SPREAD_MIN_PATHS paths
+up the pass goes through driftgame._spread, which may share it with a
+forked helper process.  One pass may scan the same paths under both tilted
+measures: each step's noise is drawn once and serves both.  A pass with a
+stride s tests the stop on every s-th step only: the grid s times coarser
+on the same Brownian path, one pass per grid of the dt-refinement study.
 
 The kernel and the sample-path walk (generate_trajectory) draw a path in
 blocks of _BLOCK_START steps, doubling up to _BLOCK_MAX.  The walk ends
@@ -35,6 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -413,15 +416,73 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
-    bit-identical either way.
+    bit-identical either way.  This is the one-measure case of
+    :func:`stacked_path_functionals`.
     """
+    spec = MeasureSpec(config, discount_rate, weight_phi, payoff_barriers, stride)
+    return stacked_path_functionals(params, phi0, (spec,))[0]
+
+
+class MeasureSpec(NamedTuple):
+    """One measure of a stacked pass: path_functionals' arguments after
+    params and phi0, which the measures share."""
+
+    config: SimConfig
+    discount_rate: float
+    weight_phi: bool = False
+    payoff_barriers: tuple | None = None
+    stride: int = 1
+
+
+def stacked_path_functionals(params: ModelParams, phi0: float,
+                             specs) -> tuple[PathFunctionals, ...]:
+    """path_functionals for each MeasureSpec of specs, from one pass over
+    the same paths: one PathFunctionals per spec, in order, each
+    bit-identical to a path_functionals pass of that spec alone.
+
+    A path's noise comes from its substream whatever the measure, and the
+    measures differ only in the drift of log Phi, so each step's noise is
+    drawn once and serves every measure.  The specs' configs must be equal
+    in every field but measure, and their strides equal; anything else is
+    a ValueError, as is an empty specs.  Any order of the specs gives the
+    same bits; tilted1 first is fastest, because its paths stop last and
+    so take the draws in place.
+    """
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("a pass needs at least one measure")
+    config = specs[0].config
+    for spec in specs[1:]:
+        differ = [field.name for field in dataclasses.fields(SimConfig)
+                  if field.name != "measure"
+                  and getattr(spec.config, field.name) != getattr(config, field.name)]
+        if spec.stride != specs[0].stride:
+            differ.append("stride")
+        if differ:
+            raise ValueError(f"the measures of one pass differ in {', '.join(differ)}; "
+                             f"they may differ only in measure")
     if config.lower is None:
         raise ValueError("config.lower is required for first-passage functionals")
     if not phi0 > 0.0:
         raise ValueError(f"phi0={phi0} must be positive")
+    d = derive(params)
+    jobs = tuple(_scan_job(params, d, phi0, spec) for spec in specs)
+    from . import _scan
+
+    if config.n_paths < _SPREAD_MIN_PATHS:
+        return _scan.scan(jobs, config.n_paths)
+    from . import _spread
+    return _spread.scan(jobs, config.n_paths)
+
+
+def _scan_job(params: ModelParams, d: DerivedQuantities, phi0: float,
+              spec: MeasureSpec):
+    """The kernel's job for one measure of a pass, after checking it."""
+    config, stride = spec.config, spec.stride
     if config.measure is Measure.PHYSICAL:
         raise ValueError("streaming functionals support the tilted measures only")
-    bpays = (config.barrier,) if payoff_barriers is None else tuple(payoff_barriers)
+    bpays = ((config.barrier,) if spec.payoff_barriers is None
+             else tuple(spec.payoff_barriers))
     for bpay in bpays:
         if not bpay > 0.0:
             raise ValueError(f"payoff barrier {bpay} must be positive")
@@ -436,23 +497,18 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
 
     from . import _scan
 
-    d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
-    job = _scan.ScanJob(
+    return _scan.ScanJob(
         seed=config.seed, phi0=phi0,
         c_drift=(m_phi - 0.5 * d.omega**2) * config.dt,
         c_noise=d.omega * math.sqrt(config.dt),
-        k_max=config.n_steps, dt=config.dt, rate=discount_rate,
-        weight_phi=weight_phi, z_hit=math.log(config.barrier),
+        k_max=config.n_steps, dt=config.dt, rate=spec.discount_rate,
+        weight_phi=spec.weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
         z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride))
-    if config.n_paths < _SPREAD_MIN_PATHS:
-        return _scan.scan(job, config.n_paths)
-    from . import _spread
-    return _spread.scan(job, config.n_paths)
 
 
-# Below this many paths path_functionals never shares its scan with a helper
+# Below this many paths a pass never shares its scan with a helper
 # process, and so never imports _spread, where the rest of that decision is
 # made.  Forking, ending and reaping the helper costs about 4 ms; on a
 # 2-vCPU VM (dt 1e-4) a split pass of 1024 paths took 0.67-0.76x the time

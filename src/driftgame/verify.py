@@ -5,10 +5,12 @@ closed forms: the informed player's cost in each regime (J0 under the
 tilted low-regime measure, J1 under the tilted high-regime measure) and the
 uninformed player's value Jhat (a two-term representation under the tilted
 low-regime measure).  :func:`mc_oracle_suite` is the entry point for these
-three checks; it runs one pass under each tilted measure.  A deviation
-suite then perturbs each player's strategy: closed-form threshold
-deviations for the stopper, and common-random-number Monte Carlo for the
-informed player's reflection level and time-zero jump strategies.
+three checks; it runs one kernel pass that scans both tilted measures of
+the same paths (simulate.stacked_path_functionals).  A deviation suite
+then perturbs each player's strategy: closed-form threshold deviations for
+the stopper, and common-random-number Monte Carlo for the informed
+player's reflection level and time-zero jump strategies, again from one
+pass over both measures.
 
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumSolution, deviation_value_player1
-from .simulate import Measure, PathFunctionals, SimConfig, path_functionals
+from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
+                       path_functionals, stacked_path_functionals)
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst observed ratio ~0.12; factor-2 safety).
@@ -108,27 +111,35 @@ def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
     return np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
 
 
-def _j0_samples(sol: EquilibriumSolution, phi: float, config: SimConfig
-                ) -> tuple[np.ndarray, np.ndarray, PathFunctionals]:
-    """Per-path (J0, Jhat) samples from one tilted0 pass (shared paths)."""
-    pf = path_functionals(sol.params, phi, config,
-                          discount_rate=sol.params.mu0, weight_phi=True)
+def _j0_spec(sol: EquilibriumSolution, config: SimConfig) -> MeasureSpec:
+    """The tilted0 measure of a pass that _j0_samples reads."""
+    return MeasureSpec(config, discount_rate=sol.params.mu0, weight_phi=True)
+
+
+def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path (J0, Jhat) samples of a tilted0 pass of _j0_spec (shared
+    paths)."""
     eps = sol.params.eps
     stj = pf.stieltjes[0]
     j0 = _j0(sol, pf)
     jhat = np.where(pf.censored,
                     (1.0 + eps) * stj,
                     j0 * (1.0 + pf.phi_refl_end) + (1.0 + eps) * stj)
-    return j0, jhat, pf
+    return j0, jhat
 
 
-def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
-                payoff_barriers=None) -> tuple[np.ndarray, PathFunctionals]:
-    """Per-path J1 samples from one tilted1 pass: one row per payoff
-    barrier (config.barrier alone by default), one column per path."""
-    pf = path_functionals(sol.params, phi, config,
-                          discount_rate=sol.params.mu1, weight_phi=False,
-                          payoff_barriers=payoff_barriers)
+def _j1_spec(sol: EquilibriumSolution, config: SimConfig,
+             payoff_barriers=None) -> MeasureSpec:
+    """The tilted1 measure of a pass that _j1_samples reads: payoff
+    barriers config.barrier alone by default."""
+    return MeasureSpec(config, discount_rate=sol.params.mu1,
+                       payoff_barriers=payoff_barriers)
+
+
+def _j1_samples(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
+    """Per-path J1 samples of a tilted1 pass of _j1_spec: one row per
+    payoff barrier, one column per path."""
     eps = sol.params.eps
     tau = np.where(pf.censored, 0.0, pf.tau)
     # e^{mu1 tau} (1 - Gamma_tau), with 1 - Gamma kept in log space
@@ -136,7 +147,7 @@ def _j1_samples(sol: EquilibriumSolution, phi: float, config: SimConfig,
                   (1.0 + eps) * pf.stieltjes,
                   np.exp(sol.params.mu1 * tau - pf.r_pay_end)
                   + (1.0 + eps) * pf.stieltjes)
-    return j1, pf
+    return j1
 
 
 def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
@@ -164,16 +175,21 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
 
     J0 = E[e^{mu0 tau_A}] (no low-regime stopping) and
     Jhat = E[e^{mu0 tau}(1 + PhiB_tau) + (1+eps) * integral of
-    e^{mu0 t} Phi_t dGamma_t] come from one shared tilted0 pass;
+    e^{mu0 t} Phi_t dGamma_t] come from the tilted0 measure and
     J1 = E[e^{mu1 tau}(1 - Gamma_tau) + (1+eps) * integral of
-    e^{mu1 t} dGamma_t] from one tilted1 pass.  A censored path's missing
-    mass is never folded into the mean; its bound enters the bias bound.
+    e^{mu1 t} dGamma_t] from the tilted1 measure of one pass: J1 shares
+    J0's paths, path i of both measures driven by the same noise, so the
+    two configs must be equal in all but their measure (else ValueError).
+    A censored path's missing mass is never folded into the mean; its
+    bound enters the bias bound.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
     eps = sol.params.eps
-    j0, jhat, pf0 = _j0_samples(sol, phi, config0)
-    (j1,), pf1 = _j1_samples(sol, phi, config1)
+    pf1, pf0 = stacked_path_functionals(
+        sol.params, phi, (_j1_spec(sol, config1), _j0_spec(sol, config0)))
+    j0, jhat = _j0_samples(sol, pf0)
+    (j1,) = _j1_samples(sol, pf1)
     # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
@@ -263,14 +279,14 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
     The stopping time always comes from the equilibrium reflection at B
     (the stopper cannot observe a deviation); the deviating reflection at
-    B' only changes the payoff.  One tilted1 pass scans each path once and
-    prices the equilibrium B and every B' on it (common random numbers),
-    so the comparison is paired: a deviation passes when its estimated
-    cost is no more than SIGMA_LEVEL paired standard errors plus the
-    paired grid-bias budget below the equilibrium cost.  Time-zero jump
-    strategies for the low-regime control are evaluated in closed form
-    from the J0 samples of one tilted0 pass:
-    J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
+    B' only changes the payoff.  One pass scans each path once and
+    prices the equilibrium B and every B' on its tilted1 measure (common
+    random numbers), so the comparison is paired: a deviation passes when
+    its estimated cost is no more than SIGMA_LEVEL paired standard errors
+    plus the paired grid-bias budget below the equilibrium cost.
+    Time-zero jump strategies for the low-regime control are evaluated in
+    closed form from the J0 samples of the same pass's tilted0 measure, on
+    the same paths: J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
     """
     _require(config, Measure.TILTED1, sol)
     bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
@@ -284,7 +300,12 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     rows = []
 
     pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
-    j1, _ = _j1_samples(sol, phi, config, (config.barrier, *bprimes))
+    # J0 needs only the stop (Gamma^0 = 0), so tilted0 prices no sum
+    cfg0 = dataclasses.replace(config, measure=Measure.TILTED0)
+    pf1, pf0 = stacked_path_functionals(sol.params, phi, (
+        _j1_spec(sol, config, (config.barrier, *bprimes)),
+        MeasureSpec(cfg0, discount_rate=sol.params.mu0, payoff_barriers=())))
+    j1 = _j1_samples(sol, pf1)
     j1_eq = j1[0]
     eq_mean = float(j1_eq.mean())
     for bp, j1_dev in zip(bprimes, j1[1:]):
@@ -298,12 +319,8 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
             passed=bool(float(diff.mean()) >= -tol),
             method="mc-paired"))
 
-    # Jump deviations of the low-regime control, against Gamma^0 = 0: J0
-    # needs only the stop, so the tilted0 pass prices no Stieltjes sum.
-    cfg0 = dataclasses.replace(config, measure=Measure.TILTED0)
-    j0 = _j0(sol, path_functionals(sol.params, phi, cfg0,
-                                   discount_rate=sol.params.mu0,
-                                   payoff_barriers=()))
+    # Jump deviations of the low-regime control, against Gamma^0 = 0
+    j0 = _j0(sol, pf0)
     j0_mean = float(j0.mean())
     for p in jump_probs:
         diff = p * ((1.0 + eps) - j0)   # pathwise deviation minus equilibrium

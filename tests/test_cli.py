@@ -261,7 +261,7 @@ def test_one_path_is_rejected_before_simulating(tmp_path, monkeypatch, capsys,
     def no_kernel(*args, **kwargs):
         raise AssertionError("simulated one path")
 
-    monkeypatch.setattr(verify, "path_functionals", no_kernel)
+    monkeypatch.setattr(verify, "stacked_path_functionals", no_kernel)
     code, text = run(tmp_path, command, "--paths", "1")
     assert code == 2 and text == ""
     err = capsys.readouterr().err
@@ -303,7 +303,7 @@ def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
     def no_kernel(*args, **kwargs):
         raise AssertionError("simulated before checking the jump probabilities")
 
-    monkeypatch.setattr(verify, "path_functionals", no_kernel)
+    monkeypatch.setattr(verify, "stacked_path_functionals", no_kernel)
     code, _ = run(tmp_path, "deviations", "--jump-probs", "1.5", "--paths", "5000")
     assert code == 2
     assert "jump probability p=1.5" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from driftgame.simulate import (
     ROLE_PATH_NOISE,
     ROLE_REGIME_DRAW,
     Measure,
+    MeasureSpec,
     SimConfig,
     Trajectory,
     generate_trajectory,
@@ -24,6 +25,7 @@ from driftgame.simulate import (
     path_functionals,
     reflect,
     simulate_phi,
+    stacked_path_functionals,
     stop_at_lower,
     substream,
     write_trajectory_csv,
@@ -638,6 +640,94 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     assert helper_switch.all_ended()
 
 
+def _stacked_pairs(base_params, sol, cfg):
+    """The measure pairs of the mc and deviations commands on cfg's paths:
+    tilted0 with the Phi weight before tilted1 (so tilted1's rows outlive
+    the rows that take the draws), and tilted1 with six payoff barriers
+    before tilted0 with none."""
+    cfg0 = dataclasses.replace(cfg, measure=Measure.TILTED0)
+    cfg1 = dataclasses.replace(cfg, measure=Measure.TILTED1)
+    six = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
+    return ((MeasureSpec(cfg0, base_params.mu0, weight_phi=True),
+             MeasureSpec(cfg1, base_params.mu1)),
+            (MeasureSpec(cfg1, base_params.mu1, payoff_barriers=six),
+             MeasureSpec(cfg0, base_params.mu0, payoff_barriers=())))
+
+
+def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
+                                                    helper_switch):
+    # One pass over two measures gives each measure the bits of a pass of
+    # that measure alone, in every field: the mc and deviations pairs,
+    # starts between A and B, at B, above B and below A (every path stops
+    # at time zero), paths that outlive two blocks, a horizon that censors
+    # some paths, batches of 7 paths in chunks of 5 to 40 steps, and the
+    # helper process on and off.
+    import driftgame._scan as scan
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    monkeypatch.setattr(sim, "_BLOCK_START", 128)
+    sol = build_solution(base_params)
+    for horizon in (10.0, 0.15):
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14,
+                        measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
+        for phi0 in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B, sol.A / 2):
+            for specs in _stacked_pairs(base_params, sol, cfg):
+                helper_switch.set(False)
+                alone = [path_functionals(
+                    base_params, phi0, spec.config, discount_rate=spec.discount_rate,
+                    weight_phi=spec.weight_phi, payoff_barriers=spec.payoff_barriers)
+                    for spec in specs]
+                assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
+                assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
+                if horizon > 1.0 and phi0 > sol.A:   # some path outlives 2 blocks
+                    assert max(np.nanmax(pf.tau) for pf in alone) > 3 * 128 * cfg.dt
+                for on, tiny, n in ((False, False, 300), (True, False, 300),
+                                    (False, True, 40)):
+                    with monkeypatch.context() as patch:
+                        if tiny:
+                            patch.setattr(scan, "BATCH_PATHS", 7)
+                            patch.setattr(scan, "CHUNK_MIN", 5)
+                            patch.setattr(scan, "CHUNK_CELLS", 40)
+                        helper_switch.set(on)
+                        got = stacked_path_functionals(base_params, phi0, [
+                            spec._replace(config=dataclasses.replace(spec.config,
+                                                                     n_paths=n))
+                            for spec in specs])
+                    if on:
+                        assert helper_switch.helper_chunks >= 1
+                    assert len(got) == len(specs)
+                    for one, ref in zip(got, alone):
+                        for field in dataclasses.fields(ref):
+                            assert np.array_equal(getattr(one, field.name),
+                                                  getattr(ref, field.name)[..., :n],
+                                                  equal_nan=True), (on, tiny, field.name)
+    assert len(helper_switch.helpers) == 2 * 4 * 2
+    assert helper_switch.all_ended()
+
+
+def test_stacked_pass_refuses_measures_of_other_paths(base_params):
+    # The measures of one pass may differ in their measure alone.
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=10, seed=3,
+                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    one = MeasureSpec(cfg, base_params.mu1, payoff_barriers=())
+    other = one._replace(config=dataclasses.replace(cfg, measure=Measure.TILTED0))
+    assert len(stacked_path_functionals(base_params, 0.6, (one, other))) == 2
+    for field, value in (("seed", 4), ("dt", 2e-3), ("horizon", 2.0),
+                         ("n_paths", 11), ("barrier", 1.1 * sol.B),
+                         ("lower", 0.9 * sol.A), ("stride", 2)):
+        if field == "stride":
+            wrong = other._replace(stride=value)
+        else:
+            wrong = other._replace(config=dataclasses.replace(other.config,
+                                                              **{field: value}))
+        with pytest.raises(ValueError, match=f"differ in {field};"):
+            stacked_path_functionals(base_params, 0.6, (one, wrong))
+    with pytest.raises(ValueError, match="at least one measure"):
+        stacked_path_functionals(base_params, 0.6, ())
+
+
 def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
     # The caller's own chunks are faked, so the helper scans the real ones.
     # An exception in the helper is raised in the caller with its type; a
@@ -657,12 +747,12 @@ def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
         rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,))
     monkeypatch.setattr(scan, "scan_paths", scan_in_helper(real_scan))
     with pytest.raises(ValueError, match="outside"):
-        spread.scan(bad_seed, 300)
+        spread.scan((bad_seed,), 300)
     assert helper_switch.helper_chunks >= 1
     monkeypatch.setattr(scan, "scan_paths",
                         scan_in_helper(lambda job, lo, out: os._exit(3)))
     with pytest.raises(RuntimeError, match="died"):
-        spread.scan(bad_seed._replace(seed=1), 300)
+        spread.scan((bad_seed._replace(seed=1),), 300)
     assert helper_switch.helper_chunks >= 1
     assert len(helper_switch.helpers) == 2
     assert helper_switch.all_ended()
@@ -679,10 +769,10 @@ def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
     job = scan.ScanJob(
         seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
         rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
-    serial = scan.scan(job, 300)
+    (serial,) = scan.scan((job,), 300)
     helper_switch.set(True)
     monkeypatch.setattr(spread, "_fork", no_fork)
-    split = spread.scan(job, 300)
+    (split,) = spread.scan((job,), 300)
     for field in dataclasses.fields(serial):
         assert np.array_equal(getattr(split, field.name),
                               getattr(serial, field.name), equal_nan=True)
@@ -715,7 +805,7 @@ def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
     helper_switch.set(True)
     monkeypatch.setattr(scan, "scan_paths", scan_checking_descriptors)
     try:
-        spread.scan(job, 300)
+        spread.scan((job,), 300)
     finally:
         os.close(read_end)
         os.close(write_end)
@@ -869,7 +959,7 @@ job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
                    z_pays=())
 before = os.listdir("/proc/self/fd")
 try:
-    spread.scan(job, 2 * records)
+    spread.scan((job,), 2 * records)
 except BlockingIOError:
     print("raised", os.listdir("/proc/self/fd") == before)
 """
@@ -919,7 +1009,7 @@ spread._fork, scan.scan_paths = fork, slow_scan
 job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
                    dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
                    z_pays=(0.0,))
-spread.scan(job, 4000)
+spread.scan((job,), 4000)
 """
 
 

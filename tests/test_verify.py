@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from driftgame import ModelParams, build_solution
-from driftgame.simulate import Measure, SimConfig
+from driftgame.simulate import Measure, SimConfig, stacked_path_functionals
 from driftgame.verify import (
     ConfigMismatch,
     InvalidDeviation,
     _j0_samples,
+    _j0_spec,
     _j1_samples,
+    _j1_spec,
     deviations_player1,
     deviations_player2,
     dt_convergence_study,
@@ -95,16 +97,18 @@ def test_j0_strictly_below_one_for_very_negative_drift():
 
 
 def test_jhat_identity(sol):
-    # Jhat = J0 + phi J1: Jhat and J0 come from the same tilted0 paths, so
-    # their difference is paired; J1 is an independent tilted1 run.
+    # Jhat = J0 + phi J1: one pass gives all three on the same paths (path i
+    # of both measures draws the same noise), so (Jhat - J0) - phi J1 is a
+    # per-path residual, and its own spread gives the standard error.
     phi = 0.6
     cfg0, cfg1 = _configs(sol, n_paths=6_000)
-    j0, jhat, _ = _j0_samples(sol, phi, cfg0)
-    (j1,), _ = _j1_samples(sol, phi, cfg1)
-    pair = jhat - j0
-    resid = pair.mean() - phi * j1.mean()
-    se = math.sqrt(pair.var(ddof=1) / pair.size + phi**2 * j1.var(ddof=1) / j1.size)
-    assert abs(resid) <= 3.0 * se
+    pf1, pf0 = stacked_path_functionals(
+        sol.params, phi, (_j1_spec(sol, cfg1), _j0_spec(sol, cfg0)))
+    j0, jhat = _j0_samples(sol, pf0)
+    (j1,) = _j1_samples(sol, pf1)
+    resid = (jhat - j0) - phi * j1
+    se = resid.std(ddof=1) / math.sqrt(resid.size)
+    assert abs(resid.mean()) <= 3.0 * se
 
 
 # -- config validation -----------------------------------------------------------
