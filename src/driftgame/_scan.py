@@ -2,10 +2,11 @@
 
 This module owns how a pass runs: the jobs (a ScanJob for each measure
 of the pass), the per-path generators (_StreamPool), the output slots
-(unscanned) and the batched scan (scan_paths).  stacked_path_functionals
-builds the jobs and hands them to scan() here, or to driftgame._spread
-from 1024 paths up.  It imports this module on its first
-pass, so that importing the CLI compiles none of it.
+(unscanned), the block schedule (BLOCK_START, BLOCK_MAX) and the batched
+scan (scan_paths).  stacked_path_functionals builds the jobs and hands
+them to scan() here, or to driftgame._spread from 1024 paths up.  It
+imports this module on its first pass, so that importing the CLI
+compiles none of it.
 
 A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
@@ -13,11 +14,11 @@ differ only in their drift, so their jobs share seed, phi0, c_noise, the
 grid, z_hit, z_lo and stride, and each adds its own c_drift, rate,
 weight_phi and z_pays.  A batch holds a row for each (measure, path).
 
-Each path's noise is drawn in blocks of simulate._BLOCK_START steps,
-doubling up to simulate._BLOCK_MAX (read at call time), and its sums are
-formed block by block.  scan_paths steps batches of BATCH_PATHS paths, one
-row per measure and path, together through those blocks.  Each block is
-walked in chunks of min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // drawn
+Each path's noise is drawn in blocks of BLOCK_START steps, doubling up to
+BLOCK_MAX (both read at call time), and its sums are formed block by
+block.  scan_paths steps batches of BATCH_PATHS paths, one row per
+measure and path, together through those blocks.  Each block is walked
+in chunks of min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // drawn
 paths)) steps, each chunk one numpy call per operation over every live row
 (or every live row of one measure), and a row leaves the batch at its
 stop.  A path is drawn while it has a live row, so a second measure adds
@@ -63,9 +64,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import simulate
 from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
+BLOCK_START = 1024    # steps in a path's first block
+BLOCK_MAX = 8192      # most steps in one block
 BATCH_PATHS = 128     # paths scanned together
 CHUNK_MIN = 64        # fewest steps in one chunk
 CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
@@ -125,14 +127,12 @@ def scan(jobs: tuple, n: int) -> tuple:
     return outs
 
 
-def scan_paths(jobs, lo: int, outs) -> None:
+def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
     """Scan paths lo, lo + 1, ... into the slots of outs, one path per slot:
     jobs is a tuple of ScanJobs of one pass and outs a tuple of slots (from
-    unscanned, or views of such slots), one per job; or one ScanJob and its
-    slots.  Any order of the jobs gives the same bits; the largest drift
-    first draws fastest (see _scan_batch)."""
-    if isinstance(jobs, ScanJob):
-        jobs, outs = (jobs,), (outs,)
+    unscanned, or views of such slots), one per job.  Any order of the jobs
+    gives the same bits; the largest drift first draws fastest (see
+    _scan_batch)."""
     head = jobs[0]
     z0 = math.log(head.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
@@ -191,7 +191,7 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
     parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None], keys)
              for one, out, r_pay0, keys in zip(jobs, outs, r_pay0s, terms.first_keys)]
 
-    k_done, block = 0, simulate._BLOCK_START
+    k_done, block = 0, BLOCK_START
     while ids.size and k_done < k_max:
         n_block = min(block, k_max - k_done)
         off = 0
@@ -310,7 +310,7 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
             off += m
         terms.add_sums([out.stieltjes for out in outs])
         k_done += n_block
-        block = min(block * 2, simulate._BLOCK_MAX)
+        block = min(block * 2, BLOCK_MAX)
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:

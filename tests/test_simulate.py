@@ -312,14 +312,12 @@ def _full_grid_stop(cfg, params, path_index):
         return stop_at_lower(reflect(traj, cfg.barrier), cfg.lower)
 
 
-def _block_of(step, block_start):
-    """Index of the walk's block that holds the given step (1-based)."""
-    import driftgame.simulate as sim
-
-    j, end, size = 0, block_start, block_start
-    while step > end:
-        size = min(size * 2, sim._BLOCK_MAX)
-        j, end = j + 1, end + size
+def _doublings(step, walk_start):
+    """How often the walk's prefix of walk_start draws doubles before it
+    holds the given step (1-based)."""
+    j, size = 0, walk_start
+    while step > size:
+        j, size = j + 1, size * 2
     return j
 
 
@@ -328,14 +326,14 @@ _STUDY_SETS = ((-1.0, 1.0, 0.5, 0.1, 0.35), (-2.4, 0.64, 0.55, 0.13, 0.83),
                (-0.3, 2.2, 1.8, 0.04, 0.2), (-1.7, 0.3, 0.3, 0.35, 0.6))
 
 
-@pytest.mark.parametrize("block_start", [1024, 16])
-def test_path_walk_matches_full_grid_slice(monkeypatch, block_start):
-    # generate_trajectory walks block by block up to the stop; it must give
-    # the full grid's cut bit for bit, wherever the stop falls
+@pytest.mark.parametrize("walk_start", [1024, 16, 1])
+def test_path_walk_matches_full_grid_slice(monkeypatch, walk_start):
+    # generate_trajectory doubles its prefix of draws up to the stop; it
+    # must give the full grid's cut bit for bit, wherever the stop falls
     import driftgame.simulate as sim
 
-    monkeypatch.setattr(sim, "_BLOCK_START", block_start)
-    blocks, thetas, censored_seen = set(), set(), 0
+    monkeypatch.setattr(sim, "_WALK_START", walk_start)
+    doublings, thetas, censored_seen = set(), set(), 0
     cases = []
     for mu0, mu1, sigma, eps, prior in _STUDY_SETS:
         params = ModelParams(mu0=mu0, mu1=mu1, sigma=sigma, eps=eps, prior=prior)
@@ -361,10 +359,28 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, block_start):
         censored_seen += censored
         thetas.add(got.theta)
         if not censored and cfg.dt == 1e-5:
-            blocks.add(_block_of(want.times.size - 1, block_start))
+            doublings.add(_doublings(want.times.size - 1, walk_start))
     assert censored_seen and thetas == {None, 0, 1}
-    # stops in the first block and later ones; with 16-step blocks, in many
-    assert {0, 1} <= blocks if block_start == 1024 else len(blocks) >= 4
+    # stops in the first prefix and after a doubling; from a short first
+    # prefix, after many different numbers of doublings
+    assert {0, 1} <= doublings if walk_start == 1024 else len(doublings) >= 4
+
+
+def test_path_walk_warns_nowhere_past_its_stop():
+    # The walk's prefix may run up to one doubling past the stop.  At these
+    # parameters Phi overflows near t = 27 under tilted1 and theta = 1, so
+    # a stop late enough would take the prefix there and warn; 200 walks
+    # under each measure stop well before.
+    params = ModelParams(mu0=-1.7, mu1=0.3, sigma=0.3, eps=0.35, prior=0.6)
+    sol = build_solution(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in Measure:
+            cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5,
+                            measure=measure, barrier=sol.B, lower=sol.A)
+            for i in range(200):
+                _, censored = generate_trajectory(cfg, params, i)
+                assert not censored
 
 
 def test_kernel_matches_trajectory_hits(base_params):
@@ -388,7 +404,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     scan, for a single payoff barrier and with every float operation and
     summation order of the fused pass, for paths first, first + 1, ...
     Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes)."""
-    import driftgame.simulate as sim
+    import driftgame._scan as scan
 
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
@@ -411,7 +427,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
             tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z - r_hit), r_pay, sti
             continue
         rng = substream(config.seed, first + p, ROLE_PATH_NOISE)
-        k_done, block, done = 0, sim._BLOCK_START, False
+        k_done, block, done = 0, scan.BLOCK_START, False
         while k_done < k_max:
             nb = min(block, k_max - k_done)
             zb = c_drift + c_noise * rng.standard_normal(nb)
@@ -439,7 +455,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
                 break
             z, r_hit, r_pay = zb[-1], rh[-1], rp[-1]
             k_done += nb
-            block = min(block * 2, sim._BLOCK_MAX)
+            block = min(block * 2, scan.BLOCK_MAX)
         if not done:
             cens[p] = True
             phi_end[p], r_end[p], stj[p] = math.exp(z - r_hit), r_pay, sti
@@ -511,7 +527,6 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
     # from a nonzero offset scanned by scan_paths directly, and a first
     # block of 256 steps.
     import driftgame._scan as scan
-    import driftgame.simulate as sim
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
@@ -522,7 +537,7 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
              (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77, 1024),
              (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5, 256)]
     for measure, weight_phi, phi0, dt, horizon, lo, block in cases:
-        monkeypatch.setattr(sim, "_BLOCK_START", block)
+        monkeypatch.setattr(scan, "BLOCK_START", block)
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11,
                         measure=measure, barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
@@ -539,7 +554,7 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
                 z_hit=math.log(sol.B), z_lo=math.log(sol.A),
                 z_pays=tuple(math.log(b) for b in barriers))
             got = scan.unscanned(n, len(barriers))
-            scan.scan_paths(job, lo, got)
+            scan.scan_paths((job,), lo, (got,))
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
             assert steps.max() > 1024 + 2048 + 4096   # an 8192-step block
@@ -666,7 +681,7 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     import driftgame.simulate as sim
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
-    monkeypatch.setattr(sim, "_BLOCK_START", 128)
+    monkeypatch.setattr(scan, "BLOCK_START", 128)
     sol = build_solution(base_params)
     for horizon in (10.0, 0.15):
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14,
@@ -1114,7 +1129,7 @@ def test_strided_grids_ignore_block_size(base_params, monkeypatch):
     # equal to subsampling the whole fine path drawn at once.  The horizon
     # (3073 steps) ends on a one-step block that holds no point of the
     # stride-3 and stride-2 grids, and censors some paths.
-    import driftgame.simulate as sim
+    import driftgame._scan as scan
 
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
@@ -1122,7 +1137,7 @@ def test_strided_grids_ignore_block_size(base_params, monkeypatch):
     strides = (3, 2, 1)
     runs = []
     for block in (1024, 256):
-        monkeypatch.setattr(sim, "_BLOCK_START", block)
+        monkeypatch.setattr(scan, "BLOCK_START", block)
         runs.append([path_functionals(base_params, sol.B, cfg,
                                       discount_rate=base_params.mu0,
                                       payoff_barriers=(), stride=s)
@@ -1182,13 +1197,13 @@ def test_trajectory_csv(base_params):
 def test_block_size_changes_only_last_bits(base_params, monkeypatch):
     # Hitting times are bit-identical for any first block size; the sums
     # are accumulated block by block, so they move in the last bits only.
-    import driftgame.simulate as sim
+    import driftgame._scan as scan
 
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=2000, seed=1,
                     measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
     a = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
-    monkeypatch.setattr(sim, "_BLOCK_START", 256)
+    monkeypatch.setattr(scan, "BLOCK_START", 256)
     b = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
     assert np.array_equal(a.tau, b.tau, equal_nan=True)
     assert np.array_equal(a.censored, b.censored)
