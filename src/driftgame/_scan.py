@@ -2,11 +2,10 @@
 
 This module owns how a pass runs: the jobs (a ScanJob for each measure
 of the pass), the per-path generators (_StreamPool), the output slots
-(unscanned), the block schedule (BLOCK_START, BLOCK_MAX) and the batched
-scan (scan_paths).  stacked_path_functionals builds the jobs and hands
-them to scan() here, or to driftgame._spread from 1024 paths up.  It
-imports this module on its first pass, so that importing the CLI
-compiles none of it.
+(unscanned) and the batched scan (scan_paths).  stacked_path_functionals
+builds the jobs and hands them to scan() here, or to driftgame._spread
+from 1024 paths up.  It imports this module on its first pass, so that
+importing the CLI compiles none of it.
 
 A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
@@ -14,27 +13,25 @@ differ only in their drift, so their jobs share seed, phi0, c_noise, the
 grid, z_hit, z_lo and stride, and each adds its own c_drift, rate,
 weight_phi and z_pays.  A batch holds a row for each (measure, path).
 
-Each path's noise is drawn in blocks of BLOCK_START steps, doubling up to
-BLOCK_MAX (both read at call time), and its sums are formed block by
-block.  scan_paths steps batches of BATCH_PATHS paths, one row per
-measure and path, together through those blocks.  Each block is walked
-in chunks of min(rest of block, max(CHUNK_MIN, CHUNK_CELLS // drawn
-paths)) steps, each chunk one numpy call per operation over every live row
-(or every live row of one measure), and a row leaves the batch at its
-stop.  A path is drawn while it has a live row, so a second measure adds
-rows to a chunk but not chunks to a block.  The result is bit-identical
-to scanning each path alone under each measure, block by block, for any
-batch size and chunk length:
+scan_paths steps batches of BATCH_PATHS paths, one row per measure and
+path, together through the whole horizon in chunks of min(steps left,
+max(CHUNK_MIN, CHUNK_CELLS // drawn paths)) steps, each chunk one numpy
+call per operation over every live row (or every live row of one
+measure), and a row leaves the batch at its stop.  A path is drawn while
+it has a live row, so a second measure adds rows to a chunk but not
+chunks to a path.  Every sum is taken in step order, so the result is
+bit-identical to scanning each path alone under each measure, for any
+batch size, chunk length and helper split:
 
 - a path's noise is drawn from its own substream a chunk at a time, which
-  is the sequence one draw of the whole block gives;
+  is the sequence one draw of the whole path gives;
 - one draw of a path feeds the rows of every measure: each row scales the
   same normals by the shared c_noise and adds its measure's drift, as a
   pass of that measure alone would, and the path's draws end within one
   chunk of its last measure's stop;
-- the log ratio is a block-local cumsum that carries its last value into
-  the chunk's first element, plus the block's starting value after it, as
-  one cumsum of the block would round;
+- the log ratio is z0 plus the running sum of the increments: a cumsum
+  that carries the sum so far into the chunk's first element, with z0
+  added after it, as simulate._levels forms the full grid's log level;
 - every reflection is max(M - z_b, r0) with M the running maximum of the
   log ratio: rounding a subtraction is monotone, so that is the running
   maximum of max(log ratio - z_b, r0) bit for bit;
@@ -43,13 +40,12 @@ batch size and chunk length:
   those steps alone: a reflection's value before such a step is its value
   at M one step back, the log ratio at it is M itself, and each term takes
   the float operations that pricing every step would;
-- a Stieltjes sum takes the terms of a (measure, row, barrier, block) in
-  step order and sums them with one .sum(), never in parts, because
-  numpy's pairwise sum depends on how the terms are grouped;
-- with a stride s the noise, the log ratio and the blocks stay on the fine
-  steps, and the maximum, reflection and stop read the columns of steps k
-  with k % s == 0 alone, so every stride reads one path and a chunk that
-  holds no such step only carries the log ratio forward.
+- a Stieltjes sum starts from its time-zero value, and each chunk adds
+  its terms to it one by one in step order (np.add.at);
+- with a stride s the noise and the log ratio stay on the fine steps,
+  and the maximum, reflection and stop read the columns of steps k with
+  k % s == 0 alone, so every stride reads one path and a chunk that holds
+  no such step only carries the log ratio forward.
 
 Each path lands in its own slot, so ranges of a pass's paths may be
 scanned anywhere, in any order, into views of one set of slots (slots()).
@@ -66,8 +62,6 @@ import numpy as np
 
 from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
-BLOCK_START = 1024    # steps in a path's first block
-BLOCK_MAX = 8192      # most steps in one block
 BATCH_PATHS = 128     # paths scanned together
 CHUNK_MIN = 64        # fewest steps in one chunk
 CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
@@ -152,18 +146,16 @@ def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
             part.phi_refl_end[:] = math.exp(z0 - r_hit0)
         return
     scratch = scan_scratch(len(jobs))
-    terms = _BlockTerms([len(one.z_pays) for one in jobs], BATCH_PATHS)
     for first in range(0, outs[0].n_paths, BATCH_PATHS):
         _scan_batch(jobs, lo + first,
                     [slots(out, first, first + BATCH_PATHS) for out in outs],
-                    r_pay0s, scratch, terms)
+                    r_pay0s, scratch)
 
 
 def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
-                scratch: _ScanScratch, terms: _BlockTerms) -> None:
+                scratch: _ScanScratch) -> None:
     """scan_paths(jobs, lo, outs) as one batch, with outs' slots already
-    holding the time-zero reflections r_pay0s and Stieltjes sums, and an
-    empty _BlockTerms with a key for each measure, payoff barrier and slot.
+    holding the time-zero reflections r_pay0s and Stieltjes sums.
 
     The batch has a row for each measure and path that have not stopped,
     measure by measure: bounds[i]:bounds[i + 1] are the rows of jobs[i],
@@ -186,131 +178,123 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
     bounds = [i * n for i in range(len(jobs) + 1)]
     paths, copies = _draws(ids, n, n)
     gens = slot_gens                      # the drawn paths' generators
-    z_start = np.full(ids.size, z0)       # log ratio at the block's start
+    carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
-    parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None], keys)
-             for one, out, r_pay0, keys in zip(jobs, outs, r_pay0s, terms.first_keys)]
+    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot
+    sums = [out.stieltjes.copy() for out in outs]
+    parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None],
+              np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1))
+             for one, out, r_pay0, total in zip(jobs, outs, r_pay0s, sums)]
 
-    k_done, block = 0, BLOCK_START
-    while ids.size and k_done < k_max:
-        n_block = min(block, k_max - k_done)
-        off = 0
-        while ids.size and off < n_block:
-            live = ids.size
-            m = min(n_block - off, max(CHUNK_MIN, CHUNK_CELLS // paths.size))
-            k_chunk = k_done + off
-            zb = scratch.floats[0][:live * m].reshape(live, m)
-            # in place when the rows that copy nothing are the drawn paths
-            drawn = zb[:paths.size] if live - copies.size == paths.size else \
-                scratch.floats[2][:paths.size * m].reshape(paths.size, m)
-            for gen, row in zip(gens, drawn):
-                gen.standard_normal(out=row)
-            drawn *= c_noise
-            if copies.size:
-                np.take(drawn, copies, axis=0, out=zb[live - copies.size:], mode="clip")
-            for one, a, b in zip(jobs, bounds, bounds[1:]):
-                zb[a:b] += one.c_drift
-            if off:
-                zb[:, 0] += carry
-            np.cumsum(zb, axis=1, out=zb)
-            if off + m < n_block:
-                carry = zb[:, -1].copy()
-            zb += z_start[:, None]
-            if off + m == n_block:
-                z_start = zb[:, -1].copy()
-            # the grid keeps the fine steps k with k % stride == 0
-            first = (stride - 1 - k_chunk) % stride
-            zg = zb[:, first::stride]
-            mg = zg.shape[1]
-            if not mg:   # no grid point; the horizon's chunk always has one
-                off += m
-                continue
-            # mxb: top, then the running maximum at each grid point (mx)
-            mxb = scratch.floats[1][:live * (mg + 1)].reshape(live, mg + 1)
-            mxb[:, 0] = top
-            mxb[:, 1:] = zg
-            np.maximum.accumulate(mxb, axis=1, out=mxb)
-            mx = mxb[:, 1:]
-            zr = scratch.floats[2][:live * mg].reshape(live, mg)
-            hit = scratch.hit[:live * mg].reshape(live, mg)
-            # zr: the log of the ratio reflected at the hit barrier
-            np.subtract(mx, z_hit, out=zr)
-            np.maximum(zr, r_hit0, out=zr)
-            np.subtract(zg, zr, out=zr)
-            np.less_equal(zr, z_lo, out=hit)
-            stop = hit.any(axis=1).nonzero()[0]
-            end = np.full(live, mg)            # grid points of the chunk each row takes
-            end[stop] = hit[stop].argmax(axis=1) + 1
-            horizon = off + m == n_block and k_done + n_block == k_max
-            # a row leaves at its stop; at the horizon every row that has
-            # not stopped leaves too, censored
-            leave = np.arange(live) if horizon else stop
-            if leave.size:
-                tau = (k_chunk + first + 1 + (end[stop] - 1) * stride) * dt
-                last = end[leave] - 1
-                phi_end = [math.exp(v) for v in zr[leave, last].tolist()]
-                top_end = mx[leave, last]
-                stopped, gone = ids[stop], ids[leave]
-            stop_cuts = _cuts(stop, bounds)
-            leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
-            for (one, out, z_col, r0_col, keys), a, b, s_a, s_b, l_a, l_b in zip(
-                    parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
-                    leave_cuts, leave_cuts[1:]):
-                # payoff barriers come with stride 1: grid points are steps
-                if one.z_pays and a < b:
-                    # Gamma moves only where a reflection max(M - z_b, r0_b)
-                    # grows, so only on steps up to the row's stop where the
-                    # running maximum M grows: p, their flat positions in
-                    # the measure's rows of mxb.  The log ratio there is M,
-                    # and M one step back (top, for the chunk's first step)
-                    # gives each reflection before it.
-                    flat = mxb[a:b].reshape(-1)
-                    new = np.greater(flat[1:], flat[:-1],
-                                     out=scratch.hit[:flat.size - 1])
-                    new[mg::mg + 1] = False   # a row's top is no step
-                    rows = stop[s_a:s_b]
-                    for r, j in zip(rows.tolist(), end[rows].tolist()):
-                        new[(r - a) * (mg + 1) + j:(r - a + 1) * (mg + 1)] = False
-                    p = new.nonzero()[0] + 1
-                    m_new = flat[p]
-                    rp = m_new - z_col             # (barrier, step)
-                    rp_prev = flat[p - 1] - z_col
-                    np.maximum(rp, r0_col, out=rp)
-                    np.maximum(rp_prev, r0_col, out=rp_prev)
-                    row, col = np.divmod(p, mg + 1)
-                    # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
-                    # in a form that neither cancels nor overflows
-                    lw = one.rate * dt * (k_chunk + col) - rp_prev
-                    if one.weight_phi:
-                        lw += m_new
-                    grows = rp > rp_prev
-                    terms.append((keys + ids[a:b][row])[grows],
-                                 np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
-                if l_a < l_b:
-                    out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
-                    out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
-                    if one.z_pays:
-                        out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
-                            top_end[l_a:l_b] - z_col, r0_col)
-                    if horizon:
-                        out.censored[np.delete(ids[a:b], stop[s_a:s_b] - a)] = True
-            if leave.size:
-                keep = np.ones(live, dtype=bool)
-                keep[leave] = False
-                ids, z_start = ids[keep], z_start[keep]
-                top = mx[keep, -1]
-                if off + m < n_block:
-                    carry = carry[keep]
-                bounds = [b - c for b, c in zip(bounds, leave_cuts)]
-                paths, copies = _draws(ids, bounds[1], n)
-                if paths.size < len(gens):
-                    gens = [slot_gens[p] for p in paths.tolist()]
-            else:
-                top = mx[:, -1].copy()
-            off += m
-        terms.add_sums([out.stieltjes for out in outs])
-        k_done += n_block
-        block = min(block * 2, BLOCK_MAX)
+    k = 0   # steps done
+    while ids.size:
+        live = ids.size
+        m = min(k_max - k, max(CHUNK_MIN, CHUNK_CELLS // paths.size))
+        zb = scratch.floats[0][:live * m].reshape(live, m)
+        # in place when the rows that copy nothing are the drawn paths
+        drawn = zb[:paths.size] if live - copies.size == paths.size else \
+            scratch.floats[2][:paths.size * m].reshape(paths.size, m)
+        for gen, row in zip(gens, drawn):
+            gen.standard_normal(out=row)
+        drawn *= c_noise
+        if copies.size:
+            np.take(drawn, copies, axis=0, out=zb[live - copies.size:], mode="clip")
+        for one, a, b in zip(jobs, bounds, bounds[1:]):
+            zb[a:b] += one.c_drift
+        zb[:, 0] += carry
+        np.cumsum(zb, axis=1, out=zb)
+        carry = zb[:, -1].copy()
+        zb += z0
+        # the grid keeps the fine steps k with k % stride == 0
+        first = (stride - 1 - k) % stride
+        zg = zb[:, first::stride]
+        mg = zg.shape[1]
+        if not mg:   # no grid point; the horizon's chunk always has one
+            k += m
+            continue
+        # mxb: top, then the running maximum at each grid point (mx)
+        mxb = scratch.floats[1][:live * (mg + 1)].reshape(live, mg + 1)
+        mxb[:, 0] = top
+        mxb[:, 1:] = zg
+        np.maximum.accumulate(mxb, axis=1, out=mxb)
+        mx = mxb[:, 1:]
+        zr = scratch.floats[2][:live * mg].reshape(live, mg)
+        hit = scratch.hit[:live * mg].reshape(live, mg)
+        # zr: the log of the ratio reflected at the hit barrier
+        np.subtract(mx, z_hit, out=zr)
+        np.maximum(zr, r_hit0, out=zr)
+        np.subtract(zg, zr, out=zr)
+        np.less_equal(zr, z_lo, out=hit)
+        stop = hit.any(axis=1).nonzero()[0]
+        end = np.full(live, mg)            # grid points of the chunk each row takes
+        end[stop] = hit[stop].argmax(axis=1) + 1
+        horizon = k + m == k_max
+        # a row leaves at its stop; at the horizon every row that has
+        # not stopped leaves too, censored
+        leave = np.arange(live) if horizon else stop
+        if leave.size:
+            tau = (k + first + 1 + (end[stop] - 1) * stride) * dt
+            last = end[leave] - 1
+            phi_end = [math.exp(v) for v in zr[leave, last].tolist()]
+            top_end = mx[leave, last]
+            stopped, gone = ids[stop], ids[leave]
+        stop_cuts = _cuts(stop, bounds)
+        leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
+        for (one, out, z_col, r0_col, keys, total), a, b, s_a, s_b, l_a, l_b in zip(
+                parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
+                leave_cuts, leave_cuts[1:]):
+            # payoff barriers come with stride 1: grid points are steps
+            if one.z_pays and a < b:
+                # Gamma moves only where a reflection max(M - z_b, r0_b)
+                # grows, so only on steps up to the row's stop where the
+                # running maximum M grows: p, their flat positions in
+                # the measure's rows of mxb.  The log ratio there is M,
+                # and M one step back (top, for the chunk's first step)
+                # gives each reflection before it.
+                flat = mxb[a:b].reshape(-1)
+                new = np.greater(flat[1:], flat[:-1],
+                                 out=scratch.hit[:flat.size - 1])
+                new[mg::mg + 1] = False   # a row's top is no step
+                rows = stop[s_a:s_b]
+                for r, j in zip(rows.tolist(), end[rows].tolist()):
+                    new[(r - a) * (mg + 1) + j:(r - a + 1) * (mg + 1)] = False
+                p = new.nonzero()[0] + 1
+                m_new = flat[p]
+                rp = m_new - z_col             # (barrier, step)
+                rp_prev = flat[p - 1] - z_col
+                np.maximum(rp, r0_col, out=rp)
+                np.maximum(rp_prev, r0_col, out=rp_prev)
+                row, col = np.divmod(p, mg + 1)
+                # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
+                # in a form that neither cancels nor overflows
+                lw = one.rate * dt * (k + col) - rp_prev
+                if one.weight_phi:
+                    lw += m_new
+                grows = rp > rp_prev
+                # added to each key in step order
+                np.add.at(total, (keys + ids[a:b][row])[grows],
+                          np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
+            if l_a < l_b:
+                out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
+                out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
+                if one.z_pays:
+                    out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
+                        top_end[l_a:l_b] - z_col, r0_col)
+                if horizon:
+                    out.censored[np.delete(ids[a:b], stop[s_a:s_b] - a)] = True
+        if leave.size:
+            keep = np.ones(live, dtype=bool)
+            keep[leave] = False
+            ids, carry, top = ids[keep], carry[keep], mx[keep, -1]
+            bounds = [b - c for b, c in zip(bounds, leave_cuts)]
+            paths, copies = _draws(ids, bounds[1], n)
+            if paths.size < len(gens):
+                gens = [slot_gens[p] for p in paths.tolist()]
+        else:
+            top = mx[:, -1].copy()
+        k += m
+    for out, total in zip(outs, sums):
+        out.stieltjes[:] = total
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:
@@ -334,59 +318,6 @@ def _draws(ids: np.ndarray, lead: int, n: int) -> tuple:
     at = np.empty(n, dtype=np.intp)
     at[paths] = np.arange(paths.size)
     return paths, at[ids[lead if lead == paths.size else 0:]]
-
-
-class _BlockTerms:
-    """The payoff barriers' Stieltjes terms in a block, chunk by chunk: the
-    key and the term of each step where a barrier's reflection grows.  The
-    measures' barriers are numbered on, measure after measure; the key of
-    barrier b and slot s is b * rows + s, in the narrowest unsigned integer
-    that holds every key (2 bytes up to 512 barriers of 128 rows), and
-    first_keys holds, for each measure, its barriers' keys of slot 0, as a
-    column.  Kept in buffers that outlive the block and grow when a block
-    needs more (by a fixed step: the largest block sets the scan's peak
-    memory)."""
-
-    def __init__(self, n_barriers: list, rows: int):
-        cuts = np.cumsum([0] + n_barriers)
-        self.first_keys = [np.arange(a * rows, b * rows, rows)[:, None]
-                           for a, b in zip(cuts[:-1], cuts[1:])]
-        self._cuts = cuts.tolist()
-        self._shape = (self._cuts[-1], rows)
-        self._keys = np.empty(0, np.min_scalar_type(max(self._cuts[-1] * rows - 1, 0)))
-        self._terms = np.empty(0)
-        self._size = 0
-
-    def append(self, keys: np.ndarray, terms: np.ndarray) -> None:
-        """Terms of one chunk, in step order within each key."""
-        size, end = self._size, self._size + terms.size
-        if end > self._terms.size:
-            cap = end + 1024
-            self._keys = np.concatenate((self._keys[:size],
-                                         np.empty(cap - size, self._keys.dtype)))
-            self._terms = np.concatenate((self._terms[:size], np.empty(cap - size)))
-        self._keys[size:end] = keys
-        self._terms[size:end] = terms
-        self._size = end
-
-    def add_sums(self, stjs: list) -> None:
-        """Add to each measure's stj (barriers x slots) in stjs the sum of
-        each of its keys' terms, taken in step order with one .sum()
-        (numpy's pairwise sum depends on how terms are grouped), and empty
-        the buffers for the next block.  The sums go into one array, added
-        to each stj at once: a key without terms adds 0.0, which changes no
-        bit."""
-        if not self._size:
-            return
-        order = np.argsort(self._keys[:self._size], kind="stable")
-        keys, terms = self._keys[order], self._terms[order]
-        self._size = 0
-        cuts = ((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()
-        sums = np.zeros(self._shape)
-        sums.reshape(-1)[keys[[0] + cuts]] = [
-            terms[a:b].sum() for a, b in zip([0] + cuts, cuts + [keys.size])]
-        for a, b, stj in zip(self._cuts[:-1], self._cuts[1:], stjs):
-            stj += sums[a:b, :stj.shape[1]]
 
 
 class _StreamPool:

@@ -158,6 +158,13 @@ def _resolve(args, default_pi: float):
     return params, pi, phi, settings
 
 
+def _count(flag: str, n: int) -> int:
+    """n, the value of a count flag, once it is at least 1."""
+    if n < 1:
+        raise CliError(f"{flag} {n} must be >= 1")
+    return n
+
+
 def _metadata(command: str, params: ModelParams, pi: float, phi: float,
               settings: dict, extra: dict | None = None) -> dict:
     meta = {
@@ -227,9 +234,7 @@ def _cmd_symmetric(args) -> int:
 
 def _cmd_voi(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI)
-    n = args.grid
-    if n < 1:
-        raise CliError(f"--grid {n} must be >= 1")
+    n = _count("--grid", args.grid)
     pis = np.arange(1, n + 1) / (n + 1)
     curve = value_of_information(params, pis)
     meta = _metadata("voi", params, pi, phi, settings,
@@ -281,6 +286,8 @@ def _cmd_mc(args) -> int:
 
 def _cmd_deviations(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI)
+    _count("--aprime-points", args.aprime_points)
+    _count("--phi-points", args.phi_points)
     sol = build_solution(params)
     aprime = np.linspace(0.0, sol.B, args.aprime_points + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * sol.B, args.phi_points + 1)[1:]
@@ -310,6 +317,7 @@ def _cmd_deviations(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI)
+    _count("--points", args.points)
     if args.from_ is not None or args.to is not None:
         if args.from_ is None or args.to is None:
             raise CliError("--from and --to must be given together")
@@ -350,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--format", choices=("json", "csv"))
     o.add_argument("--threads", type=int,
                    help="accepted so existing scripts and config files keep "
-                        "working; the Monte Carlo kernel runs in one thread "
-                        "and the value never changes results")
+                        "working; the value never changes results.  From 1024 "
+                        "paths up, on Linux, the Monte Carlo kernel may fork "
+                        "one helper process onto a second CPU of the affinity "
+                        "set (limit it with taskset)")
 
     parser = argparse.ArgumentParser(
         prog="driftgame",

@@ -26,7 +26,9 @@ on the same Brownian path, one pass per grid of the dt-refinement study.
 The sample-path walk (generate_trajectory) runs the full-grid functions
 on a prefix of the path's draws that doubles until it holds the stop, so
 it equals the full grid (simulate_phi, reflect) sliced at the stop, bit
-for bit.  The kernel's block schedule is driftgame._scan's own.
+for bit.  The kernel's log ratio is the same running sum with the start
+added after it (_levels), so it equals the full grid's log level, bit for
+bit, at every step.
 """
 
 from __future__ import annotations

@@ -65,9 +65,6 @@ class MCEstimate:
     censored_fraction: float
     bias_bound: float   # grid-hitting budget + censoring bracket
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _require(config: SimConfig, measure: Measure, sol: EquilibriumSolution) -> None:
     if config.measure is not measure:

@@ -270,6 +270,29 @@ def test_one_path_is_rejected_before_simulating(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("argv", [
+    ("deviations", "--aprime-points", "0"),
+    ("deviations", "--aprime-points", "-1"),
+    ("deviations", "--phi-points", "0"),
+    ("deviations", "--phi-points", "-1"),
+    ("sweep", "--param", "eps", "--points", "0"),
+    ("voi", "--grid", "0"),
+])
+def test_empty_grid_is_rejected_before_simulating(tmp_path, monkeypatch, capsys,
+                                                  argv):
+    # a grid of no points would check or write nothing: exit 2 with a
+    # one-line error, and no output
+    import driftgame.verify as verify
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("simulated paths")
+
+    monkeypatch.setattr(verify, "stacked_path_functionals", no_kernel)
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {argv[-2]} {argv[-1]} must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("mc", "--horizon", "inf", "--paths", "10"),
     ("path", "--horizon", "inf"),
     ("deviations", "--horizon", "inf"),

@@ -400,12 +400,13 @@ def test_kernel_matches_trajectory_hits(base_params):
 
 def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
                       first=0):
-    """Reference: the kernel as it was before the payoff barriers shared one
-    scan, for a single payoff barrier and with every float operation and
-    summation order of the fused pass, for paths first, first + 1, ...
+    """Reference: the kernel one whole path at a time, for a single payoff
+    barrier and with every float operation of the fused pass, for paths
+    first, first + 1, ...  The log ratio is z0 plus the running sum of the
+    path's increments, on a prefix of its draws that doubles until it holds
+    the stop, and the Stieltjes sum adds its terms one by one to its
+    time-zero value, in step order.
     Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes)."""
-    import driftgame._scan as scan
-
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
     c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
@@ -417,48 +418,39 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     tau = np.full(n, np.nan)
     cens = np.zeros(n, dtype=bool)
     phi_end, r_end, stj = np.empty(n), np.empty(n), np.empty(n)
+    r_hit = max(0.0, z0 - z_hit)
+    r_pay = r_hit if same else max(0.0, z0 - z_pay)
+    g = -math.expm1(-r_pay)
+    sti0 = phi0 * g if weight_phi else g
     for p in range(n):
-        z = z0
-        r_hit = max(0.0, z - z_hit)
-        r_pay = r_hit if same else max(0.0, z - z_pay)
-        g = -math.expm1(-r_pay)
-        sti = phi0 * g if weight_phi else g
-        if z - r_hit <= z_lo:
-            tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z - r_hit), r_pay, sti
+        if z0 - r_hit <= z_lo:
+            tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z0 - r_hit), r_pay, sti0
             continue
         rng = substream(config.seed, first + p, ROLE_PATH_NOISE)
-        k_done, block, done = 0, scan.BLOCK_START, False
-        while k_done < k_max:
-            nb = min(block, k_max - k_done)
-            zb = c_drift + c_noise * rng.standard_normal(nb)
-            zb.cumsum(out=zb)
-            zb += z
-            rh = np.maximum.accumulate(np.maximum(zb - z_hit, r_hit))
-            hit = zb - rh <= z_lo
-            j = int(hit.argmax()) if hit.any() else -1
-            end = j + 1 if j >= 0 else nb
-            rp = rh[:end] if same else \
-                np.maximum.accumulate(np.maximum(zb[:end] - z_pay, r_pay))
-            rp_prev = np.empty(end)
-            rp_prev[0] = r_pay
-            rp_prev[1:] = rp[:-1]
-            idx = (rp > rp_prev).nonzero()[0]
-            if idx.size:
-                lw = rate * dt * (k_done + 1.0 + idx) - rp_prev[idx]
-                if weight_phi:
-                    lw += zb[idx]
-                sti += float((np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).sum())
-            if j >= 0:
-                tau[p] = (k_done + j + 1) * dt
-                phi_end[p], r_end[p], stj[p] = math.exp(zb[j] - rh[j]), rp[j], sti
-                done = True
+        xi = rng.standard_normal(min(1024, k_max))
+        while True:
+            z = np.cumsum(c_drift + c_noise * xi)
+            z += z0
+            rh = np.maximum.accumulate(np.maximum(z - z_hit, r_hit))
+            hit = z - rh <= z_lo
+            if hit.any() or xi.size == k_max:
                 break
-            z, r_hit, r_pay = zb[-1], rh[-1], rp[-1]
-            k_done += nb
-            block = min(block * 2, scan.BLOCK_MAX)
-        if not done:
-            cens[p] = True
-            phi_end[p], r_end[p], stj[p] = math.exp(z - r_hit), r_pay, sti
+            xi = np.concatenate((xi, rng.standard_normal(min(xi.size, k_max - xi.size))))
+        end = int(hit.argmax()) + 1 if hit.any() else k_max
+        rp = rh[:end] if same else \
+            np.maximum.accumulate(np.maximum(z[:end] - z_pay, r_pay))
+        rp_prev = np.concatenate(([r_pay], rp[:-1]))
+        idx = (rp > rp_prev).nonzero()[0]
+        lw = rate * dt * (1.0 + idx) - rp_prev[idx]
+        if weight_phi:
+            lw += z[idx]
+        sti = sti0
+        for term in (np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).tolist():
+            sti += term
+        cens[p] = not hit.any()
+        if not cens[p]:
+            tau[p] = end * dt
+        phi_end[p], r_end[p], stj[p] = math.exp(z[end - 1] - rh[end - 1]), rp[-1], sti
     return tau, cens, phi_end, r_end, stj
 
 
@@ -466,9 +458,8 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
     # One scan that prices several payoff barriers is bitwise equal to one
     # pass per barrier: tilted0 with the Phi weight and tilted1, barriers
     # below and above B, a repeated level, a level no path reaches, paths
-    # that outlive the first 1024-step block, paths censored at a short
-    # horizon, and a start above B (time-zero jump of every barrier below
-    # phi0).
+    # of more than 1024 steps, paths censored at a short horizon, and a
+    # start above B (time-zero jump of every barrier below phi0).
     sol = build_solution(base_params)
     barriers = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 1.25, 50.0)]
     cases = [(Measure.TILTED0, True, 0.6, 10.0),
@@ -483,7 +474,7 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
                                  weight_phi=weight_phi, payoff_barriers=barriers)
         assert fused.tau.shape == fused.censored.shape == (64,)
         assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
-        # some paths outlive the first block; the short horizon censors some
+        # some paths take over 1024 steps; the short horizon censors some
         assert np.any(np.nan_to_num(fused.tau, nan=horizon) > 1024 * cfg.dt)
         assert fused.censored.any() == (horizon < 1.0)
         for i, bpay in enumerate(barriers):
@@ -519,25 +510,23 @@ def test_many_payoff_barriers_in_one_pass(base_params):
             assert (stj > 0.0).any()   # a level some path prices
 
 
-def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
+def test_batched_scan_matches_one_pass_per_barrier(base_params):
     # The batched scan is bitwise equal to one pass per path and barrier:
-    # 300 paths (not a multiple of the batch), paths that reach the
-    # 8192-step blocks (at dt 1e-5), a horizon of 3001 steps that ends
-    # inside a chunk and censors some paths, starts above B and at A, paths
-    # from a nonzero offset scanned by scan_paths directly, and a first
-    # block of 256 steps.
+    # 300 paths (not a multiple of the batch), paths of over 7168 steps
+    # (at dt 1e-5), a horizon of 3001 steps that ends inside a chunk and
+    # censors some paths, starts above B and at A, and paths from a nonzero
+    # offset scanned by scan_paths directly.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
     d = derive(base_params)
     n = 300
-    cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0, 1024),
-             (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000, 1024),
-             (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77, 1024),
-             (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5, 256)]
-    for measure, weight_phi, phi0, dt, horizon, lo, block in cases:
-        monkeypatch.setattr(scan, "BLOCK_START", block)
+    cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0),
+             (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000),
+             (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77),
+             (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5)]
+    for measure, weight_phi, phi0, dt, horizon, lo in cases:
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11,
                         measure=measure, barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
@@ -557,7 +546,7 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params, monkeypatch):
             scan.scan_paths((job,), lo, (got,))
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
-            assert steps.max() > 1024 + 2048 + 4096   # an 8192-step block
+            assert steps.max() > 7168
         assert got.censored.any() == (horizon < 1.0)
         assert (got.tau == 0.0).all() == (phi0 == sol.A)
         for i, bpay in enumerate(barriers):
@@ -608,7 +597,7 @@ def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
     kw = dict(discount_rate=base_params.mu1, weight_phi=True)
     before = path_functionals(base_params, sol.B, cfg, **kw)
     with monkeypatch.context() as patch:
-        patch.setattr(scan._BlockTerms, "add_sums", lambda self, stj: 1 / 0)
+        patch.setattr(scan, "_cuts", lambda rows, bounds: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             path_functionals(base_params, sol.B, cfg, **kw)
     after = path_functionals(base_params, sol.B, cfg, **kw)
@@ -674,14 +663,13 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     # One pass over two measures gives each measure the bits of a pass of
     # that measure alone, in every field: the mc and deviations pairs,
     # starts between A and B, at B, above B and below A (every path stops
-    # at time zero), paths that outlive two blocks, a horizon that censors
-    # some paths, batches of 7 paths in chunks of 5 to 40 steps, and the
-    # helper process on and off.
+    # at time zero), paths of over 384 steps, a horizon that censors some
+    # paths, batches of 7 paths in chunks of 5 to 40 steps, and the helper
+    # process on and off.
     import driftgame._scan as scan
     import driftgame.simulate as sim
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
-    monkeypatch.setattr(scan, "BLOCK_START", 128)
     sol = build_solution(base_params)
     for horizon in (10.0, 0.15):
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14,
@@ -695,8 +683,8 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                     for spec in specs]
                 assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
                 assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
-                if horizon > 1.0 and phi0 > sol.A:   # some path outlives 2 blocks
-                    assert max(np.nanmax(pf.tau) for pf in alone) > 3 * 128 * cfg.dt
+                if horizon > 1.0 and phi0 > sol.A:
+                    assert max(np.nanmax(pf.tau) for pf in alone) > 384 * cfg.dt
                 for on, tiny, n in ((False, False, 300), (True, False, 300),
                                     (False, True, 40)):
                     with monkeypatch.context() as patch:
@@ -1123,29 +1111,18 @@ def test_stride_one_is_the_default_pass(base_params):
     assert not np.array_equal(four.tau, plain.tau, equal_nan=True)
 
 
-def test_strided_grids_ignore_block_size(base_params, monkeypatch):
-    # Grid s keeps the fine steps k with k % s == 0 wherever the blocks
-    # start: first blocks of 1024 and 256 steps give identical stops,
-    # equal to subsampling the whole fine path drawn at once.  The horizon
-    # (3073 steps) ends on a one-step block that holds no point of the
-    # stride-3 and stride-2 grids, and censors some paths.
-    import driftgame._scan as scan
-
+def test_strided_grids_subsample_one_fine_path(base_params):
+    # Grid s keeps the fine steps k with k % s == 0: its stops and reflected
+    # ratios are those of subsampling the whole fine path, bit for bit.  The
+    # horizon (3073 steps) is no multiple of 3 or 2 and censors some paths.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
                     measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
     strides = (3, 2, 1)
-    runs = []
-    for block in (1024, 256):
-        monkeypatch.setattr(scan, "BLOCK_START", block)
-        runs.append([path_functionals(base_params, sol.B, cfg,
-                                      discount_rate=base_params.mu0,
-                                      payoff_barriers=(), stride=s)
-                     for s in strides])
-    for a, b in zip(*runs):
-        assert np.array_equal(a.tau, b.tau, equal_nan=True)
-        assert np.array_equal(a.censored, b.censored)
-        assert a.censored.any() and not a.censored.all()
+    runs = [path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0,
+                             payoff_barriers=(), stride=s)
+            for s in strides]
+    assert runs[0].censored.any() and not runs[0].censored.all()
 
     d = derive(base_params)
     m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
@@ -1154,12 +1131,15 @@ def test_strided_grids_ignore_block_size(base_params, monkeypatch):
         xi = substream(cfg.seed, i, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
         z = z_bar + np.cumsum((m_phi - 0.5 * d.omega**2) * cfg.dt
                               + d.omega * math.sqrt(cfg.dt) * xi)
-        for s, pf in zip(strides, runs[0]):
+        for s, pf in zip(strides, runs):
             zc = z[s - 1::s]
-            hit = zc - np.maximum.accumulate(np.maximum(zc - z_bar, 0.0)) <= z_lo
+            zr = zc - np.maximum.accumulate(np.maximum(zc - z_bar, 0.0))
+            hit = zr <= z_lo
+            end = int(hit.argmax()) + 1 if hit.any() else zc.size
             assert pf.censored[i] == (not hit.any())
             if hit.any():
-                assert pf.tau[i] == (int(hit.argmax()) + 1) * s * cfg.dt
+                assert pf.tau[i] == end * s * cfg.dt
+            assert pf.phi_refl_end[i] == math.exp(zr[end - 1])
 
 
 # -- truncation and CSV export ------------------------------------------------------
@@ -1192,22 +1172,3 @@ def test_trajectory_csv(base_params):
     # 17-significant-digit round trip
     row = [float(v) for v in lines[4].split(",")]
     assert row[2] == traj.Phi[1]
-
-
-def test_block_size_changes_only_last_bits(base_params, monkeypatch):
-    # Hitting times are bit-identical for any first block size; the sums
-    # are accumulated block by block, so they move in the last bits only.
-    import driftgame._scan as scan
-
-    sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=2000, seed=1,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-    a = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
-    monkeypatch.setattr(scan, "BLOCK_START", 256)
-    b = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
-    assert np.array_equal(a.tau, b.tau, equal_nan=True)
-    assert np.array_equal(a.censored, b.censored)
-    assert np.any(a.stieltjes != b.stieltjes)
-    for name in ("stieltjes", "phi_refl_end", "r_pay_end"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert np.all(np.abs(x - y) <= 1e-13 * np.abs(x)), name
