@@ -32,6 +32,9 @@ batch size, chunk length and helper split:
 - the log ratio is z0 plus the running sum of the increments: a cumsum
   that carries the sum so far into the chunk's first element, with z0
   added after it, as simulate._levels forms the full grid's log level;
+- a row's z_end is that log ratio at the grid point where it leaves (its
+  stop, or the horizon's last grid point for a censored path), and z0
+  when every path stops at t = 0;
 - every reflection is max(M - z_b, r0) with M the running maximum of the
   log ratio: rounding a subtraction is monotone, so that is the running
   maximum of max(log ratio - z_b, r0) bit for bit;
@@ -92,19 +95,20 @@ class ScanJob(NamedTuple):
 
 def unscanned(n: int, n_barriers: int, alloc=bytearray) -> PathFunctionals:
     """Slots for n paths and n_barriers payoff barriers, ready for
-    scan_paths: tau NaN, none censored.  Every field is a view of one
-    buffer of alloc(size in bytes): the heap by default, or for example a
-    shared mapping that a forked process writes in place."""
-    rows = 2 + 2 * n_barriers   # tau, phi_refl_end, then r_pay_end, stieltjes
+    scan_paths: tau and z_end NaN, none censored.  Every field is a view
+    of one buffer of alloc(size in bytes): the heap by default, or for
+    example a shared mapping that a forked process writes in place."""
+    # tau, phi_refl_end, z_end, then r_pay_end, stieltjes
+    rows = 3 + 2 * n_barriers
     buffer = alloc(rows * n * 8 + n)
     floats = np.ndarray((rows, n), np.float64, buffer)
-    floats[0] = np.nan
+    floats[0] = floats[2] = np.nan
     censored = np.ndarray(n, np.bool_, buffer, rows * n * 8)
     censored[:] = False
     return PathFunctionals(tau=floats[0], censored=censored,
                            phi_refl_end=floats[1],
-                           r_pay_end=floats[2:2 + n_barriers],
-                           stieltjes=floats[2 + n_barriers:])
+                           r_pay_end=floats[3:3 + n_barriers],
+                           stieltjes=floats[3 + n_barriers:], z_end=floats[2])
 
 
 def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
@@ -144,6 +148,7 @@ def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
         for part in outs:
             part.tau[:] = 0.0
             part.phi_refl_end[:] = math.exp(z0 - r_hit0)
+            part.z_end[:] = z0
         return
     scratch = scan_scratch(len(jobs))
     for first in range(0, outs[0].n_paths, BATCH_PATHS):
@@ -236,6 +241,7 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
             tau = (k + first + 1 + (end[stop] - 1) * stride) * dt
             last = end[leave] - 1
             phi_end = [math.exp(v) for v in zr[leave, last].tolist()]
+            z_end = zg[leave, last]
             top_end = mx[leave, last]
             stopped, gone = ids[stop], ids[leave]
         stop_cuts = _cuts(stop, bounds)
@@ -277,6 +283,7 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
             if l_a < l_b:
                 out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
                 out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
+                out.z_end[gone[l_a:l_b]] = z_end[l_a:l_b]
                 if one.z_pays:
                     out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
                         top_end[l_a:l_b] - z_col, r0_col)

@@ -390,7 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("mc", parents=[shared],
-                       help="Monte Carlo payoffs against the closed forms")
+                       help="Monte Carlo payoffs against the closed forms "
+                            "(J0 and Jhat with martingale control variates)",
+                       description="J0, J1 and Jhat by Monte Carlo against "
+                                   "their closed forms V0, V1 and V.  J0 and "
+                                   "Jhat subtract a least-squares fit, on the "
+                                   "same paths, on three martingale controls "
+                                   "of exactly known mean, and their stderr "
+                                   "has n - 4 degrees of freedom; with 4 "
+                                   "paths or fewer, or when every path stops "
+                                   "at t = 0, they are plain means.  J1 is "
+                                   "a plain mean.")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("deviations", parents=[shared],

@@ -337,6 +337,7 @@ class PathFunctionals:
     phi_refl_end: np.ndarray  # reflected ratio at tau (or at horizon)
     r_pay_end: np.ndarray    # payoff-barrier log reflection at tau (or at horizon)
     stieltjes: np.ndarray    # sum of e^{rate t} [Phi] dGamma over [0, tau] (or [0, T])
+    z_end: np.ndarray        # log Phi, not reflected, at tau (or at horizon)
 
     @property
     def n_paths(self) -> int:
@@ -372,6 +373,14 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     """
     spec = MeasureSpec(config, discount_rate, weight_phi, payoff_barriers, stride)
     return stacked_path_functionals(params, phi0, (spec,))[0]
+
+
+def log_ratio_step(params: ModelParams, config: SimConfig) -> tuple[float, float]:
+    """(c_drift, c_noise) of config's tilted measure: one step of log Phi
+    on config's grid is c_drift + c_noise * xi, with xi standard normal."""
+    d = derive(params)
+    m_phi, _ = log_drifts(params, d, config.measure)
+    return (m_phi - 0.5 * d.omega**2) * config.dt, d.omega * math.sqrt(config.dt)
 
 
 class MeasureSpec(NamedTuple):
@@ -416,8 +425,7 @@ def stacked_path_functionals(params: ModelParams, phi0: float,
         raise ValueError("config.lower is required for first-passage functionals")
     if not phi0 > 0.0:
         raise ValueError(f"phi0={phi0} must be positive")
-    d = derive(params)
-    jobs = tuple(_scan_job(params, d, phi0, spec) for spec in specs)
+    jobs = tuple(_scan_job(params, phi0, spec) for spec in specs)
     from . import _scan
 
     if config.n_paths < _SPREAD_MIN_PATHS:
@@ -426,8 +434,7 @@ def stacked_path_functionals(params: ModelParams, phi0: float,
     return _spread.scan(jobs, config.n_paths)
 
 
-def _scan_job(params: ModelParams, d: DerivedQuantities, phi0: float,
-              spec: MeasureSpec):
+def _scan_job(params: ModelParams, phi0: float, spec: MeasureSpec):
     """The kernel's job for one measure of a pass, after checking it."""
     config, stride = spec.config, spec.stride
     if config.measure is Measure.PHYSICAL:
@@ -448,11 +455,9 @@ def _scan_job(params: ModelParams, d: DerivedQuantities, phi0: float,
 
     from . import _scan
 
-    m_phi, _ = log_drifts(params, d, config.measure)
+    c_drift, c_noise = log_ratio_step(params, config)
     return _scan.ScanJob(
-        seed=config.seed, phi0=phi0,
-        c_drift=(m_phi - 0.5 * d.omega**2) * config.dt,
-        c_noise=d.omega * math.sqrt(config.dt),
+        seed=config.seed, phi0=phi0, c_drift=c_drift, c_noise=c_noise,
         k_max=config.n_steps, dt=config.dt, rate=spec.discount_rate,
         weight_phi=spec.weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),

@@ -12,6 +12,16 @@ the stopper, and common-random-number Monte Carlo for the informed
 player's reflection level and time-zero jump strategies, again from one
 pass over both measures.
 
+J0 and Jhat are estimated with exact-mean martingale control variates:
+M_beta = exp(beta z - k (beta c_drift + beta^2 c_noise^2 / 2)) at the stop
+(or the horizon), for each beta of CONTROL_BETAS, with z the log ratio
+before reflection and k the step count.  Optional stopping gives
+E[M_beta] = phi^beta from the simulated increment law alone, so the check
+stays independent of the closed form.  The coefficients are fitted by
+least squares on the same paths, and the standard error has n - q - 1
+degrees of freedom for q controls.  J1, the deviation suites and the dt
+study report plain means.
+
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
 dt-halving study, plus a censoring bracket that is never folded into the
@@ -28,7 +38,8 @@ import numpy as np
 
 from .equilibrium import EquilibriumSolution, deviation_value_player1
 from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
-                       path_functionals, stacked_path_functionals)
+                       log_ratio_step, path_functionals,
+                       stacked_path_functionals)
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst observed ratio ~0.12; factor-2 safety).
@@ -43,6 +54,10 @@ PAIR_BIAS_COEFF = 0.06
 
 # Statistical pass threshold, in standard errors.
 SIGMA_LEVEL = 3.0
+
+# Exponents beta of the martingale controls exp(beta z - k (beta c_drift +
+# beta^2 c_noise^2 / 2)) that J0 and Jhat are regressed on.
+CONTROL_BETAS = (-1.0, -0.5, 0.5)
 
 PLAYER1_DEVIATION_TOL = 1e-9
 
@@ -82,17 +97,76 @@ def _require(config: SimConfig, measure: Measure, sol: EquilibriumSolution) -> N
 
 
 def _estimate(samples: np.ndarray, sol: EquilibriumSolution, config: SimConfig,
-              bracket: float, censored: np.ndarray) -> MCEstimate:
-    """Mean and standard error of the samples; the bias bound is the grid
-    hitting budget at config.dt plus the censoring bracket."""
+              bracket: float, censored: np.ndarray,
+              controls: np.ndarray | None = None) -> MCEstimate:
+    """Mean and standard error of the samples or, given controls, of the
+    samples less their fit on the controls (_regressed); the bias bound is
+    the grid hitting budget at config.dt plus the censoring bracket."""
     n = samples.size
+    ddof = 1
+    if controls is not None:
+        samples, ddof = _regressed(samples, controls)
     mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n))
+    stderr = float(samples.std(ddof=ddof) / math.sqrt(n))
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=config.dt,
                       horizon=config.horizon,
                       censored_fraction=float(np.mean(censored)),
                       bias_bound=HIT_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
                       + bracket)
+
+
+def _log_controls(sol: EquilibriumSolution, phi: float, config: SimConfig,
+                  pf: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
+    """log M_beta at tau or the horizon, one row per beta of CONTROL_BETAS
+    and one column per path of pf, a pass on config's grid (stride 1) that
+    starts at phi, and log E[M_beta] = beta log phi.
+
+    M_k = exp(beta z_k - k (beta c_drift + beta^2 c_noise^2 / 2)) is a
+    martingale of the simulated increments c_drift + c_noise xi of z, the
+    log ratio, and tau or the horizon is a bounded stop, so E[M] = phi^beta
+    by optional stopping: no exponent, threshold or coefficient of the
+    closed form enters."""
+    c_drift, c_noise = log_ratio_step(sol.params, config)
+    steps = np.where(pf.censored, float(config.n_steps),
+                     np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
+    beta = np.array(CONTROL_BETAS)[:, None]
+    log_m = beta * pf.z_end
+    log_m -= steps * (beta * c_drift + 0.5 * beta**2 * c_noise**2)
+    return log_m, beta[:, 0] * math.log(phi)
+
+
+def _controls(log_m: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
+    """The controls less their exact means, each scaled by e^{-shift},
+    shift its largest log: no control overflows, and a control equal on
+    every path is exactly zero."""
+    shift = log_m.max(axis=1)
+    controls = np.exp(log_m - shift[:, None])
+    controls -= np.exp(log_mean - shift)[:, None]
+    return controls
+
+
+def _regressed(samples: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, int]:
+    """The samples less their least-squares fit on the rows of controls
+    (each with mean zero in expectation), fitted on the same paths, and the
+    ddof of their standard error, 1 + the q controls used.  A control of
+    sample variance zero is dropped; with none left, or no more than q + 1
+    paths, the samples come back as they are, with ddof 1.
+
+    Every sum over paths is a numpy reduction (no BLAS call), so the result
+    does not depend on how many threads BLAS runs; only the q x q system
+    goes to LAPACK."""
+    centred = [row - row.mean() for row in controls]
+    used = [(c, row) for c, row in zip(centred, controls) if (c * c).sum() > 0.0]
+    q = len(used)
+    if not q or samples.size <= q + 1:
+        return samples, 1
+    dev = samples - samples.mean()
+    s_xx = np.array([[(a * b).sum() for b, _ in used] for a, _ in used])
+    s_xy = np.array([(a * dev).sum() for a, _ in used])
+    adjusted = samples.copy()
+    for coef, (_, row) in zip(np.linalg.solve(s_xx, s_xy).tolist(), used):
+        adjusted -= coef * row
+    return adjusted, q + 1
 
 
 def _j0_bracket(sol: EquilibriumSolution, config: SimConfig,
@@ -179,6 +253,13 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     two configs must be equal in all but their measure (else ValueError).
     A censored path's missing mass is never folded into the mean; its
     bound enters the bias bound.
+
+    J0 and Jhat are each regressed, on the same paths, on the controls
+    M_beta of _log_controls, whose exact means are phi^beta; each reports
+    the mean of its samples less the fit, and their sd over sqrt(n) with
+    n - q - 1 degrees of freedom.  A control equal on every path (every
+    path stops at t = 0) is dropped, and with none left or n <= q + 1
+    paths the estimate is the plain mean and stderr.  J1 is plain.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
@@ -187,6 +268,7 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
         sol.params, phi, (_j1_spec(sol, config1), _j0_spec(sol, config0)))
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
+    controls = _controls(*_log_controls(sol, phi, config0, pf0))
     # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
@@ -201,11 +283,12 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     return [
         oracle_report(sol, "J0", phi, _estimate(
             j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),
-            pf0.censored), sol.V0(phi)),
+            pf0.censored, controls), sol.V0(phi)),
         oracle_report(sol, "J1", phi, _estimate(
             j1, sol, config1, float(miss1.mean()), pf1.censored), sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _estimate(
-            jhat, sol, config0, float(miss_hat.mean()), pf0.censored), sol.V(phi)),
+            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, controls),
+            sol.V(phi)),
     ]
 
 

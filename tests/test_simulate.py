@@ -406,7 +406,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     path's increments, on a prefix of its draws that doubles until it holds
     the stop, and the Stieltjes sum adds its terms one by one to its
     time-zero value, in step order.
-    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes)."""
+    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes, z_end)."""
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
     c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
@@ -417,7 +417,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     n, dt, k_max = config.n_paths, config.dt, config.n_steps
     tau = np.full(n, np.nan)
     cens = np.zeros(n, dtype=bool)
-    phi_end, r_end, stj = np.empty(n), np.empty(n), np.empty(n)
+    phi_end, r_end, stj, z_end = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     r_hit = max(0.0, z0 - z_hit)
     r_pay = r_hit if same else max(0.0, z0 - z_pay)
     g = -math.expm1(-r_pay)
@@ -425,6 +425,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     for p in range(n):
         if z0 - r_hit <= z_lo:
             tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z0 - r_hit), r_pay, sti0
+            z_end[p] = z0
             continue
         rng = substream(config.seed, first + p, ROLE_PATH_NOISE)
         xi = rng.standard_normal(min(1024, k_max))
@@ -451,7 +452,8 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
         if not cens[p]:
             tau[p] = end * dt
         phi_end[p], r_end[p], stj[p] = math.exp(z[end - 1] - rh[end - 1]), rp[-1], sti
-    return tau, cens, phi_end, r_end, stj
+        z_end[p] = z[end - 1]   # the stop, or the last step of a censored path
+    return tau, cens, phi_end, r_end, stj, z_end
 
 
 def test_fused_pass_matches_one_pass_per_barrier(base_params):
@@ -478,13 +480,14 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
         assert np.any(np.nan_to_num(fused.tau, nan=horizon) > 1024 * cfg.dt)
         assert fused.censored.any() == (horizon < 1.0)
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
                 base_params, phi0, cfg, rate, weight_phi, bpay)
             assert np.array_equal(fused.tau, tau, equal_nan=True)
             assert np.array_equal(fused.censored, cens)
             assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
+            assert np.array_equal(fused.z_end, z_end)
 
 
 def test_many_payoff_barriers_in_one_pass(base_params):
@@ -500,13 +503,14 @@ def test_many_payoff_barriers_in_one_pass(base_params):
                                weight_phi=True, payoff_barriers=barriers)
         assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
         for i in (0, n_barriers // 2, n_barriers - 1):
-            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
                 base_params, 0.6, cfg, base_params.mu1, True, barriers[i])
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
             assert np.array_equal(got.phi_refl_end, phi_end)
             assert np.array_equal(got.r_pay_end[i], r_end)
             assert np.array_equal(got.stieltjes[i], stj)
+            assert np.array_equal(got.z_end, z_end)
             assert (stj > 0.0).any()   # a level some path prices
 
 
@@ -549,14 +553,16 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
             assert steps.max() > 7168
         assert got.censored.any() == (horizon < 1.0)
         assert (got.tau == 0.0).all() == (phi0 == sol.A)
+        assert not np.isnan(got.z_end).any()   # every slot written
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj = _one_barrier_pass(
+            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
                 base_params, phi0, cfg, rate, weight_phi, bpay, first=lo)
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
             assert np.array_equal(got.phi_refl_end, phi_end)
             assert np.array_equal(got.r_pay_end[i], r_end)
             assert np.array_equal(got.stieltjes[i], stj)
+            assert np.array_equal(got.z_end, z_end)
 
 
 def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
@@ -635,6 +641,7 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
                 weight_phi=weight_phi, payoff_barriers=bpays, stride=stride))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
+        assert not np.isnan(split.z_end).any()   # every slot written
         for field in dataclasses.fields(serial):
             assert np.array_equal(getattr(split, field.name),
                                   getattr(serial, field.name), equal_nan=True)
@@ -1112,9 +1119,10 @@ def test_stride_one_is_the_default_pass(base_params):
 
 
 def test_strided_grids_subsample_one_fine_path(base_params):
-    # Grid s keeps the fine steps k with k % s == 0: its stops and reflected
-    # ratios are those of subsampling the whole fine path, bit for bit.  The
-    # horizon (3073 steps) is no multiple of 3 or 2 and censors some paths.
+    # Grid s keeps the fine steps k with k % s == 0: its stops, reflected
+    # ratios and log ratios at the stop are those of subsampling the whole
+    # fine path, bit for bit.  The horizon (3073 steps) is no multiple of 3
+    # or 2 and censors some paths, whose log ratio is at the last grid point.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
                     measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
@@ -1140,6 +1148,7 @@ def test_strided_grids_subsample_one_fine_path(base_params):
             if hit.any():
                 assert pf.tau[i] == end * s * cfg.dt
             assert pf.phi_refl_end[i] == math.exp(zr[end - 1])
+            assert pf.z_end[i] == zc[end - 1]
 
 
 # -- truncation and CSV export ------------------------------------------------------

@@ -13,6 +13,7 @@ from driftgame.verify import (
     _j0_spec,
     _j1_samples,
     _j1_spec,
+    _log_controls,
     deviations_player1,
     deviations_player2,
     dt_convergence_study,
@@ -109,6 +110,55 @@ def test_jhat_identity(sol):
     resid = (jhat - j0) - phi * j1
     se = resid.std(ddof=1) / math.sqrt(resid.size)
     assert abs(resid.mean()) <= 3.0 * se
+
+
+# -- martingale controls of J0 and Jhat --------------------------------------------
+
+def _pass(sol, phi, cfg0, cfg1):
+    """The tilted0 outputs of mc_oracle_suite's pass."""
+    _, pf0 = stacked_path_functionals(
+        sol.params, phi, (_j1_spec(sol, cfg1), _j0_spec(sol, cfg0)))
+    return pf0
+
+
+def test_control_means_are_exact(sol):
+    # E[M_beta] = phi^beta for every control: this pins the compensator
+    # k (beta c_drift + beta^2 c_noise^2 / 2) and, above B, that z_end is the
+    # log ratio before reflection, so that Gamma's jump at t = 0 leaves it
+    cfg0, cfg1 = _configs(sol)
+    for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
+        log_m, log_mean = _log_controls(sol, phi, cfg0, _pass(sol, phi, cfg0, cfg1))
+        for m, mean in zip(np.exp(log_m), np.exp(log_mean)):
+            se = m.std(ddof=1) / math.sqrt(m.size)
+            assert abs(m.mean() - mean) <= 4.0 * se, (phi, m.mean(), mean, se)
+
+
+def test_controls_cut_jhat_stderr(sol):
+    # the base case at 4 000 paths: Jhat's stderr with the controls is at
+    # most 0.4x its plain stderr (about 0.25x measured), and J0's is smaller
+    # too; both still pass
+    cfg0, cfg1 = _configs(sol)
+    for phi in ((sol.A + sol.B) / 2, sol.B):
+        j0, jhat = _j0_samples(sol, _pass(sol, phi, cfg0, cfg1))
+        reports = _suite(sol, phi, cfg0, cfg1)
+        for name, samples, ratio in (("Jhat", jhat, 0.4), ("J0", j0, 1.0)):
+            plain = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert reports[name]["stderr"] <= ratio * plain, (phi, name)
+        assert all(r["pass"] for r in reports.values())
+
+
+@pytest.mark.parametrize("n_paths", [2, 4, 5])
+def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
+    # with q = 3 controls a fit needs n > q + 1 paths: 2 and 4 paths give
+    # the plain mean and stderr bit for bit, 5 paths fit the controls
+    cfg0, cfg1 = _configs(sol, n_paths=n_paths, dt=1e-4, seed=0)
+    reports = _suite(sol, 1.0, cfg0, cfg1)
+    j0, jhat = _j0_samples(sol, _pass(sol, 1.0, cfg0, cfg1))
+    for name, samples in (("J0", j0), ("Jhat", jhat)):
+        plain = (float(samples.mean()),
+                 float(samples.std(ddof=1) / math.sqrt(n_paths)))
+        got = (reports[name]["estimate"], reports[name]["stderr"])
+        assert (got == plain) == (n_paths <= 4), (name, got, plain)
 
 
 # -- config validation -----------------------------------------------------------
