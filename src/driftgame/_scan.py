@@ -11,7 +11,7 @@ A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
 differ only in their drift, so their jobs share seed, phi0, c_noise, the
 grid, z_hit, z_lo and stride, and each adds its own c_drift, rate,
-weight_phi and z_pays.  A batch holds a row for each (measure, path).
+weight_phi, z_pays and betas.  A batch holds a row for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
 path, together through the whole horizon in chunks of min(steps left,
@@ -45,6 +45,12 @@ batch size, chunk length and helper split:
   the float operations that pricing every step would;
 - a Stieltjes sum starts from its time-zero value, and each chunk adds
   its terms to it one by one in step order (np.add.at);
+- a control sum, one per exponent beta of betas, is priced with the
+  Stieltjes sums, from the reflection R of the stop barrier, which a job
+  with betas prices as one of its payoff barriers: it starts from
+  e^{beta R_0} - 1 (R jumps from 0 to R_0 at t = 0) and adds
+  e^{rate t}(e^{beta (R_k - R_{k-1})} - 1) where R grows, in step order;
+  a job without betas takes none of its operations;
 - with a stride s the noise and the log ratio stay on the fine steps,
   and the maximum, reflection and stop read the columns of steps k with
   k % s == 0 alone, so every stride reads one path and a chunk that holds
@@ -73,7 +79,7 @@ CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
 class ScanJob(NamedTuple):
     """Everything a scan of some of a pass's paths under one measure needs.
     A pass over several measures is a tuple of ScanJobs that differ in
-    c_drift, rate, weight_phi and z_pays alone.
+    c_drift, rate, weight_phi, z_pays and betas alone.
 
     A NamedTuple, not a dataclass: a dataclass of this size costs about
     2 ms to define.
@@ -91,15 +97,18 @@ class ScanJob(NamedTuple):
     z_lo: float          # log of the absorbing lower threshold
     z_pays: tuple        # logs of the payoff barriers
     stride: int = 1      # the stop is tested on steps k with k % stride == 0
+    betas: tuple = ()    # exponents of the control sums
 
 
-def unscanned(n: int, n_barriers: int, alloc=bytearray) -> PathFunctionals:
-    """Slots for n paths and n_barriers payoff barriers, ready for
-    scan_paths: tau and z_end NaN, none censored.  Every field is a view
-    of one buffer of alloc(size in bytes): the heap by default, or for
-    example a shared mapping that a forked process writes in place."""
-    # tau, phi_refl_end, z_end, then r_pay_end, stieltjes
-    rows = 3 + 2 * n_barriers
+def unscanned(n: int, n_barriers: int, n_controls: int = 0,
+              alloc=bytearray) -> PathFunctionals:
+    """Slots for n paths, n_barriers payoff barriers and n_controls control
+    exponents, ready for scan_paths: tau and z_end NaN, none censored.
+    Every field is a view of one buffer of alloc(size in bytes): the heap
+    by default, or for example a shared mapping that a forked process
+    writes in place."""
+    # tau, phi_refl_end, z_end, then r_pay_end, stieltjes, control_sums
+    rows = 3 + 2 * n_barriers + n_controls
     buffer = alloc(rows * n * 8 + n)
     floats = np.ndarray((rows, n), np.float64, buffer)
     floats[0] = floats[2] = np.nan
@@ -108,7 +117,9 @@ def unscanned(n: int, n_barriers: int, alloc=bytearray) -> PathFunctionals:
     return PathFunctionals(tau=floats[0], censored=censored,
                            phi_refl_end=floats[1],
                            r_pay_end=floats[3:3 + n_barriers],
-                           stieltjes=floats[3 + n_barriers:], z_end=floats[2])
+                           stieltjes=floats[3 + n_barriers:3 + 2 * n_barriers],
+                           z_end=floats[2],
+                           control_sums=floats[3 + 2 * n_barriers:])
 
 
 def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
@@ -120,7 +131,7 @@ def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
 def scan(jobs: tuple, n: int) -> tuple:
     """Paths 0..n-1 of a pass, scanned in this process under each of jobs,
     its measures: slots from unscanned, one per job."""
-    outs = tuple(unscanned(n, len(job.z_pays)) for job in jobs)
+    outs = tuple(unscanned(n, len(job.z_pays), len(job.betas)) for job in jobs)
     scan_paths(jobs, 0, outs)
     return outs
 
@@ -143,6 +154,9 @@ def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
                          for r in r_pay0.tolist()])
         part.r_pay_end[:] = r_pay0[:, None]
         part.stieltjes[:] = sti0[:, None]
+        # a control sum's time-zero term: R jumps from 0 to r_hit0
+        with np.errstate(over="ignore"):
+            part.control_sums[:] = np.expm1(np.multiply(one.betas, r_hit0))[:, None]
         r_pay0s.append(r_pay0)
     if z0 - r_hit0 <= head.z_lo:   # every path stops at time zero
         for part in outs:
@@ -160,7 +174,8 @@ def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
 def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
                 scratch: _ScanScratch) -> None:
     """scan_paths(jobs, lo, outs) as one batch, with outs' slots already
-    holding the time-zero reflections r_pay0s and Stieltjes sums.
+    holding the time-zero reflections r_pay0s, Stieltjes sums and control
+    sums.
 
     The batch has a row for each measure and path that have not stopped,
     measure by measure: bounds[i]:bounds[i + 1] are the rows of jobs[i],
@@ -185,11 +200,19 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
     gens = slot_gens                      # the drawn paths' generators
     carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
-    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot
+    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot,
+    # and control sums (exponent, slot), flat at key i * n + slot
     sums = [out.stieltjes.copy() for out in outs]
+    control_sums = [out.control_sums.copy() for out in outs]
+    # a job with betas prices its stop barrier, row stop_row of its z_pays; the
+    # betas are negated because the pricing step has R_{k-1} - R_k
     parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None],
-              np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1))
-             for one, out, r_pay0, total in zip(jobs, outs, r_pay0s, sums)]
+              np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1),
+              one.z_pays.index(z_hit) if one.betas else None,
+              -np.array(one.betas)[:, None], np.arange(len(one.betas))[:, None] * n,
+              control_total.reshape(-1))
+             for one, out, r_pay0, total, control_total
+             in zip(jobs, outs, r_pay0s, sums, control_sums)]
 
     k = 0   # steps done
     while ids.size:
@@ -246,7 +269,8 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
             stopped, gone = ids[stop], ids[leave]
         stop_cuts = _cuts(stop, bounds)
         leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
-        for (one, out, z_col, r0_col, keys, total), a, b, s_a, s_b, l_a, l_b in zip(
+        for (one, out, z_col, r0_col, keys, total, stop_row, neg_beta_col,
+             control_keys, control_total), a, b, s_a, s_b, l_a, l_b in zip(
                 parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
                 leave_cuts, leave_cuts[1:]):
             # payoff barriers come with stride 1: grid points are steps
@@ -271,15 +295,28 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
                 np.maximum(rp, r0_col, out=rp)
                 np.maximum(rp_prev, r0_col, out=rp_prev)
                 row, col = np.divmod(p, mg + 1)
+                rate_t = one.rate * dt * (k + col)
                 # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
                 # in a form that neither cancels nor overflows
-                lw = one.rate * dt * (k + col) - rp_prev
+                lw = rate_t - rp_prev
                 if one.weight_phi:
                     lw += m_new
                 grows = rp > rp_prev
+                fall = rp_prev - rp
+                slot = ids[a:b][row]
                 # added to each key in step order
-                np.add.at(total, (keys + ids[a:b][row])[grows],
-                          np.exp(lw[grows]) * -np.expm1((rp_prev - rp)[grows]))
+                np.add.at(total, (keys + slot)[grows],
+                          np.exp(lw[grows]) * -np.expm1(fall[grows]))
+                if stop_row is not None:
+                    # where the stop barrier's R grows, each exponent's
+                    # e^{rate t}(e^{beta (R_k - R_{k-1})} - 1), in step
+                    # order; a sum that overflows is inf, which the
+                    # estimator drops
+                    up = grows[stop_row].nonzero()[0]
+                    with np.errstate(over="ignore"):
+                        np.add.at(control_total, control_keys + slot[up],
+                                  np.exp(rate_t[up])
+                                  * np.expm1(neg_beta_col * fall[stop_row][up]))
             if l_a < l_b:
                 out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
                 out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
@@ -300,8 +337,9 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
         else:
             top = mx[:, -1].copy()
         k += m
-    for out, total in zip(outs, sums):
+    for out, total, control_total in zip(outs, sums, control_sums):
         out.stieltjes[:] = total
+        out.control_sums[:] = control_total
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:

@@ -58,7 +58,7 @@ def scan(jobs: tuple, n: int) -> tuple:
     if sys.platform != "linux" or _cpu_count() < 2:
         return _scan.scan(jobs, n)
     _scan.scan_scratch(len(jobs))   # built once, before the fork, for both processes
-    shared = tuple(_scan.unscanned(n, len(job.z_pays),
+    shared = tuple(_scan.unscanned(n, len(job.z_pays), len(job.betas),
                                    lambda size: mmap.mmap(-1, size))
                    for job in jobs)
     queue_r, queue_w = os.pipe()

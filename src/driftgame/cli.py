@@ -395,12 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
                        description="J0, J1 and Jhat by Monte Carlo against "
                                    "their closed forms V0, V1 and V.  J0 and "
                                    "Jhat subtract a least-squares fit, on the "
-                                   "same paths, on three martingale controls "
-                                   "of exactly known mean, and their stderr "
-                                   "has n - 4 degrees of freedom; with 4 "
-                                   "paths or fewer, or when every path stops "
-                                   "at t = 0, they are plain means.  J1 is "
-                                   "a plain mean.")
+                                   "same paths, on martingale controls of "
+                                   "exactly known mean: J0 on three, with "
+                                   "n - 4 degrees of freedom, and Jhat on two "
+                                   "that follow the reflection at B, with "
+                                   "n - 3.  A control that is constant (every "
+                                   "path stops at t = 0), overflows or is "
+                                   "spanned by the others is dropped; with no "
+                                   "control left, or no more paths than "
+                                   "controls + 1 (4 for J0, 3 for Jhat), the "
+                                   "estimate is a plain mean.  J1 is a plain "
+                                   "mean.")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("deviations", parents=[shared],

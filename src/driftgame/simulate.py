@@ -329,7 +329,11 @@ class PathFunctionals:
     [0, horizon] only.  r_pay_end is the accumulated log reflection of the
     payoff barrier, so the surviving probability mass is
     1 - Gamma = exp(-r_pay_end) (kept in log space to stay accurate when
-    Gamma is close to 1).
+    Gamma is close to 1).  control_sums has one row per control exponent
+    beta and one column per path: the sum over the steps j up to tau (or
+    the horizon) of e^{rate t_j}(e^{beta (R_j - R_{j-1})} - 1), with R the
+    log reflection at the stop barrier, R_{-1} = 0 and R_0 Gamma's jump at
+    t = 0, so that only the steps where R grows add to it.
     """
 
     tau: np.ndarray          # hitting time of the lower threshold, NaN if censored
@@ -338,6 +342,7 @@ class PathFunctionals:
     r_pay_end: np.ndarray    # payoff-barrier log reflection at tau (or at horizon)
     stieltjes: np.ndarray    # sum of e^{rate t} [Phi] dGamma over [0, tau] (or [0, T])
     z_end: np.ndarray        # log Phi, not reflected, at tau (or at horizon)
+    control_sums: np.ndarray  # sum of e^{rate t}(e^{beta dR} - 1) over [0, tau]
 
     @property
     def n_paths(self) -> int:
@@ -359,7 +364,8 @@ def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
     Each path consumes only its own substream and lands in its own slot,
     and each barrier's sums do not depend on the other barriers.  An
     empty payoff_barriers prices no sum: r_pay_end and stieltjes then have
-    no rows.
+    no rows.  control_sums has no rows either: a control sum is asked for
+    through MeasureSpec.control_betas alone.
 
     With stride s the stop is tested on every s-th step of config's grid
     only, up to its last such step at or before the horizon: the grid of
@@ -385,13 +391,17 @@ def log_ratio_step(params: ModelParams, config: SimConfig) -> tuple[float, float
 
 class MeasureSpec(NamedTuple):
     """One measure of a stacked pass: path_functionals' arguments after
-    params and phi0, which the measures share."""
+    params and phi0, which the measures share, and control_betas.  Each
+    exponent of control_betas adds a row of control_sums, discounted at
+    discount_rate and priced with config.barrier's sums, so payoff_barriers
+    must then hold config.barrier, and stride must be 1; none by default."""
 
     config: SimConfig
     discount_rate: float
     weight_phi: bool = False
     payoff_barriers: tuple | None = None
     stride: int = 1
+    control_betas: tuple = ()
 
 
 def stacked_path_functionals(params: ModelParams, phi0: float,
@@ -446,9 +456,16 @@ def _scan_job(params: ModelParams, phi0: float, spec: MeasureSpec):
             raise ValueError(f"payoff barrier {bpay} must be positive")
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValueError(f"stride={stride!r} must be an integer >= 1")
-    if stride > 1 and bpays:
+    betas = tuple(float(beta) for beta in spec.control_betas)
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise ValueError(f"control exponent {beta} must be finite")
+    if stride > 1 and (bpays or betas):
         raise ValueError(f"a pass with stride={stride} prices no sum; "
-                         f"payoff_barriers must be empty")
+                         f"payoff_barriers must be empty, and control_betas too")
+    if betas and config.barrier not in bpays:
+        raise ValueError(f"control sums are priced at the stop barrier "
+                         f"{config.barrier}; payoff_barriers must hold it")
     if stride > config.n_steps:
         raise ValueError(f"stride={stride} is longer than the "
                          f"{config.n_steps} steps to the horizon")
@@ -461,7 +478,8 @@ def _scan_job(params: ModelParams, phi0: float, spec: MeasureSpec):
         k_max=config.n_steps, dt=config.dt, rate=spec.discount_rate,
         weight_phi=spec.weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
-        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride))
+        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride),
+        betas=betas)
 
 
 # Below this many paths a pass never shares its scan with a helper

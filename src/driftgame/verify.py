@@ -12,15 +12,20 @@ the stopper, and common-random-number Monte Carlo for the informed
 player's reflection level and time-zero jump strategies, again from one
 pass over both measures.
 
-J0 and Jhat are estimated with exact-mean martingale control variates:
-M_beta = exp(beta z - k (beta c_drift + beta^2 c_noise^2 / 2)) at the stop
-(or the horizon), for each beta of CONTROL_BETAS, with z the log ratio
-before reflection and k the step count.  Optional stopping gives
-E[M_beta] = phi^beta from the simulated increment law alone, so the check
-stays independent of the closed form.  The coefficients are fitted by
-least squares on the same paths, and the standard error has n - q - 1
-degrees of freedom for q controls.  J1, the deviation suites and the dt
-study report plain means.
+J0 and Jhat are estimated with exact-mean martingale control variates.
+J0's are M_beta = exp(beta z - k (beta c_drift + beta^2 c_noise^2 / 2)) at
+the stop (or the horizon), for each beta of CONTROL_BETAS, with z the log
+ratio before reflection and k the step count.  Jhat's are the reflected
+controls N_beta = e^{mu0 t}(PhiB / B)^beta plus the kernel's sum of
+e^{mu0 t}(e^{beta dR} - 1) over the steps where the log reflection R at B
+grows, for the two roots beta of E[e^{beta step}] = e^{-mu0 dt}.  Optional
+stopping gives E[M_beta] = phi^beta and E[N_beta] = (phi / B)^beta from the
+simulated increment law alone, so the check stays independent of the
+closed form.  The coefficients are fitted by least squares on the same
+paths, and the standard error has n - q - 1 degrees of freedom for q
+controls.  A control that is constant, that overflows, or that the others
+span is dropped, so the fit never fails.  J1, the deviation suites and the
+dt study report plain means.
 
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
@@ -42,7 +47,10 @@ from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
                        stacked_path_functionals)
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
-# Calibrated by dt-halving at the base case (worst observed ratio ~0.12; factor-2 safety).
+# Calibrated by dt-halving at the base case (worst ratio there ~0.12; factor-2
+# safety), but the observed ratio reaches ~0.67 at study-range sets (J0 at
+# mu0 -2, mu1 0.3, sigma 1.5, eps 0.35, phi 1.8227; 10 000 paths, dt 1e-4),
+# where J0 and J1 fail their check on bias alone (ROADMAP item 7).
 HIT_BIAS_COEFF = 0.25
 
 # Residual grid bias of PAIRED payoff comparisons: the hitting-time overshoot
@@ -115,6 +123,13 @@ def _estimate(samples: np.ndarray, sol: EquilibriumSolution, config: SimConfig,
                       + bracket)
 
 
+def _steps(pf: PathFunctionals, config: SimConfig) -> np.ndarray:
+    """Steps to tau, or to the horizon for a censored path, of pf, a pass
+    on config's grid (stride 1)."""
+    return np.where(pf.censored, float(config.n_steps),
+                    np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
+
+
 def _log_controls(sol: EquilibriumSolution, phi: float, config: SimConfig,
                   pf: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
     """log M_beta at tau or the horizon, one row per beta of CONTROL_BETAS
@@ -127,21 +142,69 @@ def _log_controls(sol: EquilibriumSolution, phi: float, config: SimConfig,
     by optional stopping: no exponent, threshold or coefficient of the
     closed form enters."""
     c_drift, c_noise = log_ratio_step(sol.params, config)
-    steps = np.where(pf.censored, float(config.n_steps),
-                     np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
     beta = np.array(CONTROL_BETAS)[:, None]
     log_m = beta * pf.z_end
-    log_m -= steps * (beta * c_drift + 0.5 * beta**2 * c_noise**2)
+    log_m -= _steps(pf, config) * (beta * c_drift + 0.5 * beta**2 * c_noise**2)
     return log_m, beta[:, 0] * math.log(phi)
 
 
-def _controls(log_m: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
-    """The controls less their exact means, each scaled by e^{-shift},
-    shift its largest log: no control overflows, and a control equal on
-    every path is exactly zero."""
-    shift = log_m.max(axis=1)
-    controls = np.exp(log_m - shift[:, None])
-    controls -= np.exp(log_mean - shift)[:, None]
+def _reflected_betas(sol: EquilibriumSolution, config: SimConfig) -> tuple:
+    """(beta+, beta-), the roots of c_noise^2 beta^2 / 2 + c_drift beta
+    + mu0 dt = 0 for config's tilted0 step c_drift + c_noise xi of log Phi,
+    so that E[e^{beta step}] = e^{-mu0 dt}.  mu0 < 0 makes them real and of
+    opposite sign; the stable form of the quadratic formula takes both
+    without cancellation."""
+    c_drift, c_noise = log_ratio_step(sol.params, config)
+    a, c = 0.5 * c_noise**2, sol.params.mu0 * config.dt
+    q = -0.5 * (c_drift + math.copysign(math.sqrt(c_drift**2 - 4.0 * a * c), c_drift))
+    return tuple(sorted((q / a, c / q), reverse=True))
+
+
+def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
+                            config: SimConfig, pf: PathFunctionals
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reflected controls N_beta of a tilted0 pass of _j0_spec that
+    starts at phi, one row per beta of _reflected_betas and one column per
+    path: (log of their first term, log of their exact means
+    beta log(phi / B), their control sums).
+
+    With R the log reflection at B and K = tau, or the horizon,
+    N_K = e^{mu0 t_K} (PhiB_K / B)^beta + sum over j <= K of
+    e^{mu0 t_j}(e^{beta (R_j - R_{j-1})} - 1), the sum the kernel takes
+    (R_{-1} = 0, R_0 Gamma's jump at t = 0).  Where R grows, log PhiB is
+    log B, so e^{mu0 t} (PhiB / B)^beta moves only by the step's
+    e^{beta step}, of mean e^{-mu0 dt}, and the sum compensates the
+    reflection: N is a martingale of the simulated steps, and E[N_K] =
+    (phi / B)^beta by optional stopping.  log PhiB_K is z_end less the
+    reflection at the pass's payoff barrier B, so it never underflows."""
+    beta = np.array(_reflected_betas(sol, config))[:, None]
+    z_b = math.log(config.barrier)
+    log_first = sol.params.mu0 * config.dt * _steps(pf, config) \
+        + beta * (pf.z_end - pf.r_pay_end[0] - z_b)
+    return log_first, beta[:, 0] * (math.log(phi) - z_b), pf.control_sums
+
+
+def _controls(log_m: np.ndarray, log_mean: np.ndarray,
+              sums: np.ndarray | None = None) -> np.ndarray:
+    """The controls e^{log_m} + sums (no sums by default) less their exact
+    means e^{log_mean}, one row each, each scaled by e^{-shift}, shift the
+    largest log of its terms and its mean: no control overflows.  Each
+    control is judged in log space before any exp, and left out when a log
+    is NaN or +inf (a term overflowed) or when every term is equal on every
+    path (the control is constant)."""
+    constant = log_m.min(axis=1) == log_m.max(axis=1)
+    shift = np.maximum(log_m.max(axis=1), log_mean)
+    if sums is not None:
+        log_s = np.full(sums.shape, -np.inf)
+        np.log(np.abs(sums), out=log_s, where=sums != 0.0)
+        constant &= sums.min(axis=1) == sums.max(axis=1)
+        shift = np.maximum(shift, log_s.max(axis=1))
+    keep = (shift < np.inf) & ~constant   # shift is NaN where a log is
+    shift = shift[keep, None]
+    controls = np.exp(log_m[keep] - shift)
+    if sums is not None:
+        controls += np.sign(sums[keep]) * np.exp(log_s[keep] - shift)
+    controls -= np.exp(log_mean[keep, None] - shift)
     return controls
 
 
@@ -149,24 +212,43 @@ def _regressed(samples: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, i
     """The samples less their least-squares fit on the rows of controls
     (each with mean zero in expectation), fitted on the same paths, and the
     ddof of their standard error, 1 + the q controls used.  A control of
-    sample variance zero is dropped; with none left, or no more than q + 1
+    sample variance zero is dropped, and so is one that the controls kept
+    before it span (_independent); with none left, or no more than q + 1
     paths, the samples come back as they are, with ddof 1.
 
     Every sum over paths is a numpy reduction (no BLAS call), so the result
-    does not depend on how many threads BLAS runs; only the q x q system
-    goes to LAPACK."""
+    does not depend on how many threads BLAS runs; only q x q matrices go
+    to LAPACK."""
     centred = [row - row.mean() for row in controls]
     used = [(c, row) for c, row in zip(centred, controls) if (c * c).sum() > 0.0]
-    q = len(used)
+    s_xx = np.array([[(a * b).sum() for b, _ in used] for a, _ in used])
+    keep = _independent(s_xx.reshape(len(used), len(used)))
+    q = len(keep)
     if not q or samples.size <= q + 1:
         return samples, 1
+    used = [used[i] for i in keep]
     dev = samples - samples.mean()
-    s_xx = np.array([[(a * b).sum() for b, _ in used] for a, _ in used])
     s_xy = np.array([(a * dev).sum() for a, _ in used])
     adjusted = samples.copy()
-    for coef, (_, row) in zip(np.linalg.solve(s_xx, s_xy).tolist(), used):
+    for coef, (_, row) in zip(np.linalg.solve(s_xx[np.ix_(keep, keep)], s_xy).tolist(),
+                              used):
         adjusted -= coef * row
     return adjusted, q + 1
+
+
+def _independent(s_xx: np.ndarray) -> list:
+    """Indices of the controls with cross products s_xx (positive on its
+    diagonal) that a fit keeps: in order, each one that keeps the
+    correlation matrix of those kept of full numerical rank, so that the
+    fit's q x q system is never singular."""
+    d = np.sqrt(np.diag(s_xx))
+    corr = s_xx / d[:, None] / d
+    keep = []
+    for i in range(d.size):
+        trial = [*keep, i]
+        if np.linalg.matrix_rank(corr[np.ix_(trial, trial)]) == len(trial):
+            keep.append(i)
+    return keep
 
 
 def _j0_bracket(sol: EquilibriumSolution, config: SimConfig,
@@ -183,8 +265,11 @@ def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
 
 
 def _j0_spec(sol: EquilibriumSolution, config: SimConfig) -> MeasureSpec:
-    """The tilted0 measure of a pass that _j0_samples reads."""
-    return MeasureSpec(config, discount_rate=sol.params.mu0, weight_phi=True)
+    """The tilted0 measure of a pass that _j0_samples and the controls
+    read: the Stieltjes sum at B and a control sum for each exponent of
+    _reflected_betas."""
+    return MeasureSpec(config, discount_rate=sol.params.mu0, weight_phi=True,
+                       control_betas=_reflected_betas(sol, config))
 
 
 def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
@@ -254,12 +339,15 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     A censored path's missing mass is never folded into the mean; its
     bound enters the bias bound.
 
-    J0 and Jhat are each regressed, on the same paths, on the controls
-    M_beta of _log_controls, whose exact means are phi^beta; each reports
-    the mean of its samples less the fit, and their sd over sqrt(n) with
-    n - q - 1 degrees of freedom.  A control equal on every path (every
-    path stops at t = 0) is dropped, and with none left or n <= q + 1
-    paths the estimate is the plain mean and stderr.  J1 is plain.
+    J0 is regressed, on the same paths, on the controls M_beta of
+    _log_controls, whose exact means are phi^beta, and Jhat on the
+    reflected controls N_beta of _log_reflected_controls, whose exact
+    means are (phi / B)^beta; each reports the mean of its samples less
+    the fit, and their sd over sqrt(n) with n - q - 1 degrees of freedom.
+    A control equal on every path (every path stops at t = 0), one that
+    overflows and one that the others span are dropped, and with none left
+    or n <= q + 1 paths the estimate is the plain mean and stderr.  J1 is
+    plain.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
@@ -268,7 +356,8 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
         sol.params, phi, (_j1_spec(sol, config1), _j0_spec(sol, config0)))
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
-    controls = _controls(*_log_controls(sol, phi, config0, pf0))
+    martingale = _controls(*_log_controls(sol, phi, config0, pf0))
+    reflected = _controls(*_log_reflected_controls(sol, phi, config0, pf0))
     # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
@@ -283,11 +372,11 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     return [
         oracle_report(sol, "J0", phi, _estimate(
             j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),
-            pf0.censored, controls), sol.V0(phi)),
+            pf0.censored, martingale), sol.V0(phi)),
         oracle_report(sol, "J1", phi, _estimate(
             j1, sol, config1, float(miss1.mean()), pf1.censored), sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _estimate(
-            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, controls),
+            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, reflected),
             sol.V(phi)),
     ]
 

@@ -39,6 +39,11 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _one_measure(params, phi0, spec):
+    """path_functionals for one MeasureSpec, which may ask for control sums."""
+    return stacked_path_functionals(params, phi0, (spec,))[0]
+
+
 def _manual_traj(phi, dt=0.1):
     phi = np.asarray(phi, dtype=float)
     times = np.arange(phi.size) * dt
@@ -76,6 +81,17 @@ def test_config_validation(base_params):
     with pytest.raises(ValueError, match="payoff_barriers must be empty"):
         path_functionals(base_params, 0.6, _cfg(), discount_rate=base_params.mu0,
                          stride=2)            # the default prices one sum
+    with pytest.raises(ValueError, match="control_betas too"):
+        _one_measure(base_params, 0.6, MeasureSpec(
+            _cfg(), base_params.mu0, payoff_barriers=(), stride=2,
+            control_betas=(0.5,)))
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="control exponent"):
+            _one_measure(base_params, 0.6, MeasureSpec(
+                _cfg(), base_params.mu0, payoff_barriers=(), control_betas=(beta,)))
+    with pytest.raises(ValueError, match="payoff_barriers must hold it"):
+        _one_measure(base_params, 0.6, MeasureSpec(
+            _cfg(), base_params.mu0, payoff_barriers=(), control_betas=(0.5,)))
     with pytest.raises(ValueError, match="5000 steps"):
         path_functionals(base_params, 0.6, _cfg(), stride=5001, **kw)
 
@@ -398,15 +414,21 @@ def test_kernel_matches_trajectory_hits(base_params):
             assert pf.tau[i] == stopped.times[-1]
 
 
+# control exponents of the bitwise tests: one of each sign, near the
+# reflected controls' (0.89, -0.14) at the base case
+BETAS = (0.9, -0.15)
+
+
 def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
-                      first=0):
+                      first=0, betas=()):
     """Reference: the kernel one whole path at a time, for a single payoff
     barrier and with every float operation of the fused pass, for paths
     first, first + 1, ...  The log ratio is z0 plus the running sum of the
     path's increments, on a prefix of its draws that doubles until it holds
-    the stop, and the Stieltjes sum adds its terms one by one to its
-    time-zero value, in step order.
-    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes, z_end)."""
+    the stop, and the Stieltjes sum and each control exponent's sum add
+    their terms one by one to their time-zero values, in step order.
+    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes, z_end,
+    control_sums), control_sums one row per exponent of betas."""
     d = derive(params)
     m_phi, _ = log_drifts(params, d, config.measure)
     c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
@@ -418,14 +440,18 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     tau = np.full(n, np.nan)
     cens = np.zeros(n, dtype=bool)
     phi_end, r_end, stj, z_end = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    beta = np.array(betas)
+    ctl = np.empty((beta.size, n))
     r_hit = max(0.0, z0 - z_hit)
     r_pay = r_hit if same else max(0.0, z0 - z_pay)
     g = -math.expm1(-r_pay)
     sti0 = phi0 * g if weight_phi else g
+    ctl0 = np.expm1(beta * r_hit)   # R jumps from 0 to r_hit at t = 0
     for p in range(n):
         if z0 - r_hit <= z_lo:
             tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z0 - r_hit), r_pay, sti0
             z_end[p] = z0
+            ctl[:, p] = ctl0
             continue
         rng = substream(config.seed, first + p, ROLE_PATH_NOISE)
         xi = rng.standard_normal(min(1024, k_max))
@@ -448,12 +474,23 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
         sti = sti0
         for term in (np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).tolist():
             sti += term
+        # each control sum: e^{rate t}(e^{beta dR} - 1) where the stop
+        # barrier's reflection R grows
+        rh_prev = np.concatenate(([r_hit], rh[:end - 1]))
+        up = (rh[:end] > rh_prev).nonzero()[0]
+        ctl_terms = np.exp(rate * dt * (1.0 + up)) * np.expm1(
+            beta[:, None] * (rh[up] - rh_prev[up]))
+        for i, row in enumerate(ctl_terms.tolist()):
+            total = ctl0[i]
+            for term in row:
+                total += term
+            ctl[i, p] = total
         cens[p] = not hit.any()
         if not cens[p]:
             tau[p] = end * dt
         phi_end[p], r_end[p], stj[p] = math.exp(z[end - 1] - rh[end - 1]), rp[-1], sti
         z_end[p] = z[end - 1]   # the stop, or the last step of a censored path
-    return tau, cens, phi_end, r_end, stj, z_end
+    return tau, cens, phi_end, r_end, stj, z_end, ctl
 
 
 def test_fused_pass_matches_one_pass_per_barrier(base_params):
@@ -472,22 +509,24 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
         cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7,
                         measure=measure, barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        fused = path_functionals(base_params, phi0, cfg, discount_rate=rate,
-                                 weight_phi=weight_phi, payoff_barriers=barriers)
+        fused = _one_measure(base_params, phi0, MeasureSpec(
+            cfg, rate, weight_phi, barriers, control_betas=BETAS))
         assert fused.tau.shape == fused.censored.shape == (64,)
         assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
+        assert fused.control_sums.shape == (len(BETAS), 64)
         # some paths take over 1024 steps; the short horizon censors some
         assert np.any(np.nan_to_num(fused.tau, nan=horizon) > 1024 * cfg.dt)
         assert fused.censored.any() == (horizon < 1.0)
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
-                base_params, phi0, cfg, rate, weight_phi, bpay)
+            tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
+                base_params, phi0, cfg, rate, weight_phi, bpay, betas=BETAS)
             assert np.array_equal(fused.tau, tau, equal_nan=True)
             assert np.array_equal(fused.censored, cens)
             assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
             assert np.array_equal(fused.z_end, z_end)
+            assert np.array_equal(fused.control_sums, ctl)
 
 
 def test_many_payoff_barriers_in_one_pass(base_params):
@@ -503,7 +542,7 @@ def test_many_payoff_barriers_in_one_pass(base_params):
                                weight_phi=True, payoff_barriers=barriers)
         assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
         for i in (0, n_barriers // 2, n_barriers - 1):
-            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
+            tau, cens, phi_end, r_end, stj, z_end, _ = _one_barrier_pass(
                 base_params, 0.6, cfg, base_params.mu1, True, barriers[i])
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
@@ -515,11 +554,11 @@ def test_many_payoff_barriers_in_one_pass(base_params):
 
 
 def test_batched_scan_matches_one_pass_per_barrier(base_params):
-    # The batched scan is bitwise equal to one pass per path and barrier:
-    # 300 paths (not a multiple of the batch), paths of over 7168 steps
-    # (at dt 1e-5), a horizon of 3001 steps that ends inside a chunk and
-    # censors some paths, starts above B and at A, and paths from a nonzero
-    # offset scanned by scan_paths directly.
+    # The batched scan is bitwise equal to one pass per path and barrier,
+    # control sums included: 300 paths (not a multiple of the batch), paths
+    # of over 7168 steps (at dt 1e-5), a horizon of 3001 steps that ends
+    # inside a chunk and censors some paths, starts above B and at A, and
+    # paths from a nonzero offset scanned by scan_paths directly.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -535,8 +574,8 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
                         measure=measure, barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         if lo == 0:
-            got = path_functionals(base_params, phi0, cfg, discount_rate=rate,
-                                   weight_phi=weight_phi, payoff_barriers=barriers)
+            got = _one_measure(base_params, phi0, MeasureSpec(
+                cfg, rate, weight_phi, barriers, control_betas=BETAS))
         else:
             m_phi, _ = log_drifts(base_params, d, measure)
             job = scan.ScanJob(
@@ -545,8 +584,8 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
                 c_noise=d.omega * math.sqrt(cfg.dt), k_max=cfg.n_steps,
                 dt=cfg.dt, rate=rate, weight_phi=weight_phi,
                 z_hit=math.log(sol.B), z_lo=math.log(sol.A),
-                z_pays=tuple(math.log(b) for b in barriers))
-            got = scan.unscanned(n, len(barriers))
+                z_pays=tuple(math.log(b) for b in barriers), betas=BETAS)
+            got = scan.unscanned(n, len(barriers), len(BETAS))
             scan.scan_paths((job,), lo, (got,))
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
@@ -555,21 +594,24 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
         assert (got.tau == 0.0).all() == (phi0 == sol.A)
         assert not np.isnan(got.z_end).any()   # every slot written
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj, z_end = _one_barrier_pass(
-                base_params, phi0, cfg, rate, weight_phi, bpay, first=lo)
+            tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
+                base_params, phi0, cfg, rate, weight_phi, bpay, first=lo,
+                betas=BETAS)
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
             assert np.array_equal(got.phi_refl_end, phi_end)
             assert np.array_equal(got.r_pay_end[i], r_end)
             assert np.array_equal(got.stieltjes[i], stj)
             assert np.array_equal(got.z_end, z_end)
+            assert np.array_equal(got.control_sums, ctl)
 
 
 def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     # Batches of 7 paths walked in chunks of 5 to 40 steps give the same
     # bits as the default batches and chunks: three payoff barriers with
-    # the Phi weight, a start above B, and a horizon that censors some paths;
-    # and a stride-7 pass, where some 5-step chunks hold no grid point.
+    # the Phi weight and two control sums, a start above B, and a horizon
+    # that censors some paths; and a stride-7 pass, where some 5-step
+    # chunks hold no grid point.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -577,16 +619,16 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     for phi0 in (0.6, 1.7 * sol.B):
         cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12,
                         measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-        for bpays, stride in ((barriers, 1), ((), 7)):
+        for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
             for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
                 monkeypatch.setattr(scan, "BATCH_PATHS", batch)
                 monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
                 monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
-                runs.append(path_functionals(
-                    base_params, phi0, cfg, discount_rate=base_params.mu1,
-                    weight_phi=True, payoff_barriers=bpays, stride=stride))
+                runs.append(_one_measure(base_params, phi0, MeasureSpec(
+                    cfg, base_params.mu1, True, bpays, stride, betas)))
             assert runs[0].censored.any() and not runs[0].censored.all()
+            assert runs[0].control_sums.shape == (len(betas), cfg.n_paths)
             for field in dataclasses.fields(runs[0]):
                 assert np.array_equal(getattr(runs[1], field.name),
                                       getattr(runs[0], field.name), equal_nan=True)
@@ -615,7 +657,8 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     # Paths scanned by the helper process land bit-identically in their
     # slots: path counts not a multiple of the chunk and below two chunks,
     # censored paths, starts above B and at A, three payoff barriers with
-    # the Phi weight, and a stride-3 pass.  No helper is left running.
+    # the Phi weight, control sums on every stride-1 pass, and a stride-3
+    # pass.  No helper is left running.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
@@ -636,12 +679,13 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
         runs = []
         for on in (False, True):
             helper_switch.set(on)
-            runs.append(path_functionals(
-                base_params, phi0, cfg, discount_rate=base_params.mu0,
-                weight_phi=weight_phi, payoff_barriers=bpays, stride=stride))
+            runs.append(_one_measure(base_params, phi0, MeasureSpec(
+                cfg, base_params.mu0, weight_phi, bpays, stride,
+                BETAS if stride == 1 else ())))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
         assert not np.isnan(split.z_end).any()   # every slot written
+        assert split.control_sums.shape[0] == (len(BETAS) if stride == 1 else 0)
         for field in dataclasses.fields(serial):
             assert np.array_equal(getattr(split, field.name),
                                   getattr(serial, field.name), equal_nan=True)
@@ -653,13 +697,14 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
 
 def _stacked_pairs(base_params, sol, cfg):
     """The measure pairs of the mc and deviations commands on cfg's paths:
-    tilted0 with the Phi weight before tilted1 (so tilted1's rows outlive
-    the rows that take the draws), and tilted1 with six payoff barriers
-    before tilted0 with none."""
+    tilted0 with the Phi weight and control sums before tilted1 (so
+    tilted1's rows outlive the rows that take the draws), and tilted1 with
+    six payoff barriers before tilted0 with none."""
     cfg0 = dataclasses.replace(cfg, measure=Measure.TILTED0)
     cfg1 = dataclasses.replace(cfg, measure=Measure.TILTED1)
     six = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
-    return ((MeasureSpec(cfg0, base_params.mu0, weight_phi=True),
+    return ((MeasureSpec(cfg0, base_params.mu0, weight_phi=True,
+                         control_betas=BETAS),
              MeasureSpec(cfg1, base_params.mu1)),
             (MeasureSpec(cfg1, base_params.mu1, payoff_barriers=six),
              MeasureSpec(cfg0, base_params.mu0, payoff_barriers=())))
@@ -668,7 +713,8 @@ def _stacked_pairs(base_params, sol, cfg):
 def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                                                     helper_switch):
     # One pass over two measures gives each measure the bits of a pass of
-    # that measure alone, in every field: the mc and deviations pairs,
+    # that measure alone, in every field: the mc pair, whose control sums
+    # match the whole-path reference too, and the deviations pair,
     # starts between A and B, at B, above B and below A (every path stops
     # at time zero), paths of over 384 steps, a horizon that censors some
     # paths, batches of 7 paths in chunks of 5 to 40 steps, and the helper
@@ -684,10 +730,12 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
         for phi0 in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B, sol.A / 2):
             for specs in _stacked_pairs(base_params, sol, cfg):
                 helper_switch.set(False)
-                alone = [path_functionals(
-                    base_params, phi0, spec.config, discount_rate=spec.discount_rate,
-                    weight_phi=spec.weight_phi, payoff_barriers=spec.payoff_barriers)
-                    for spec in specs]
+                alone = [_one_measure(base_params, phi0, spec) for spec in specs]
+                if specs[0].control_betas:
+                    ctl = _one_barrier_pass(base_params, phi0, specs[0].config,
+                                            base_params.mu0, True, sol.B,
+                                            betas=BETAS)[6]
+                    assert np.array_equal(alone[0].control_sums, ctl)
                 assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
                 assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
                 if horizon > 1.0 and phi0 > sol.A:

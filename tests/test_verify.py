@@ -14,6 +14,8 @@ from driftgame.verify import (
     _j1_samples,
     _j1_spec,
     _log_controls,
+    _log_reflected_controls,
+    _regressed,
     deviations_player1,
     deviations_player2,
     dt_convergence_study,
@@ -112,7 +114,7 @@ def test_jhat_identity(sol):
     assert abs(resid.mean()) <= 3.0 * se
 
 
-# -- martingale controls of J0 and Jhat --------------------------------------------
+# -- martingale controls of J0 and reflected controls of Jhat ----------------------
 
 def _pass(sol, phi, cfg0, cfg1):
     """The tilted0 outputs of mc_oracle_suite's pass."""
@@ -133,32 +135,61 @@ def test_control_means_are_exact(sol):
             assert abs(m.mean() - mean) <= 4.0 * se, (phi, m.mean(), mean, se)
 
 
+def test_reflected_control_means_are_exact(sol):
+    # E[N_beta] = (phi/B)^beta for both roots beta: this pins the kernel's
+    # sum of e^{mu0 t}(e^{beta dR} - 1) where R grows, its time-zero term
+    # above B, the roots themselves and the discount of the first term
+    cfg0, cfg1 = _configs(sol)
+    for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
+        log_first, log_mean, sums = _log_reflected_controls(
+            sol, phi, cfg0, _pass(sol, phi, cfg0, cfg1))
+        assert sums.shape == (2, cfg0.n_paths)
+        for n_beta, mean in zip(np.exp(log_first) + sums, np.exp(log_mean)):
+            se = n_beta.std(ddof=1) / math.sqrt(n_beta.size)
+            assert abs(n_beta.mean() - mean) <= 4.0 * se, (phi, n_beta.mean(), mean, se)
+
+
 def test_controls_cut_jhat_stderr(sol):
-    # the base case at 4 000 paths: Jhat's stderr with the controls is at
-    # most 0.4x its plain stderr (about 0.25x measured), and J0's is smaller
-    # too; both still pass
+    # the base case at 4 000 paths: Jhat's stderr with the reflected
+    # controls is at most 0.01x its plain stderr (about 4e-4x measured),
+    # and J0's with the M_beta controls is smaller too; both still pass
     cfg0, cfg1 = _configs(sol)
     for phi in ((sol.A + sol.B) / 2, sol.B):
         j0, jhat = _j0_samples(sol, _pass(sol, phi, cfg0, cfg1))
         reports = _suite(sol, phi, cfg0, cfg1)
-        for name, samples, ratio in (("Jhat", jhat, 0.4), ("J0", j0, 1.0)):
+        for name, samples, ratio in (("Jhat", jhat, 0.01), ("J0", j0, 1.0)):
             plain = samples.std(ddof=1) / math.sqrt(samples.size)
             assert reports[name]["stderr"] <= ratio * plain, (phi, name)
         assert all(r["pass"] for r in reports.values())
 
 
-@pytest.mark.parametrize("n_paths", [2, 4, 5])
+@pytest.mark.parametrize("n_paths", [2, 3, 4, 5])
 def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
-    # with q = 3 controls a fit needs n > q + 1 paths: 2 and 4 paths give
-    # the plain mean and stderr bit for bit, 5 paths fit the controls
+    # a fit on q controls needs n > q + 1 paths: J0 (q = 3) gives the plain
+    # mean and stderr bit for bit at 2 to 4 paths, Jhat (q = 2) at 2 and 3,
+    # and each fits its controls above that
     cfg0, cfg1 = _configs(sol, n_paths=n_paths, dt=1e-4, seed=0)
     reports = _suite(sol, 1.0, cfg0, cfg1)
     j0, jhat = _j0_samples(sol, _pass(sol, 1.0, cfg0, cfg1))
-    for name, samples in (("J0", j0), ("Jhat", jhat)):
+    for name, samples, q in (("J0", j0, 3), ("Jhat", jhat, 2)):
         plain = (float(samples.mean()),
                  float(samples.std(ddof=1) / math.sqrt(n_paths)))
         got = (reports[name]["estimate"], reports[name]["stderr"])
-        assert (got == plain) == (n_paths <= 4), (name, got, plain)
+        assert (got == plain) == (n_paths <= q + 1), (name, got, plain)
+
+
+def test_dependent_controls_are_dropped():
+    # a control that the ones before it span is left out of the fit, so
+    # the fit's system is never singular: a repeated control and a sum of
+    # two fit as the independent ones alone, bit for bit
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 50))
+    y = x[0] - 2.0 * x[1] + 0.1 * rng.standard_normal(50)
+    alone = _regressed(y, x)
+    for extra in (x[0], x[0] + x[1]):
+        got = _regressed(y, np.vstack((x, extra)))
+        assert got[1] == alone[1] == 3
+        assert np.array_equal(got[0], alone[0])
 
 
 # -- config validation -----------------------------------------------------------
