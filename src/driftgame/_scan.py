@@ -45,12 +45,15 @@ batch size, chunk length and helper split:
   the float operations that pricing every step would;
 - a Stieltjes sum starts from its time-zero value, and each chunk adds
   its terms to it one by one in step order (np.add.at);
-- a control sum, one per exponent beta of betas, is priced with the
-  Stieltjes sums, from the reflection R of the stop barrier, which a job
-  with betas prices as one of its payoff barriers: it starts from
-  e^{beta R_0} - 1 (R jumps from 0 to R_0 at t = 0) and adds
-  e^{rate t}(e^{beta (R_k - R_{k-1})} - 1) where R grows, in step order;
-  a job without betas takes none of its operations;
+- a control sum, one per exponent beta of betas, is priced from the
+  reflection R of the stop barrier, which a job with betas prices as one
+  of its payoff barriers: it starts from e^{beta R_0} - 1 (R jumps from 0
+  to R_0 at t = 0) and adds e^{rate t}(e^{beta (R_k - R_{k-1})} - 1)
+  where R grows, times e^{-R_{k-1}} (the 1 - Gamma before the step) for
+  a job without the Phi weight; each chunk keeps its terms' slots, log
+  weights and steps of R, and the batch prices them all at its end, in
+  chunk order and so in step order; a job without betas takes none of
+  its operations;
 - with a stride s the noise and the log ratio stay on the fine steps,
   and the maximum, reflection and stop read the columns of steps k with
   k % s == 0 alone, so every stride reads one path and a chunk that holds
@@ -200,19 +203,15 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
     gens = slot_gens                      # the drawn paths' generators
     carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
-    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot,
-    # and control sums (exponent, slot), flat at key i * n + slot
+    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot
     sums = [out.stieltjes.copy() for out in outs]
-    control_sums = [out.control_sums.copy() for out in outs]
-    # a job with betas prices its stop barrier, row stop_row of its z_pays; the
-    # betas are negated because the pricing step has R_{k-1} - R_k
+    # a job with betas prices its stop barrier, row stop_row of its z_pays,
+    # and keeps each chunk's control terms in terms: their slots, log
+    # weights and R_{k-1} - R_k, which the pricing step has
     parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None],
               np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1),
-              one.z_pays.index(z_hit) if one.betas else None,
-              -np.array(one.betas)[:, None], np.arange(len(one.betas))[:, None] * n,
-              control_total.reshape(-1))
-             for one, out, r_pay0, total, control_total
-             in zip(jobs, outs, r_pay0s, sums, control_sums)]
+              one.z_pays.index(z_hit) if one.betas else None, [])
+             for one, out, r_pay0, total in zip(jobs, outs, r_pay0s, sums)]
 
     k = 0   # steps done
     while ids.size:
@@ -269,8 +268,8 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
             stopped, gone = ids[stop], ids[leave]
         stop_cuts = _cuts(stop, bounds)
         leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
-        for (one, out, z_col, r0_col, keys, total, stop_row, neg_beta_col,
-             control_keys, control_total), a, b, s_a, s_b, l_a, l_b in zip(
+        for (one, out, z_col, r0_col, keys, total, stop_row, terms
+             ), a, b, s_a, s_b, l_a, l_b in zip(
                 parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
                 leave_cuts, leave_cuts[1:]):
             # payoff barriers come with stride 1: grid points are steps
@@ -308,15 +307,12 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
                 np.add.at(total, (keys + slot)[grows],
                           np.exp(lw[grows]) * -np.expm1(fall[grows]))
                 if stop_row is not None:
-                    # where the stop barrier's R grows, each exponent's
-                    # e^{rate t}(e^{beta (R_k - R_{k-1})} - 1), in step
-                    # order; a sum that overflows is inf, which the
-                    # estimator drops
+                    # the steps where the stop barrier's R grows; the log
+                    # weight is rate t, less R_{k-1} without the Phi weight
                     up = grows[stop_row].nonzero()[0]
-                    with np.errstate(over="ignore"):
-                        np.add.at(control_total, control_keys + slot[up],
-                                  np.exp(rate_t[up])
-                                  * np.expm1(neg_beta_col * fall[stop_row][up]))
+                    terms.append((slot[up],
+                                  rate_t[up] if one.weight_phi else lw[stop_row, up],
+                                  fall[stop_row, up]))
             if l_a < l_b:
                 out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
                 out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
@@ -337,9 +333,28 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
         else:
             top = mx[:, -1].copy()
         k += m
-    for out, total, control_total in zip(outs, sums, control_sums):
+    for (one, out, *_, terms), total in zip(parts, sums):
         out.stieltjes[:] = total
-        out.control_sums[:] = control_total
+        if terms:
+            out.control_sums[:] = _control_sums(
+                one.betas, out.control_sums, n, *map(np.concatenate, zip(*terms)))
+
+
+def _control_sums(betas: tuple, start: np.ndarray, n: int, slot: np.ndarray,
+                  log_weight: np.ndarray, fall: np.ndarray) -> np.ndarray:
+    """The control sums (exponent, slot) of a batch of n paths: start plus,
+    for each exponent beta, e^{log_weight}(e^{-beta fall} - 1) added at its
+    slot in the terms' order, which is step order.  A sum that overflows
+    is inf, which the estimator drops.  The keys and terms are flat: np.add.at
+    takes a 2-d index about 6x slower."""
+    total = start.copy()
+    terms = np.multiply(-np.array(betas)[:, None], fall)
+    with np.errstate(over="ignore"):
+        np.expm1(terms, out=terms)
+        terms *= np.exp(log_weight)
+    keys = np.arange(len(betas))[:, None] * n + slot
+    np.add.at(total.reshape(-1), keys.reshape(-1), terms.reshape(-1))
+    return total
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:

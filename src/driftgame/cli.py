@@ -391,20 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", parents=[shared],
                        help="Monte Carlo payoffs against the closed forms "
-                            "(J0 and Jhat with martingale control variates)",
+                            "(with martingale control variates)",
                        description="J0, J1 and Jhat by Monte Carlo against "
-                                   "their closed forms V0, V1 and V.  J0 and "
-                                   "Jhat subtract a least-squares fit, on the "
-                                   "same paths, on martingale controls of "
-                                   "exactly known mean: J0 on three, with "
-                                   "n - 4 degrees of freedom, and Jhat on two "
-                                   "that follow the reflection at B, with "
-                                   "n - 3.  A control that is constant (every "
-                                   "path stops at t = 0), overflows or is "
-                                   "spanned by the others is dropped; with no "
-                                   "control left, or no more paths than "
-                                   "controls + 1 (4 for J0, 3 for Jhat), the "
-                                   "estimate is a plain mean.  J1 is a plain "
+                                   "their closed forms V0, V1 and V.  Each "
+                                   "subtracts a least-squares fit, on the "
+                                   "same paths, on two martingale controls of "
+                                   "exactly known mean that follow the "
+                                   "reflection at B under its measure, with "
+                                   "n - 3 degrees of freedom.  A control that "
+                                   "is constant (every path stops at t = 0), "
+                                   "overflows or is spanned by the others is "
+                                   "dropped; with no control left, or no more "
+                                   "than 3 paths, the estimate is a plain "
                                    "mean.")
     p.set_defaults(func=_cmd_mc)
 

@@ -331,8 +331,9 @@ class PathFunctionals:
     1 - Gamma = exp(-r_pay_end) (kept in log space to stay accurate when
     Gamma is close to 1).  control_sums has one row per control exponent
     beta and one column per path: the sum over the steps j up to tau (or
-    the horizon) of e^{rate t_j}(e^{beta (R_j - R_{j-1})} - 1), with R the
-    log reflection at the stop barrier, R_{-1} = 0 and R_0 Gamma's jump at
+    the horizon) of e^{rate t_j}(e^{beta (R_j - R_{j-1})} - 1), times
+    e^{-R_{j-1}} = 1 - Gamma_{j-1} without the Phi weight, with R the log
+    reflection at the stop barrier, R_{-1} = 0 and R_0 Gamma's jump at
     t = 0, so that only the steps where R grows add to it.
     """
 
@@ -342,7 +343,7 @@ class PathFunctionals:
     r_pay_end: np.ndarray    # payoff-barrier log reflection at tau (or at horizon)
     stieltjes: np.ndarray    # sum of e^{rate t} [Phi] dGamma over [0, tau] (or [0, T])
     z_end: np.ndarray        # log Phi, not reflected, at tau (or at horizon)
-    control_sums: np.ndarray  # sum of e^{rate t}(e^{beta dR} - 1) over [0, tau]
+    control_sums: np.ndarray  # sum of e^{rate t}[e^{-R}](e^{beta dR} - 1), [0, tau]
 
     @property
     def n_paths(self) -> int:

@@ -12,20 +12,22 @@ the stopper, and common-random-number Monte Carlo for the informed
 player's reflection level and time-zero jump strategies, again from one
 pass over both measures.
 
-J0 and Jhat are estimated with exact-mean martingale control variates.
-J0's are M_beta = exp(beta z - k (beta c_drift + beta^2 c_noise^2 / 2)) at
-the stop (or the horizon), for each beta of CONTROL_BETAS, with z the log
-ratio before reflection and k the step count.  Jhat's are the reflected
-controls N_beta = e^{mu0 t}(PhiB / B)^beta plus the kernel's sum of
-e^{mu0 t}(e^{beta dR} - 1) over the steps where the log reflection R at B
-grows, for the two roots beta of E[e^{beta step}] = e^{-mu0 dt}.  Optional
-stopping gives E[M_beta] = phi^beta and E[N_beta] = (phi / B)^beta from the
-simulated increment law alone, so the check stays independent of the
-closed form.  The coefficients are fitted by least squares on the same
-paths, and the standard error has n - q - 1 degrees of freedom for q
-controls.  A control that is constant, that overflows, or that the others
-span is dropped, so the fit never fails.  J1, the deviation suites and the
-dt study report plain means.
+Each of the three is regressed on exact-mean martingale control
+variates, the two reflected controls N_beta of its measure: J0 and Jhat
+on the tilted0 pair, J1 on the tilted1 pair.  N_beta is e^{rate t} W_t
+(PhiB_t / B)^beta plus the sum of e^{rate t} W_{t-}(e^{beta dR} - 1) over
+the steps where the log reflection R at B grows, for the two roots beta
+of E[e^{beta step}] = e^{-rate dt} (rate mu0 under tilted0, mu1 under
+tilted1).  W = 1 - Gamma under tilted1, where J1's Stieltjes sum joins
+the control to compensate W's fall, and W = 1 under tilted0, whose
+Phi-weighted sums need no 1 - Gamma (Phi (1 - Gamma) = PhiB).  Optional
+stopping gives E[N_beta] = (phi / B)^beta from the simulated increment
+law alone, so the check stays independent of the closed form.  The
+coefficients are fitted by least squares on the same paths, and the
+standard error has n - q - 1 degrees of freedom for q controls.  A
+control that is constant, that overflows, or that the others span is
+dropped, so the fit never fails.  The deviation suites and the dt study
+report plain means.
 
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
@@ -48,7 +50,7 @@ from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst ratio there ~0.12; factor-2
-# safety), but the observed ratio reaches ~0.67 at study-range sets (J0 at
+# safety), but the observed ratio reaches ~0.76 at study-range sets (J0 at
 # mu0 -2, mu1 0.3, sigma 1.5, eps 0.35, phi 1.8227; 10 000 paths, dt 1e-4),
 # where J0 and J1 fail their check on bias alone (ROADMAP item 7).
 HIT_BIAS_COEFF = 0.25
@@ -62,10 +64,6 @@ PAIR_BIAS_COEFF = 0.06
 
 # Statistical pass threshold, in standard errors.
 SIGMA_LEVEL = 3.0
-
-# Exponents beta of the martingale controls exp(beta z - k (beta c_drift +
-# beta^2 c_noise^2 / 2)) that J0 and Jhat are regressed on.
-CONTROL_BETAS = (-1.0, -0.5, 0.5)
 
 PLAYER1_DEVIATION_TOL = 1e-9
 
@@ -130,32 +128,23 @@ def _steps(pf: PathFunctionals, config: SimConfig) -> np.ndarray:
                     np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
 
 
-def _log_controls(sol: EquilibriumSolution, phi: float, config: SimConfig,
-                  pf: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """log M_beta at tau or the horizon, one row per beta of CONTROL_BETAS
-    and one column per path of pf, a pass on config's grid (stride 1) that
-    starts at phi, and log E[M_beta] = beta log phi.
-
-    M_k = exp(beta z_k - k (beta c_drift + beta^2 c_noise^2 / 2)) is a
-    martingale of the simulated increments c_drift + c_noise xi of z, the
-    log ratio, and tau or the horizon is a bounded stop, so E[M] = phi^beta
-    by optional stopping: no exponent, threshold or coefficient of the
-    closed form enters."""
-    c_drift, c_noise = log_ratio_step(sol.params, config)
-    beta = np.array(CONTROL_BETAS)[:, None]
-    log_m = beta * pf.z_end
-    log_m -= _steps(pf, config) * (beta * c_drift + 0.5 * beta**2 * c_noise**2)
-    return log_m, beta[:, 0] * math.log(phi)
+def _rate(sol: EquilibriumSolution, config: SimConfig) -> float:
+    """The discount rate of config's tilted measure: mu0 or mu1."""
+    return sol.params.mu0 if config.measure is Measure.TILTED0 else sol.params.mu1
 
 
 def _reflected_betas(sol: EquilibriumSolution, config: SimConfig) -> tuple:
     """(beta+, beta-), the roots of c_noise^2 beta^2 / 2 + c_drift beta
-    + mu0 dt = 0 for config's tilted0 step c_drift + c_noise xi of log Phi,
-    so that E[e^{beta step}] = e^{-mu0 dt}.  mu0 < 0 makes them real and of
-    opposite sign; the stable form of the quadratic formula takes both
-    without cancellation."""
+    + rate dt = 0 for config's tilted step c_drift + c_noise xi of log Phi
+    and its rate (_rate), so that E[e^{beta step}] = e^{-rate dt}.  Under
+    tilted0, mu0 < 0 makes them real and of opposite sign.  Under tilted1
+    c_drift^2 - 2 c_noise^2 mu1 dt = omega^2 dt^2 ((sigma - omega / 2)^2
+    - 2 mu0) > 0 (the square of sigma + omega / 2 is at least
+    2 (mu1 - mu0) by AM-GM), so they are real, and negative with c_drift
+    and mu1.  The stable form of the quadratic formula takes both without
+    cancellation."""
     c_drift, c_noise = log_ratio_step(sol.params, config)
-    a, c = 0.5 * c_noise**2, sol.params.mu0 * config.dt
+    a, c = 0.5 * c_noise**2, _rate(sol, config) * config.dt
     q = -0.5 * (c_drift + math.copysign(math.sqrt(c_drift**2 - 4.0 * a * c), c_drift))
     return tuple(sorted((q / a, c / q), reverse=True))
 
@@ -163,25 +152,35 @@ def _reflected_betas(sol: EquilibriumSolution, config: SimConfig) -> tuple:
 def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
                             config: SimConfig, pf: PathFunctionals
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reflected controls N_beta of a tilted0 pass of _j0_spec that
+    """The reflected controls N_beta of config's pass of _oracle_specs that
     starts at phi, one row per beta of _reflected_betas and one column per
     path: (log of their first term, log of their exact means
-    beta log(phi / B), their control sums).
+    beta log(phi / B), their sums: the control sums, plus the Stieltjes
+    sum at B under tilted1).
 
-    With R the log reflection at B and K = tau, or the horizon,
-    N_K = e^{mu0 t_K} (PhiB_K / B)^beta + sum over j <= K of
-    e^{mu0 t_j}(e^{beta (R_j - R_{j-1})} - 1), the sum the kernel takes
-    (R_{-1} = 0, R_0 Gamma's jump at t = 0).  Where R grows, log PhiB is
-    log B, so e^{mu0 t} (PhiB / B)^beta moves only by the step's
-    e^{beta step}, of mean e^{-mu0 dt}, and the sum compensates the
-    reflection: N is a martingale of the simulated steps, and E[N_K] =
+    With R the log reflection at B, K = tau, or the horizon, and W_j = 1
+    under tilted0 (the Phi weight cancels 1 - Gamma) and e^{-R_j} = 1 -
+    Gamma_j under tilted1,
+    N_K = e^{rate t_K} W_K (PhiB_K / B)^beta + sum over j <= K of
+    e^{rate t_j} W_{j-1}(e^{beta (R_j - R_{j-1})} - 1) [+ S_K under
+    tilted1], the sum the kernel takes (R_{-1} = 0, R_0 Gamma's jump at
+    t = 0) and, under tilted1, S_K, the Stieltjes sum at B of
+    e^{mu1 t_j}(W_{j-1} - W_j).  Where R does not grow, the first term
+    moves by the factor e^{rate dt + beta step}, of mean 1; where it
+    grows, log PhiB is log B, and the sums compensate the reflection.
+    So N is a martingale of the simulated steps, and E[N_K] =
     (phi / B)^beta by optional stopping.  log PhiB_K is z_end less the
     reflection at the pass's payoff barrier B, so it never underflows."""
     beta = np.array(_reflected_betas(sol, config))[:, None]
     z_b = math.log(config.barrier)
-    log_first = sol.params.mu0 * config.dt * _steps(pf, config) \
-        + beta * (pf.z_end - pf.r_pay_end[0] - z_b)
-    return log_first, beta[:, 0] * (math.log(phi) - z_b), pf.control_sums
+    r_end = pf.r_pay_end[0]
+    log_first = _rate(sol, config) * config.dt * _steps(pf, config) \
+        + beta * (pf.z_end - r_end - z_b)
+    sums = pf.control_sums
+    if config.measure is Measure.TILTED1:
+        log_first -= r_end
+        sums = sums + pf.stieltjes[0]
+    return log_first, beta[:, 0] * (math.log(phi) - z_b), sums
 
 
 def _controls(log_m: np.ndarray, log_mean: np.ndarray,
@@ -264,18 +263,23 @@ def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
     return np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
 
 
-def _j0_spec(sol: EquilibriumSolution, config: SimConfig) -> MeasureSpec:
-    """The tilted0 measure of a pass that _j0_samples and the controls
-    read: the Stieltjes sum at B and a control sum for each exponent of
+def _oracle_specs(sol: EquilibriumSolution, config0: SimConfig,
+                  config1: SimConfig) -> tuple:
+    """The measures of mc_oracle_suite's pass: tilted1, which _j1_samples
+    reads, then tilted0 with the Phi weight, which _j0_samples reads
+    (tilted1 first is fastest; see stacked_path_functionals).  Each prices
+    the Stieltjes sum at B and a control sum for each exponent of its
     _reflected_betas."""
-    return MeasureSpec(config, discount_rate=sol.params.mu0, weight_phi=True,
-                       control_betas=_reflected_betas(sol, config))
+    return tuple(MeasureSpec(config, discount_rate=_rate(sol, config),
+                             weight_phi=config.measure is Measure.TILTED0,
+                             control_betas=_reflected_betas(sol, config))
+                 for config in (config1, config0))
 
 
 def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (J0, Jhat) samples of a tilted0 pass of _j0_spec (shared
-    paths)."""
+    """Per-path (J0, Jhat) samples of the tilted0 pass of _oracle_specs
+    (shared paths)."""
     eps = sol.params.eps
     stj = pf.stieltjes[0]
     j0 = _j0(sol, pf)
@@ -294,8 +298,8 @@ def _j1_spec(sol: EquilibriumSolution, config: SimConfig,
 
 
 def _j1_samples(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
-    """Per-path J1 samples of a tilted1 pass of _j1_spec: one row per
-    payoff barrier, one column per path."""
+    """Per-path J1 samples of a tilted1 pass of _j1_spec or _oracle_specs:
+    one row per payoff barrier, one column per path."""
     eps = sol.params.eps
     tau = np.where(pf.censored, 0.0, pf.tau)
     # e^{mu1 tau} (1 - Gamma_tau), with 1 - Gamma kept in log space
@@ -339,25 +343,25 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     A censored path's missing mass is never folded into the mean; its
     bound enters the bias bound.
 
-    J0 is regressed, on the same paths, on the controls M_beta of
-    _log_controls, whose exact means are phi^beta, and Jhat on the
-    reflected controls N_beta of _log_reflected_controls, whose exact
-    means are (phi / B)^beta; each reports the mean of its samples less
-    the fit, and their sd over sqrt(n) with n - q - 1 degrees of freedom.
-    A control equal on every path (every path stops at t = 0), one that
-    overflows and one that the others span are dropped, and with none left
-    or n <= q + 1 paths the estimate is the plain mean and stderr.  J1 is
-    plain.
+    Each check is regressed, on the same paths, on the two reflected
+    controls N_beta of its measure (_log_reflected_controls), whose exact
+    means are (phi / B)^beta: J0 and Jhat on the tilted0 pair, J1 on the
+    tilted1 pair.  Each reports the mean of its samples less the fit, and
+    their sd over sqrt(n) with n - q - 1 degrees of freedom.  A control
+    equal on every path (every path stops at t = 0), one that overflows
+    and one that the others span are dropped, and with none left or
+    n <= q + 1 paths (n <= 3 with both controls) the estimate is the plain
+    mean and stderr.
     """
     _require(config0, Measure.TILTED0, sol)
     _require(config1, Measure.TILTED1, sol)
     eps = sol.params.eps
     pf1, pf0 = stacked_path_functionals(
-        sol.params, phi, (_j1_spec(sol, config1), _j0_spec(sol, config0)))
+        sol.params, phi, _oracle_specs(sol, config0, config1))
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
-    martingale = _controls(*_log_controls(sol, phi, config0, pf0))
-    reflected = _controls(*_log_reflected_controls(sol, phi, config0, pf0))
+    controls0 = _controls(*_log_reflected_controls(sol, phi, config0, pf0))
+    controls1 = _controls(*_log_reflected_controls(sol, phi, config1, pf1))
     # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
@@ -372,11 +376,12 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     return [
         oracle_report(sol, "J0", phi, _estimate(
             j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),
-            pf0.censored, martingale), sol.V0(phi)),
+            pf0.censored, controls0), sol.V0(phi)),
         oracle_report(sol, "J1", phi, _estimate(
-            j1, sol, config1, float(miss1.mean()), pf1.censored), sol.V1(phi)),
+            j1, sol, config1, float(miss1.mean()), pf1.censored, controls1),
+            sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _estimate(
-            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, reflected),
+            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, controls0),
             sol.V(phi)),
     ]
 

@@ -475,11 +475,14 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
         for term in (np.exp(lw) * -np.expm1(rp_prev[idx] - rp[idx])).tolist():
             sti += term
         # each control sum: e^{rate t}(e^{beta dR} - 1) where the stop
-        # barrier's reflection R grows
+        # barrier's reflection R grows, times e^{-R_{k-1}} without the
+        # Phi weight
         rh_prev = np.concatenate(([r_hit], rh[:end - 1]))
         up = (rh[:end] > rh_prev).nonzero()[0]
-        ctl_terms = np.exp(rate * dt * (1.0 + up)) * np.expm1(
-            beta[:, None] * (rh[up] - rh_prev[up]))
+        log_w = rate * dt * (1.0 + up)
+        if not weight_phi:
+            log_w = log_w - rh_prev[up]
+        ctl_terms = np.exp(log_w) * np.expm1(beta[:, None] * (rh[up] - rh_prev[up]))
         for i, row in enumerate(ctl_terms.tolist()):
             total = ctl0[i]
             for term in row:
@@ -657,8 +660,9 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     # Paths scanned by the helper process land bit-identically in their
     # slots: path counts not a multiple of the chunk and below two chunks,
     # censored paths, starts above B and at A, three payoff barriers with
-    # the Phi weight, control sums on every stride-1 pass, and a stride-3
-    # pass.  No helper is left running.
+    # the Phi weight, control sums on every stride-1 pass (tilted1's
+    # without the Phi weight at mu1, as in mc, from below and above B),
+    # and a stride-3 pass.  No helper is left running.
     import driftgame._spread as spread
     import driftgame.simulate as sim
 
@@ -670,17 +674,19 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
              (chunk + 72, Measure.TILTED1, 0.6, 10.0, False, None, 1),
              (chunk + 72, Measure.TILTED1, 0.6, 0.15, False, None, 1),
              (chunk + 72, Measure.TILTED0, 1.7 * sol.B, 10.0, True, None, 1),
+             (chunk + 72, Measure.TILTED1, 1.7 * sol.B, 10.0, False, None, 1),
              (chunk + 72, Measure.TILTED0, sol.A, 10.0, False, None, 1),
              (chunk + 72, Measure.TILTED1, 0.6, 10.0, True, barriers, 1),
              (chunk + 72, Measure.TILTED0, 0.6, 10.0, False, (), 3)]
     for n, measure, phi0, horizon, weight_phi, bpays, stride in cases:
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5,
                         measure=measure, barrier=sol.B, lower=sol.A)
+        rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         runs = []
         for on in (False, True):
             helper_switch.set(on)
             runs.append(_one_measure(base_params, phi0, MeasureSpec(
-                cfg, base_params.mu0, weight_phi, bpays, stride,
+                cfg, rate, weight_phi, bpays, stride,
                 BETAS if stride == 1 else ())))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
@@ -697,15 +703,15 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
 
 def _stacked_pairs(base_params, sol, cfg):
     """The measure pairs of the mc and deviations commands on cfg's paths:
-    tilted0 with the Phi weight and control sums before tilted1 (so
-    tilted1's rows outlive the rows that take the draws), and tilted1 with
-    six payoff barriers before tilted0 with none."""
+    tilted0 with the Phi weight before tilted1 without it, each with
+    control sums (so tilted1's rows outlive the rows that take the draws),
+    and tilted1 with six payoff barriers before tilted0 with none."""
     cfg0 = dataclasses.replace(cfg, measure=Measure.TILTED0)
     cfg1 = dataclasses.replace(cfg, measure=Measure.TILTED1)
     six = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
     return ((MeasureSpec(cfg0, base_params.mu0, weight_phi=True,
                          control_betas=BETAS),
-             MeasureSpec(cfg1, base_params.mu1)),
+             MeasureSpec(cfg1, base_params.mu1, control_betas=BETAS)),
             (MeasureSpec(cfg1, base_params.mu1, payoff_barriers=six),
              MeasureSpec(cfg0, base_params.mu0, payoff_barriers=())))
 
@@ -714,11 +720,11 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                                                     helper_switch):
     # One pass over two measures gives each measure the bits of a pass of
     # that measure alone, in every field: the mc pair, whose control sums
-    # match the whole-path reference too, and the deviations pair,
-    # starts between A and B, at B, above B and below A (every path stops
-    # at time zero), paths of over 384 steps, a horizon that censors some
-    # paths, batches of 7 paths in chunks of 5 to 40 steps, and the helper
-    # process on and off.
+    # (both measures') match the whole-path reference too, and the
+    # deviations pair, starts between A and B, at B, above B and below A
+    # (every path stops at time zero), paths of over 384 steps, a horizon
+    # that censors some paths, batches of 7 paths in chunks of 5 to 40
+    # steps, and the helper process on and off.
     import driftgame._scan as scan
     import driftgame.simulate as sim
 
@@ -731,11 +737,12 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
             for specs in _stacked_pairs(base_params, sol, cfg):
                 helper_switch.set(False)
                 alone = [_one_measure(base_params, phi0, spec) for spec in specs]
-                if specs[0].control_betas:
-                    ctl = _one_barrier_pass(base_params, phi0, specs[0].config,
-                                            base_params.mu0, True, sol.B,
-                                            betas=BETAS)[6]
-                    assert np.array_equal(alone[0].control_sums, ctl)
+                for spec, pf in zip(specs, alone):
+                    if spec.control_betas:
+                        ctl = _one_barrier_pass(base_params, phi0, spec.config,
+                                                spec.discount_rate, spec.weight_phi,
+                                                sol.B, betas=BETAS)[6]
+                        assert np.array_equal(pf.control_sums, ctl)
                 assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
                 assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
                 if horizon > 1.0 and phi0 > sol.A:

@@ -10,11 +10,9 @@ from driftgame.verify import (
     ConfigMismatch,
     InvalidDeviation,
     _j0_samples,
-    _j0_spec,
     _j1_samples,
-    _j1_spec,
-    _log_controls,
     _log_reflected_controls,
+    _oracle_specs,
     _regressed,
     deviations_player1,
     deviations_player2,
@@ -33,6 +31,11 @@ def _configs(sol, n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
 def _suite(sol, phi, config0, config1):
     """The suite's reports keyed by check name."""
     return {r["check"]: r for r in mc_oracle_suite(sol, phi, config0, config1)}
+
+
+def _pass(sol, phi, cfg0, cfg1):
+    """The (tilted1, tilted0) outputs of mc_oracle_suite's pass."""
+    return stacked_path_functionals(sol.params, phi, _oracle_specs(sol, cfg0, cfg1))
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +108,7 @@ def test_jhat_identity(sol):
     # per-path residual, and its own spread gives the standard error.
     phi = 0.6
     cfg0, cfg1 = _configs(sol, n_paths=6_000)
-    pf1, pf0 = stacked_path_functionals(
-        sol.params, phi, (_j1_spec(sol, cfg1), _j0_spec(sol, cfg0)))
+    pf1, pf0 = _pass(sol, phi, cfg0, cfg1)
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
     resid = (jhat - j0) - phi * j1
@@ -114,50 +116,41 @@ def test_jhat_identity(sol):
     assert abs(resid.mean()) <= 3.0 * se
 
 
-# -- martingale controls of J0 and reflected controls of Jhat ----------------------
+# -- reflected controls of every check -------------------------------------------
 
-def _pass(sol, phi, cfg0, cfg1):
-    """The tilted0 outputs of mc_oracle_suite's pass."""
-    _, pf0 = stacked_path_functionals(
-        sol.params, phi, (_j1_spec(sol, cfg1), _j0_spec(sol, cfg0)))
-    return pf0
-
-
-def test_control_means_are_exact(sol):
-    # E[M_beta] = phi^beta for every control: this pins the compensator
-    # k (beta c_drift + beta^2 c_noise^2 / 2) and, above B, that z_end is the
-    # log ratio before reflection, so that Gamma's jump at t = 0 leaves it
-    cfg0, cfg1 = _configs(sol)
-    for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
-        log_m, log_mean = _log_controls(sol, phi, cfg0, _pass(sol, phi, cfg0, cfg1))
-        for m, mean in zip(np.exp(log_m), np.exp(log_mean)):
-            se = m.std(ddof=1) / math.sqrt(m.size)
-            assert abs(m.mean() - mean) <= 4.0 * se, (phi, m.mean(), mean, se)
-
-
-def test_reflected_control_means_are_exact(sol):
-    # E[N_beta] = (phi/B)^beta for both roots beta: this pins the kernel's
-    # sum of e^{mu0 t}(e^{beta dR} - 1) where R grows, its time-zero term
-    # above B, the roots themselves and the discount of the first term
-    cfg0, cfg1 = _configs(sol)
+@pytest.mark.parametrize("dt", [1e-4, 1e-3], ids=["dt1e-4", "dt1e-3"])
+@pytest.mark.parametrize("measure", [Measure.TILTED0, Measure.TILTED1],
+                         ids=["tilted0", "tilted1"])
+def test_reflected_control_means_are_exact(sol, measure, dt):
+    # E[N_beta] = (phi/B)^beta for both roots beta of each measure: this
+    # pins the kernel's sum of e^{rate t}(e^{beta dR} - 1) where R grows,
+    # with the e^{-R} weight under tilted1 and its time-zero term above B,
+    # the Stieltjes sum that joins it under tilted1, the roots themselves
+    # and the discount of the first term
+    cfg0, cfg1 = _configs(sol, dt=dt)
+    config, which = (cfg0, 1) if measure is Measure.TILTED0 else (cfg1, 0)
     for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
         log_first, log_mean, sums = _log_reflected_controls(
-            sol, phi, cfg0, _pass(sol, phi, cfg0, cfg1))
-        assert sums.shape == (2, cfg0.n_paths)
+            sol, phi, config, _pass(sol, phi, cfg0, cfg1)[which])
+        assert sums.shape == (2, config.n_paths)
         for n_beta, mean in zip(np.exp(log_first) + sums, np.exp(log_mean)):
             se = n_beta.std(ddof=1) / math.sqrt(n_beta.size)
             assert abs(n_beta.mean() - mean) <= 4.0 * se, (phi, n_beta.mean(), mean, se)
 
 
-def test_controls_cut_jhat_stderr(sol):
-    # the base case at 4 000 paths: Jhat's stderr with the reflected
-    # controls is at most 0.01x its plain stderr (about 4e-4x measured),
-    # and J0's with the M_beta controls is smaller too; both still pass
+def test_controls_cut_every_stderr(sol):
+    # the base case at 4 000 paths and dt 4e-4: with the reflected
+    # controls J0's and J1's stderr are at most 0.15x their plain stderr
+    # (about 0.09x and 0.12x here, 0.05x and 0.06x at dt 1e-4) and Jhat's
+    # at most 0.01x (about 4e-4x), and every check still passes
     cfg0, cfg1 = _configs(sol)
     for phi in ((sol.A + sol.B) / 2, sol.B):
-        j0, jhat = _j0_samples(sol, _pass(sol, phi, cfg0, cfg1))
+        pf1, pf0 = _pass(sol, phi, cfg0, cfg1)
+        j0, jhat = _j0_samples(sol, pf0)
+        (j1,) = _j1_samples(sol, pf1)
         reports = _suite(sol, phi, cfg0, cfg1)
-        for name, samples, ratio in (("Jhat", jhat, 0.01), ("J0", j0, 1.0)):
+        for name, samples, ratio in (("J0", j0, 0.15), ("J1", j1, 0.15),
+                                     ("Jhat", jhat, 0.01)):
             plain = samples.std(ddof=1) / math.sqrt(samples.size)
             assert reports[name]["stderr"] <= ratio * plain, (phi, name)
         assert all(r["pass"] for r in reports.values())
@@ -165,17 +158,19 @@ def test_controls_cut_jhat_stderr(sol):
 
 @pytest.mark.parametrize("n_paths", [2, 3, 4, 5])
 def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
-    # a fit on q controls needs n > q + 1 paths: J0 (q = 3) gives the plain
-    # mean and stderr bit for bit at 2 to 4 paths, Jhat (q = 2) at 2 and 3,
-    # and each fits its controls above that
+    # a fit on q = 2 controls needs n > q + 1 paths: every check gives the
+    # plain mean and stderr bit for bit at 2 and 3 paths, and fits its
+    # controls above that
     cfg0, cfg1 = _configs(sol, n_paths=n_paths, dt=1e-4, seed=0)
     reports = _suite(sol, 1.0, cfg0, cfg1)
-    j0, jhat = _j0_samples(sol, _pass(sol, 1.0, cfg0, cfg1))
-    for name, samples, q in (("J0", j0, 3), ("Jhat", jhat, 2)):
+    pf1, pf0 = _pass(sol, 1.0, cfg0, cfg1)
+    j0, jhat = _j0_samples(sol, pf0)
+    (j1,) = _j1_samples(sol, pf1)
+    for name, samples in (("J0", j0), ("J1", j1), ("Jhat", jhat)):
         plain = (float(samples.mean()),
                  float(samples.std(ddof=1) / math.sqrt(n_paths)))
         got = (reports[name]["estimate"], reports[name]["stderr"])
-        assert (got == plain) == (n_paths <= q + 1), (name, got, plain)
+        assert (got == plain) == (n_paths <= 3), (name, got, plain)
 
 
 def test_dependent_controls_are_dropped():
