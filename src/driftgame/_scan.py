@@ -3,15 +3,17 @@
 This module owns how a pass runs: the jobs (a ScanJob for each measure
 of the pass), the per-path generators (_StreamPool), the output slots
 (unscanned) and the batched scan (scan_paths).  stacked_path_functionals
-builds the jobs and hands them to scan() here, or to driftgame._spread
-from 1024 paths up.  It imports this module on its first pass, so that
-importing the CLI compiles none of it.
+builds the jobs, one per MeasureSpec, from the pass's one SimConfig, and
+hands them to scan() here, or to driftgame._spread from 1024 paths up.
+It imports this module on its first pass, so that importing the CLI
+compiles none of it.
 
 A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
 differ only in their drift, so their jobs share seed, phi0, c_noise, the
-grid, z_hit, z_lo and stride, and each adds its own c_drift, rate,
-weight_phi, z_pays and betas.  A batch holds a row for each (measure, path).
+grid, z_hit, z_lo and stride (the pass's config and stride), and each
+adds its own c_drift, rate, weight_phi, z_pays and betas.  A batch holds
+a row for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
 path, together through the whole horizon in chunks of min(steps left,

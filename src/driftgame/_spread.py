@@ -1,11 +1,11 @@
 """One Monte Carlo pass shared with a forked helper process.
 
-simulate.stacked_path_functionals hands a pass, with every measure it
-scans, to scan() here from simulate._SPREAD_MIN_PATHS (1024) paths up; the
-rest of the decision is made here.  On Linux, when this process may run on
-another CPU (its affinity set, so taskset limits it), the pass forks one
-helper.  Elsewhere it runs serially in driftgame._scan: fork is unsafe on
-macOS, and no other platform is tested.
+simulate.stacked_path_functionals hands a pass, one config's paths under
+every measure of the pass, to scan() here from simulate._SPREAD_MIN_PATHS
+(1024) paths up; the rest of the decision is made here.  On Linux, when
+this process may run on another CPU (its affinity set, so taskset limits
+it), the pass forks one helper.  Elsewhere it runs serially in
+driftgame._scan: fork is unsafe on macOS, and no other platform is tested.
 
 Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
 every chunk's index is written into one pipe, the queue, as an 8-byte
@@ -100,18 +100,16 @@ def scan(jobs: tuple, n: int) -> tuple:
     if error:
         raise pickle.loads(error)
     if status:
-        raise RuntimeError("a path_functionals helper process died")
+        raise RuntimeError("a Monte Carlo helper process died")
     return tuple(PathFunctionals(*(getattr(pf, field.name).copy()
                                    for field in dataclasses.fields(PathFunctionals)))
                  for pf in shared)
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, so taskset limits it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on: its affinity set, so taskset limits it.
+    Called on Linux only, where os.sched_getaffinity always exists."""
+    return len(os.sched_getaffinity(0))
 
 
 def _fill_queue(queue_w: int, n: int) -> int:

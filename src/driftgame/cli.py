@@ -24,7 +24,7 @@ from . import __version__
 from .equilibrium import BracketFailure, build_solution, check_qvi
 from .model import DomainError, InvalidParameters, ModelParams, belief_to_ratio, \
     ratio_to_belief
-from .simulate import TRAJECTORY_COLUMNS, Measure, SimConfig, fmt17, write_csv, \
+from .simulate import TRAJECTORY_COLUMNS, SimConfig, fmt17, write_csv, \
     write_trajectory_csv
 from .sweeps import DEFAULT_SWEEP_POINTS, SWEEPABLE, SweepSpec, default_sweep_values, \
     run_sweep, sample_path_figure, write_sweep_csv
@@ -250,8 +250,7 @@ def _cmd_voi(args) -> int:
 def _cmd_path(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI_PATH)
     config = SimConfig(dt=settings["dt"], horizon=settings["horizon"], n_paths=1,
-                       seed=settings["seed"], measure=Measure.PHYSICAL,
-                       barrier=1.0)  # barrier replaced by the solve inside
+                       seed=settings["seed"], barrier=1.0)  # replaced by the solve inside
     traj, info = sample_path_figure(params, config, path_index=args.path_index)
     meta = _metadata("path", params, pi, phi, settings,
                      {"dt": settings["dt"], "horizon": settings["horizon"],
@@ -263,15 +262,17 @@ def _cmd_path(args) -> int:
     return EXIT_OK
 
 
+def _mc_config(settings: dict, sol) -> SimConfig:
+    """The paths of a Monte Carlo command, between the equilibrium barriers."""
+    return SimConfig(dt=settings["dt"], horizon=settings["horizon"],
+                     n_paths=settings["paths"], seed=settings["seed"],
+                     barrier=sol.B, lower=sol.A)
+
+
 def _cmd_mc(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI)
     sol = build_solution(params)
-    base = dict(dt=settings["dt"], horizon=settings["horizon"],
-                n_paths=settings["paths"], seed=settings["seed"],
-                barrier=sol.B, lower=sol.A)
-    cfg0 = SimConfig(measure=Measure.TILTED0, **base)
-    cfg1 = SimConfig(measure=Measure.TILTED1, **base)
-    checks = mc_oracle_suite(sol, phi, cfg0, cfg1)
+    checks = mc_oracle_suite(sol, phi, _mc_config(settings, sol))
     meta = _metadata("mc", params, pi, phi, settings,
                      {"paths": settings["paths"], "dt": settings["dt"],
                       "horizon": settings["horizon"]})
@@ -292,11 +293,8 @@ def _cmd_deviations(args) -> int:
     aprime = np.linspace(0.0, sol.B, args.aprime_points + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * sol.B, args.phi_points + 1)[1:]
     p1 = deviations_player1(sol, aprime, phis)
-    cfg1 = SimConfig(dt=settings["dt"], horizon=settings["horizon"],
-                     n_paths=settings["paths"], seed=settings["seed"],
-                     measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
     bprime = [m * sol.B for m in args.bprime_mults]
-    p2 = deviations_player2(sol, bprime, phi, cfg1,
+    p2 = deviations_player2(sol, bprime, phi, _mc_config(settings, sol),
                             jump_probs=tuple(args.jump_probs))
     ok = p1.all_pass and p2.all_pass
     meta = _metadata("deviations", params, pi, phi, settings,

@@ -13,15 +13,21 @@ Randomness comes from counter-based Philox substreams keyed by
 (master seed, path index, stream role), so any path can be generated on
 its own and bit-reproducibly, regardless of the order paths are run in.
 
-The Monte Carlo backend (stacked_path_functionals, and path_functionals,
-its one-measure case) streams its paths instead of holding a grid.  It
-checks its arguments and hands one job to the batched kernel in
-driftgame._scan, which owns how a pass runs; from _SPREAD_MIN_PATHS paths
-up the pass goes through driftgame._spread, which may share it with a
-forked helper process.  One pass may scan the same paths under both tilted
-measures: each step's noise is drawn once and serves both.  A pass with a
-stride s tests the stop on every s-th step only: the grid s times coarser
-on the same Brownian path, one pass per grid of the dt-refinement study.
+A SimConfig describes the grid, the paths, the seed and the barriers,
+and names no measure: each function that simulates names its own.  The
+sample-path walk runs under the physical measure; the Monte Carlo checks
+run under the tilted ones.
+
+The Monte Carlo backend (stacked_path_functionals) streams its paths
+instead of holding a grid.  One config gives the paths of a pass, and
+each MeasureSpec of the pass names a tilted measure to scan them under.
+It checks its arguments and hands one job per measure to the batched
+kernel in driftgame._scan, which owns how a pass runs; from
+_SPREAD_MIN_PATHS paths up the pass goes through driftgame._spread, which
+may share it with a forked helper process.  Each step's noise is drawn
+once and serves every measure of the pass.  A pass with a stride s tests
+the stop on every s-th step only: the grid s times coarser on the same
+Brownian path, one pass per grid of the dt-refinement study.
 
 The sample-path walk (generate_trajectory) runs the full-grid functions
 on a prefix of the path's draws that doubles until it holds the stop, so
@@ -76,12 +82,10 @@ class SimConfig:
     horizon: float          # maximum simulated time, > dt
     n_paths: int            # number of paths, >= 1
     seed: int               # 64-bit unsigned master seed
-    measure: Measure        # which dynamics drive Phi and X
     barrier: float          # reflection level B, > 0
     lower: float | None = None   # absorption level A, in (0, barrier)
 
     def __post_init__(self):
-        object.__setattr__(self, "measure", Measure(self.measure))
         if not self.dt > 0.0:
             raise ValueError(f"dt={self.dt} must be positive")
         if not self.dt < self.horizon:
@@ -169,13 +173,12 @@ def _levels(start: float, drift: float, scale: float, xi: np.ndarray) -> np.ndar
     return np.exp(out)
 
 
-def _grid(config: SimConfig, params: ModelParams, theta: int | None,
+def _grid(dt: float, params: ModelParams, measure: Measure, theta: int | None,
           xi: np.ndarray) -> Trajectory:
-    """(X, Phi) at grid points 0 .. xi.size, driven by the normal draws xi,
-    one per step for both."""
+    """(X, Phi) under measure at grid points 0 .. xi.size of step dt,
+    driven by the normal draws xi, one per step for both."""
     d = derive(params)
-    m_phi, m_x = log_drifts(params, d, config.measure, theta)
-    dt = config.dt
+    m_phi, m_x = log_drifts(params, d, measure, theta)
     return Trajectory(
         times=np.arange(xi.size + 1) * dt,
         X=_levels(math.log(params.x0), m_x * dt, params.sigma * math.sqrt(dt), xi),
@@ -184,9 +187,10 @@ def _grid(config: SimConfig, params: ModelParams, theta: int | None,
         theta=theta)
 
 
-def simulate_phi(config: SimConfig, params: ModelParams,
-                 rng: np.random.Generator, theta: int | None = None) -> Trajectory:
-    """Exact log-space simulation of (X, Phi) on the full grid.
+def simulate_phi(config: SimConfig, params: ModelParams, rng: np.random.Generator,
+                 measure: Measure, theta: int | None = None) -> Trajectory:
+    """Exact log-space simulation of (X, Phi) under measure on config's
+    full grid.
 
     X and Phi are driven by the same Brownian increments, so one normal
     draw per step serves both.  Under the physical measure the caller
@@ -195,7 +199,8 @@ def simulate_phi(config: SimConfig, params: ModelParams,
     is drawn.
     """
     _refuse_long_grid(config)
-    return _grid(config, params, theta, rng.standard_normal(config.n_steps))
+    return _grid(config.dt, params, Measure(measure), theta,
+                 rng.standard_normal(config.n_steps))
 
 
 # Largest double below 1: the stopping intensity is strictly below 1 on any
@@ -235,32 +240,32 @@ _WALK_START = 1024
 
 def generate_trajectory(config: SimConfig, params: ModelParams,
                         path_index: int = 0) -> tuple[Trajectory, bool]:
-    """Simulate one path with its substreams, reflect it at config.barrier
-    and end it at its stop at config.lower.  Returns (trajectory,
-    censored), as stop_at_lower does.
+    """Simulate one path under the physical measure with its substreams,
+    the regime drawn from params.prior, reflect it at config.barrier and
+    end it at its stop at config.lower.  Returns (trajectory, censored),
+    as stop_at_lower does.
 
     The walk simulates, reflects and cuts a prefix of the path's draws,
     _WALK_START of them first, and doubles the prefix until it holds the
     first grid point where PhiB <= lower, or the whole grid (a censored
     path).  Later draws continue the path's substream, and the grid and
     its reflection are running sums and running maxima taken in step
-    order, so the result equals stop_at_lower(reflect(simulate_phi(...)),
-    lower) bit for bit.  The _MAX_GRID_STEPS refusal comes before any
-    draw, as in simulate_phi.
+    order, so the result equals stop_at_lower(reflect(simulate_phi(...,
+    Measure.PHYSICAL, theta)), lower) bit for bit.  The _MAX_GRID_STEPS
+    refusal comes before any draw, as in simulate_phi.
     """
     if config.lower is None:
         raise ValueError("config.lower is required for a sample path")
-    theta = None
-    if config.measure is Measure.PHYSICAL:
-        regime = substream(config.seed, path_index, ROLE_REGIME_DRAW)
-        theta = int(regime.random() < params.prior)
+    regime = substream(config.seed, path_index, ROLE_REGIME_DRAW)
+    theta = int(regime.random() < params.prior)
     noise = substream(config.seed, path_index, ROLE_PATH_NOISE)
     _refuse_long_grid(config)
     n = config.n_steps
     xi = noise.standard_normal(min(_WALK_START, n))
     while True:
-        traj, censored = stop_at_lower(
-            reflect(_grid(config, params, theta, xi), config.barrier), config.lower)
+        traj, censored = stop_at_lower(reflect(
+            _grid(config.dt, params, Measure.PHYSICAL, theta, xi), config.barrier),
+            config.lower)
         if not censored or xi.size == n:
             return traj, censored
         xi = np.concatenate((xi, noise.standard_normal(min(xi.size, n - xi.size))))
@@ -350,93 +355,76 @@ class PathFunctionals:
         return self.tau.size
 
 
-def path_functionals(params: ModelParams, phi0: float, config: SimConfig, *,
-                     discount_rate: float, weight_phi: bool = False,
-                     payoff_barriers=None, stride: int = 1) -> PathFunctionals:
-    """Simulate config.n_paths paths and accumulate discounted functionals.
+def log_ratio_step(params: ModelParams, measure: Measure,
+                   dt: float) -> tuple[float, float]:
+    """(c_drift, c_noise) of a tilted measure: one step dt of log Phi is
+    c_drift + c_noise * xi, with xi standard normal."""
+    d = derive(params)
+    m_phi, _ = log_drifts(params, d, measure)
+    return (m_phi - 0.5 * d.omega**2) * dt, d.omega * math.sqrt(dt)
 
-    The hitting time is measured on the reflection at config.barrier; the
-    Gamma used in each Stieltjes sum reflects at one of payoff_barriers
-    (defaults to config.barrier alone).  Every payoff barrier is priced on
-    the same scan of each path, so a deviating reflection level is
-    compared with the equilibrium stopping rule on common random numbers.
-    With weight_phi the sum is of e^{rate t} Phi_t dGamma_t, else of
-    e^{rate t} dGamma_t; both include the possible time-zero jump of Gamma.
-    Each path consumes only its own substream and lands in its own slot,
-    and each barrier's sums do not depend on the other barriers.  An
-    empty payoff_barriers prices no sum: r_pay_end and stieltjes then have
-    no rows.  control_sums has no rows either: a control sum is asked for
-    through MeasureSpec.control_betas alone.
+
+class MeasureSpec(NamedTuple):
+    """One measure of a pass and what the pass prices under it.
+
+    measure is tilted0 or tilted1.  The hitting time is measured on the
+    reflection at the config's barrier; the Gamma used in each Stieltjes
+    sum reflects at one of payoff_barriers (the config's barrier alone by
+    default).  With weight_phi the sum is of e^{rate t} Phi_t dGamma_t,
+    else of e^{rate t} dGamma_t, rate being discount_rate; both include
+    the possible time-zero jump of Gamma.  An empty payoff_barriers prices
+    no sum: r_pay_end and stieltjes then have no rows.  Each exponent of
+    control_betas adds a row of control_sums, discounted at discount_rate
+    and priced with the barrier's sums, so payoff_barriers must then hold
+    the config's barrier; none by default."""
+
+    measure: Measure
+    discount_rate: float
+    weight_phi: bool = False
+    payoff_barriers: tuple | None = None
+    control_betas: tuple = ()
+
+
+def stacked_path_functionals(params: ModelParams, phi0: float, config: SimConfig,
+                             specs, *, stride: int = 1) -> tuple[PathFunctionals, ...]:
+    """Simulate config.n_paths paths from phi0 and accumulate discounted
+    functionals under each MeasureSpec of specs, in one pass: one
+    PathFunctionals per spec, in order, each bit-identical to a pass of
+    that spec alone.
+
+    Every payoff barrier of a spec is priced on the same scan of each
+    path, so a deviating reflection level is compared with the
+    equilibrium stopping rule on common random numbers, and each
+    barrier's sums do not depend on the other barriers.  A path's noise
+    comes from its substream whatever the measure, and the measures differ
+    only in the drift of log Phi, so each step's noise is drawn once and
+    serves every measure.  Any order of the specs gives the same bits;
+    tilted1 first is fastest, because its paths stop last and so take the
+    draws in place.  An empty specs is a ValueError.
 
     With stride s the stop is tested on every s-th step of config's grid
     only, up to its last such step at or before the horizon: the grid of
     step s * config.dt, on the same Brownian path for every s.  Such a pass
-    prices no sum, so a stride above 1 needs an empty payoff_barriers.
+    prices no sum, so a stride above 1 needs every spec's payoff_barriers
+    and control_betas empty.
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
-    bit-identical either way.  This is the one-measure case of
-    :func:`stacked_path_functionals`.
-    """
-    spec = MeasureSpec(config, discount_rate, weight_phi, payoff_barriers, stride)
-    return stacked_path_functionals(params, phi0, (spec,))[0]
-
-
-def log_ratio_step(params: ModelParams, config: SimConfig) -> tuple[float, float]:
-    """(c_drift, c_noise) of config's tilted measure: one step of log Phi
-    on config's grid is c_drift + c_noise * xi, with xi standard normal."""
-    d = derive(params)
-    m_phi, _ = log_drifts(params, d, config.measure)
-    return (m_phi - 0.5 * d.omega**2) * config.dt, d.omega * math.sqrt(config.dt)
-
-
-class MeasureSpec(NamedTuple):
-    """One measure of a stacked pass: path_functionals' arguments after
-    params and phi0, which the measures share, and control_betas.  Each
-    exponent of control_betas adds a row of control_sums, discounted at
-    discount_rate and priced with config.barrier's sums, so payoff_barriers
-    must then hold config.barrier, and stride must be 1; none by default."""
-
-    config: SimConfig
-    discount_rate: float
-    weight_phi: bool = False
-    payoff_barriers: tuple | None = None
-    stride: int = 1
-    control_betas: tuple = ()
-
-
-def stacked_path_functionals(params: ModelParams, phi0: float,
-                             specs) -> tuple[PathFunctionals, ...]:
-    """path_functionals for each MeasureSpec of specs, from one pass over
-    the same paths: one PathFunctionals per spec, in order, each
-    bit-identical to a path_functionals pass of that spec alone.
-
-    A path's noise comes from its substream whatever the measure, and the
-    measures differ only in the drift of log Phi, so each step's noise is
-    drawn once and serves every measure.  The specs' configs must be equal
-    in every field but measure, and their strides equal; anything else is
-    a ValueError, as is an empty specs.  Any order of the specs gives the
-    same bits; tilted1 first is fastest, because its paths stop last and
-    so take the draws in place.
+    bit-identical either way.
     """
     specs = tuple(specs)
     if not specs:
         raise ValueError("a pass needs at least one measure")
-    config = specs[0].config
-    for spec in specs[1:]:
-        differ = [field.name for field in dataclasses.fields(SimConfig)
-                  if field.name != "measure"
-                  and getattr(spec.config, field.name) != getattr(config, field.name)]
-        if spec.stride != specs[0].stride:
-            differ.append("stride")
-        if differ:
-            raise ValueError(f"the measures of one pass differ in {', '.join(differ)}; "
-                             f"they may differ only in measure")
     if config.lower is None:
         raise ValueError("config.lower is required for first-passage functionals")
     if not phi0 > 0.0:
         raise ValueError(f"phi0={phi0} must be positive")
-    jobs = tuple(_scan_job(params, phi0, spec) for spec in specs)
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride={stride!r} must be an integer >= 1")
+    if stride > config.n_steps:
+        raise ValueError(f"stride={stride} is longer than the "
+                         f"{config.n_steps} steps to the horizon")
+    jobs = tuple(_scan_job(params, phi0, config, spec, int(stride)) for spec in specs)
     from . import _scan
 
     if config.n_paths < _SPREAD_MIN_PATHS:
@@ -445,18 +433,17 @@ def stacked_path_functionals(params: ModelParams, phi0: float,
     return _spread.scan(jobs, config.n_paths)
 
 
-def _scan_job(params: ModelParams, phi0: float, spec: MeasureSpec):
+def _scan_job(params: ModelParams, phi0: float, config: SimConfig,
+              spec: MeasureSpec, stride: int):
     """The kernel's job for one measure of a pass, after checking it."""
-    config, stride = spec.config, spec.stride
-    if config.measure is Measure.PHYSICAL:
+    measure = Measure(spec.measure)
+    if measure is Measure.PHYSICAL:
         raise ValueError("streaming functionals support the tilted measures only")
     bpays = ((config.barrier,) if spec.payoff_barriers is None
              else tuple(spec.payoff_barriers))
     for bpay in bpays:
         if not bpay > 0.0:
             raise ValueError(f"payoff barrier {bpay} must be positive")
-    if not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride={stride!r} must be an integer >= 1")
     betas = tuple(float(beta) for beta in spec.control_betas)
     for beta in betas:
         if not math.isfinite(beta):
@@ -467,19 +454,16 @@ def _scan_job(params: ModelParams, phi0: float, spec: MeasureSpec):
     if betas and config.barrier not in bpays:
         raise ValueError(f"control sums are priced at the stop barrier "
                          f"{config.barrier}; payoff_barriers must hold it")
-    if stride > config.n_steps:
-        raise ValueError(f"stride={stride} is longer than the "
-                         f"{config.n_steps} steps to the horizon")
 
     from . import _scan
 
-    c_drift, c_noise = log_ratio_step(params, config)
+    c_drift, c_noise = log_ratio_step(params, measure, config.dt)
     return _scan.ScanJob(
         seed=config.seed, phi0=phi0, c_drift=c_drift, c_noise=c_noise,
         k_max=config.n_steps, dt=config.dt, rate=spec.discount_rate,
         weight_phi=spec.weight_phi, z_hit=math.log(config.barrier),
         z_lo=math.log(config.lower),
-        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=int(stride),
+        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=stride,
         betas=betas)
 
 

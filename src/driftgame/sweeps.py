@@ -15,7 +15,7 @@ import numpy as np
 
 from .equilibrium import build_solution
 from .model import DomainError, InvalidParameters, ModelParams
-from .simulate import Measure, SimConfig, Trajectory, generate_trajectory, write_csv
+from .simulate import SimConfig, Trajectory, generate_trajectory, write_csv
 
 SWEEPABLE = ("mu0", "mu1", "sigma", "eps")
 
@@ -106,8 +106,6 @@ def sample_path_figure(params: ModelParams, config: SimConfig,
     threshold (the whole grid when censored) together with metadata
     carrying the probability-coordinate boundaries a and b.
     """
-    if config.measure is not Measure.PHYSICAL:
-        raise ValueError("sample paths use the physical measure")
     sol = build_solution(params)
     cfg = dataclasses.replace(config, barrier=sol.B, lower=sol.A)
     traj, censored = generate_trajectory(cfg, params, path_index)

@@ -5,12 +5,14 @@ closed forms: the informed player's cost in each regime (J0 under the
 tilted low-regime measure, J1 under the tilted high-regime measure) and the
 uninformed player's value Jhat (a two-term representation under the tilted
 low-regime measure).  :func:`mc_oracle_suite` is the entry point for these
-three checks; it runs one kernel pass that scans both tilted measures of
-the same paths (simulate.stacked_path_functionals).  A deviation suite
-then perturbs each player's strategy: closed-form threshold deviations for
-the stopper, and common-random-number Monte Carlo for the informed
-player's reflection level and time-zero jump strategies, again from one
-pass over both measures.
+three checks; it runs one kernel pass that scans the paths of its one
+config under both tilted measures (simulate.stacked_path_functionals).
+A deviation suite then perturbs each player's strategy: closed-form
+threshold deviations for the stopper, and common-random-number Monte
+Carlo for the informed player's reflection level and time-zero jump
+strategies, again from one pass over both measures.  Each check names
+its measure; a config gives only the grid, the paths, the seed and the
+equilibrium barriers.
 
 Each of the three is regressed on exact-mean martingale control
 variates, the two reflected controls N_beta of its measure: J0 and Jhat
@@ -45,14 +47,13 @@ import numpy as np
 
 from .equilibrium import EquilibriumSolution, deviation_value_player1
 from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
-                       log_ratio_step, path_functionals,
-                       stacked_path_functionals)
+                       log_ratio_step, stacked_path_functionals)
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst ratio there ~0.12; factor-2
 # safety), but the observed ratio reaches ~0.76 at study-range sets (J0 at
 # mu0 -2, mu1 0.3, sigma 1.5, eps 0.35, phi 1.8227; 10 000 paths, dt 1e-4),
-# where J0 and J1 fail their check on bias alone (ROADMAP item 7).
+# where J0 and J1 fail their check on bias alone (ROADMAP item 2).
 HIT_BIAS_COEFF = 0.25
 
 # Residual grid bias of PAIRED payoff comparisons: the hitting-time overshoot
@@ -87,10 +88,7 @@ class MCEstimate:
     bias_bound: float   # grid-hitting budget + censoring bracket
 
 
-def _require(config: SimConfig, measure: Measure, sol: EquilibriumSolution) -> None:
-    if config.measure is not measure:
-        raise ConfigMismatch(
-            f"check requires measure={measure.value}, config has {config.measure.value}")
+def _require(config: SimConfig, sol: EquilibriumSolution) -> None:
     if not math.isclose(config.barrier, sol.B, rel_tol=1e-12):
         raise ConfigMismatch(
             f"config.barrier={config.barrier!r} is not the equilibrium B={sol.B!r}")
@@ -128,35 +126,36 @@ def _steps(pf: PathFunctionals, config: SimConfig) -> np.ndarray:
                     np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
 
 
-def _rate(sol: EquilibriumSolution, config: SimConfig) -> float:
-    """The discount rate of config's tilted measure: mu0 or mu1."""
-    return sol.params.mu0 if config.measure is Measure.TILTED0 else sol.params.mu1
+def _rate(sol: EquilibriumSolution, measure: Measure) -> float:
+    """The discount rate of a tilted measure: mu0 or mu1."""
+    return sol.params.mu0 if measure is Measure.TILTED0 else sol.params.mu1
 
 
-def _reflected_betas(sol: EquilibriumSolution, config: SimConfig) -> tuple:
+def _reflected_betas(sol: EquilibriumSolution, measure: Measure, dt: float) -> tuple:
     """(beta+, beta-), the roots of c_noise^2 beta^2 / 2 + c_drift beta
-    + rate dt = 0 for config's tilted step c_drift + c_noise xi of log Phi
-    and its rate (_rate), so that E[e^{beta step}] = e^{-rate dt}.  Under
-    tilted0, mu0 < 0 makes them real and of opposite sign.  Under tilted1
+    + rate dt = 0 for a tilted measure's step c_drift + c_noise xi of log
+    Phi on a grid of step dt and its rate (_rate), so that
+    E[e^{beta step}] = e^{-rate dt}.  Under tilted0, mu0 < 0 makes them
+    real and of opposite sign.  Under tilted1
     c_drift^2 - 2 c_noise^2 mu1 dt = omega^2 dt^2 ((sigma - omega / 2)^2
     - 2 mu0) > 0 (the square of sigma + omega / 2 is at least
     2 (mu1 - mu0) by AM-GM), so they are real, and negative with c_drift
     and mu1.  The stable form of the quadratic formula takes both without
     cancellation."""
-    c_drift, c_noise = log_ratio_step(sol.params, config)
-    a, c = 0.5 * c_noise**2, _rate(sol, config) * config.dt
+    c_drift, c_noise = log_ratio_step(sol.params, measure, dt)
+    a, c = 0.5 * c_noise**2, _rate(sol, measure) * dt
     q = -0.5 * (c_drift + math.copysign(math.sqrt(c_drift**2 - 4.0 * a * c), c_drift))
     return tuple(sorted((q / a, c / q), reverse=True))
 
 
 def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
-                            config: SimConfig, pf: PathFunctionals
+                            config: SimConfig, measure: Measure, pf: PathFunctionals
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reflected controls N_beta of config's pass of _oracle_specs that
-    starts at phi, one row per beta of _reflected_betas and one column per
-    path: (log of their first term, log of their exact means
-    beta log(phi / B), their sums: the control sums, plus the Stieltjes
-    sum at B under tilted1).
+    """The reflected controls N_beta of pf, the outputs of the measure in
+    the pass of _oracle_specs over config's paths that starts at phi, one
+    row per beta of _reflected_betas and one column per path: (log of
+    their first term, log of their exact means beta log(phi / B), their
+    sums: the control sums, plus the Stieltjes sum at B under tilted1).
 
     With R the log reflection at B, K = tau, or the horizon, and W_j = 1
     under tilted0 (the Phi weight cancels 1 - Gamma) and e^{-R_j} = 1 -
@@ -171,38 +170,35 @@ def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
     So N is a martingale of the simulated steps, and E[N_K] =
     (phi / B)^beta by optional stopping.  log PhiB_K is z_end less the
     reflection at the pass's payoff barrier B, so it never underflows."""
-    beta = np.array(_reflected_betas(sol, config))[:, None]
+    beta = np.array(_reflected_betas(sol, measure, config.dt))[:, None]
     z_b = math.log(config.barrier)
     r_end = pf.r_pay_end[0]
-    log_first = _rate(sol, config) * config.dt * _steps(pf, config) \
+    log_first = _rate(sol, measure) * config.dt * _steps(pf, config) \
         + beta * (pf.z_end - r_end - z_b)
     sums = pf.control_sums
-    if config.measure is Measure.TILTED1:
+    if measure is Measure.TILTED1:
         log_first -= r_end
         sums = sums + pf.stieltjes[0]
     return log_first, beta[:, 0] * (math.log(phi) - z_b), sums
 
 
 def _controls(log_m: np.ndarray, log_mean: np.ndarray,
-              sums: np.ndarray | None = None) -> np.ndarray:
-    """The controls e^{log_m} + sums (no sums by default) less their exact
-    means e^{log_mean}, one row each, each scaled by e^{-shift}, shift the
-    largest log of its terms and its mean: no control overflows.  Each
-    control is judged in log space before any exp, and left out when a log
-    is NaN or +inf (a term overflowed) or when every term is equal on every
-    path (the control is constant)."""
-    constant = log_m.min(axis=1) == log_m.max(axis=1)
-    shift = np.maximum(log_m.max(axis=1), log_mean)
-    if sums is not None:
-        log_s = np.full(sums.shape, -np.inf)
-        np.log(np.abs(sums), out=log_s, where=sums != 0.0)
-        constant &= sums.min(axis=1) == sums.max(axis=1)
-        shift = np.maximum(shift, log_s.max(axis=1))
+              sums: np.ndarray) -> np.ndarray:
+    """The controls e^{log_m} + sums less their exact means e^{log_mean},
+    one row each, each scaled by e^{-shift}, shift the largest log of its
+    terms and its mean: no control overflows.  Each control is judged in
+    log space before any exp, and left out when a log is NaN or +inf (a
+    term overflowed) or when every term is equal on every path (the
+    control is constant)."""
+    log_s = np.full(sums.shape, -np.inf)
+    np.log(np.abs(sums), out=log_s, where=sums != 0.0)
+    constant = (log_m.min(axis=1) == log_m.max(axis=1)) \
+        & (sums.min(axis=1) == sums.max(axis=1))
+    shift = np.maximum(np.maximum(log_m.max(axis=1), log_mean), log_s.max(axis=1))
     keep = (shift < np.inf) & ~constant   # shift is NaN where a log is
     shift = shift[keep, None]
     controls = np.exp(log_m[keep] - shift)
-    if sums is not None:
-        controls += np.sign(sums[keep]) * np.exp(log_s[keep] - shift)
+    controls += np.sign(sums[keep]) * np.exp(log_s[keep] - shift)
     controls -= np.exp(log_mean[keep, None] - shift)
     return controls
 
@@ -263,17 +259,16 @@ def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
     return np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
 
 
-def _oracle_specs(sol: EquilibriumSolution, config0: SimConfig,
-                  config1: SimConfig) -> tuple:
-    """The measures of mc_oracle_suite's pass: tilted1, which _j1_samples
-    reads, then tilted0 with the Phi weight, which _j0_samples reads
-    (tilted1 first is fastest; see stacked_path_functionals).  Each prices
-    the Stieltjes sum at B and a control sum for each exponent of its
-    _reflected_betas."""
-    return tuple(MeasureSpec(config, discount_rate=_rate(sol, config),
-                             weight_phi=config.measure is Measure.TILTED0,
-                             control_betas=_reflected_betas(sol, config))
-                 for config in (config1, config0))
+def _oracle_specs(sol: EquilibriumSolution, dt: float) -> tuple:
+    """The measures of mc_oracle_suite's pass on a grid of step dt:
+    tilted1, which _j1_samples reads, then tilted0 with the Phi weight,
+    which _j0_samples reads (tilted1 first is fastest; see
+    stacked_path_functionals).  Each prices the Stieltjes sum at B and a
+    control sum for each exponent of its _reflected_betas."""
+    return tuple(MeasureSpec(measure, discount_rate=_rate(sol, measure),
+                             weight_phi=measure is Measure.TILTED0,
+                             control_betas=_reflected_betas(sol, measure, dt))
+                 for measure in (Measure.TILTED1, Measure.TILTED0))
 
 
 def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
@@ -289,17 +284,9 @@ def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
     return j0, jhat
 
 
-def _j1_spec(sol: EquilibriumSolution, config: SimConfig,
-             payoff_barriers=None) -> MeasureSpec:
-    """The tilted1 measure of a pass that _j1_samples reads: payoff
-    barriers config.barrier alone by default."""
-    return MeasureSpec(config, discount_rate=sol.params.mu1,
-                       payoff_barriers=payoff_barriers)
-
-
 def _j1_samples(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
-    """Per-path J1 samples of a tilted1 pass of _j1_spec or _oracle_specs:
-    one row per payoff barrier, one column per path."""
+    """Per-path J1 samples of a tilted1 pass (discounted at mu1, without
+    the Phi weight): one row per payoff barrier, one column per path."""
     eps = sol.params.eps
     tau = np.where(pf.censored, 0.0, pf.tau)
     # e^{mu1 tau} (1 - Gamma_tau), with 1 - Gamma kept in log space
@@ -328,8 +315,8 @@ def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
     }
 
 
-def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
-                    config1: SimConfig) -> list[dict]:
+def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
+                    config: SimConfig) -> list[dict]:
     """The Monte Carlo oracle: J0, J1 and Jhat at one point, each against
     its closed form V0, V1 and V.
 
@@ -337,11 +324,10 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     Jhat = E[e^{mu0 tau}(1 + PhiB_tau) + (1+eps) * integral of
     e^{mu0 t} Phi_t dGamma_t] come from the tilted0 measure and
     J1 = E[e^{mu1 tau}(1 - Gamma_tau) + (1+eps) * integral of
-    e^{mu1 t} dGamma_t] from the tilted1 measure of one pass: J1 shares
-    J0's paths, path i of both measures driven by the same noise, so the
-    two configs must be equal in all but their measure (else ValueError).
-    A censored path's missing mass is never folded into the mean; its
-    bound enters the bias bound.
+    e^{mu1 t} dGamma_t] from the tilted1 measure of one pass over
+    config's paths: J1 shares J0's paths, path i of both measures driven
+    by the same noise.  A censored path's missing mass is never folded
+    into the mean; its bound enters the bias bound.
 
     Each check is regressed, on the same paths, on the two reflected
     controls N_beta of its measure (_log_reflected_controls), whose exact
@@ -353,35 +339,36 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float, config0: SimConfig,
     n <= q + 1 paths (n <= 3 with both controls) the estimate is the plain
     mean and stderr.
     """
-    _require(config0, Measure.TILTED0, sol)
-    _require(config1, Measure.TILTED1, sol)
+    _require(config, sol)
     eps = sol.params.eps
-    pf1, pf0 = stacked_path_functionals(
-        sol.params, phi, _oracle_specs(sol, config0, config1))
+    pf1, pf0 = stacked_path_functionals(sol.params, phi, config,
+                                        _oracle_specs(sol, config.dt))
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
-    controls0 = _controls(*_log_reflected_controls(sol, phi, config0, pf0))
-    controls1 = _controls(*_log_reflected_controls(sol, phi, config1, pf1))
+    controls0 = _controls(*_log_reflected_controls(sol, phi, config,
+                                                   Measure.TILTED0, pf0))
+    controls1 = _controls(*_log_reflected_controls(sol, phi, config,
+                                                   Measure.TILTED1, pf1))
     # per censored path Jhat misses e^{mu0 T} V(PhiB_T), bounded a priori
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
-                        math.exp(sol.params.mu0 * config0.horizon)
+                        math.exp(sol.params.mu0 * config.horizon)
                         * (1.0 + (1.0 + eps) * pf0.phi_refl_end), 0.0)
     # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T),
     # formed only on the censored paths: e^{mu1 T} may overflow on the others
     miss1 = np.zeros(pf1.n_paths)
     miss1[pf1.censored] = (
         (1.0 + eps)
-        * np.exp(sol.params.mu1 * config1.horizon - pf1.r_pay_end[0, pf1.censored]))
+        * np.exp(sol.params.mu1 * config.horizon - pf1.r_pay_end[0, pf1.censored]))
     return [
         oracle_report(sol, "J0", phi, _estimate(
-            j0, sol, config0, _j0_bracket(sol, config0, pf0.censored),
+            j0, sol, config, _j0_bracket(sol, config, pf0.censored),
             pf0.censored, controls0), sol.V0(phi)),
         oracle_report(sol, "J1", phi, _estimate(
-            j1, sol, config1, float(miss1.mean()), pf1.censored, controls1),
+            j1, sol, config, float(miss1.mean()), pf1.censored, controls1),
             sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _estimate(
-            jhat, sol, config0, float(miss_hat.mean()), pf0.censored, controls0),
+            jhat, sol, config, float(miss_hat.mean()), pf0.censored, controls0),
             sol.V(phi)),
     ]
 
@@ -453,16 +440,17 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
     The stopping time always comes from the equilibrium reflection at B
     (the stopper cannot observe a deviation); the deviating reflection at
-    B' only changes the payoff.  One pass scans each path once and
-    prices the equilibrium B and every B' on its tilted1 measure (common
-    random numbers), so the comparison is paired: a deviation passes when
-    its estimated cost is no more than SIGMA_LEVEL paired standard errors
-    plus the paired grid-bias budget below the equilibrium cost.
-    Time-zero jump strategies for the low-regime control are evaluated in
-    closed form from the J0 samples of the same pass's tilted0 measure, on
-    the same paths: J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
+    B' only changes the payoff.  One pass scans each of config's paths
+    once and prices the equilibrium B and every B' on its tilted1 measure
+    (common random numbers), so the comparison is paired: a deviation
+    passes when its estimated cost is no more than SIGMA_LEVEL paired
+    standard errors plus the paired grid-bias budget below the equilibrium
+    cost.  Time-zero jump strategies for the low-regime control are
+    evaluated in closed form from the J0 samples of the same pass's
+    tilted0 measure, on the same paths:
+    J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
     """
-    _require(config, Measure.TILTED1, sol)
+    _require(config, sol)
     bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
     for bp in bprimes:
         if not bp > sol.A:
@@ -475,10 +463,11 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
     pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
     # J0 needs only the stop (Gamma^0 = 0), so tilted0 prices no sum
-    cfg0 = dataclasses.replace(config, measure=Measure.TILTED0)
-    pf1, pf0 = stacked_path_functionals(sol.params, phi, (
-        _j1_spec(sol, config, (config.barrier, *bprimes)),
-        MeasureSpec(cfg0, discount_rate=sol.params.mu0, payoff_barriers=())))
+    pf1, pf0 = stacked_path_functionals(sol.params, phi, config, (
+        MeasureSpec(Measure.TILTED1, discount_rate=sol.params.mu1,
+                    payoff_barriers=(config.barrier, *bprimes)),
+        MeasureSpec(Measure.TILTED0, discount_rate=sol.params.mu0,
+                    payoff_barriers=())))
     j1 = _j1_samples(sol, pf1)
     j1_eq = j1[0]
     eq_mean = float(j1_eq.mean())
@@ -521,7 +510,7 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     tests the stop on every s-th step, and each pass draws the same
     substream per path, so every resolution reads the same Brownian path.
     """
-    _require(config, Measure.TILTED0, sol)
+    _require(config, sol)
     configs = [dataclasses.replace(config, dt=float(dt)) for dt in dt_list]
     if not configs:
         raise ValueError("dt_list is empty")
@@ -532,10 +521,11 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
         if abs(s - round(s)) > 1e-9:
             raise ValueError(f"dt={cfg.dt} is not an integer multiple of {fine.dt}")
         strides.append(round(s))
+    spec = MeasureSpec(Measure.TILTED0, discount_rate=sol.params.mu0,
+                       payoff_barriers=())
     results = []
     for cfg, stride in zip(configs, strides):
-        pf = path_functionals(sol.params, phi, fine, discount_rate=sol.params.mu0,
-                              payoff_barriers=(), stride=stride)
+        (pf,) = stacked_path_functionals(sol.params, phi, fine, (spec,), stride=stride)
         results.append(_estimate(_j0(sol, pf), sol, cfg,
                                  _j0_bracket(sol, cfg, pf.censored), pf.censored))
     return results

@@ -48,7 +48,7 @@ def random_solutions(random_param_sets):
 
 
 class HelperSwitch:
-    """Turns path_functionals' helper process on or off.
+    """Turns the Monte Carlo kernel's helper process on or off.
 
     While on, the calling process takes its first chunk only after the
     helper has taken one, so that both processes scan paths.

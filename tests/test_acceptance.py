@@ -12,7 +12,7 @@ import numpy as np
 
 from driftgame import build_solution, check_qvi
 from driftgame.cli import main
-from driftgame.simulate import Measure, SimConfig
+from driftgame.simulate import SimConfig
 from driftgame.sweeps import SweepSpec, default_sweep_values, run_sweep, \
     sample_path_figure
 from driftgame.symmetric import solve_symmetric
@@ -120,14 +120,12 @@ def test_criterion_4_value_function_structure(base_solution, random_solutions):
 
 def test_criterion_5_mc_oracle_equivalence(base_solution):
     sol = base_solution
-    base = dict(dt=1e-4, horizon=50.0, n_paths=100_000, seed=20240101,
-                barrier=sol.B, lower=sol.A)
-    cfg0 = SimConfig(measure=Measure.TILTED0, **base)
-    cfg1 = SimConfig(measure=Measure.TILTED1, **base)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=100_000, seed=20240101,
+                    barrier=sol.B, lower=sol.A)
     failures = []
     lines = []
     for phi in (sol.A / 2, (sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
-        for rep in mc_oracle_suite(sol, float(phi), cfg0, cfg1):
+        for rep in mc_oracle_suite(sol, float(phi), cfg):
             err = abs(rep["estimate"] - rep["oracle"])
             lines.append(f"{rep['check']}(phi={phi:.4f}): err={err:.2e} "
                          f"se={rep['stderr']:.2e}")
@@ -152,10 +150,10 @@ def test_criterion_6_nash_deviation_suite(base_solution):
     p1 = deviations_player1(sol, aprime, phis)
     if not p1.all_pass:
         failures += [r.as_dict() for r in p1.rows if not r.passed]
-    cfg1 = SimConfig(dt=1e-4, horizon=50.0, n_paths=20_000, seed=777,
-                     measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=20_000, seed=777,
+                    barrier=sol.B, lower=sol.A)
     p2 = deviations_player2(sol, [m * sol.B for m in (0.5, 0.75, 1.25, 1.5, 2.0)],
-                            0.6, cfg1, jump_probs=(0.5, 1.0))
+                            0.6, cfg, jump_probs=(0.5, 1.0))
     if not p2.all_pass:
         failures += [r.as_dict() for r in p2.rows if not r.passed]
     # the CLI surfaces any violation as exit code 4 (exercised with a forced
@@ -176,8 +174,7 @@ def test_criterion_7_sample_path_properties(base_params):
     failures = []
     censored = 0
     for seed in range(100):
-        cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed,
-                        measure=Measure.PHYSICAL, barrier=1.0)
+        cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed, barrier=1.0)
         traj, meta = sample_path_figure(params, cfg)
         if meta["censored"]:
             censored += 1

@@ -209,7 +209,7 @@ def test_readme_quick_start_runs_as_a_script(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     code = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
     code = code.split("```", 1)[0]
-    assert code.count("n_paths=100_000") == 2
+    assert code.count("n_paths=100_000") == 1
     code = code.replace("n_paths=100_000", "n_paths=4096")
     outputs = []
     for on in (False, True):
@@ -228,7 +228,7 @@ def test_readme_quick_start_runs_as_a_script(tmp_path):
 def test_mc_verification_failure_exit_code(tmp_path, monkeypatch):
     import driftgame.cli as cli
 
-    def fake_suite(sol, phi, c0, c1):
+    def fake_suite(sol, phi, config):
         return [{"check": "J0", "params": {}, "phi": phi, "estimate": 0.0,
                  "stderr": 0.0, "oracle": 1.0, "tolerance": 0.0,
                  "bias_bound": 0.0, "censored_fraction": 0.0, "pass": False}]
@@ -424,7 +424,7 @@ def test_mc_control_fit_is_total(tmp_path, capsys, flags):
 
 
 @pytest.mark.xfail(strict=True, reason="grid bias above the HIT_BIAS_COEFF "
-                                       "budget; see ROADMAP item 7")
+                                       "budget; see ROADMAP item 2")
 @pytest.mark.parametrize("flags, check", [
     (("--mu0", "-2", "--mu1", "0.3", "--sigma", "1.5", "--eps", "0.35",
       "--phi", "1.8227"), "J0"),

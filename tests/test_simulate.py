@@ -22,7 +22,6 @@ from driftgame.simulate import (
     Trajectory,
     generate_trajectory,
     log_drifts,
-    path_functionals,
     reflect,
     simulate_phi,
     stacked_path_functionals,
@@ -33,15 +32,14 @@ from driftgame.simulate import (
 
 
 def _cfg(**kw):
-    base = dict(dt=1e-3, horizon=5.0, n_paths=1, seed=1,
-                measure=Measure.TILTED0, barrier=1.0, lower=0.3)
+    base = dict(dt=1e-3, horizon=5.0, n_paths=1, seed=1, barrier=1.0, lower=0.3)
     base.update(kw)
     return SimConfig(**base)
 
 
-def _one_measure(params, phi0, spec):
-    """path_functionals for one MeasureSpec, which may ask for control sums."""
-    return stacked_path_functionals(params, phi0, (spec,))[0]
+def _one_measure(params, phi0, config, spec, stride=1):
+    """A pass over config's paths under the one measure of spec."""
+    return stacked_path_functionals(params, phi0, config, (spec,), stride=stride)[0]
 
 
 def _manual_traj(phi, dt=0.1):
@@ -67,33 +65,46 @@ def test_config_validation(base_params):
         _cfg(barrier=0.0)
     with pytest.raises(ValueError):
         _cfg(lower=1.5)         # lower must stay below barrier
-    with pytest.raises(ValueError):
-        _cfg(measure="nonsense")
     with pytest.raises(ValueError, match="horizon=inf"):
         _cfg(horizon=math.inf)
     with pytest.raises(ValueError, match="horizon/dt=inf"):
         _cfg(horizon=1e300, dt=1e-10)   # the step count overflows
-    assert _cfg(measure="tilted1").measure is Measure.TILTED1
-    kw = dict(discount_rate=base_params.mu0, payoff_barriers=())
+    no_sum = MeasureSpec(Measure.TILTED0, base_params.mu0, payoff_barriers=())
     for stride in (0, -1, 2.0, 1.5, "2"):
         with pytest.raises(ValueError, match="stride"):
-            path_functionals(base_params, 0.6, _cfg(), stride=stride, **kw)
+            _one_measure(base_params, 0.6, _cfg(), no_sum, stride=stride)
     with pytest.raises(ValueError, match="payoff_barriers must be empty"):
-        path_functionals(base_params, 0.6, _cfg(), discount_rate=base_params.mu0,
-                         stride=2)            # the default prices one sum
+        _one_measure(base_params, 0.6, _cfg(),   # the default prices one sum
+                     MeasureSpec(Measure.TILTED0, base_params.mu0), stride=2)
     with pytest.raises(ValueError, match="control_betas too"):
-        _one_measure(base_params, 0.6, MeasureSpec(
-            _cfg(), base_params.mu0, payoff_barriers=(), stride=2,
-            control_betas=(0.5,)))
+        _one_measure(base_params, 0.6, _cfg(),
+                     no_sum._replace(control_betas=(0.5,)), stride=2)
     for beta in (math.inf, math.nan):
         with pytest.raises(ValueError, match="control exponent"):
-            _one_measure(base_params, 0.6, MeasureSpec(
-                _cfg(), base_params.mu0, payoff_barriers=(), control_betas=(beta,)))
+            _one_measure(base_params, 0.6, _cfg(),
+                         no_sum._replace(control_betas=(beta,)))
     with pytest.raises(ValueError, match="payoff_barriers must hold it"):
-        _one_measure(base_params, 0.6, MeasureSpec(
-            _cfg(), base_params.mu0, payoff_barriers=(), control_betas=(0.5,)))
+        _one_measure(base_params, 0.6, _cfg(), no_sum._replace(control_betas=(0.5,)))
     with pytest.raises(ValueError, match="5000 steps"):
-        path_functionals(base_params, 0.6, _cfg(), stride=5001, **kw)
+        _one_measure(base_params, 0.6, _cfg(), no_sum, stride=5001)
+
+
+def test_measure_spec_names_a_tilted_measure(base_params, monkeypatch):
+    # The kernel scans the tilted measures only, named by member or value;
+    # a pass with any other measure is refused before a path is drawn.
+    import driftgame._scan as scan
+
+    spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
+    by_value = _one_measure(base_params, 0.6, _cfg(), spec._replace(measure="tilted1"))
+    by_member = _one_measure(base_params, 0.6, _cfg(), spec)
+    assert np.array_equal(by_value.stieltjes, by_member.stieltjes)
+    monkeypatch.setattr(scan, "scan_paths", lambda *args: pytest.fail("drew a path"))
+    for measure in (Measure.PHYSICAL, "physical", "nonsense"):
+        bad = spec._replace(measure=measure)
+        with pytest.raises(ValueError):
+            _one_measure(base_params, 0.6, _cfg(), bad)
+        with pytest.raises(ValueError):
+            stacked_path_functionals(base_params, 0.6, _cfg(), (spec, bad))
 
 
 def test_degenerate_drift_rejected_at_model_level():
@@ -125,8 +136,9 @@ def test_tilted0_log_increment_moments(base_params):
     # checked over 1e6 draws within a 4-sigma band
     d = derive(base_params)
     dt = 1e-4
-    cfg = _cfg(dt=dt, horizon=100.0, measure=Measure.TILTED0)
-    traj = simulate_phi(cfg, base_params, substream(3, 0, ROLE_PATH_NOISE))
+    cfg = _cfg(dt=dt, horizon=100.0)
+    traj = simulate_phi(cfg, base_params, substream(3, 0, ROLE_PATH_NOISE),
+                        Measure.TILTED0)
     incs = np.diff(np.log(traj.Phi))
     n = incs.size
     assert n == 1_000_000
@@ -140,10 +152,9 @@ def test_tilted_drift_difference_exact(base_params):
     # common random numbers: the tilted1-tilted0 log-drift gap is omega^2 dt
     d = derive(base_params)
     dt = 1e-4
-    cfg0 = _cfg(dt=dt, horizon=0.1, measure=Measure.TILTED0)
-    cfg1 = _cfg(dt=dt, horizon=0.1, measure=Measure.TILTED1)
-    t0 = simulate_phi(cfg0, base_params, substream(5, 0, ROLE_PATH_NOISE))
-    t1 = simulate_phi(cfg1, base_params, substream(5, 0, ROLE_PATH_NOISE))
+    cfg = _cfg(dt=dt, horizon=0.1)
+    t0, t1 = (simulate_phi(cfg, base_params, substream(5, 0, ROLE_PATH_NOISE), m)
+              for m in (Measure.TILTED0, Measure.TILTED1))
     gap = np.diff(np.log(t1.Phi)) - np.diff(np.log(t0.Phi))
     assert gap == pytest.approx(d.omega**2 * dt, rel=1e-9)
     assert d.omega**2 * dt == pytest.approx(16e-4, rel=1e-12)
@@ -164,7 +175,8 @@ def test_x_and_phi_share_noise(base_params):
     # one Brownian path drives both: scaled log increments coincide
     d = derive(base_params)
     cfg = _cfg(dt=1e-3, horizon=1.0)
-    traj = simulate_phi(cfg, base_params, substream(11, 0, ROLE_PATH_NOISE))
+    traj = simulate_phi(cfg, base_params, substream(11, 0, ROLE_PATH_NOISE),
+                        Measure.TILTED0)
     m_phi, m_x = log_drifts(base_params, d, Measure.TILTED0)
     noise_phi = (np.diff(np.log(traj.Phi)) - (m_phi - d.omega**2 / 2) * cfg.dt) / d.omega
     noise_x = (np.diff(np.log(traj.X)) - m_x * cfg.dt) / base_params.sigma
@@ -203,9 +215,9 @@ def test_reflection_monotone_path_hand_computed():
 
 def test_reflection_identities_on_simulated_path(base_params):
     sol = build_solution(base_params)
-    cfg = _cfg(dt=1e-3, horizon=5.0, measure=Measure.TILTED1,
-               barrier=sol.B, lower=sol.A)
-    traj = simulate_phi(cfg, base_params, substream(17, 0, ROLE_PATH_NOISE))
+    cfg = _cfg(dt=1e-3, horizon=5.0, barrier=sol.B, lower=sol.A)
+    traj = simulate_phi(cfg, base_params, substream(17, 0, ROLE_PATH_NOISE),
+                        Measure.TILTED1)
     r = reflect(traj, sol.B)
     # the product identity holds to an ulp of Phi at every step
     assert np.all(np.abs(r.PhiB - r.Phi * (1.0 - r.Gamma)) <= r.Phi * 1e-15)
@@ -225,9 +237,9 @@ def test_reflection_identities_on_simulated_path(base_params):
 
 def test_reflection_is_idempotent(base_params):
     sol = build_solution(base_params)
-    cfg = _cfg(dt=1e-3, horizon=3.0, measure=Measure.TILTED1, barrier=sol.B)
-    r = reflect(simulate_phi(cfg, base_params, substream(19, 0, ROLE_PATH_NOISE)),
-                sol.B)
+    cfg = _cfg(dt=1e-3, horizon=3.0, barrier=sol.B)
+    r = reflect(simulate_phi(cfg, base_params, substream(19, 0, ROLE_PATH_NOISE),
+                             Measure.TILTED1), sol.B)
     again = reflect(_manual_traj(r.PhiB), sol.B)
     assert np.array_equal(again.PhiB, r.PhiB)
     assert np.all(again.Gamma == 0.0)
@@ -236,8 +248,8 @@ def test_reflection_is_idempotent(base_params):
 
 def test_reflection_is_measure_independent(base_params):
     # identical Phi arrays produce identical outputs whatever generated them
-    cfg0 = _cfg(measure=Measure.TILTED0)
-    traj = simulate_phi(cfg0, base_params, substream(23, 0, ROLE_PATH_NOISE))
+    traj = simulate_phi(_cfg(), base_params, substream(23, 0, ROLE_PATH_NOISE),
+                        Measure.TILTED0)
     relabeled = dataclasses.replace(traj, theta=1)
     a = reflect(traj, 0.9)
     b = reflect(relabeled, 0.9)
@@ -276,8 +288,9 @@ def test_first_hit_censored_and_errors():
 def test_censored_fraction_small_at_base_case(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=2_000, seed=12,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    pf = path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0)
+                    barrier=sol.B, lower=sol.A)
+    pf = _one_measure(base_params, sol.B, cfg,
+                      MeasureSpec(Measure.TILTED0, base_params.mu0))
     assert pf.censored.mean() < 1e-3
 
 
@@ -286,7 +299,7 @@ def test_censored_fraction_small_at_base_case(base_params):
 def test_generate_trajectory_deterministic(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=2.0, n_paths=1, seed=31,
-                    measure=Measure.PHYSICAL, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     a, _ = generate_trajectory(cfg, base_params, path_index=4)
     b, _ = generate_trajectory(cfg, base_params, path_index=4)
     assert a.theta == b.theta
@@ -303,7 +316,7 @@ def test_generate_trajectory_reports_its_stop(base_params):
     flags = set()
     for horizon in (50.0, 0.02):
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=1, seed=31,
-                        measure=Measure.PHYSICAL, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         for i in range(3):
             traj, censored = generate_trajectory(cfg, base_params, i)
             want, want_censored = _full_grid_stop(cfg, base_params, i)
@@ -316,15 +329,15 @@ def test_generate_trajectory_reports_its_stop(base_params):
 
 
 def _full_grid_stop(cfg, params, path_index):
-    """The path on its whole grid, reflected, then cut at the stop.  The
-    grid runs on past the stop, where Phi may overflow or underflow."""
-    theta = None
-    if cfg.measure is Measure.PHYSICAL:
-        regime = substream(cfg.seed, path_index, ROLE_REGIME_DRAW)
-        theta = int(regime.random() < params.prior)
+    """The physical path on its whole grid, reflected, then cut at the
+    stop.  The grid runs on past the stop, where Phi may overflow or
+    underflow."""
+    regime = substream(cfg.seed, path_index, ROLE_REGIME_DRAW)
+    theta = int(regime.random() < params.prior)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         traj = simulate_phi(cfg, params,
-                            substream(cfg.seed, path_index, ROLE_PATH_NOISE), theta)
+                            substream(cfg.seed, path_index, ROLE_PATH_NOISE),
+                            Measure.PHYSICAL, theta)
         return stop_at_lower(reflect(traj, cfg.barrier), cfg.lower)
 
 
@@ -355,16 +368,12 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, walk_start):
         params = ModelParams(mu0=mu0, mu1=mu1, sigma=sigma, eps=eps, prior=prior)
         sol = build_solution(params)
         base = dict(n_paths=1, barrier=sol.B, lower=sol.A)
-        for measure in Measure:
-            cases += [(params, SimConfig(dt=1e-3, horizon=50.0, seed=5,
-                                         measure=measure, **base), i)
-                      for i in range(4)]
-            cases += [(params, SimConfig(dt=1e-5, horizon=0.5, seed=6,
-                                         measure=measure, **base), i)
-                      for i in range(4)]
-            cases += [(params, SimConfig(dt=1e-5, horizon=0.02, seed=7,
-                                         measure=measure, **base), i)
-                      for i in range(2)]
+        cases += [(params, SimConfig(dt=1e-3, horizon=50.0, seed=5, **base), i)
+                  for i in range(4)]
+        cases += [(params, SimConfig(dt=1e-5, horizon=0.5, seed=6, **base), i)
+                  for i in range(4)]
+        cases += [(params, SimConfig(dt=1e-5, horizon=0.02, seed=7, **base), i)
+                  for i in range(2)]
     for params, cfg, i in cases:
         want, censored = _full_grid_stop(cfg, params, i)
         got, _ = generate_trajectory(cfg, params, i)
@@ -376,7 +385,7 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, walk_start):
         thetas.add(got.theta)
         if not censored and cfg.dt == 1e-5:
             doublings.add(_doublings(want.times.size - 1, walk_start))
-    assert censored_seen and thetas == {None, 0, 1}
+    assert censored_seen and thetas == {0, 1}
     # stops in the first prefix and after a doubling; from a short first
     # prefix, after many different numbers of doublings
     assert {0, 1} <= doublings if walk_start == 1024 else len(doublings) >= 4
@@ -384,30 +393,30 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, walk_start):
 
 def test_path_walk_warns_nowhere_past_its_stop():
     # The walk's prefix may run up to one doubling past the stop.  At these
-    # parameters Phi overflows near t = 27 under tilted1 and theta = 1, so
-    # a stop late enough would take the prefix there and warn; 200 walks
-    # under each measure stop well before.
+    # parameters Phi overflows near t = 30 when theta = 1, so a stop late
+    # enough would take the prefix there and warn; 200 walks stop well
+    # before.
     params = ModelParams(mu0=-1.7, mu1=0.3, sigma=0.3, eps=0.35, prior=0.6)
     sol = build_solution(params)
+    cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5,
+                    barrier=sol.B, lower=sol.A)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for measure in Measure:
-            cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5,
-                            measure=measure, barrier=sol.B, lower=sol.A)
-            for i in range(200):
-                _, censored = generate_trajectory(cfg, params, i)
-                assert not censored
+        for i in range(200):
+            _, censored = generate_trajectory(cfg, params, i)
+            assert not censored
 
 
 def test_kernel_matches_trajectory_hits(base_params):
     sol = build_solution(base_params)
     phi0 = derive(base_params).phi0
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=30, seed=99,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    pf = path_functionals(base_params, phi0, cfg, discount_rate=base_params.mu0)
+                    barrier=sol.B, lower=sol.A)
+    pf = _one_measure(base_params, phi0, cfg,
+                      MeasureSpec(Measure.TILTED0, base_params.mu0))
     for i in range(cfg.n_paths):
-        traj = reflect(simulate_phi(cfg, base_params,
-                                    substream(99, i, ROLE_PATH_NOISE)), sol.B)
+        traj = reflect(simulate_phi(cfg, base_params, substream(99, i, ROLE_PATH_NOISE),
+                                    Measure.TILTED0), sol.B)
         stopped, censored = stop_at_lower(traj, sol.A)
         assert pf.censored[i] == censored
         if not censored:
@@ -419,10 +428,10 @@ def test_kernel_matches_trajectory_hits(base_params):
 BETAS = (0.9, -0.15)
 
 
-def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
+def _one_barrier_pass(params, phi0, config, measure, rate, weight_phi, barrier_pay,
                       first=0, betas=()):
-    """Reference: the kernel one whole path at a time, for a single payoff
-    barrier and with every float operation of the fused pass, for paths
+    """Reference: the kernel one whole path at a time under measure, for a
+    single payoff barrier and with every float operation of the fused pass, for paths
     first, first + 1, ...  The log ratio is z0 plus the running sum of the
     path's increments, on a prefix of its draws that doubles until it holds
     the stop, and the Stieltjes sum and each control exponent's sum add
@@ -430,7 +439,7 @@ def _one_barrier_pass(params, phi0, config, rate, weight_phi, barrier_pay,
     Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes, z_end,
     control_sums), control_sums one row per exponent of betas."""
     d = derive(params)
-    m_phi, _ = log_drifts(params, d, config.measure)
+    m_phi, _ = log_drifts(params, d, measure)
     c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
     c_noise = d.omega * math.sqrt(config.dt)
     z0, z_hit = math.log(phi0), math.log(config.barrier)
@@ -510,10 +519,10 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
              (Measure.TILTED0, True, 1.7 * sol.B, 0.15)]
     for measure, weight_phi, phi0, horizon in cases:
         cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7,
-                        measure=measure, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        fused = _one_measure(base_params, phi0, MeasureSpec(
-            cfg, rate, weight_phi, barriers, control_betas=BETAS))
+        fused = _one_measure(base_params, phi0, cfg, MeasureSpec(
+            measure, rate, weight_phi, barriers, control_betas=BETAS))
         assert fused.tau.shape == fused.censored.shape == (64,)
         assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
         assert fused.control_sums.shape == (len(BETAS), 64)
@@ -522,7 +531,7 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
         assert fused.censored.any() == (horizon < 1.0)
         for i, bpay in enumerate(barriers):
             tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
-                base_params, phi0, cfg, rate, weight_phi, bpay, betas=BETAS)
+                base_params, phi0, cfg, measure, rate, weight_phi, bpay, betas=BETAS)
             assert np.array_equal(fused.tau, tau, equal_nan=True)
             assert np.array_equal(fused.censored, cens)
             assert np.array_equal(fused.phi_refl_end, phi_end)
@@ -538,15 +547,16 @@ def test_many_payoff_barriers_in_one_pass(base_params):
     # middle and the last barrier are bitwise equal to one pass each.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=3.0, n_paths=6, seed=21,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     for n_barriers in (300, 600):
         barriers = list(np.linspace(0.5, 2.0, n_barriers) * sol.B)
-        got = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1,
-                               weight_phi=True, payoff_barriers=barriers)
+        got = _one_measure(base_params, 0.6, cfg, MeasureSpec(
+            Measure.TILTED1, base_params.mu1, weight_phi=True, payoff_barriers=barriers))
         assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
         for i in (0, n_barriers // 2, n_barriers - 1):
             tau, cens, phi_end, r_end, stj, z_end, _ = _one_barrier_pass(
-                base_params, 0.6, cfg, base_params.mu1, True, barriers[i])
+                base_params, 0.6, cfg, Measure.TILTED1, base_params.mu1, True,
+                barriers[i])
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
             assert np.array_equal(got.phi_refl_end, phi_end)
@@ -574,11 +584,11 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
              (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5)]
     for measure, weight_phi, phi0, dt, horizon, lo in cases:
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11,
-                        measure=measure, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         if lo == 0:
-            got = _one_measure(base_params, phi0, MeasureSpec(
-                cfg, rate, weight_phi, barriers, control_betas=BETAS))
+            got = _one_measure(base_params, phi0, cfg, MeasureSpec(
+                measure, rate, weight_phi, barriers, control_betas=BETAS))
         else:
             m_phi, _ = log_drifts(base_params, d, measure)
             job = scan.ScanJob(
@@ -598,7 +608,7 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
         assert not np.isnan(got.z_end).any()   # every slot written
         for i, bpay in enumerate(barriers):
             tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
-                base_params, phi0, cfg, rate, weight_phi, bpay, first=lo,
+                base_params, phi0, cfg, measure, rate, weight_phi, bpay, first=lo,
                 betas=BETAS)
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
@@ -621,15 +631,15 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
     for phi0 in (0.6, 1.7 * sol.B):
         cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12,
-                        measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
             for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
                 monkeypatch.setattr(scan, "BATCH_PATHS", batch)
                 monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
                 monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
-                runs.append(_one_measure(base_params, phi0, MeasureSpec(
-                    cfg, base_params.mu1, True, bpays, stride, betas)))
+                runs.append(_one_measure(base_params, phi0, cfg, MeasureSpec(
+                    Measure.TILTED1, base_params.mu1, True, bpays, betas), stride))
             assert runs[0].censored.any() and not runs[0].censored.all()
             assert runs[0].control_sums.shape == (len(betas), cfg.n_paths)
             for field in dataclasses.fields(runs[0]):
@@ -644,14 +654,14 @@ def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
 
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=1.0, n_paths=40, seed=13,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-    kw = dict(discount_rate=base_params.mu1, weight_phi=True)
-    before = path_functionals(base_params, sol.B, cfg, **kw)
+                    barrier=sol.B, lower=sol.A)
+    spec = MeasureSpec(Measure.TILTED1, base_params.mu1, weight_phi=True)
+    before = _one_measure(base_params, sol.B, cfg, spec)
     with monkeypatch.context() as patch:
         patch.setattr(scan, "_cuts", lambda rows, bounds: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            path_functionals(base_params, sol.B, cfg, **kw)
-    after = path_functionals(base_params, sol.B, cfg, **kw)
+            _one_measure(base_params, sol.B, cfg, spec)
+    after = _one_measure(base_params, sol.B, cfg, spec)
     assert np.array_equal(after.stieltjes, before.stieltjes)
 
 
@@ -680,14 +690,14 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
              (chunk + 72, Measure.TILTED0, 0.6, 10.0, False, (), 3)]
     for n, measure, phi0, horizon, weight_phi, bpays, stride in cases:
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5,
-                        measure=measure, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         runs = []
         for on in (False, True):
             helper_switch.set(on)
-            runs.append(_one_measure(base_params, phi0, MeasureSpec(
-                cfg, rate, weight_phi, bpays, stride,
-                BETAS if stride == 1 else ())))
+            runs.append(_one_measure(base_params, phi0, cfg, MeasureSpec(
+                measure, rate, weight_phi, bpays, BETAS if stride == 1 else ()),
+                stride))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
         assert not np.isnan(split.z_end).any()   # every slot written
@@ -701,19 +711,17 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
     assert helper_switch.all_ended()
 
 
-def _stacked_pairs(base_params, sol, cfg):
-    """The measure pairs of the mc and deviations commands on cfg's paths:
-    tilted0 with the Phi weight before tilted1 without it, each with
-    control sums (so tilted1's rows outlive the rows that take the draws),
-    and tilted1 with six payoff barriers before tilted0 with none."""
-    cfg0 = dataclasses.replace(cfg, measure=Measure.TILTED0)
-    cfg1 = dataclasses.replace(cfg, measure=Measure.TILTED1)
+def _stacked_pairs(base_params, sol):
+    """The measure pairs of the mc and deviations commands: tilted0 with
+    the Phi weight before tilted1 without it, each with control sums (so
+    tilted1's rows outlive the rows that take the draws), and tilted1 with
+    six payoff barriers before tilted0 with none."""
     six = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
-    return ((MeasureSpec(cfg0, base_params.mu0, weight_phi=True,
+    return ((MeasureSpec(Measure.TILTED0, base_params.mu0, weight_phi=True,
                          control_betas=BETAS),
-             MeasureSpec(cfg1, base_params.mu1, control_betas=BETAS)),
-            (MeasureSpec(cfg1, base_params.mu1, payoff_barriers=six),
-             MeasureSpec(cfg0, base_params.mu0, payoff_barriers=())))
+             MeasureSpec(Measure.TILTED1, base_params.mu1, control_betas=BETAS)),
+            (MeasureSpec(Measure.TILTED1, base_params.mu1, payoff_barriers=six),
+             MeasureSpec(Measure.TILTED0, base_params.mu0, payoff_barriers=())))
 
 
 def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
@@ -732,14 +740,14 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     sol = build_solution(base_params)
     for horizon in (10.0, 0.15):
         cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14,
-                        measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
+                        barrier=sol.B, lower=sol.A)
         for phi0 in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B, sol.A / 2):
-            for specs in _stacked_pairs(base_params, sol, cfg):
+            for specs in _stacked_pairs(base_params, sol):
                 helper_switch.set(False)
-                alone = [_one_measure(base_params, phi0, spec) for spec in specs]
+                alone = [_one_measure(base_params, phi0, cfg, spec) for spec in specs]
                 for spec, pf in zip(specs, alone):
                     if spec.control_betas:
-                        ctl = _one_barrier_pass(base_params, phi0, spec.config,
+                        ctl = _one_barrier_pass(base_params, phi0, cfg, spec.measure,
                                                 spec.discount_rate, spec.weight_phi,
                                                 sol.B, betas=BETAS)[6]
                         assert np.array_equal(pf.control_sums, ctl)
@@ -755,10 +763,9 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                             patch.setattr(scan, "CHUNK_MIN", 5)
                             patch.setattr(scan, "CHUNK_CELLS", 40)
                         helper_switch.set(on)
-                        got = stacked_path_functionals(base_params, phi0, [
-                            spec._replace(config=dataclasses.replace(spec.config,
-                                                                     n_paths=n))
-                            for spec in specs])
+                        got = stacked_path_functionals(
+                            base_params, phi0, dataclasses.replace(cfg, n_paths=n),
+                            specs)
                     if on:
                         assert helper_switch.helper_chunks >= 1
                     assert len(got) == len(specs)
@@ -772,25 +779,16 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
 
 
 def test_stacked_pass_refuses_measures_of_other_paths(base_params):
-    # The measures of one pass may differ in their measure alone.
+    # One config gives the paths of every measure of a pass; a pass with
+    # no measure is refused.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=10, seed=3,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
-    one = MeasureSpec(cfg, base_params.mu1, payoff_barriers=())
-    other = one._replace(config=dataclasses.replace(cfg, measure=Measure.TILTED0))
-    assert len(stacked_path_functionals(base_params, 0.6, (one, other))) == 2
-    for field, value in (("seed", 4), ("dt", 2e-3), ("horizon", 2.0),
-                         ("n_paths", 11), ("barrier", 1.1 * sol.B),
-                         ("lower", 0.9 * sol.A), ("stride", 2)):
-        if field == "stride":
-            wrong = other._replace(stride=value)
-        else:
-            wrong = other._replace(config=dataclasses.replace(other.config,
-                                                              **{field: value}))
-        with pytest.raises(ValueError, match=f"differ in {field};"):
-            stacked_path_functionals(base_params, 0.6, (one, wrong))
+                    barrier=sol.B, lower=sol.A)
+    one = MeasureSpec(Measure.TILTED1, base_params.mu1, payoff_barriers=())
+    other = one._replace(measure=Measure.TILTED0)
+    assert len(stacked_path_functionals(base_params, 0.6, cfg, (one, other))) == 2
     with pytest.raises(ValueError, match="at least one measure"):
-        stacked_path_functionals(base_params, 0.6, ())
+        stacked_path_functionals(base_params, 0.6, cfg, ())
 
 
 def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
@@ -886,16 +884,16 @@ def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     cfgs = [SimConfig(dt=1e-3, horizon=10.0, n_paths=600, seed=seed,
-                      measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                      barrier=sol.B, lower=sol.A)
             for seed in (8, 9)]
-    kw = dict(discount_rate=base_params.mu1)
+    spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
     helper_switch.set(False)
-    serial = [path_functionals(base_params, 0.6, cfg, **kw) for cfg in cfgs]
+    serial = [_one_measure(base_params, 0.6, cfg, spec) for cfg in cfgs]
     helper_switch.set(True)
     split = [None] * len(cfgs)
 
     def run(i):
-        split[i] = path_functionals(base_params, 0.6, cfgs[i], **kw)
+        split[i] = _one_measure(base_params, 0.6, cfgs[i], spec)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
     for thread in threads:
@@ -920,9 +918,9 @@ def test_split_pass_returns_private_arrays(base_params, monkeypatch, helper_swit
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=10,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     helper_switch.set(True)
-    pf = path_functionals(base_params, 0.6, cfg, discount_rate=base_params.mu1)
+    pf = _one_measure(base_params, 0.6, cfg, MeasureSpec(Measure.TILTED1, base_params.mu1))
     assert helper_switch.helper_chunks >= 1
     tau, stieltjes = pf.tau.copy(), pf.stieltjes.copy()
     pid = spread._fork()
@@ -946,12 +944,12 @@ def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switc
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=300, seed=6,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    kw = dict(discount_rate=base_params.mu0, weight_phi=True)
+                    barrier=sol.B, lower=sol.A)
+    spec = MeasureSpec(Measure.TILTED0, base_params.mu0, weight_phi=True)
     for on in (False, True):
         helper_switch.set(on)
-        one = path_functionals(base_params, 0.6, cfg, **kw)
-        none = path_functionals(base_params, 0.6, cfg, payoff_barriers=(), **kw)
+        one = _one_measure(base_params, 0.6, cfg, spec)
+        none = _one_measure(base_params, 0.6, cfg, spec._replace(payoff_barriers=()))
         assert none.r_pay_end.shape == none.stieltjes.shape == (0, 300)
         for name in ("tau", "censored", "phi_refl_end"):
             assert np.array_equal(getattr(none, name), getattr(one, name),
@@ -976,12 +974,12 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
     monkeypatch.setattr(spread, "_fill_queue", fill_queue)
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=9000, seed=7,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     runs = []
     for on in (False, True):
         helper_switch.set(on)
-        runs.append(path_functionals(base_params, 0.6, cfg,
-                                     discount_rate=base_params.mu1))
+        runs.append(_one_measure(base_params, 0.6, cfg,
+                                 MeasureSpec(Measure.TILTED1, base_params.mu1)))
     assert len(chunk_sizes) == 1 and chunk_sizes[0] > 1
     assert helper_switch.helper_chunks >= 1
     assert helper_switch.all_ended()
@@ -1161,15 +1159,15 @@ def test_stride_one_is_the_default_pass(base_params):
     # tests the stop on a coarser grid and so stops elsewhere
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
-    kw = dict(discount_rate=base_params.mu0)
-    plain = path_functionals(base_params, sol.B, cfg, **kw)
-    one = path_functionals(base_params, sol.B, cfg, stride=1, **kw)
+                    barrier=sol.B, lower=sol.A)
+    spec = MeasureSpec(Measure.TILTED0, base_params.mu0)
+    plain = stacked_path_functionals(base_params, sol.B, cfg, (spec,))[0]
+    one = _one_measure(base_params, sol.B, cfg, spec, stride=1)
     for field in dataclasses.fields(plain):
         assert np.array_equal(getattr(one, field.name),
                               getattr(plain, field.name), equal_nan=True)
-    four = path_functionals(base_params, sol.B, cfg, payoff_barriers=(),
-                            stride=4, **kw)
+    four = _one_measure(base_params, sol.B, cfg, spec._replace(payoff_barriers=()),
+                        stride=4)
     assert not np.array_equal(four.tau, plain.tau, equal_nan=True)
 
 
@@ -1180,11 +1178,10 @@ def test_strided_grids_subsample_one_fine_path(base_params):
     # or 2 and censors some paths, whose log ratio is at the last grid point.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
-                    measure=Measure.TILTED1, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     strides = (3, 2, 1)
-    runs = [path_functionals(base_params, sol.B, cfg, discount_rate=base_params.mu0,
-                             payoff_barriers=(), stride=s)
-            for s in strides]
+    spec = MeasureSpec(Measure.TILTED1, base_params.mu0, payoff_barriers=())
+    runs = [_one_measure(base_params, sol.B, cfg, spec, stride=s) for s in strides]
     assert runs[0].censored.any() and not runs[0].censored.all()
 
     d = derive(base_params)
@@ -1224,7 +1221,7 @@ def test_truncate_at_first_hit():
 def test_trajectory_csv(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2,
-                    measure=Measure.TILTED0, barrier=sol.B, lower=sol.A)
+                    barrier=sol.B, lower=sol.A)
     traj, _ = generate_trajectory(cfg, base_params, 0)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, metadata={"seed": 2, "b": sol.b})

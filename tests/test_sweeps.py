@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftgame import DomainError, build_solution
-from driftgame.simulate import Measure, SimConfig, write_trajectory_csv
+from driftgame.simulate import SimConfig, write_trajectory_csv
 from driftgame.sweeps import (
     SweepSpec,
     default_sweep_values,
@@ -69,8 +69,7 @@ def test_sweep_spec_validation(base_params):
 # -- sample paths ------------------------------------------------------------------
 
 def _fig_cfg(seed):
-    return SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed,
-                     measure=Measure.PHYSICAL, barrier=1.0)
+    return SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed, barrier=1.0)
 
 
 def test_sample_path_properties(base_params):
@@ -91,13 +90,6 @@ def test_sample_path_properties(base_params):
         # the path ends at its first crossing of the lower boundary
         assert traj.PiStar[-1] <= sol.a
         assert np.all(traj.PiStar[:-1] > sol.a)
-
-
-def test_sample_path_requires_physical_measure(base_params):
-    cfg = SimConfig(dt=1e-3, horizon=5.0, n_paths=1, seed=1,
-                    measure=Measure.TILTED0, barrier=1.0)
-    with pytest.raises(ValueError):
-        sample_path_figure(base_params, cfg)
 
 
 # -- writers -------------------------------------------------------------------------

@@ -21,21 +21,20 @@ from driftgame.verify import (
 )
 
 
-def _configs(sol, n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
-    base = dict(dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
-                barrier=sol.B, lower=sol.A)
-    return (SimConfig(measure=Measure.TILTED0, **base),
-            SimConfig(measure=Measure.TILTED1, **base))
+def _config(sol, n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
+    return SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
+                     barrier=sol.B, lower=sol.A)
 
 
-def _suite(sol, phi, config0, config1):
+def _suite(sol, phi, config):
     """The suite's reports keyed by check name."""
-    return {r["check"]: r for r in mc_oracle_suite(sol, phi, config0, config1)}
+    return {r["check"]: r for r in mc_oracle_suite(sol, phi, config)}
 
 
-def _pass(sol, phi, cfg0, cfg1):
+def _pass(sol, phi, config):
     """The (tilted1, tilted0) outputs of mc_oracle_suite's pass."""
-    return stacked_path_functionals(sol.params, phi, _oracle_specs(sol, cfg0, cfg1))
+    return stacked_path_functionals(sol.params, phi, config,
+                                    _oracle_specs(sol, config.dt))
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +46,8 @@ def sol(base_params):
 
 def _stopping_region_reports(sol):
     # every path stops at time zero, at A/2 as at A itself
-    cfg0, cfg1 = _configs(sol, n_paths=50)
-    return {phi: _suite(sol, phi, cfg0, cfg1) for phi in (sol.A / 2, sol.A)}
+    cfg = _config(sol, n_paths=50)
+    return {phi: _suite(sol, phi, cfg) for phi in (sol.A / 2, sol.A)}
 
 
 def test_j0_in_stopping_region_is_exact(sol):
@@ -78,18 +77,18 @@ def test_jhat_in_stopping_region_is_exact(sol):
 def test_oracle_consistency_grid(sol):
     # 9-point grid spanning (0, 2B]: every estimate within
     # 3 stderr + documented bias of its closed form
-    cfg0, cfg1 = _configs(sol)
+    cfg = _config(sol)
     for phi in np.linspace(0.0, 2.0 * sol.B, 10)[1:]:
-        for report in mc_oracle_suite(sol, float(phi), cfg0, cfg1):
+        for report in mc_oracle_suite(sol, float(phi), cfg):
             err = abs(report["estimate"] - report["oracle"])
             assert report["pass"], (phi, report)
             assert err <= report["tolerance"] + report["bias_bound"]
 
 
 def test_j1_bounded_between_payoffs(sol):
-    cfg0, cfg1 = _configs(sol, n_paths=3_000)
+    cfg = _config(sol, n_paths=3_000)
     mid = 0.5 * (sol.A + sol.B)
-    j1 = _suite(sol, mid, cfg0, cfg1)["J1"]
+    j1 = _suite(sol, mid, cfg)["J1"]
     assert 1.0 - 1e-12 <= j1["estimate"] <= 1.0 + sol.params.eps + 0.05
     assert j1["oracle"] == sol.V1(mid)
     assert abs(j1["estimate"] - j1["oracle"]) <= 3 * j1["stderr"] + j1["bias_bound"]
@@ -98,8 +97,8 @@ def test_j1_bounded_between_payoffs(sol):
 def test_j0_strictly_below_one_for_very_negative_drift():
     p = ModelParams(mu0=-10.0, mu1=1.0, sigma=0.5, eps=0.1)
     s = build_solution(p)
-    cfg0, cfg1 = _configs(s, n_paths=400, dt=2e-4, seed=5)
-    assert _suite(s, s.B, cfg0, cfg1)["J0"]["estimate"] < 1.0
+    cfg = _config(s, n_paths=400, dt=2e-4, seed=5)
+    assert _suite(s, s.B, cfg)["J0"]["estimate"] < 1.0
 
 
 def test_jhat_identity(sol):
@@ -107,8 +106,8 @@ def test_jhat_identity(sol):
     # of both measures draws the same noise), so (Jhat - J0) - phi J1 is a
     # per-path residual, and its own spread gives the standard error.
     phi = 0.6
-    cfg0, cfg1 = _configs(sol, n_paths=6_000)
-    pf1, pf0 = _pass(sol, phi, cfg0, cfg1)
+    cfg = _config(sol, n_paths=6_000)
+    pf1, pf0 = _pass(sol, phi, cfg)
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
     resid = (jhat - j0) - phi * j1
@@ -127,11 +126,11 @@ def test_reflected_control_means_are_exact(sol, measure, dt):
     # with the e^{-R} weight under tilted1 and its time-zero term above B,
     # the Stieltjes sum that joins it under tilted1, the roots themselves
     # and the discount of the first term
-    cfg0, cfg1 = _configs(sol, dt=dt)
-    config, which = (cfg0, 1) if measure is Measure.TILTED0 else (cfg1, 0)
+    config = _config(sol, dt=dt)
+    which = 1 if measure is Measure.TILTED0 else 0
     for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
         log_first, log_mean, sums = _log_reflected_controls(
-            sol, phi, config, _pass(sol, phi, cfg0, cfg1)[which])
+            sol, phi, config, measure, _pass(sol, phi, config)[which])
         assert sums.shape == (2, config.n_paths)
         for n_beta, mean in zip(np.exp(log_first) + sums, np.exp(log_mean)):
             se = n_beta.std(ddof=1) / math.sqrt(n_beta.size)
@@ -143,12 +142,12 @@ def test_controls_cut_every_stderr(sol):
     # controls J0's and J1's stderr are at most 0.15x their plain stderr
     # (about 0.09x and 0.12x here, 0.05x and 0.06x at dt 1e-4) and Jhat's
     # at most 0.01x (about 4e-4x), and every check still passes
-    cfg0, cfg1 = _configs(sol)
+    cfg = _config(sol)
     for phi in ((sol.A + sol.B) / 2, sol.B):
-        pf1, pf0 = _pass(sol, phi, cfg0, cfg1)
+        pf1, pf0 = _pass(sol, phi, cfg)
         j0, jhat = _j0_samples(sol, pf0)
         (j1,) = _j1_samples(sol, pf1)
-        reports = _suite(sol, phi, cfg0, cfg1)
+        reports = _suite(sol, phi, cfg)
         for name, samples, ratio in (("J0", j0, 0.15), ("J1", j1, 0.15),
                                      ("Jhat", jhat, 0.01)):
             plain = samples.std(ddof=1) / math.sqrt(samples.size)
@@ -161,9 +160,9 @@ def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
     # a fit on q = 2 controls needs n > q + 1 paths: every check gives the
     # plain mean and stderr bit for bit at 2 and 3 paths, and fits its
     # controls above that
-    cfg0, cfg1 = _configs(sol, n_paths=n_paths, dt=1e-4, seed=0)
-    reports = _suite(sol, 1.0, cfg0, cfg1)
-    pf1, pf0 = _pass(sol, 1.0, cfg0, cfg1)
+    cfg = _config(sol, n_paths=n_paths, dt=1e-4, seed=0)
+    reports = _suite(sol, 1.0, cfg)
+    pf1, pf0 = _pass(sol, 1.0, cfg)
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
     for name, samples in (("J0", j0), ("J1", j1), ("Jhat", jhat)):
@@ -189,28 +188,19 @@ def test_dependent_controls_are_dropped():
 
 # -- config validation -----------------------------------------------------------
 
-def test_measure_mismatch_rejected(sol):
-    cfg0, cfg1 = _configs(sol, n_paths=10)
-    for bad in ((cfg1, cfg1), (cfg0, cfg0), (cfg1, cfg0)):
-        with pytest.raises(ConfigMismatch):
-            mc_oracle_suite(sol, 0.5, *bad)
-
-
 def test_threshold_mismatch_rejected(sol):
-    cfg0, cfg1 = _configs(sol, n_paths=10)
+    cfg = _config(sol, n_paths=10)
     for field, scale in (("barrier", 1.1), ("lower", 0.9)):
-        wrong = {field: scale * getattr(cfg0, field)}
+        wrong = {field: scale * getattr(cfg, field)}
         with pytest.raises(ConfigMismatch):
-            mc_oracle_suite(sol, 0.5, dataclasses.replace(cfg0, **wrong), cfg1)
-        with pytest.raises(ConfigMismatch):
-            mc_oracle_suite(sol, 0.5, cfg0, dataclasses.replace(cfg1, **wrong))
+            mc_oracle_suite(sol, 0.5, dataclasses.replace(cfg, **wrong))
 
 
 # -- report schema -----------------------------------------------------------------
 
 def test_oracle_report_schema(sol):
-    cfg0, cfg1 = _configs(sol, n_paths=200)
-    reports = mc_oracle_suite(sol, sol.B, cfg0, cfg1)
+    cfg = _config(sol, n_paths=200)
+    reports = mc_oracle_suite(sol, sol.B, cfg)
     assert [r["check"] for r in reports] == ["J0", "J1", "Jhat"]
     oracles = (sol.V0(sol.B), sol.V1(sol.B), sol.V(sol.B))
     for rep, oracle in zip(reports, oracles):
@@ -243,8 +233,8 @@ def test_player1_specific_strict_deviations(sol):
 
 
 def test_player2_equilibrium_barrier_is_fixed_point(sol):
-    _, cfg1 = _configs(sol, n_paths=500)
-    report = deviations_player2(sol, [sol.B], 0.6, cfg1, jump_probs=())
+    cfg = _config(sol, n_paths=500)
+    report = deviations_player2(sol, [sol.B], 0.6, cfg, jump_probs=())
     (row,) = report.rows
     assert row.deviation == row.equilibrium     # identical samples, CRN
     assert row.stderr == 0.0
@@ -252,16 +242,16 @@ def test_player2_equilibrium_barrier_is_fixed_point(sol):
 
 
 def test_player2_barrier_deviations(sol):
-    _, cfg1 = _configs(sol, n_paths=4_000)
-    report = deviations_player2(sol, [0.6, 1.2], 0.6, cfg1)
+    cfg = _config(sol, n_paths=4_000)
+    report = deviations_player2(sol, [0.6, 1.2], 0.6, cfg)
     assert report.all_pass, report.as_dicts()
     kinds = {r.kind for r in report.rows}
     assert kinds == {"player2-barrier", "player2-jump0"}
 
 
 def test_player2_jump_strategies(sol):
-    _, cfg1 = _configs(sol, n_paths=2_000)
-    report = deviations_player2(sol, [], 0.6, cfg1, jump_probs=(0.5, 1.0))
+    cfg = _config(sol, n_paths=2_000)
+    report = deviations_player2(sol, [], 0.6, cfg, jump_probs=(0.5, 1.0))
     rows = {r.parameter: r for r in report.rows}
     # full immediate stop pays the premium with certainty
     assert rows[1.0].deviation == pytest.approx(1.0 + sol.params.eps, rel=1e-12)
@@ -271,19 +261,19 @@ def test_player2_jump_strategies(sol):
 
 
 def test_player2_invalid_deviation(sol):
-    _, cfg1 = _configs(sol, n_paths=10)
+    cfg = _config(sol, n_paths=10)
     with pytest.raises(InvalidDeviation):
-        deviations_player2(sol, [0.5 * sol.A], 0.6, cfg1)
+        deviations_player2(sol, [0.5 * sol.A], 0.6, cfg)
     with pytest.raises(InvalidDeviation):
-        deviations_player2(sol, [sol.B], 0.6, cfg1, jump_probs=(1.5,))
+        deviations_player2(sol, [sol.B], 0.6, cfg, jump_probs=(1.5,))
 
 
 # -- dt refinement ---------------------------------------------------------------------
 
 def test_dt_convergence_with_common_noise(sol):
-    cfg0, _ = _configs(sol, n_paths=6_000, dt=1e-4)
+    cfg = _config(sol, n_paths=6_000, dt=1e-4)
     dts = [4e-4, 2e-4, 1e-4]
-    ests = dt_convergence_study(sol, sol.B, cfg0, dts)
+    ests = dt_convergence_study(sol, sol.B, cfg, dts)
     oracle = sol.V0(sol.B)
     errs = [abs(e.mean - oracle) for e in ests]
     slack = [3.0 * e.stderr for e in ests]
@@ -303,6 +293,6 @@ def test_dt_convergence_with_common_noise(sol):
     ([1e-3, 2.5e-4 * 1.3], "integer multiple"),
 ], ids=["empty", "zero", "negative", "not-a-multiple"])
 def test_dt_convergence_refuses_bad_dt_list(sol, dts, match):
-    cfg0, _ = _configs(sol, n_paths=4, horizon=2.0)
+    cfg = _config(sol, n_paths=4, horizon=2.0)
     with pytest.raises(ValueError, match=match):
-        dt_convergence_study(sol, sol.B, cfg0, dts)
+        dt_convergence_study(sol, sol.B, cfg, dts)
