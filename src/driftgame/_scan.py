@@ -1,19 +1,19 @@
 """The Monte Carlo kernel: one pass of simulate.stacked_path_functionals.
 
-This module owns how a pass runs: the jobs (a ScanJob for each measure
-of the pass), the per-path generators (_StreamPool), the output slots
-(unscanned) and the batched scan (scan_paths).  stacked_path_functionals
-builds the jobs, one per MeasureSpec, from the pass's one SimConfig, and
-hands them to scan() here, or to driftgame._spread from 1024 paths up.
-It imports this module on its first pass, so that importing the CLI
-compiles none of it.
+This module owns how a pass runs: its job (a ScanJob), the per-path
+generators (_StreamPool), the output slots (unscanned) and the batched
+scan (scan_paths).  stacked_path_functionals builds the job, with a
+ScanMeasure for each MeasureSpec, from the pass's one SimConfig and its
+thresholds, and hands it to scan() here, or to driftgame._spread from
+1024 paths up.  It imports this module on its first pass, so that
+importing the CLI compiles none of it.
 
 A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
-differ only in their drift, so their jobs share seed, phi0, c_noise, the
-grid, z_hit, z_lo and stride (the pass's config and stride), and each
-adds its own c_drift, rate, weight_phi, z_pays and betas.  A batch holds
-a row for each (measure, path).
+differ only in their drift, so the job holds once what they share: seed,
+phi0, c_noise, the grid, z_hit, z_lo and stride; each ScanMeasure holds
+its own c_drift, rate, weight_phi, z_pays and betas.  A batch holds a row
+for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
 path, together through the whole horizon in chunks of min(steps left,
@@ -48,14 +48,14 @@ batch size, chunk length and helper split:
 - a Stieltjes sum starts from its time-zero value, and each chunk adds
   its terms to it one by one in step order (np.add.at);
 - a control sum, one per exponent beta of betas, is priced from the
-  reflection R of the stop barrier, which a job with betas prices as one
-  of its payoff barriers: it starts from e^{beta R_0} - 1 (R jumps from 0
-  to R_0 at t = 0) and adds e^{rate t}(e^{beta (R_k - R_{k-1})} - 1)
+  reflection R of the stop barrier, which a measure with betas prices as
+  one of its payoff barriers: it starts from e^{beta R_0} - 1 (R jumps
+  from 0 to R_0 at t = 0) and adds e^{rate t}(e^{beta (R_k - R_{k-1})} - 1)
   where R grows, times e^{-R_{k-1}} (the 1 - Gamma before the step) for
-  a job without the Phi weight; each chunk keeps its terms' slots, log
-  weights and steps of R, and the batch prices them all at its end, in
-  chunk order and so in step order; a job without betas takes none of
-  its operations;
+  a measure without the Phi weight; each chunk keeps its terms' slots,
+  log weights and steps of R, and the batch prices them all at its end,
+  in chunk order and so in step order; a measure without betas takes
+  none of its operations;
 - with a stride s the noise and the log ratio stay on the fine steps,
   and the maximum, reflection and stop read the columns of steps k with
   k % s == 0 alone, so every stride reads one path and a chunk that holds
@@ -81,50 +81,50 @@ CHUNK_MIN = 64        # fewest steps in one chunk
 CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
 
 
-class ScanJob(NamedTuple):
-    """Everything a scan of some of a pass's paths under one measure needs.
-    A pass over several measures is a tuple of ScanJobs that differ in
-    c_drift, rate, weight_phi, z_pays and betas alone.
+class ScanMeasure(NamedTuple):
+    """What one measure adds to its pass's job: its drift and what it prices."""
 
-    A NamedTuple, not a dataclass: a dataclass of this size costs about
+    c_drift: float       # log-ratio drift per step
+    rate: float          # discount rate
+    weight_phi: bool
+    z_pays: tuple        # logs of the payoff barriers
+    betas: tuple = ()    # exponents of the control sums
+
+
+class ScanJob(NamedTuple):
+    """Everything a scan of some of a pass's paths needs: what every
+    measure of the pass shares, once, and a ScanMeasure per measure.
+
+    NamedTuples, not dataclasses: a dataclass of this size costs about
     2 ms to define.
     """
 
     seed: int
     phi0: float
-    c_drift: float       # log-ratio drift per step
     c_noise: float       # log-ratio noise scale per step
     k_max: int           # steps to the horizon
     dt: float
-    rate: float          # discount rate
-    weight_phi: bool
     z_hit: float         # log of the reflection barrier that times the stop
     z_lo: float          # log of the absorbing lower threshold
-    z_pays: tuple        # logs of the payoff barriers
+    measures: tuple      # a ScanMeasure per measure, in the pass's order
     stride: int = 1      # the stop is tested on steps k with k % stride == 0
-    betas: tuple = ()    # exponents of the control sums
 
 
 def unscanned(n: int, n_barriers: int, n_controls: int = 0,
               alloc=bytearray) -> PathFunctionals:
     """Slots for n paths, n_barriers payoff barriers and n_controls control
-    exponents, ready for scan_paths: tau and z_end NaN, none censored.
-    Every field is a view of one buffer of alloc(size in bytes): the heap
-    by default, or for example a shared mapping that a forked process
-    writes in place."""
-    # tau, phi_refl_end, z_end, then r_pay_end, stieltjes, control_sums
-    rows = 3 + 2 * n_barriers + n_controls
-    buffer = alloc(rows * n * 8 + n)
-    floats = np.ndarray((rows, n), np.float64, buffer)
-    floats[0] = floats[2] = np.nan
-    censored = np.ndarray(n, np.bool_, buffer, rows * n * 8)
-    censored[:] = False
-    return PathFunctionals(tau=floats[0], censored=censored,
-                           phi_refl_end=floats[1],
-                           r_pay_end=floats[3:3 + n_barriers],
-                           stieltjes=floats[3 + n_barriers:3 + 2 * n_barriers],
-                           z_end=floats[2],
-                           control_sums=floats[3 + 2 * n_barriers:])
+    exponents, ready for scan_paths: tau and z_end NaN.  Every field is a
+    view of one buffer of alloc(size in bytes): the heap by default, or
+    for example a shared mapping that a forked process writes in place."""
+    # tau, z_end, then r_pay_end, stieltjes, control_sums
+    rows = 2 + 2 * n_barriers + n_controls
+    floats = np.ndarray((rows, n), np.float64, alloc(rows * n * 8))
+    floats[:2] = np.nan
+    return PathFunctionals(tau=floats[0],
+                           r_pay_end=floats[2:2 + n_barriers],
+                           stieltjes=floats[2 + n_barriers:2 + 2 * n_barriers],
+                           z_end=floats[1],
+                           control_sums=floats[2 + 2 * n_barriers:])
 
 
 def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
@@ -133,29 +133,29 @@ def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
                               for field in dataclasses.fields(PathFunctionals)})
 
 
-def scan(jobs: tuple, n: int) -> tuple:
-    """Paths 0..n-1 of a pass, scanned in this process under each of jobs,
-    its measures: slots from unscanned, one per job."""
-    outs = tuple(unscanned(n, len(job.z_pays), len(job.betas)) for job in jobs)
-    scan_paths(jobs, 0, outs)
+def scan(job: ScanJob, n: int) -> tuple:
+    """Paths 0..n-1 of a pass, scanned in this process under each measure
+    of its job: slots from unscanned, one per measure."""
+    outs = tuple(unscanned(n, len(one.z_pays), len(one.betas))
+                 for one in job.measures)
+    scan_paths(job, 0, outs)
     return outs
 
 
-def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
+def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
     """Scan paths lo, lo + 1, ... into the slots of outs, one path per slot:
-    jobs is a tuple of ScanJobs of one pass and outs a tuple of slots (from
-    unscanned, or views of such slots), one per job.  Any order of the jobs
-    gives the same bits; the largest drift first draws fastest (see
-    _scan_batch)."""
-    head = jobs[0]
-    z0 = math.log(head.phi0)
+    job is the ScanJob of a pass and outs a tuple of slots (from unscanned,
+    or views of such slots), one per measure of the job.  Any order of the
+    measures gives the same bits; the largest drift first draws fastest
+    (see _scan_batch)."""
+    z0 = math.log(job.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
-    r_hit0 = max(0.0, z0 - head.z_hit)
+    r_hit0 = max(0.0, z0 - job.z_hit)
     r_pay0s = []
-    for one, part in zip(jobs, outs):
-        r_pay0 = np.array([r_hit0 if zp == one.z_hit else max(0.0, z0 - zp)
+    for one, part in zip(job.measures, outs):
+        r_pay0 = np.array([r_hit0 if zp == job.z_hit else max(0.0, z0 - zp)
                            for zp in one.z_pays])
-        sti0 = np.array([(one.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
+        sti0 = np.array([(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
                          for r in r_pay0.tolist()])
         part.r_pay_end[:] = r_pay0[:, None]
         part.stieltjes[:] = sti0[:, None]
@@ -163,57 +163,55 @@ def scan_paths(jobs: tuple, lo: int, outs: tuple) -> None:
         with np.errstate(over="ignore"):
             part.control_sums[:] = np.expm1(np.multiply(one.betas, r_hit0))[:, None]
         r_pay0s.append(r_pay0)
-    if z0 - r_hit0 <= head.z_lo:   # every path stops at time zero
+    if z0 - r_hit0 <= job.z_lo:   # every path stops at time zero
         for part in outs:
             part.tau[:] = 0.0
-            part.phi_refl_end[:] = math.exp(z0 - r_hit0)
             part.z_end[:] = z0
         return
-    scratch = scan_scratch(len(jobs))
+    scratch = scan_scratch(len(job.measures))
     for first in range(0, outs[0].n_paths, BATCH_PATHS):
-        _scan_batch(jobs, lo + first,
+        _scan_batch(job, lo + first,
                     [slots(out, first, first + BATCH_PATHS) for out in outs],
                     r_pay0s, scratch)
 
 
-def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
+def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
                 scratch: _ScanScratch) -> None:
-    """scan_paths(jobs, lo, outs) as one batch, with outs' slots already
+    """scan_paths(job, lo, outs) as one batch, with outs' slots already
     holding the time-zero reflections r_pay0s, Stieltjes sums and control
     sums.
 
     The batch has a row for each measure and path that have not stopped,
-    measure by measure: bounds[i]:bounds[i + 1] are the rows of jobs[i],
-    ids their slots.  Each chunk draws the noise of every path with a row
-    once, into the first measure's rows while they are those paths, else
-    into a buffer, and copies it into the other rows.  A path is drawn
-    until its last row has stopped.  The same noise with a larger drift
+    measure by measure: bounds[i]:bounds[i + 1] are the rows of
+    job.measures[i], ids their slots.  Each chunk draws the noise of every
+    path with a row once, into the first measure's rows while they are
+    those paths, else into a buffer, and copies it into the other rows.  A
+    path is drawn until its last row has stopped.  The same noise with a larger drift
     stops no earlier (in exact arithmetic), so with the largest drift
     first the draws go in place."""
-    head = jobs[0]
-    z0 = math.log(head.phi0)
-    z_hit, z_lo = head.z_hit, head.z_lo
+    z0 = math.log(job.phi0)
+    z_hit, z_lo = job.z_hit, job.z_lo
     r_hit0 = max(0.0, z0 - z_hit)
-    c_noise, dt, stride = head.c_noise, head.dt, head.stride
-    k_max = head.k_max - head.k_max % stride   # the horizon's last grid point
+    c_noise, dt, stride = job.c_noise, job.dt, job.stride
+    k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
     n = outs[0].n_paths
-    slot_gens = [scratch.pool.reset(head.seed, lo + p, ROLE_PATH_NOISE, p)
+    slot_gens = [scratch.pool.reset(job.seed, lo + p, ROLE_PATH_NOISE, p)
                  for p in range(n)]
-    ids = np.tile(np.arange(n), len(jobs))   # the live rows' slots in outs
-    bounds = [i * n for i in range(len(jobs) + 1)]
+    ids = np.tile(np.arange(n), len(job.measures))   # the live rows' slots in outs
+    bounds = [i * n for i in range(len(job.measures) + 1)]
     paths, copies = _draws(ids, n, n)
     gens = slot_gens                      # the drawn paths' generators
     carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
     # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot
     sums = [out.stieltjes.copy() for out in outs]
-    # a job with betas prices its stop barrier, row stop_row of its z_pays,
-    # and keeps each chunk's control terms in terms: their slots, log
-    # weights and R_{k-1} - R_k, which the pricing step has
+    # a measure with betas prices its stop barrier, row stop_row of its
+    # z_pays, and keeps each chunk's control terms in terms: their slots,
+    # log weights and R_{k-1} - R_k, which the pricing step has
     parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None],
               np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1),
               one.z_pays.index(z_hit) if one.betas else None, [])
-             for one, out, r_pay0, total in zip(jobs, outs, r_pay0s, sums)]
+             for one, out, r_pay0, total in zip(job.measures, outs, r_pay0s, sums)]
 
     k = 0   # steps done
     while ids.size:
@@ -228,7 +226,7 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
         drawn *= c_noise
         if copies.size:
             np.take(drawn, copies, axis=0, out=zb[live - copies.size:], mode="clip")
-        for one, a, b in zip(jobs, bounds, bounds[1:]):
+        for one, a, b in zip(job.measures, bounds, bounds[1:]):
             zb[a:b] += one.c_drift
         zb[:, 0] += carry
         np.cumsum(zb, axis=1, out=zb)
@@ -264,7 +262,6 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
         if leave.size:
             tau = (k + first + 1 + (end[stop] - 1) * stride) * dt
             last = end[leave] - 1
-            phi_end = [math.exp(v) for v in zr[leave, last].tolist()]
             z_end = zg[leave, last]
             top_end = mx[leave, last]
             stopped, gone = ids[stop], ids[leave]
@@ -317,13 +314,10 @@ def _scan_batch(jobs: tuple, lo: int, outs: list, r_pay0s: list,
                                   fall[stop_row, up]))
             if l_a < l_b:
                 out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
-                out.phi_refl_end[gone[l_a:l_b]] = phi_end[l_a:l_b]
                 out.z_end[gone[l_a:l_b]] = z_end[l_a:l_b]
                 if one.z_pays:
                     out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
                         top_end[l_a:l_b] - z_col, r0_col)
-                if horizon:
-                    out.censored[np.delete(ids[a:b], stop[s_a:s_b] - a)] = True
         if leave.size:
             keep = np.ones(live, dtype=bool)
             keep[leave] = False

@@ -1,11 +1,11 @@
 """One Monte Carlo pass shared with a forked helper process.
 
-simulate.stacked_path_functionals hands a pass, one config's paths under
-every measure of the pass, to scan() here from simulate._SPREAD_MIN_PATHS
-(1024) paths up; the rest of the decision is made here.  On Linux, when
-this process may run on another CPU (its affinity set, so taskset limits
-it), the pass forks one helper.  Elsewhere it runs serially in
-driftgame._scan: fork is unsafe on macOS, and no other platform is tested.
+simulate.stacked_path_functionals hands a pass (its ScanJob) to scan()
+here from simulate._SPREAD_MIN_PATHS (1024) paths up; the rest of the
+decision is made here.  On Linux, when this process may run on another
+CPU (its affinity set, so taskset limits it), the pass forks one helper.
+Elsewhere it runs serially in driftgame._scan: fork is unsafe on macOS,
+and no other platform is tested.
 
 Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
 every chunk's index is written into one pipe, the queue, as an 8-byte
@@ -51,16 +51,16 @@ CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
 _RECORD = np.dtype("<i8")   # one chunk index in the queue
 
 
-def scan(jobs: tuple, n: int) -> tuple:
-    """_scan.scan(jobs, n), with a forked helper process scanning some of
+def scan(job: _scan.ScanJob, n: int) -> tuple:
+    """_scan.scan(job, n), with a forked helper process scanning some of
     its chunks, under every measure of the pass, where this process may
     use a second CPU on Linux; the helper has ended on return."""
     if sys.platform != "linux" or _cpu_count() < 2:
-        return _scan.scan(jobs, n)
-    _scan.scan_scratch(len(jobs))   # built once, before the fork, for both processes
-    shared = tuple(_scan.unscanned(n, len(job.z_pays), len(job.betas),
+        return _scan.scan(job, n)
+    _scan.scan_scratch(len(job.measures))   # built before the fork, for both processes
+    shared = tuple(_scan.unscanned(n, len(one.z_pays), len(one.betas),
                                    lambda size: mmap.mmap(-1, size))
-                   for job in jobs)
+                   for one in job.measures)
     queue_r, queue_w = os.pipe()
     os.set_blocking(queue_w, False)   # see _fill_queue
     error_r, error_w = os.pipe()
@@ -80,13 +80,13 @@ def scan(jobs: tuple, n: int) -> tuple:
         try:
             helper = _fork()
             if helper == 0:
-                _serve(jobs, shared, chunk, queue_r, error_w, caller, mask)
+                _serve(job, shared, chunk, queue_r, error_w, caller, mask)
         except OSError:   # no process to spare: this one scans every chunk
             pass
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         close(error_w)
-        _scan_queue(jobs, shared, chunk, queue_r)
+        _scan_queue(job, shared, chunk, queue_r)
         error = _read_to_end(error_r)   # ends when the helper does
         if helper is not None:
             _, status = os.waitpid(helper, 0)
@@ -146,7 +146,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
+def _serve(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
            error_w: int, caller: int, mask) -> None:
     """The helper process: scan chunks from the queue until it is empty or
     the caller has died, and write a pickled exception to error_w if the
@@ -163,7 +163,7 @@ def _serve(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
             low = fd + 1
         os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         try:
-            _scan_queue(jobs, shared, chunk, queue_r, caller)
+            _scan_queue(job, shared, chunk, queue_r, caller)
             code = 0
         except Exception as exc:  # noqa: BLE001 - re-raised in the caller
             view = memoryview(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
@@ -173,14 +173,14 @@ def _serve(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
         os._exit(code)
 
 
-def _scan_queue(jobs: tuple, shared: tuple, chunk: int, queue_r: int,
+def _scan_queue(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
                 caller: int | None = None) -> None:
     """Scan the chunks whose indices this process reads from the queue until
     it is empty; with caller, stop as well once that process has died."""
     while (index := _claim(queue_r)) is not None:
         lo = index * chunk
-        _scan.scan_paths(jobs, lo, tuple(_scan.slots(out, lo, lo + chunk)
-                                         for out in shared))
+        _scan.scan_paths(job, lo, tuple(_scan.slots(out, lo, lo + chunk)
+                                        for out in shared))
         if caller is not None and os.getppid() != caller:
             return
 

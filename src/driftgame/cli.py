@@ -247,11 +247,16 @@ def _cmd_voi(args) -> int:
     return EXIT_OK
 
 
+def _sim_config(settings: dict, n_paths: int) -> SimConfig:
+    """The grid, n_paths paths and the seed of a simulating command."""
+    return SimConfig(dt=settings["dt"], horizon=settings["horizon"],
+                     n_paths=n_paths, seed=settings["seed"])
+
+
 def _cmd_path(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI_PATH)
-    config = SimConfig(dt=settings["dt"], horizon=settings["horizon"], n_paths=1,
-                       seed=settings["seed"], barrier=1.0)  # replaced by the solve inside
-    traj, info = sample_path_figure(params, config, path_index=args.path_index)
+    traj, info = sample_path_figure(params, _sim_config(settings, 1),
+                                    path_index=args.path_index)
     meta = _metadata("path", params, pi, phi, settings,
                      {"dt": settings["dt"], "horizon": settings["horizon"],
                       "path_index": args.path_index, "a": info["a"],
@@ -262,17 +267,10 @@ def _cmd_path(args) -> int:
     return EXIT_OK
 
 
-def _mc_config(settings: dict, sol) -> SimConfig:
-    """The paths of a Monte Carlo command, between the equilibrium barriers."""
-    return SimConfig(dt=settings["dt"], horizon=settings["horizon"],
-                     n_paths=settings["paths"], seed=settings["seed"],
-                     barrier=sol.B, lower=sol.A)
-
-
 def _cmd_mc(args) -> int:
     params, pi, phi, settings = _resolve(args, _DEFAULT_PI)
     sol = build_solution(params)
-    checks = mc_oracle_suite(sol, phi, _mc_config(settings, sol))
+    checks = mc_oracle_suite(sol, phi, _sim_config(settings, settings["paths"]))
     meta = _metadata("mc", params, pi, phi, settings,
                      {"paths": settings["paths"], "dt": settings["dt"],
                       "horizon": settings["horizon"]})
@@ -294,7 +292,8 @@ def _cmd_deviations(args) -> int:
     phis = np.linspace(0.0, 2.0 * sol.B, args.phi_points + 1)[1:]
     p1 = deviations_player1(sol, aprime, phis)
     bprime = [m * sol.B for m in args.bprime_mults]
-    p2 = deviations_player2(sol, bprime, phi, _mc_config(settings, sol),
+    p2 = deviations_player2(sol, bprime, phi,
+                            _sim_config(settings, settings["paths"]),
                             jump_probs=tuple(args.jump_probs))
     ok = p1.all_pass and p2.all_pass
     meta = _metadata("deviations", params, pi, phi, settings,

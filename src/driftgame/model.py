@@ -35,23 +35,23 @@ class ModelParams:
 
     def __post_init__(self):
         bad = []
-        # `not (x < 0)` style comparisons also reject NaN.
-        if not self.mu0 < 0.0:
+        # math.isfinite rejects NaN and inf; prior's bounds do too.
+        if not (math.isfinite(self.mu0) and self.mu0 < 0.0):
             bad.append(f"mu0={self.mu0}")
-        if not self.mu1 > 0.0:
+        if not (math.isfinite(self.mu1) and self.mu1 > 0.0):
             bad.append(f"mu1={self.mu1}")
-        if not self.sigma > 0.0:
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             bad.append(f"sigma={self.sigma}")
-        if not self.eps > 0.0:
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
             bad.append(f"eps={self.eps}")
-        if not self.x0 > 0.0:
+        if not (math.isfinite(self.x0) and self.x0 > 0.0):
             bad.append(f"x0={self.x0}")
         if not 0.0 < self.prior < 1.0:
             bad.append(f"prior={self.prior}")
         if bad:
             raise InvalidParameters(
                 "invalid parameters: " + ", ".join(bad)
-                + " (requires mu0 < 0 < mu1, sigma > 0, eps > 0, x0 > 0, "
+                + " (requires finite mu0 < 0 < mu1, sigma > 0, eps > 0, x0 > 0, "
                 "0 < prior < 1)"
             )
 

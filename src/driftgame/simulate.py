@@ -13,15 +13,16 @@ Randomness comes from counter-based Philox substreams keyed by
 (master seed, path index, stream role), so any path can be generated on
 its own and bit-reproducibly, regardless of the order paths are run in.
 
-A SimConfig describes the grid, the paths, the seed and the barriers,
-and names no measure: each function that simulates names its own.  The
-sample-path walk runs under the physical measure; the Monte Carlo checks
-run under the tilted ones.
+A SimConfig gives the grid, the paths and the seed alone: each function
+that simulates names its measure, and each that stops a path takes its
+lower threshold and reflection barrier as arguments.  The sample-path
+walk runs under the physical measure; the Monte Carlo checks run under
+the tilted ones.
 
 The Monte Carlo backend (stacked_path_functionals) streams its paths
 instead of holding a grid.  One config gives the paths of a pass, and
 each MeasureSpec of the pass names a tilted measure to scan them under.
-It checks its arguments and hands one job per measure to the batched
+It checks its arguments and hands the pass as one job to the batched
 kernel in driftgame._scan, which owns how a pass runs; from
 _SPREAD_MIN_PATHS paths up the pass goes through driftgame._spread, which
 may share it with a forked helper process.  Each step's noise is drawn
@@ -82,8 +83,6 @@ class SimConfig:
     horizon: float          # maximum simulated time, > dt
     n_paths: int            # number of paths, >= 1
     seed: int               # 64-bit unsigned master seed
-    barrier: float          # reflection level B, > 0
-    lower: float | None = None   # absorption level A, in (0, barrier)
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -99,15 +98,18 @@ class SimConfig:
             raise ValueError(f"n_paths={self.n_paths} must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed={self.seed} outside [0, 2^64)")
-        if not self.barrier > 0.0:
-            raise ValueError(f"barrier={self.barrier} must be positive")
-        if self.lower is not None and not 0.0 < self.lower < self.barrier:
-            raise ValueError(
-                f"lower={self.lower} must lie in (0, barrier={self.barrier})")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
+
+
+def _check_thresholds(lower: float, barrier: float) -> None:
+    """Refuse barrier <= 0 and lower outside (0, barrier), NaN included."""
+    if not barrier > 0.0:
+        raise ValueError(f"barrier={barrier} must be positive")
+    if not 0.0 < lower < barrier:
+        raise ValueError(f"lower={lower} must lie in (0, barrier={barrier})")
 
 
 def log_drifts(params: ModelParams, d: DerivedQuantities, measure: Measure,
@@ -238,12 +240,12 @@ def reflect(traj: Trajectory, barrier: float) -> Trajectory:
 _WALK_START = 1024
 
 
-def generate_trajectory(config: SimConfig, params: ModelParams,
-                        path_index: int = 0) -> tuple[Trajectory, bool]:
+def generate_trajectory(config: SimConfig, params: ModelParams, lower: float,
+                        barrier: float, path_index: int = 0) -> tuple[Trajectory, bool]:
     """Simulate one path under the physical measure with its substreams,
-    the regime drawn from params.prior, reflect it at config.barrier and
-    end it at its stop at config.lower.  Returns (trajectory, censored),
-    as stop_at_lower does.
+    the regime drawn from params.prior, reflect it at barrier and end it
+    at its stop at lower.  Returns (trajectory, censored), as
+    stop_at_lower does.
 
     The walk simulates, reflects and cuts a prefix of the path's draws,
     _WALK_START of them first, and doubles the prefix until it holds the
@@ -251,21 +253,19 @@ def generate_trajectory(config: SimConfig, params: ModelParams,
     path).  Later draws continue the path's substream, and the grid and
     its reflection are running sums and running maxima taken in step
     order, so the result equals stop_at_lower(reflect(simulate_phi(...,
-    Measure.PHYSICAL, theta)), lower) bit for bit.  The _MAX_GRID_STEPS
-    refusal comes before any draw, as in simulate_phi.
+    Measure.PHYSICAL, theta)), lower) bit for bit.  Bad thresholds and
+    the _MAX_GRID_STEPS refusal come before any draw.
     """
-    if config.lower is None:
-        raise ValueError("config.lower is required for a sample path")
+    _check_thresholds(lower, barrier)
+    _refuse_long_grid(config)
     regime = substream(config.seed, path_index, ROLE_REGIME_DRAW)
     theta = int(regime.random() < params.prior)
     noise = substream(config.seed, path_index, ROLE_PATH_NOISE)
-    _refuse_long_grid(config)
     n = config.n_steps
     xi = noise.standard_normal(min(_WALK_START, n))
     while True:
         traj, censored = stop_at_lower(reflect(
-            _grid(config.dt, params, Measure.PHYSICAL, theta, xi), config.barrier),
-            config.lower)
+            _grid(config.dt, params, Measure.PHYSICAL, theta, xi), barrier), lower)
         if not censored or xi.size == n:
             return traj, censored
         xi = np.concatenate((xi, noise.standard_normal(min(xi.size, n - xi.size))))
@@ -327,11 +327,13 @@ def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None,
 class PathFunctionals:
     """Per-path outputs of the streaming kernel, in path-index order.
 
-    tau, censored and phi_refl_end have one entry per path; r_pay_end and
-    stieltjes have one row per payoff barrier and one column per path.
-    For censored paths tau is NaN and the terminal fields hold the state at
-    the last grid point at or before the horizon; stieltjes then covers
-    [0, horizon] only.  r_pay_end is the accumulated log reflection of the
+    tau and z_end have one entry per path; r_pay_end and stieltjes have
+    one row per payoff barrier and one column per path.  A path is
+    censored when it has not stopped by the horizon: its tau is NaN, and
+    the terminal fields hold the state at the last grid point at or before
+    the horizon; stieltjes then covers [0, horizon] only.  PhiB there is
+    exp(z_end - r_pay_end[b]), b the stop barrier's row.  r_pay_end is the
+    accumulated log reflection of the
     payoff barrier, so the surviving probability mass is
     1 - Gamma = exp(-r_pay_end) (kept in log space to stay accurate when
     Gamma is close to 1).  control_sums has one row per control exponent
@@ -343,12 +345,14 @@ class PathFunctionals:
     """
 
     tau: np.ndarray          # hitting time of the lower threshold, NaN if censored
-    censored: np.ndarray     # bool mask
-    phi_refl_end: np.ndarray  # reflected ratio at tau (or at horizon)
     r_pay_end: np.ndarray    # payoff-barrier log reflection at tau (or at horizon)
     stieltjes: np.ndarray    # sum of e^{rate t} [Phi] dGamma over [0, tau] (or [0, T])
     z_end: np.ndarray        # log Phi, not reflected, at tau (or at horizon)
     control_sums: np.ndarray  # sum of e^{rate t}[e^{-R}](e^{beta dR} - 1), [0, tau]
+
+    @property
+    def censored(self) -> np.ndarray:
+        return np.isnan(self.tau)
 
     @property
     def n_paths(self) -> int:
@@ -368,15 +372,15 @@ class MeasureSpec(NamedTuple):
     """One measure of a pass and what the pass prices under it.
 
     measure is tilted0 or tilted1.  The hitting time is measured on the
-    reflection at the config's barrier; the Gamma used in each Stieltjes
-    sum reflects at one of payoff_barriers (the config's barrier alone by
+    reflection at the pass's barrier; the Gamma used in each Stieltjes
+    sum reflects at one of payoff_barriers (the pass's barrier alone by
     default).  With weight_phi the sum is of e^{rate t} Phi_t dGamma_t,
     else of e^{rate t} dGamma_t, rate being discount_rate; both include
     the possible time-zero jump of Gamma.  An empty payoff_barriers prices
     no sum: r_pay_end and stieltjes then have no rows.  Each exponent of
     control_betas adds a row of control_sums, discounted at discount_rate
     and priced with the barrier's sums, so payoff_barriers must then hold
-    the config's barrier; none by default."""
+    the pass's barrier; none by default."""
 
     measure: Measure
     discount_rate: float
@@ -385,12 +389,14 @@ class MeasureSpec(NamedTuple):
     control_betas: tuple = ()
 
 
-def stacked_path_functionals(params: ModelParams, phi0: float, config: SimConfig,
-                             specs, *, stride: int = 1) -> tuple[PathFunctionals, ...]:
-    """Simulate config.n_paths paths from phi0 and accumulate discounted
-    functionals under each MeasureSpec of specs, in one pass: one
-    PathFunctionals per spec, in order, each bit-identical to a pass of
-    that spec alone.
+def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
+                             barrier: float, config: SimConfig, specs, *,
+                             stride: int = 1) -> tuple[PathFunctionals, ...]:
+    """Simulate config.n_paths paths from phi0, each reflected at barrier
+    and stopped at its first grid point where the reflected ratio is at or
+    below lower, and accumulate discounted functionals under each
+    MeasureSpec of specs, in one pass: one PathFunctionals per spec, in
+    order, each bit-identical to a pass of that spec alone.
 
     Every payoff barrier of a spec is priced on the same scan of each
     path, so a deviating reflection level is compared with the
@@ -400,7 +406,7 @@ def stacked_path_functionals(params: ModelParams, phi0: float, config: SimConfig
     only in the drift of log Phi, so each step's noise is drawn once and
     serves every measure.  Any order of the specs gives the same bits;
     tilted1 first is fastest, because its paths stop last and so take the
-    draws in place.  An empty specs is a ValueError.
+    draws in place.  An empty specs or bad thresholds are a ValueError.
 
     With stride s the stop is tested on every s-th step of config's grid
     only, up to its last such step at or before the horizon: the grid of
@@ -415,8 +421,7 @@ def stacked_path_functionals(params: ModelParams, phi0: float, config: SimConfig
     specs = tuple(specs)
     if not specs:
         raise ValueError("a pass needs at least one measure")
-    if config.lower is None:
-        raise ValueError("config.lower is required for first-passage functionals")
+    _check_thresholds(lower, barrier)
     if not phi0 > 0.0:
         raise ValueError(f"phi0={phi0} must be positive")
     if not isinstance(stride, numbers.Integral) or stride < 1:
@@ -424,23 +429,27 @@ def stacked_path_functionals(params: ModelParams, phi0: float, config: SimConfig
     if stride > config.n_steps:
         raise ValueError(f"stride={stride} is longer than the "
                          f"{config.n_steps} steps to the horizon")
-    jobs = tuple(_scan_job(params, phi0, config, spec, int(stride)) for spec in specs)
     from . import _scan
 
+    # c_noise is log_ratio_step's, which every tilted measure shares
+    job = _scan.ScanJob(
+        seed=config.seed, phi0=phi0, c_noise=derive(params).omega * math.sqrt(config.dt),
+        k_max=config.n_steps, dt=config.dt, z_hit=math.log(barrier), z_lo=math.log(lower),
+        measures=tuple(_scan_measure(params, barrier, config.dt, spec, int(stride))
+                       for spec in specs), stride=int(stride))
     if config.n_paths < _SPREAD_MIN_PATHS:
-        return _scan.scan(jobs, config.n_paths)
+        return _scan.scan(job, config.n_paths)
     from . import _spread
-    return _spread.scan(jobs, config.n_paths)
+    return _spread.scan(job, config.n_paths)
 
 
-def _scan_job(params: ModelParams, phi0: float, config: SimConfig,
-              spec: MeasureSpec, stride: int):
-    """The kernel's job for one measure of a pass, after checking it."""
+def _scan_measure(params: ModelParams, barrier: float, dt: float,
+                  spec: MeasureSpec, stride: int):
+    """The kernel's part of a pass for one measure, after checking it."""
     measure = Measure(spec.measure)
     if measure is Measure.PHYSICAL:
         raise ValueError("streaming functionals support the tilted measures only")
-    bpays = ((config.barrier,) if spec.payoff_barriers is None
-             else tuple(spec.payoff_barriers))
+    bpays = (barrier,) if spec.payoff_barriers is None else tuple(spec.payoff_barriers)
     for bpay in bpays:
         if not bpay > 0.0:
             raise ValueError(f"payoff barrier {bpay} must be positive")
@@ -451,20 +460,16 @@ def _scan_job(params: ModelParams, phi0: float, config: SimConfig,
     if stride > 1 and (bpays or betas):
         raise ValueError(f"a pass with stride={stride} prices no sum; "
                          f"payoff_barriers must be empty, and control_betas too")
-    if betas and config.barrier not in bpays:
+    if betas and barrier not in bpays:
         raise ValueError(f"control sums are priced at the stop barrier "
-                         f"{config.barrier}; payoff_barriers must hold it")
+                         f"{barrier}; payoff_barriers must hold it")
 
     from . import _scan
 
-    c_drift, c_noise = log_ratio_step(params, measure, config.dt)
-    return _scan.ScanJob(
-        seed=config.seed, phi0=phi0, c_drift=c_drift, c_noise=c_noise,
-        k_max=config.n_steps, dt=config.dt, rate=spec.discount_rate,
-        weight_phi=spec.weight_phi, z_hit=math.log(config.barrier),
-        z_lo=math.log(config.lower),
-        z_pays=tuple(math.log(bpay) for bpay in bpays), stride=stride,
-        betas=betas)
+    c_drift, _ = log_ratio_step(params, measure, dt)
+    return _scan.ScanMeasure(
+        c_drift=c_drift, rate=spec.discount_rate, weight_phi=spec.weight_phi,
+        z_pays=tuple(math.log(bpay) for bpay in bpays), betas=betas)
 
 
 # Below this many paths a pass never shares its scan with a helper

@@ -102,13 +102,13 @@ def sample_path_figure(params: ModelParams, config: SimConfig,
                        path_index: int = 0) -> tuple[Trajectory, dict]:
     """One physical-measure path of (PiStar, Gamma) until the stop.
 
-    Returns the trajectory truncated at the first crossing of the lower
-    threshold (the whole grid when censored) together with metadata
-    carrying the probability-coordinate boundaries a and b.
+    Returns the trajectory, reflected at the equilibrium B and truncated
+    at the first crossing of its lower threshold A (the whole grid when
+    censored), together with metadata carrying the probability-coordinate
+    boundaries a and b.
     """
     sol = build_solution(params)
-    cfg = dataclasses.replace(config, barrier=sol.B, lower=sol.A)
-    traj, censored = generate_trajectory(cfg, params, path_index)
+    traj, censored = generate_trajectory(config, params, sol.A, sol.B, path_index)
     return traj, {"a": sol.a, "b": sol.b, "censored": censored}
 
 

@@ -11,8 +11,8 @@ A deviation suite then perturbs each player's strategy: closed-form
 threshold deviations for the stopper, and common-random-number Monte
 Carlo for the informed player's reflection level and time-zero jump
 strategies, again from one pass over both measures.  Each check names
-its measure; a config gives only the grid, the paths, the seed and the
-equilibrium barriers.
+its measure and stops its paths at the equilibrium's A, reflected at its
+B; a config gives only the grid, the paths and the seed.
 
 Each of the three is regressed on exact-mean martingale control
 variates, the two reflected controls N_beta of its measure: J0 and Jhat
@@ -70,7 +70,7 @@ PLAYER1_DEVIATION_TOL = 1e-9
 
 
 class ConfigMismatch(ValueError):
-    """The simulation config disagrees with the requested check."""
+    """The simulation config has too few paths for a standard error."""
 
 
 class InvalidDeviation(ValueError):
@@ -88,13 +88,7 @@ class MCEstimate:
     bias_bound: float   # grid-hitting budget + censoring bracket
 
 
-def _require(config: SimConfig, sol: EquilibriumSolution) -> None:
-    if not math.isclose(config.barrier, sol.B, rel_tol=1e-12):
-        raise ConfigMismatch(
-            f"config.barrier={config.barrier!r} is not the equilibrium B={sol.B!r}")
-    if config.lower is None or not math.isclose(config.lower, sol.A, rel_tol=1e-12):
-        raise ConfigMismatch(
-            f"config.lower={config.lower!r} is not the equilibrium A={sol.A!r}")
+def _require(config: SimConfig) -> None:
     if config.n_paths < 2:
         raise ConfigMismatch(
             f"n_paths={config.n_paths}: a standard error needs at least 2 paths")
@@ -171,7 +165,7 @@ def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
     (phi / B)^beta by optional stopping.  log PhiB_K is z_end less the
     reflection at the pass's payoff barrier B, so it never underflows."""
     beta = np.array(_reflected_betas(sol, measure, config.dt))[:, None]
-    z_b = math.log(config.barrier)
+    z_b = math.log(sol.B)
     r_end = pf.r_pay_end[0]
     log_first = _rate(sol, measure) * config.dt * _steps(pf, config) \
         + beta * (pf.z_end - r_end - z_b)
@@ -271,6 +265,12 @@ def _oracle_specs(sol: EquilibriumSolution, dt: float) -> tuple:
                  for measure in (Measure.TILTED1, Measure.TILTED0))
 
 
+def _phi_b_end(pf: PathFunctionals) -> np.ndarray:
+    """PhiB at tau (or the horizon) of a pass with B as payoff row 0, by
+    math.exp per path: np.exp may differ in the last bit."""
+    return np.array([math.exp(v) for v in (pf.z_end - pf.r_pay_end[0]).tolist()])
+
+
 def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (J0, Jhat) samples of the tilted0 pass of _oracle_specs
@@ -280,7 +280,7 @@ def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
     j0 = _j0(sol, pf)
     jhat = np.where(pf.censored,
                     (1.0 + eps) * stj,
-                    j0 * (1.0 + pf.phi_refl_end) + (1.0 + eps) * stj)
+                    j0 * (1.0 + _phi_b_end(pf)) + (1.0 + eps) * stj)
     return j0, jhat
 
 
@@ -339,9 +339,9 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     n <= q + 1 paths (n <= 3 with both controls) the estimate is the plain
     mean and stderr.
     """
-    _require(config, sol)
+    _require(config)
     eps = sol.params.eps
-    pf1, pf0 = stacked_path_functionals(sol.params, phi, config,
+    pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config,
                                         _oracle_specs(sol, config.dt))
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
@@ -353,7 +353,7 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
                         math.exp(sol.params.mu0 * config.horizon)
-                        * (1.0 + (1.0 + eps) * pf0.phi_refl_end), 0.0)
+                        * (1.0 + (1.0 + eps) * _phi_b_end(pf0)), 0.0)
     # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T),
     # formed only on the censored paths: e^{mu1 T} may overflow on the others
     miss1 = np.zeros(pf1.n_paths)
@@ -450,7 +450,7 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     tilted0 measure, on the same paths:
     J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
     """
-    _require(config, sol)
+    _require(config)
     bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
     for bp in bprimes:
         if not bp > sol.A:
@@ -463,9 +463,9 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
 
     pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
     # J0 needs only the stop (Gamma^0 = 0), so tilted0 prices no sum
-    pf1, pf0 = stacked_path_functionals(sol.params, phi, config, (
+    pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config, (
         MeasureSpec(Measure.TILTED1, discount_rate=sol.params.mu1,
-                    payoff_barriers=(config.barrier, *bprimes)),
+                    payoff_barriers=(sol.B, *bprimes)),
         MeasureSpec(Measure.TILTED0, discount_rate=sol.params.mu0,
                     payoff_barriers=())))
     j1 = _j1_samples(sol, pf1)
@@ -510,7 +510,7 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     tests the stop on every s-th step, and each pass draws the same
     substream per path, so every resolution reads the same Brownian path.
     """
-    _require(config, sol)
+    _require(config)
     configs = [dataclasses.replace(config, dt=float(dt)) for dt in dt_list]
     if not configs:
         raise ValueError("dt_list is empty")
@@ -525,7 +525,8 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
                        payoff_barriers=())
     results = []
     for cfg, stride in zip(configs, strides):
-        (pf,) = stacked_path_functionals(sol.params, phi, fine, (spec,), stride=stride)
+        (pf,) = stacked_path_functionals(sol.params, phi, sol.A, sol.B, fine, (spec,),
+                                         stride=stride)
         results.append(_estimate(_j0(sol, pf), sol, cfg,
                                  _j0_bracket(sol, cfg, pf.censored), pf.censored))
     return results

@@ -120,8 +120,7 @@ def test_criterion_4_value_function_structure(base_solution, random_solutions):
 
 def test_criterion_5_mc_oracle_equivalence(base_solution):
     sol = base_solution
-    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=100_000, seed=20240101,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=100_000, seed=20240101)
     failures = []
     lines = []
     for phi in (sol.A / 2, (sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
@@ -150,8 +149,7 @@ def test_criterion_6_nash_deviation_suite(base_solution):
     p1 = deviations_player1(sol, aprime, phis)
     if not p1.all_pass:
         failures += [r.as_dict() for r in p1.rows if not r.passed]
-    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=20_000, seed=777,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=20_000, seed=777)
     p2 = deviations_player2(sol, [m * sol.B for m in (0.5, 0.75, 1.25, 1.5, 2.0)],
                             0.6, cfg, jump_probs=(0.5, 1.0))
     if not p2.all_pass:
@@ -174,7 +172,7 @@ def test_criterion_7_sample_path_properties(base_params):
     failures = []
     censored = 0
     for seed in range(100):
-        cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed, barrier=1.0)
+        cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed)
         traj, meta = sample_path_figure(params, cfg)
         if meta["censored"]:
             censored += 1

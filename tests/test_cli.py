@@ -42,6 +42,16 @@ def test_solve_rejects_bad_drift(tmp_path, capsys):
     assert "mu0" in err and "mu0 < 0 < mu1" in err
 
 
+@pytest.mark.parametrize("argv", [("solve", "--x=inf"), ("mc", "--mu1=inf"),
+                                  ("path", "--sigma=inf")])
+def test_non_finite_parameters_are_invalid_input(tmp_path, capsys, argv):
+    # an infinite parameter is invalid input (exit 2) with no output, not
+    # a solution with "x": null nor a numerical failure (exit 3)
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text == ""
+    assert "requires finite" in capsys.readouterr().err
+
+
 def test_solve_csv_single_row(tmp_path):
     code, text = run(tmp_path, "solve", *BASE_FLAGS, "--format", "csv")
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,8 @@ def test_omega_positive_for_valid_params(random_param_sets):
     ("sigma", 0.0), ("sigma", -0.5), ("eps", 0.0), ("eps", -0.1),
     ("x0", 0.0), ("prior", 0.0), ("prior", 1.0), ("prior", -0.1),
     ("mu0", float("nan")), ("sigma", float("nan")),
+    ("mu0", -math.inf), ("mu1", math.inf), ("sigma", math.inf), ("eps", math.inf),
+    ("x0", math.inf),
 ])
 def test_invalid_parameters_rejected(field, value):
     kwargs = dict(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.1, x0=1.0, prior=0.5)

@@ -32,14 +32,15 @@ from driftgame.simulate import (
 
 
 def _cfg(**kw):
-    base = dict(dt=1e-3, horizon=5.0, n_paths=1, seed=1, barrier=1.0, lower=0.3)
+    base = dict(dt=1e-3, horizon=5.0, n_paths=1, seed=1)
     base.update(kw)
     return SimConfig(**base)
 
 
-def _one_measure(params, phi0, config, spec, stride=1):
+def _one_measure(params, phi0, lower, barrier, config, spec, stride=1):
     """A pass over config's paths under the one measure of spec."""
-    return stacked_path_functionals(params, phi0, config, (spec,), stride=stride)[0]
+    return stacked_path_functionals(params, phi0, lower, barrier, config, (spec,),
+                                    stride=stride)[0]
 
 
 def _manual_traj(phi, dt=0.1):
@@ -61,10 +62,6 @@ def test_config_validation(base_params):
         _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(seed=2**64)
-    with pytest.raises(ValueError):
-        _cfg(barrier=0.0)
-    with pytest.raises(ValueError):
-        _cfg(lower=1.5)         # lower must stay below barrier
     with pytest.raises(ValueError, match="horizon=inf"):
         _cfg(horizon=math.inf)
     with pytest.raises(ValueError, match="horizon/dt=inf"):
@@ -72,21 +69,22 @@ def test_config_validation(base_params):
     no_sum = MeasureSpec(Measure.TILTED0, base_params.mu0, payoff_barriers=())
     for stride in (0, -1, 2.0, 1.5, "2"):
         with pytest.raises(ValueError, match="stride"):
-            _one_measure(base_params, 0.6, _cfg(), no_sum, stride=stride)
+            _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), no_sum, stride=stride)
     with pytest.raises(ValueError, match="payoff_barriers must be empty"):
-        _one_measure(base_params, 0.6, _cfg(),   # the default prices one sum
+        _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),   # the default prices one sum
                      MeasureSpec(Measure.TILTED0, base_params.mu0), stride=2)
     with pytest.raises(ValueError, match="control_betas too"):
-        _one_measure(base_params, 0.6, _cfg(),
+        _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
                      no_sum._replace(control_betas=(0.5,)), stride=2)
     for beta in (math.inf, math.nan):
         with pytest.raises(ValueError, match="control exponent"):
-            _one_measure(base_params, 0.6, _cfg(),
+            _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
                          no_sum._replace(control_betas=(beta,)))
     with pytest.raises(ValueError, match="payoff_barriers must hold it"):
-        _one_measure(base_params, 0.6, _cfg(), no_sum._replace(control_betas=(0.5,)))
+        _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
+                     no_sum._replace(control_betas=(0.5,)))
     with pytest.raises(ValueError, match="5000 steps"):
-        _one_measure(base_params, 0.6, _cfg(), no_sum, stride=5001)
+        _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), no_sum, stride=5001)
 
 
 def test_measure_spec_names_a_tilted_measure(base_params, monkeypatch):
@@ -95,16 +93,43 @@ def test_measure_spec_names_a_tilted_measure(base_params, monkeypatch):
     import driftgame._scan as scan
 
     spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
-    by_value = _one_measure(base_params, 0.6, _cfg(), spec._replace(measure="tilted1"))
-    by_member = _one_measure(base_params, 0.6, _cfg(), spec)
+    by_value = _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
+                            spec._replace(measure="tilted1"))
+    by_member = _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), spec)
     assert np.array_equal(by_value.stieltjes, by_member.stieltjes)
     monkeypatch.setattr(scan, "scan_paths", lambda *args: pytest.fail("drew a path"))
     for measure in (Measure.PHYSICAL, "physical", "nonsense"):
         bad = spec._replace(measure=measure)
         with pytest.raises(ValueError):
-            _one_measure(base_params, 0.6, _cfg(), bad)
+            _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), bad)
         with pytest.raises(ValueError):
-            stacked_path_functionals(base_params, 0.6, _cfg(), (spec, bad))
+            stacked_path_functionals(base_params, 0.6, 0.3, 1.0, _cfg(), (spec, bad))
+
+
+@pytest.mark.parametrize("lower, barrier, match", [
+    (1.5, 1.0, "lower=1.5 must lie in"), (1.0, 1.0, "lower=1.0 must lie in"),
+    (0.0, 1.0, "lower=0.0 must lie in"), (-0.3, 1.0, "lower=-0.3 must lie in"),
+    (0.3, 0.0, "barrier=0.0 must be positive"),
+    (0.3, -1.0, "barrier=-1.0 must be positive"),
+    (math.nan, 1.0, "lower=nan must lie in"),
+    (0.3, math.nan, "barrier=nan must be positive"),
+], ids=["above", "equal", "zero", "negative", "zero-barrier", "negative-barrier",
+        "nan-lower", "nan-barrier"])
+def test_thresholds_checked_before_any_draw(base_params, monkeypatch, lower,
+                                            barrier, match):
+    # Both entries that stop a path take its thresholds as arguments and
+    # refuse a barrier that is not positive, or a lower threshold outside
+    # (0, barrier), before a path is drawn.
+    import driftgame._scan as scan
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(scan, "scan_paths", lambda *args: pytest.fail("drew a path"))
+    monkeypatch.setattr(sim, "substream", lambda *args: pytest.fail("drew a path"))
+    spec = MeasureSpec(Measure.TILTED0, base_params.mu0)
+    with pytest.raises(ValueError, match=match):
+        _one_measure(base_params, 0.6, lower, barrier, _cfg(), spec)
+    with pytest.raises(ValueError, match=match):
+        generate_trajectory(_cfg(), base_params, lower, barrier)
 
 
 def test_degenerate_drift_rejected_at_model_level():
@@ -215,7 +240,7 @@ def test_reflection_monotone_path_hand_computed():
 
 def test_reflection_identities_on_simulated_path(base_params):
     sol = build_solution(base_params)
-    cfg = _cfg(dt=1e-3, horizon=5.0, barrier=sol.B, lower=sol.A)
+    cfg = _cfg(dt=1e-3, horizon=5.0)
     traj = simulate_phi(cfg, base_params, substream(17, 0, ROLE_PATH_NOISE),
                         Measure.TILTED1)
     r = reflect(traj, sol.B)
@@ -237,7 +262,7 @@ def test_reflection_identities_on_simulated_path(base_params):
 
 def test_reflection_is_idempotent(base_params):
     sol = build_solution(base_params)
-    cfg = _cfg(dt=1e-3, horizon=3.0, barrier=sol.B)
+    cfg = _cfg(dt=1e-3, horizon=3.0)
     r = reflect(simulate_phi(cfg, base_params, substream(19, 0, ROLE_PATH_NOISE),
                              Measure.TILTED1), sol.B)
     again = reflect(_manual_traj(r.PhiB), sol.B)
@@ -287,9 +312,8 @@ def test_first_hit_censored_and_errors():
 
 def test_censored_fraction_small_at_base_case(base_params):
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=2_000, seed=12,
-                    barrier=sol.B, lower=sol.A)
-    pf = _one_measure(base_params, sol.B, cfg,
+    cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=2_000, seed=12)
+    pf = _one_measure(base_params, sol.B, sol.A, sol.B, cfg,
                       MeasureSpec(Measure.TILTED0, base_params.mu0))
     assert pf.censored.mean() < 1e-3
 
@@ -298,37 +322,32 @@ def test_censored_fraction_small_at_base_case(base_params):
 
 def test_generate_trajectory_deterministic(base_params):
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=2.0, n_paths=1, seed=31,
-                    barrier=sol.B, lower=sol.A)
-    a, _ = generate_trajectory(cfg, base_params, path_index=4)
-    b, _ = generate_trajectory(cfg, base_params, path_index=4)
+    cfg = SimConfig(dt=1e-3, horizon=2.0, n_paths=1, seed=31)
+    a, _ = generate_trajectory(cfg, base_params, sol.A, sol.B, path_index=4)
+    b, _ = generate_trajectory(cfg, base_params, sol.A, sol.B, path_index=4)
     assert a.theta == b.theta
     for name in ("times", "X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    c, _ = generate_trajectory(cfg, base_params, path_index=5)
+    c, _ = generate_trajectory(cfg, base_params, sol.A, sol.B, path_index=5)
     assert not np.array_equal(a.Phi, c.Phi)
 
 
 def test_generate_trajectory_reports_its_stop(base_params):
-    # the walk returns the censored flag of the full grid's cut, and a
-    # config without a lower threshold has no stop to walk to
+    # the walk returns the censored flag of the full grid's cut
     sol = build_solution(base_params)
     flags = set()
     for horizon in (50.0, 0.02):
-        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=1, seed=31,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=1, seed=31)
         for i in range(3):
-            traj, censored = generate_trajectory(cfg, base_params, i)
-            want, want_censored = _full_grid_stop(cfg, base_params, i)
+            traj, censored = generate_trajectory(cfg, base_params, sol.A, sol.B, i)
+            want, want_censored = _full_grid_stop(cfg, base_params, sol.A, sol.B, i)
             assert censored == want_censored
             assert traj.times.size == want.times.size
             flags.add(censored)
     assert flags == {False, True}
-    with pytest.raises(ValueError, match="lower"):
-        generate_trajectory(dataclasses.replace(cfg, lower=None), base_params)
 
 
-def _full_grid_stop(cfg, params, path_index):
+def _full_grid_stop(cfg, params, lower, barrier, path_index):
     """The physical path on its whole grid, reflected, then cut at the
     stop.  The grid runs on past the stop, where Phi may overflow or
     underflow."""
@@ -338,7 +357,7 @@ def _full_grid_stop(cfg, params, path_index):
         traj = simulate_phi(cfg, params,
                             substream(cfg.seed, path_index, ROLE_PATH_NOISE),
                             Measure.PHYSICAL, theta)
-        return stop_at_lower(reflect(traj, cfg.barrier), cfg.lower)
+        return stop_at_lower(reflect(traj, barrier), lower)
 
 
 def _doublings(step, walk_start):
@@ -367,16 +386,15 @@ def test_path_walk_matches_full_grid_slice(monkeypatch, walk_start):
     for mu0, mu1, sigma, eps, prior in _STUDY_SETS:
         params = ModelParams(mu0=mu0, mu1=mu1, sigma=sigma, eps=eps, prior=prior)
         sol = build_solution(params)
-        base = dict(n_paths=1, barrier=sol.B, lower=sol.A)
-        cases += [(params, SimConfig(dt=1e-3, horizon=50.0, seed=5, **base), i)
+        cases += [(params, sol, SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5), i)
                   for i in range(4)]
-        cases += [(params, SimConfig(dt=1e-5, horizon=0.5, seed=6, **base), i)
+        cases += [(params, sol, SimConfig(dt=1e-5, horizon=0.5, n_paths=1, seed=6), i)
                   for i in range(4)]
-        cases += [(params, SimConfig(dt=1e-5, horizon=0.02, seed=7, **base), i)
+        cases += [(params, sol, SimConfig(dt=1e-5, horizon=0.02, n_paths=1, seed=7), i)
                   for i in range(2)]
-    for params, cfg, i in cases:
-        want, censored = _full_grid_stop(cfg, params, i)
-        got, _ = generate_trajectory(cfg, params, i)
+    for params, sol, cfg, i in cases:
+        want, censored = _full_grid_stop(cfg, params, sol.A, sol.B, i)
+        got, _ = generate_trajectory(cfg, params, sol.A, sol.B, i)
         assert (got.theta, got.barrier) == (want.theta, want.barrier)
         for name in ("times", "X", "Phi", "PhiB", "Gamma", "L", "PiStar"):
             a, b = getattr(got, name), getattr(want, name)
@@ -398,21 +416,19 @@ def test_path_walk_warns_nowhere_past_its_stop():
     # before.
     params = ModelParams(mu0=-1.7, mu1=0.3, sigma=0.3, eps=0.35, prior=0.6)
     sol = build_solution(params)
-    cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i in range(200):
-            _, censored = generate_trajectory(cfg, params, i)
+            _, censored = generate_trajectory(cfg, params, sol.A, sol.B, i)
             assert not censored
 
 
 def test_kernel_matches_trajectory_hits(base_params):
     sol = build_solution(base_params)
     phi0 = derive(base_params).phi0
-    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=30, seed=99,
-                    barrier=sol.B, lower=sol.A)
-    pf = _one_measure(base_params, phi0, cfg,
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=30, seed=99)
+    pf = _one_measure(base_params, phi0, sol.A, sol.B, cfg,
                       MeasureSpec(Measure.TILTED0, base_params.mu0))
     for i in range(cfg.n_paths):
         traj = reflect(simulate_phi(cfg, base_params, substream(99, i, ROLE_PATH_NOISE),
@@ -428,27 +444,27 @@ def test_kernel_matches_trajectory_hits(base_params):
 BETAS = (0.9, -0.15)
 
 
-def _one_barrier_pass(params, phi0, config, measure, rate, weight_phi, barrier_pay,
-                      first=0, betas=()):
+def _one_barrier_pass(params, phi0, lower, barrier, config, measure, rate, weight_phi,
+                      barrier_pay, first=0, betas=()):
     """Reference: the kernel one whole path at a time under measure, for a
     single payoff barrier and with every float operation of the fused pass, for paths
     first, first + 1, ...  The log ratio is z0 plus the running sum of the
     path's increments, on a prefix of its draws that doubles until it holds
     the stop, and the Stieltjes sum and each control exponent's sum add
     their terms one by one to their time-zero values, in step order.
-    Returns (tau, censored, phi_refl_end, r_pay_end, stieltjes, z_end,
-    control_sums), control_sums one row per exponent of betas."""
+    Returns (tau, censored, r_pay_end, stieltjes, z_end, control_sums),
+    control_sums one row per exponent of betas."""
     d = derive(params)
     m_phi, _ = log_drifts(params, d, measure)
     c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
     c_noise = d.omega * math.sqrt(config.dt)
-    z0, z_hit = math.log(phi0), math.log(config.barrier)
-    z_pay, z_lo = math.log(barrier_pay), math.log(config.lower)
+    z0, z_hit = math.log(phi0), math.log(barrier)
+    z_pay, z_lo = math.log(barrier_pay), math.log(lower)
     same = z_pay == z_hit
     n, dt, k_max = config.n_paths, config.dt, config.n_steps
     tau = np.full(n, np.nan)
     cens = np.zeros(n, dtype=bool)
-    phi_end, r_end, stj, z_end = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    r_end, stj, z_end = np.empty(n), np.empty(n), np.empty(n)
     beta = np.array(betas)
     ctl = np.empty((beta.size, n))
     r_hit = max(0.0, z0 - z_hit)
@@ -458,7 +474,7 @@ def _one_barrier_pass(params, phi0, config, measure, rate, weight_phi, barrier_p
     ctl0 = np.expm1(beta * r_hit)   # R jumps from 0 to r_hit at t = 0
     for p in range(n):
         if z0 - r_hit <= z_lo:
-            tau[p], phi_end[p], r_end[p], stj[p] = 0.0, math.exp(z0 - r_hit), r_pay, sti0
+            tau[p], r_end[p], stj[p] = 0.0, r_pay, sti0
             z_end[p] = z0
             ctl[:, p] = ctl0
             continue
@@ -500,9 +516,9 @@ def _one_barrier_pass(params, phi0, config, measure, rate, weight_phi, barrier_p
         cens[p] = not hit.any()
         if not cens[p]:
             tau[p] = end * dt
-        phi_end[p], r_end[p], stj[p] = math.exp(z[end - 1] - rh[end - 1]), rp[-1], sti
+        r_end[p], stj[p] = rp[-1], sti
         z_end[p] = z[end - 1]   # the stop, or the last step of a censored path
-    return tau, cens, phi_end, r_end, stj, z_end, ctl
+    return tau, cens, r_end, stj, z_end, ctl
 
 
 def test_fused_pass_matches_one_pass_per_barrier(base_params):
@@ -518,10 +534,9 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
              (Measure.TILTED1, False, 0.6, 0.15),
              (Measure.TILTED0, True, 1.7 * sol.B, 0.15)]
     for measure, weight_phi, phi0, horizon in cases:
-        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        fused = _one_measure(base_params, phi0, cfg, MeasureSpec(
+        fused = _one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
             measure, rate, weight_phi, barriers, control_betas=BETAS))
         assert fused.tau.shape == fused.censored.shape == (64,)
         assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
@@ -530,11 +545,11 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
         assert np.any(np.nan_to_num(fused.tau, nan=horizon) > 1024 * cfg.dt)
         assert fused.censored.any() == (horizon < 1.0)
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
-                base_params, phi0, cfg, measure, rate, weight_phi, bpay, betas=BETAS)
+            tau, cens, r_end, stj, z_end, ctl = _one_barrier_pass(
+                base_params, phi0, sol.A, sol.B, cfg, measure, rate, weight_phi, bpay,
+                betas=BETAS)
             assert np.array_equal(fused.tau, tau, equal_nan=True)
             assert np.array_equal(fused.censored, cens)
-            assert np.array_equal(fused.phi_refl_end, phi_end)
             assert np.array_equal(fused.r_pay_end[i], r_end)
             assert np.array_equal(fused.stieltjes[i], stj)
             assert np.array_equal(fused.z_end, z_end)
@@ -546,20 +561,18 @@ def test_many_payoff_barriers_in_one_pass(base_params):
     # 2-byte integer holds, 600 more than an unsigned one; the first, a
     # middle and the last barrier are bitwise equal to one pass each.
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=3.0, n_paths=6, seed=21,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=3.0, n_paths=6, seed=21)
     for n_barriers in (300, 600):
         barriers = list(np.linspace(0.5, 2.0, n_barriers) * sol.B)
-        got = _one_measure(base_params, 0.6, cfg, MeasureSpec(
+        got = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, MeasureSpec(
             Measure.TILTED1, base_params.mu1, weight_phi=True, payoff_barriers=barriers))
         assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
         for i in (0, n_barriers // 2, n_barriers - 1):
-            tau, cens, phi_end, r_end, stj, z_end, _ = _one_barrier_pass(
-                base_params, 0.6, cfg, Measure.TILTED1, base_params.mu1, True,
-                barriers[i])
+            tau, cens, r_end, stj, z_end, _ = _one_barrier_pass(
+                base_params, 0.6, sol.A, sol.B, cfg, Measure.TILTED1, base_params.mu1,
+                True, barriers[i])
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
-            assert np.array_equal(got.phi_refl_end, phi_end)
             assert np.array_equal(got.r_pay_end[i], r_end)
             assert np.array_equal(got.stieltjes[i], stj)
             assert np.array_equal(got.z_end, z_end)
@@ -583,23 +596,22 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
              (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77),
              (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5)]
     for measure, weight_phi, phi0, dt, horizon, lo in cases:
-        cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         if lo == 0:
-            got = _one_measure(base_params, phi0, cfg, MeasureSpec(
+            got = _one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
                 measure, rate, weight_phi, barriers, control_betas=BETAS))
         else:
             m_phi, _ = log_drifts(base_params, d, measure)
             job = scan.ScanJob(
-                seed=cfg.seed, phi0=phi0,
-                c_drift=(m_phi - 0.5 * d.omega**2) * cfg.dt,
-                c_noise=d.omega * math.sqrt(cfg.dt), k_max=cfg.n_steps,
-                dt=cfg.dt, rate=rate, weight_phi=weight_phi,
-                z_hit=math.log(sol.B), z_lo=math.log(sol.A),
-                z_pays=tuple(math.log(b) for b in barriers), betas=BETAS)
+                seed=cfg.seed, phi0=phi0, c_noise=d.omega * math.sqrt(cfg.dt),
+                k_max=cfg.n_steps, dt=cfg.dt, z_hit=math.log(sol.B),
+                z_lo=math.log(sol.A), measures=(scan.ScanMeasure(
+                    c_drift=(m_phi - 0.5 * d.omega**2) * cfg.dt, rate=rate,
+                    weight_phi=weight_phi,
+                    z_pays=tuple(math.log(b) for b in barriers), betas=BETAS),))
             got = scan.unscanned(n, len(barriers), len(BETAS))
-            scan.scan_paths((job,), lo, (got,))
+            scan.scan_paths(job, lo, (got,))
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
             assert steps.max() > 7168
@@ -607,12 +619,11 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
         assert (got.tau == 0.0).all() == (phi0 == sol.A)
         assert not np.isnan(got.z_end).any()   # every slot written
         for i, bpay in enumerate(barriers):
-            tau, cens, phi_end, r_end, stj, z_end, ctl = _one_barrier_pass(
-                base_params, phi0, cfg, measure, rate, weight_phi, bpay, first=lo,
-                betas=BETAS)
+            tau, cens, r_end, stj, z_end, ctl = _one_barrier_pass(
+                base_params, phi0, sol.A, sol.B, cfg, measure, rate, weight_phi, bpay,
+                first=lo, betas=BETAS)
             assert np.array_equal(got.tau, tau, equal_nan=True)
             assert np.array_equal(got.censored, cens)
-            assert np.array_equal(got.phi_refl_end, phi_end)
             assert np.array_equal(got.r_pay_end[i], r_end)
             assert np.array_equal(got.stieltjes[i], stj)
             assert np.array_equal(got.z_end, z_end)
@@ -630,16 +641,17 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
     for phi0 in (0.6, 1.7 * sol.B):
-        cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12)
         for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
             for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
                 monkeypatch.setattr(scan, "BATCH_PATHS", batch)
                 monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
                 monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
-                runs.append(_one_measure(base_params, phi0, cfg, MeasureSpec(
-                    Measure.TILTED1, base_params.mu1, True, bpays, betas), stride))
+                runs.append(_one_measure(
+                    base_params, phi0, sol.A, sol.B, cfg,
+                    MeasureSpec(Measure.TILTED1, base_params.mu1, True, bpays, betas),
+                    stride))
             assert runs[0].censored.any() and not runs[0].censored.all()
             assert runs[0].control_sums.shape == (len(betas), cfg.n_paths)
             for field in dataclasses.fields(runs[0]):
@@ -653,15 +665,14 @@ def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-4, horizon=1.0, n_paths=40, seed=13,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-4, horizon=1.0, n_paths=40, seed=13)
     spec = MeasureSpec(Measure.TILTED1, base_params.mu1, weight_phi=True)
-    before = _one_measure(base_params, sol.B, cfg, spec)
+    before = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
     with monkeypatch.context() as patch:
         patch.setattr(scan, "_cuts", lambda rows, bounds: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            _one_measure(base_params, sol.B, cfg, spec)
-    after = _one_measure(base_params, sol.B, cfg, spec)
+            _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
+    after = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
     assert np.array_equal(after.stieltjes, before.stieltjes)
 
 
@@ -689,13 +700,12 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
              (chunk + 72, Measure.TILTED1, 0.6, 10.0, True, barriers, 1),
              (chunk + 72, Measure.TILTED0, 0.6, 10.0, False, (), 3)]
     for n, measure, phi0, horizon, weight_phi, bpays, stride in cases:
-        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=n, seed=5)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         runs = []
         for on in (False, True):
             helper_switch.set(on)
-            runs.append(_one_measure(base_params, phi0, cfg, MeasureSpec(
+            runs.append(_one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
                 measure, rate, weight_phi, bpays, BETAS if stride == 1 else ()),
                 stride))
         assert helper_switch.helper_chunks >= 1
@@ -739,17 +749,17 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     for horizon in (10.0, 0.15):
-        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14,
-                        barrier=sol.B, lower=sol.A)
+        cfg = SimConfig(dt=1e-3, horizon=horizon, n_paths=300, seed=14)
         for phi0 in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B, sol.A / 2):
             for specs in _stacked_pairs(base_params, sol):
                 helper_switch.set(False)
-                alone = [_one_measure(base_params, phi0, cfg, spec) for spec in specs]
+                alone = [_one_measure(base_params, phi0, sol.A, sol.B, cfg, spec)
+                         for spec in specs]
                 for spec, pf in zip(specs, alone):
                     if spec.control_betas:
-                        ctl = _one_barrier_pass(base_params, phi0, cfg, spec.measure,
-                                                spec.discount_rate, spec.weight_phi,
-                                                sol.B, betas=BETAS)[6]
+                        ctl = _one_barrier_pass(base_params, phi0, sol.A, sol.B, cfg,
+                                                spec.measure, spec.discount_rate,
+                                                spec.weight_phi, sol.B, betas=BETAS)[5]
                         assert np.array_equal(pf.control_sums, ctl)
                 assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
                 assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
@@ -764,8 +774,8 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                             patch.setattr(scan, "CHUNK_CELLS", 40)
                         helper_switch.set(on)
                         got = stacked_path_functionals(
-                            base_params, phi0, dataclasses.replace(cfg, n_paths=n),
-                            specs)
+                            base_params, phi0, sol.A, sol.B,
+                            dataclasses.replace(cfg, n_paths=n), specs)
                     if on:
                         assert helper_switch.helper_chunks >= 1
                     assert len(got) == len(specs)
@@ -782,13 +792,13 @@ def test_stacked_pass_refuses_measures_of_other_paths(base_params):
     # One config gives the paths of every measure of a pass; a pass with
     # no measure is refused.
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=10, seed=3,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=10, seed=3)
     one = MeasureSpec(Measure.TILTED1, base_params.mu1, payoff_barriers=())
     other = one._replace(measure=Measure.TILTED0)
-    assert len(stacked_path_functionals(base_params, 0.6, cfg, (one, other))) == 2
+    assert len(stacked_path_functionals(base_params, 0.6, sol.A, sol.B, cfg,
+                                        (one, other))) == 2
     with pytest.raises(ValueError, match="at least one measure"):
-        stacked_path_functionals(base_params, 0.6, cfg, ())
+        stacked_path_functionals(base_params, 0.6, sol.A, sol.B, cfg, ())
 
 
 def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
@@ -806,16 +816,17 @@ def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
                                      else helper_scan(job, lo, out))
 
     bad_seed = scan.ScanJob(
-        seed=2**64, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10, dt=0.1,
-        rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(0.0,))
+        seed=2**64, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0, z_lo=-1.0,
+        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False,
+                                   z_pays=(0.0,)),))
     monkeypatch.setattr(scan, "scan_paths", scan_in_helper(real_scan))
     with pytest.raises(ValueError, match="outside"):
-        spread.scan((bad_seed,), 300)
+        spread.scan(bad_seed, 300)
     assert helper_switch.helper_chunks >= 1
     monkeypatch.setattr(scan, "scan_paths",
                         scan_in_helper(lambda job, lo, out: os._exit(3)))
     with pytest.raises(RuntimeError, match="died"):
-        spread.scan((bad_seed._replace(seed=1),), 300)
+        spread.scan(bad_seed._replace(seed=1), 300)
     assert helper_switch.helper_chunks >= 1
     assert len(helper_switch.helpers) == 2
     assert helper_switch.all_ended()
@@ -830,12 +841,13 @@ def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     job = scan.ScanJob(
-        seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
-        rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
-    (serial,) = scan.scan((job,), 300)
+        seed=5, phi0=0.6, c_noise=0.1, k_max=1000, dt=1e-3, z_hit=0.0, z_lo=-1.0,
+        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.5, weight_phi=False,
+                                   z_pays=(-0.2,)),))
+    (serial,) = scan.scan(job, 300)
     helper_switch.set(True)
     monkeypatch.setattr(spread, "_fork", no_fork)
-    (split,) = spread.scan((job,), 300)
+    (split,) = spread.scan(job, 300)
     for field in dataclasses.fields(serial):
         assert np.array_equal(getattr(split, field.name),
                               getattr(serial, field.name), equal_nan=True)
@@ -863,12 +875,13 @@ def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
         real_scan(job, lo, out)
 
     job = scan.ScanJob(
-        seed=5, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=1000, dt=1e-3,
-        rate=0.5, weight_phi=False, z_hit=0.0, z_lo=-1.0, z_pays=(-0.2,))
+        seed=5, phi0=0.6, c_noise=0.1, k_max=1000, dt=1e-3, z_hit=0.0, z_lo=-1.0,
+        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.5, weight_phi=False,
+                                   z_pays=(-0.2,)),))
     helper_switch.set(True)
     monkeypatch.setattr(scan, "scan_paths", scan_checking_descriptors)
     try:
-        spread.scan((job,), 300)
+        spread.scan(job, 300)
     finally:
         os.close(read_end)
         os.close(write_end)
@@ -883,17 +896,16 @@ def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
-    cfgs = [SimConfig(dt=1e-3, horizon=10.0, n_paths=600, seed=seed,
-                      barrier=sol.B, lower=sol.A)
+    cfgs = [SimConfig(dt=1e-3, horizon=10.0, n_paths=600, seed=seed)
             for seed in (8, 9)]
     spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
     helper_switch.set(False)
-    serial = [_one_measure(base_params, 0.6, cfg, spec) for cfg in cfgs]
+    serial = [_one_measure(base_params, 0.6, sol.A, sol.B, cfg, spec) for cfg in cfgs]
     helper_switch.set(True)
     split = [None] * len(cfgs)
 
     def run(i):
-        split[i] = _one_measure(base_params, 0.6, cfgs[i], spec)
+        split[i] = _one_measure(base_params, 0.6, sol.A, sol.B, cfgs[i], spec)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
     for thread in threads:
@@ -917,10 +929,10 @@ def test_split_pass_returns_private_arrays(base_params, monkeypatch, helper_swit
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=10,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=10)
     helper_switch.set(True)
-    pf = _one_measure(base_params, 0.6, cfg, MeasureSpec(Measure.TILTED1, base_params.mu1))
+    pf = _one_measure(base_params, 0.6, sol.A, sol.B, cfg,
+                      MeasureSpec(Measure.TILTED1, base_params.mu1))
     assert helper_switch.helper_chunks >= 1
     tau, stieltjes = pf.tau.copy(), pf.stieltjes.copy()
     pid = spread._fork()
@@ -937,21 +949,21 @@ def test_split_pass_returns_private_arrays(base_params, monkeypatch, helper_swit
 
 def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switch):
     # With no payoff barrier a pass prices no Stieltjes sum: r_pay_end and
-    # stieltjes have no rows, and tau, censored and phi_refl_end keep the
-    # bits of the one-barrier pass, serial and split.
+    # stieltjes have no rows, and tau and z_end keep the bits of the
+    # one-barrier pass, serial and split.
     import driftgame.simulate as sim
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=300, seed=6,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=300, seed=6)
     spec = MeasureSpec(Measure.TILTED0, base_params.mu0, weight_phi=True)
     for on in (False, True):
         helper_switch.set(on)
-        one = _one_measure(base_params, 0.6, cfg, spec)
-        none = _one_measure(base_params, 0.6, cfg, spec._replace(payoff_barriers=()))
+        one = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, spec)
+        none = _one_measure(base_params, 0.6, sol.A, sol.B, cfg,
+                            spec._replace(payoff_barriers=()))
         assert none.r_pay_end.shape == none.stieltjes.shape == (0, 300)
-        for name in ("tau", "censored", "phi_refl_end"):
+        for name in ("tau", "z_end"):
             assert np.array_equal(getattr(none, name), getattr(one, name),
                                   equal_nan=True)
     assert helper_switch.helper_chunks >= 1
@@ -973,12 +985,11 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
     monkeypatch.setattr(spread, "CHUNK_PATHS", 1)
     monkeypatch.setattr(spread, "_fill_queue", fill_queue)
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=9000, seed=7,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=0.02, n_paths=9000, seed=7)
     runs = []
     for on in (False, True):
         helper_switch.set(on)
-        runs.append(_one_measure(base_params, 0.6, cfg,
+        runs.append(_one_measure(base_params, 0.6, sol.A, sol.B, cfg,
                                  MeasureSpec(Measure.TILTED1, base_params.mu1)))
     assert len(chunk_sizes) == 1 and chunk_sizes[0] > 1
     assert helper_switch.helper_chunks >= 1
@@ -1017,12 +1028,12 @@ os.close(read_end)
 os.close(write_end)
 spread.fcntl = types.SimpleNamespace(fcntl=fcntl_4x, F_GETPIPE_SZ=fcntl.F_GETPIPE_SZ)
 spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
-job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
-                   dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
-                   z_pays=())
+one = scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False, z_pays=())
+job = scan.ScanJob(seed=1, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0,
+                   z_lo=-1.0, measures=(one,))
 before = os.listdir("/proc/self/fd")
 try:
-    spread.scan((job,), 2 * records)
+    spread.scan(job, 2 * records)
 except BlockingIOError:
     print("raised", os.listdir("/proc/self/fd") == before)
 """
@@ -1069,10 +1080,10 @@ def report():
 
 spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
 spread._fork, scan.scan_paths = fork, slow_scan
-job = scan.ScanJob(seed=1, phi0=0.6, c_drift=0.0, c_noise=0.1, k_max=10,
-                   dt=0.1, rate=0.0, weight_phi=False, z_hit=0.0, z_lo=-1.0,
-                   z_pays=(0.0,))
-spread.scan((job,), 4000)
+one = scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False, z_pays=(0.0,))
+job = scan.ScanJob(seed=1, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0,
+                   z_lo=-1.0, measures=(one,))
+spread.scan(job, 4000)
 """
 
 
@@ -1158,30 +1169,29 @@ def test_stride_one_is_the_default_pass(base_params):
     # stride 1 is the kernel's own scan, bitwise in every field; stride 4
     # tests the stop on a coarser grid and so stops elsewhere
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3)
     spec = MeasureSpec(Measure.TILTED0, base_params.mu0)
-    plain = stacked_path_functionals(base_params, sol.B, cfg, (spec,))[0]
-    one = _one_measure(base_params, sol.B, cfg, spec, stride=1)
+    plain = stacked_path_functionals(base_params, sol.B, sol.A, sol.B, cfg, (spec,))[0]
+    one = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec, stride=1)
     for field in dataclasses.fields(plain):
         assert np.array_equal(getattr(one, field.name),
                               getattr(plain, field.name), equal_nan=True)
-    four = _one_measure(base_params, sol.B, cfg, spec._replace(payoff_barriers=()),
-                        stride=4)
+    four = _one_measure(base_params, sol.B, sol.A, sol.B, cfg,
+                        spec._replace(payoff_barriers=()), stride=4)
     assert not np.array_equal(four.tau, plain.tau, equal_nan=True)
 
 
 def test_strided_grids_subsample_one_fine_path(base_params):
-    # Grid s keeps the fine steps k with k % s == 0: its stops, reflected
-    # ratios and log ratios at the stop are those of subsampling the whole
-    # fine path, bit for bit.  The horizon (3073 steps) is no multiple of 3
+    # Grid s keeps the fine steps k with k % s == 0: its stops and log
+    # ratios at the stop are those of subsampling the whole fine path, bit
+    # for bit.  The horizon (3073 steps) is no multiple of 3
     # or 2 and censors some paths, whose log ratio is at the last grid point.
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4,
-                    barrier=sol.B, lower=sol.A)
+    cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4)
     strides = (3, 2, 1)
     spec = MeasureSpec(Measure.TILTED1, base_params.mu0, payoff_barriers=())
-    runs = [_one_measure(base_params, sol.B, cfg, spec, stride=s) for s in strides]
+    runs = [_one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec, stride=s)
+            for s in strides]
     assert runs[0].censored.any() and not runs[0].censored.all()
 
     d = derive(base_params)
@@ -1199,7 +1209,6 @@ def test_strided_grids_subsample_one_fine_path(base_params):
             assert pf.censored[i] == (not hit.any())
             if hit.any():
                 assert pf.tau[i] == end * s * cfg.dt
-            assert pf.phi_refl_end[i] == math.exp(zr[end - 1])
             assert pf.z_end[i] == zc[end - 1]
 
 
@@ -1220,9 +1229,8 @@ def test_truncate_at_first_hit():
 
 def test_trajectory_csv(base_params):
     sol = build_solution(base_params)
-    cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2,
-                    barrier=sol.B, lower=sol.A)
-    traj, _ = generate_trajectory(cfg, base_params, 0)
+    cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2)
+    traj, _ = generate_trajectory(cfg, base_params, sol.A, sol.B, 0)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, metadata={"seed": 2, "b": sol.b})
     lines = buf.getvalue().splitlines()

@@ -69,7 +69,7 @@ def test_sweep_spec_validation(base_params):
 # -- sample paths ------------------------------------------------------------------
 
 def _fig_cfg(seed):
-    return SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed, barrier=1.0)
+    return SimConfig(dt=1e-3, horizon=50.0, n_paths=1, seed=seed)
 
 
 def test_sample_path_properties(base_params):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from driftgame import ModelParams, build_solution
 from driftgame.simulate import Measure, SimConfig, stacked_path_functionals
 from driftgame.verify import (
-    ConfigMismatch,
     InvalidDeviation,
     _j0_samples,
     _j1_samples,
@@ -21,9 +19,8 @@ from driftgame.verify import (
 )
 
 
-def _config(sol, n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
-    return SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=seed,
-                     barrier=sol.B, lower=sol.A)
+def _config(n_paths=4_000, dt=4e-4, seed=2024, horizon=50.0):
+    return SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=seed)
 
 
 def _suite(sol, phi, config):
@@ -33,7 +30,7 @@ def _suite(sol, phi, config):
 
 def _pass(sol, phi, config):
     """The (tilted1, tilted0) outputs of mc_oracle_suite's pass."""
-    return stacked_path_functionals(sol.params, phi, config,
+    return stacked_path_functionals(sol.params, phi, sol.A, sol.B, config,
                                     _oracle_specs(sol, config.dt))
 
 
@@ -46,7 +43,7 @@ def sol(base_params):
 
 def _stopping_region_reports(sol):
     # every path stops at time zero, at A/2 as at A itself
-    cfg = _config(sol, n_paths=50)
+    cfg = _config(n_paths=50)
     return {phi: _suite(sol, phi, cfg) for phi in (sol.A / 2, sol.A)}
 
 
@@ -77,7 +74,7 @@ def test_jhat_in_stopping_region_is_exact(sol):
 def test_oracle_consistency_grid(sol):
     # 9-point grid spanning (0, 2B]: every estimate within
     # 3 stderr + documented bias of its closed form
-    cfg = _config(sol)
+    cfg = _config()
     for phi in np.linspace(0.0, 2.0 * sol.B, 10)[1:]:
         for report in mc_oracle_suite(sol, float(phi), cfg):
             err = abs(report["estimate"] - report["oracle"])
@@ -86,7 +83,7 @@ def test_oracle_consistency_grid(sol):
 
 
 def test_j1_bounded_between_payoffs(sol):
-    cfg = _config(sol, n_paths=3_000)
+    cfg = _config(n_paths=3_000)
     mid = 0.5 * (sol.A + sol.B)
     j1 = _suite(sol, mid, cfg)["J1"]
     assert 1.0 - 1e-12 <= j1["estimate"] <= 1.0 + sol.params.eps + 0.05
@@ -97,7 +94,7 @@ def test_j1_bounded_between_payoffs(sol):
 def test_j0_strictly_below_one_for_very_negative_drift():
     p = ModelParams(mu0=-10.0, mu1=1.0, sigma=0.5, eps=0.1)
     s = build_solution(p)
-    cfg = _config(s, n_paths=400, dt=2e-4, seed=5)
+    cfg = _config(n_paths=400, dt=2e-4, seed=5)
     assert _suite(s, s.B, cfg)["J0"]["estimate"] < 1.0
 
 
@@ -106,7 +103,7 @@ def test_jhat_identity(sol):
     # of both measures draws the same noise), so (Jhat - J0) - phi J1 is a
     # per-path residual, and its own spread gives the standard error.
     phi = 0.6
-    cfg = _config(sol, n_paths=6_000)
+    cfg = _config(n_paths=6_000)
     pf1, pf0 = _pass(sol, phi, cfg)
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
@@ -126,7 +123,7 @@ def test_reflected_control_means_are_exact(sol, measure, dt):
     # with the e^{-R} weight under tilted1 and its time-zero term above B,
     # the Stieltjes sum that joins it under tilted1, the roots themselves
     # and the discount of the first term
-    config = _config(sol, dt=dt)
+    config = _config(dt=dt)
     which = 1 if measure is Measure.TILTED0 else 0
     for phi in ((sol.A + sol.B) / 2, sol.B, 1.5 * sol.B):
         log_first, log_mean, sums = _log_reflected_controls(
@@ -142,7 +139,7 @@ def test_controls_cut_every_stderr(sol):
     # controls J0's and J1's stderr are at most 0.15x their plain stderr
     # (about 0.09x and 0.12x here, 0.05x and 0.06x at dt 1e-4) and Jhat's
     # at most 0.01x (about 4e-4x), and every check still passes
-    cfg = _config(sol)
+    cfg = _config()
     for phi in ((sol.A + sol.B) / 2, sol.B):
         pf1, pf0 = _pass(sol, phi, cfg)
         j0, jhat = _j0_samples(sol, pf0)
@@ -160,7 +157,7 @@ def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
     # a fit on q = 2 controls needs n > q + 1 paths: every check gives the
     # plain mean and stderr bit for bit at 2 and 3 paths, and fits its
     # controls above that
-    cfg = _config(sol, n_paths=n_paths, dt=1e-4, seed=0)
+    cfg = _config(n_paths=n_paths, dt=1e-4, seed=0)
     reports = _suite(sol, 1.0, cfg)
     pf1, pf0 = _pass(sol, 1.0, cfg)
     j0, jhat = _j0_samples(sol, pf0)
@@ -186,20 +183,10 @@ def test_dependent_controls_are_dropped():
         assert np.array_equal(got[0], alone[0])
 
 
-# -- config validation -----------------------------------------------------------
-
-def test_threshold_mismatch_rejected(sol):
-    cfg = _config(sol, n_paths=10)
-    for field, scale in (("barrier", 1.1), ("lower", 0.9)):
-        wrong = {field: scale * getattr(cfg, field)}
-        with pytest.raises(ConfigMismatch):
-            mc_oracle_suite(sol, 0.5, dataclasses.replace(cfg, **wrong))
-
-
 # -- report schema -----------------------------------------------------------------
 
 def test_oracle_report_schema(sol):
-    cfg = _config(sol, n_paths=200)
+    cfg = _config(n_paths=200)
     reports = mc_oracle_suite(sol, sol.B, cfg)
     assert [r["check"] for r in reports] == ["J0", "J1", "Jhat"]
     oracles = (sol.V0(sol.B), sol.V1(sol.B), sol.V(sol.B))
@@ -233,7 +220,7 @@ def test_player1_specific_strict_deviations(sol):
 
 
 def test_player2_equilibrium_barrier_is_fixed_point(sol):
-    cfg = _config(sol, n_paths=500)
+    cfg = _config(n_paths=500)
     report = deviations_player2(sol, [sol.B], 0.6, cfg, jump_probs=())
     (row,) = report.rows
     assert row.deviation == row.equilibrium     # identical samples, CRN
@@ -242,7 +229,7 @@ def test_player2_equilibrium_barrier_is_fixed_point(sol):
 
 
 def test_player2_barrier_deviations(sol):
-    cfg = _config(sol, n_paths=4_000)
+    cfg = _config(n_paths=4_000)
     report = deviations_player2(sol, [0.6, 1.2], 0.6, cfg)
     assert report.all_pass, report.as_dicts()
     kinds = {r.kind for r in report.rows}
@@ -250,7 +237,7 @@ def test_player2_barrier_deviations(sol):
 
 
 def test_player2_jump_strategies(sol):
-    cfg = _config(sol, n_paths=2_000)
+    cfg = _config(n_paths=2_000)
     report = deviations_player2(sol, [], 0.6, cfg, jump_probs=(0.5, 1.0))
     rows = {r.parameter: r for r in report.rows}
     # full immediate stop pays the premium with certainty
@@ -261,7 +248,7 @@ def test_player2_jump_strategies(sol):
 
 
 def test_player2_invalid_deviation(sol):
-    cfg = _config(sol, n_paths=10)
+    cfg = _config(n_paths=10)
     with pytest.raises(InvalidDeviation):
         deviations_player2(sol, [0.5 * sol.A], 0.6, cfg)
     with pytest.raises(InvalidDeviation):
@@ -271,7 +258,7 @@ def test_player2_invalid_deviation(sol):
 # -- dt refinement ---------------------------------------------------------------------
 
 def test_dt_convergence_with_common_noise(sol):
-    cfg = _config(sol, n_paths=6_000, dt=1e-4)
+    cfg = _config(n_paths=6_000, dt=1e-4)
     dts = [4e-4, 2e-4, 1e-4]
     ests = dt_convergence_study(sol, sol.B, cfg, dts)
     oracle = sol.V0(sol.B)
@@ -293,6 +280,6 @@ def test_dt_convergence_with_common_noise(sol):
     ([1e-3, 2.5e-4 * 1.3], "integer multiple"),
 ], ids=["empty", "zero", "negative", "not-a-multiple"])
 def test_dt_convergence_refuses_bad_dt_list(sol, dts, match):
-    cfg = _config(sol, n_paths=4, horizon=2.0)
+    cfg = _config(n_paths=4, horizon=2.0)
     with pytest.raises(ValueError, match=match):
         dt_convergence_study(sol, sol.B, cfg, dts)
