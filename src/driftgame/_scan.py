@@ -17,8 +17,8 @@ for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
 path, together through the whole horizon in chunks of min(steps left,
-max(CHUNK_MIN, CHUNK_CELLS // drawn paths)) steps, each chunk one numpy
-call per operation over every live row (or every live row of one
+CHUNK_CELLS // drawn paths) steps (128 for a full batch), each chunk one
+numpy call per operation over every live row (or every live row of one
 measure), and a row leaves the batch at its stop.  A path is drawn while
 it has a live row, so a second measure adds rows to a chunk but not
 chunks to a path.  Every sum is taken in step order, so the result is
@@ -77,8 +77,7 @@ import numpy as np
 from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
 BATCH_PATHS = 128     # paths scanned together
-CHUNK_MIN = 64        # fewest steps in one chunk
-CHUNK_CELLS = 8192    # drawn paths x steps of a chunk above that minimum
+CHUNK_CELLS = 16384   # drawn paths x steps of a chunk at most; >= BATCH_PATHS
 
 
 class ScanMeasure(NamedTuple):
@@ -216,7 +215,7 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
     k = 0   # steps done
     while ids.size:
         live = ids.size
-        m = min(k_max - k, max(CHUNK_MIN, CHUNK_CELLS // paths.size))
+        m = min(k_max - k, CHUNK_CELLS // paths.size)
         zb = scratch.floats[0][:live * m].reshape(live, m)
         # in place when the rows that copy nothing are the drawn paths
         drawn = zb[:paths.size] if live - copies.size == paths.size else \
@@ -423,12 +422,12 @@ _per_thread = threading.local()
 
 
 def scan_scratch(n_measures: int = 1) -> _ScanScratch:
-    """This thread's scratch for a pass of n_measures measures (a chunk
-    has at most n_measures rows per drawn path), made on its first scan
-    and again when a pass needs more cells than it has.  No result depends on
-    what an earlier scan left in it: each batch rekeys its generators, and
-    each chunk writes its buffers before reading them."""
-    cells = n_measures * (max(BATCH_PATHS * CHUNK_MIN, CHUNK_CELLS) + BATCH_PATHS)
+    """This thread's scratch for n_measures measures (a chunk has at most
+    n_measures rows per drawn path, of CHUNK_CELLS // drawn paths steps), made
+    on its first scan and again when a pass needs more cells than it has.  No
+    result depends on what an earlier scan left in it: each batch rekeys its
+    generators, and each chunk writes its buffers before reading them."""
+    cells = n_measures * (CHUNK_CELLS + BATCH_PATHS)
     scratch = getattr(_per_thread, "scratch", None)
     if scratch is None or scratch.hit.size < cells:
         scratch = _per_thread.scratch = _ScanScratch(cells)

@@ -318,6 +318,8 @@ def _cmd_sweep(args) -> int:
     if args.from_ is not None or args.to is not None:
         if args.from_ is None or args.to is None:
             raise CliError("--from and --to must be given together")
+        if not (math.isfinite(args.from_) and math.isfinite(args.to)):
+            raise CliError(f"--from {args.from_} and --to {args.to} must be finite")
         values = (np.geomspace(args.from_, args.to, args.points) if args.log
                   else np.linspace(args.from_, args.to, args.points))
     else:

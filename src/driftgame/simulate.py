@@ -472,11 +472,10 @@ def _scan_measure(params: ModelParams, barrier: float, dt: float,
         z_pays=tuple(math.log(bpay) for bpay in bpays), betas=betas)
 
 
-# Below this many paths a pass never shares its scan with a helper
-# process, and so never imports _spread, where the rest of that decision is
-# made.  Forking, ending and reaping the helper costs about 4 ms; on a
-# 2-vCPU VM (dt 1e-4) a split pass of 1024 paths took 0.67-0.76x the time
-# of a serial one, of 512 paths 0.74-0.87x, and of 384 or 256 paths up to
-# 1.21x on tilted0, where paths are short.
+# Below this many paths a pass runs serially and never imports _spread.
+# The helper costs about 4 ms to fork, end and reap; on a 2-vCPU VM (dt
+# 1e-4) a split pass took 0.6-0.8x the serial time at 1024 paths (1.2x in
+# one run of nine), 0.7-1.5x at 512 and 0.8-1.8x at 256, the most on
+# tilted0, whose paths are short.
 _SPREAD_MIN_PATHS = 1024
 

@@ -469,6 +469,18 @@ def test_sweep_command(tmp_path):
     assert all(ln.endswith(",ok") for ln in lines[1:])
 
 
+@pytest.mark.parametrize("log", [(), ("--log",)])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_sweep_ends_are_invalid_input(tmp_path, capsys, value, log):
+    # a non-finite end of the grid is invalid input (exit 2) with no
+    # output, not rows of nan and inf after a numpy warning
+    for ends in ((f"--from={value}", "--to=0.3"), ("--from=0.1", f"--to={value}")):
+        code, text = run(tmp_path, "sweep", "--param", "eps", "--points", "3",
+                         *ends, *log)
+        assert code == 2 and text == ""
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_sweep_default_grid(tmp_path):
     code, text = run(tmp_path, "sweep", "--param", "eps")
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]

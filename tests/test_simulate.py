@@ -631,22 +631,26 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
 
 
 def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
-    # Batches of 7 paths walked in chunks of 5 to 40 steps give the same
+    # Batches of 7 paths walked in chunks of 5 to 40 steps, and batches of
+    # one path whose one chunk is clipped to the steps left, give the same
     # bits as the default batches and chunks: three payoff barriers with
-    # the Phi weight and two control sums, a start above B, and a horizon
-    # that censors some paths; and a stride-7 pass, where some 5-step
-    # chunks hold no grid point.
+    # the Phi weight and two control sums, a start above B, a horizon
+    # that censors some paths and one shorter than a default chunk; and a
+    # stride-7 pass, where some 5-step chunks hold no grid point.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
-    for phi0 in (0.6, 1.7 * sol.B):
-        cfg = SimConfig(dt=1e-4, horizon=0.1501, n_paths=60, seed=12)
+    geometries = ((scan.BATCH_PATHS, scan.CHUNK_CELLS), (7, 40),
+                  (1, scan.CHUNK_CELLS))
+    # the short horizon's 50 steps are fewer than one default chunk's
+    assert 50 < scan.CHUNK_CELLS // scan.BATCH_PATHS
+    for phi0, horizon in ((0.6, 0.1501), (1.7 * sol.B, 0.1501), (0.4, 0.005)):
+        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=60, seed=12)
         for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
-            for batch, chunk_min, chunk_cells in ((128, 64, 8192), (7, 5, 40)):
+            for batch, chunk_cells in geometries:
                 monkeypatch.setattr(scan, "BATCH_PATHS", batch)
-                monkeypatch.setattr(scan, "CHUNK_MIN", chunk_min)
                 monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
                 runs.append(_one_measure(
                     base_params, phi0, sol.A, sol.B, cfg,
@@ -654,9 +658,10 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
                     stride))
             assert runs[0].censored.any() and not runs[0].censored.all()
             assert runs[0].control_sums.shape == (len(betas), cfg.n_paths)
-            for field in dataclasses.fields(runs[0]):
-                assert np.array_equal(getattr(runs[1], field.name),
-                                      getattr(runs[0], field.name), equal_nan=True)
+            for run in runs[1:]:
+                for field in dataclasses.fields(runs[0]):
+                    assert np.array_equal(getattr(run, field.name),
+                                          getattr(runs[0], field.name), equal_nan=True)
 
 
 def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
@@ -770,7 +775,6 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                     with monkeypatch.context() as patch:
                         if tiny:
                             patch.setattr(scan, "BATCH_PATHS", 7)
-                            patch.setattr(scan, "CHUNK_MIN", 5)
                             patch.setattr(scan, "CHUNK_CELLS", 40)
                         helper_switch.set(on)
                         got = stacked_path_functionals(
