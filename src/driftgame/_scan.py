@@ -17,7 +17,7 @@ for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
 path, together through the whole horizon in chunks of min(steps left,
-CHUNK_CELLS // drawn paths) steps (128 for a full batch), each chunk one
+CHUNK_CELLS // drawn paths) steps (96 for a full batch), each chunk one
 numpy call per operation over every live row (or every live row of one
 measure), and a row leaves the batch at its stop.  A path is drawn while
 it has a live row, so a second measure adds rows to a chunk but not
@@ -76,8 +76,8 @@ import numpy as np
 
 from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
-BATCH_PATHS = 128     # paths scanned together
-CHUNK_CELLS = 16384   # drawn paths x steps of a chunk at most; >= BATCH_PATHS
+BATCH_PATHS = 256     # paths scanned together
+CHUNK_CELLS = 24576   # drawn paths x steps of a chunk at most; >= BATCH_PATHS
 
 
 class ScanMeasure(NamedTuple):
@@ -242,7 +242,8 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
         mxb = scratch.floats[1][:live * (mg + 1)].reshape(live, mg + 1)
         mxb[:, 0] = top
         mxb[:, 1:] = zg
-        np.maximum.accumulate(mxb, axis=1, out=mxb)
+        # fmax: the same bits as maximum, faster; the log ratio is never NaN
+        np.fmax.accumulate(mxb, axis=1, out=mxb)
         mx = mxb[:, 1:]
         zr = scratch.floats[2][:live * mg].reshape(live, mg)
         hit = scratch.hit[:live * mg].reshape(live, mg)
@@ -279,19 +280,20 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
                 # and M one step back (top, for the chunk's first step)
                 # gives each reflection before it.
                 flat = mxb[a:b].reshape(-1)
-                new = np.greater(flat[1:], flat[:-1],
-                                 out=scratch.hit[:flat.size - 1])
+                new = scratch.hit[:flat.size]   # new[i]: M grows at i + 1
+                np.greater(flat[1:], flat[:-1], out=new[:-1])
                 new[mg::mg + 1] = False   # a row's top is no step
                 rows = stop[s_a:s_b]
-                for r, j in zip(rows.tolist(), end[rows].tolist()):
-                    new[(r - a) * (mg + 1) + j:(r - a + 1) * (mg + 1)] = False
+                if rows.size:   # no step past a row's stop
+                    new.reshape(b - a, mg + 1)[rows - a] &= \
+                        np.arange(mg + 1) < end[rows][:, None]
                 p = new.nonzero()[0] + 1
+                row, col = np.divmod(p, mg + 1)
                 m_new = flat[p]
                 rp = m_new - z_col             # (barrier, step)
                 rp_prev = flat[p - 1] - z_col
                 np.maximum(rp, r0_col, out=rp)
                 np.maximum(rp_prev, r0_col, out=rp_prev)
-                row, col = np.divmod(p, mg + 1)
                 rate_t = one.rate * dt * (k + col)
                 # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
                 # in a form that neither cancels nor overflows
@@ -381,13 +383,21 @@ class _StreamPool:
     Produces streams bit-identical to simulate.substream while skipping
     the per-construction entropy gathering, which dominates tight path
     loops.  Slot i holds one stream at a time; a slot is made on its first
-    use.  Not thread safe.
+    use.  A rekey sets a fresh generator's state (counter zero, buffer
+    spent) with the new key from one dict of Python lists: the Philox
+    state setter only reads it, and reads list items about twice as fast
+    as numpy array items.  Not thread safe.
     """
 
     def __init__(self):
         self._bgs: list[np.random.Philox] = []
         self._gens: list[np.random.Generator] = []
-        self._state = np.random.Philox(key=0).state
+        fresh = np.random.Philox(key=0).state
+        self._state = {**fresh,
+                       "state": {name: value.tolist()
+                                 for name, value in fresh["state"].items()},
+                       "buffer": fresh["buffer"].tolist()}
+        self._key = self._state["state"]["key"]
 
     def reset(self, seed: int, path_index: int, role: int,
               slot: int) -> np.random.Generator:
@@ -396,14 +406,9 @@ class _StreamPool:
         while slot >= len(self._bgs):
             self._bgs.append(np.random.Philox(key=0))
             self._gens.append(np.random.Generator(self._bgs[-1]))
-        st = self._state
-        st["state"]["key"][0] = (path_index << 2) | role
-        st["state"]["key"][1] = seed
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bgs[slot].state = st
+        self._key[0] = (path_index << 2) | role
+        self._key[1] = seed
+        self._bgs[slot].state = self._state
         return self._gens[slot]
 
 

@@ -473,9 +473,10 @@ def _scan_measure(params: ModelParams, barrier: float, dt: float,
 
 
 # Below this many paths a pass runs serially and never imports _spread.
-# The helper costs about 4 ms to fork, end and reap; on a 2-vCPU VM (dt
-# 1e-4) a split pass took 0.6-0.8x the serial time at 1024 paths (1.2x in
-# one run of nine), 0.7-1.5x at 512 and 0.8-1.8x at 256, the most on
-# tilted0, whose paths are short.
+# The helper costs about 4 ms to fork, end and reap.  With 256-path queue
+# chunks, on a 2-vCPU VM (dt 1e-4, phi 0.6, the mc and deviations passes,
+# medians of 11-15 alternating pairs per run) a split pass took 0.59-0.76x
+# the serial time at 1024 paths (1.22x in one run of seven), 0.53-0.67x at
+# 2048 and 0.68-0.80x at 512 (1.27x in one run of five).
 _SPREAD_MIN_PATHS = 1024
 

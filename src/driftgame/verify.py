@@ -453,8 +453,8 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     _require(config)
     bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
     for bp in bprimes:
-        if not bp > sol.A:
-            raise InvalidDeviation(f"Bprime={bp} must exceed A={sol.A!r}")
+        if not (math.isfinite(bp) and bp > sol.A):
+            raise InvalidDeviation(f"Bprime={bp} must be finite and exceed A={sol.A!r}")
     for p in jump_probs:
         if not 0.0 <= p <= 1.0:
             raise InvalidDeviation(f"jump probability p={p} outside [0, 1]")

@@ -342,6 +342,27 @@ def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
     assert "jump probability p=1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--bprime-mults", "1.25", "inf"),
+    ("--mu0", "-3", "--bprime-mults", "1e308"),   # B is 2.5
+], ids=["inf", "overflow"])
+def test_deviations_rejects_non_finite_bprime_before_simulating(
+        tmp_path, monkeypatch, capsys, argv):
+    # an infinite multiple, or one whose product with B overflows, is
+    # invalid input (exit 2) with no output, not a row with "parameter": null
+    import driftgame.verify as verify
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("simulated an infinite B'")
+
+    monkeypatch.setattr(verify, "stacked_path_functionals", no_kernel)
+    code, text = run(tmp_path, "deviations", *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Bprime=inf must be finite and exceed A=" in err
+
+
 def test_overflow_names_the_term(tmp_path, capsys):
     # B**beta2 (in V(B)) and B**(1 - beta2) (in C2) overflow on these sets;
     # the exit-3 message names the term, B and beta2

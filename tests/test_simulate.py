@@ -630,13 +630,56 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
             assert np.array_equal(got.control_sums, ctl)
 
 
+def test_stopped_row_prices_no_step_past_its_stop(base_params, monkeypatch):
+    # A chunk prices a stopped row's payoff and control sums on its steps
+    # up to the stop alone, though the row's running maximum grows again
+    # later in that chunk: one chunk holds every path's whole 200-step
+    # horizon, so paths stop at many steps of it and others are censored,
+    # in a full batch and a partial one, and every field is bitwise equal
+    # to one pass per path and barrier.
+    import driftgame._scan as scan
+
+    sol = build_solution(base_params)
+    barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
+    cfg = SimConfig(dt=1e-3, horizon=0.2, n_paths=scan.BATCH_PATHS + 44, seed=15)
+    monkeypatch.setattr(scan, "CHUNK_CELLS", scan.BATCH_PATHS * cfg.n_steps)
+    rate = base_params.mu1
+    got = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, MeasureSpec(
+        Measure.TILTED1, rate, True, barriers, control_betas=BETAS))
+    assert got.censored.any() and not got.censored.all()
+    # the case occurs: after its stop, a path's log ratio passes the
+    # running maximum it stopped at, within the horizon and so the chunk
+    d = derive(base_params)
+    m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
+    c_drift = (m_phi - 0.5 * d.omega**2) * cfg.dt
+    c_noise = d.omega * math.sqrt(cfg.dt)
+    grows = 0
+    for p in (~got.censored).nonzero()[0].tolist():
+        xi = substream(cfg.seed, p, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
+        z = np.cumsum(c_drift + c_noise * xi)
+        end = round(got.tau[p] / cfg.dt)
+        grows += bool(end < cfg.n_steps and z[end:].max() > z[:end].max())
+    assert grows
+    for i, bpay in enumerate(barriers):
+        tau, cens, r_end, stj, z_end, ctl = _one_barrier_pass(
+            base_params, 0.6, sol.A, sol.B, cfg, Measure.TILTED1, rate, True, bpay,
+            betas=BETAS)
+        assert np.array_equal(got.tau, tau, equal_nan=True)
+        assert np.array_equal(got.censored, cens)
+        assert np.array_equal(got.r_pay_end[i], r_end)
+        assert np.array_equal(got.stieltjes[i], stj)
+        assert np.array_equal(got.z_end, z_end)
+        assert np.array_equal(got.control_sums, ctl)
+
+
 def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
     # Batches of 7 paths walked in chunks of 5 to 40 steps, and batches of
     # one path whose one chunk is clipped to the steps left, give the same
-    # bits as the default batches and chunks: three payoff barriers with
-    # the Phi weight and two control sums, a start above B, a horizon
-    # that censors some paths and one shorter than a default chunk; and a
-    # stride-7 pass, where some 5-step chunks hold no grid point.
+    # bits as the default batches and chunks: 60 paths, and 300, a full
+    # default batch and a partial one; three payoff barriers with the Phi
+    # weight and two control sums, a start above B, a horizon that censors
+    # some paths and one shorter than a default chunk; and a stride-7 pass,
+    # where some 5-step chunks hold no grid point.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -645,8 +688,10 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
                   (1, scan.CHUNK_CELLS))
     # the short horizon's 50 steps are fewer than one default chunk's
     assert 50 < scan.CHUNK_CELLS // scan.BATCH_PATHS
-    for phi0, horizon in ((0.6, 0.1501), (1.7 * sol.B, 0.1501), (0.4, 0.005)):
-        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=60, seed=12)
+    assert scan.BATCH_PATHS < 300 < 2 * scan.BATCH_PATHS
+    for phi0, horizon, n in ((0.6, 0.1501, 60), (1.7 * sol.B, 0.1501, 60),
+                             (0.4, 0.005, 60), (0.6, 0.1501, 300)):
+        cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=n, seed=12)
         for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
             for batch, chunk_cells in geometries:
