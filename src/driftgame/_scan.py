@@ -12,7 +12,8 @@ A pass may scan one path under several measures.  A path's noise comes
 from its own substream whatever the measure, and the measures' log ratios
 differ only in their drift, so the job holds once what they share: seed,
 phi0, c_noise, the grid, z_hit, z_lo and stride; each ScanMeasure holds
-its own c_drift, rate, weight_phi, z_pays and betas.  A batch holds a row
+its own c_drift, rate, weight_phi, z_pays and betas.  simulate works these
+out from each measure, so the kernel knows no model.  A batch holds a row
 for each (measure, path).
 
 scan_paths steps batches of BATCH_PATHS paths, one row per measure and
@@ -27,10 +28,11 @@ batch size, chunk length and helper split:
 
 - a path's noise is drawn from its own substream a chunk at a time, which
   is the sequence one draw of the whole path gives;
-- one draw of a path feeds the rows of every measure: each row scales the
-  same normals by the shared c_noise and adds its measure's drift, as a
-  pass of that measure alone would, and the path's draws end within one
-  chunk of its last measure's stop;
+- one draw of a path feeds the rows of every measure: a chunk draws each
+  path with a row once into one buffer and fills every row from it with
+  one np.take, each row scales the same normals by the shared c_noise and
+  adds its measure's drift, as a pass of that measure alone would, and
+  the path's draws end within one chunk of its last measure's stop;
 - the log ratio is z0 plus the running sum of the increments: a cumsum
   that carries the sum so far into the chunk's first element, with z0
   added after it, as simulate._levels forms the full grid's log level;
@@ -145,15 +147,13 @@ def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
     """Scan paths lo, lo + 1, ... into the slots of outs, one path per slot:
     job is the ScanJob of a pass and outs a tuple of slots (from unscanned,
     or views of such slots), one per measure of the job.  Any order of the
-    measures gives the same bits; the largest drift first draws fastest
-    (see _scan_batch)."""
+    measures gives the same bits."""
     z0 = math.log(job.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
     r_hit0 = max(0.0, z0 - job.z_hit)
     r_pay0s = []
     for one, part in zip(job.measures, outs):
-        r_pay0 = np.array([r_hit0 if zp == job.z_hit else max(0.0, z0 - zp)
-                           for zp in one.z_pays])
+        r_pay0 = np.array([max(0.0, z0 - zp) for zp in one.z_pays])
         sti0 = np.array([(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
                          for r in r_pay0.tolist()])
         part.r_pay_end[:] = r_pay0[:, None]
@@ -183,11 +183,8 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
     The batch has a row for each measure and path that have not stopped,
     measure by measure: bounds[i]:bounds[i + 1] are the rows of
     job.measures[i], ids their slots.  Each chunk draws the noise of every
-    path with a row once, into the first measure's rows while they are
-    those paths, else into a buffer, and copies it into the other rows.  A
-    path is drawn until its last row has stopped.  The same noise with a larger drift
-    stops no earlier (in exact arithmetic), so with the largest drift
-    first the draws go in place."""
+    path with a row once, into a buffer, and copies it into every row.  A
+    path is drawn until its last row has stopped."""
     z0 = math.log(job.phi0)
     z_hit, z_lo = job.z_hit, job.z_lo
     r_hit0 = max(0.0, z0 - z_hit)
@@ -198,7 +195,7 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
                  for p in range(n)]
     ids = np.tile(np.arange(n), len(job.measures))   # the live rows' slots in outs
     bounds = [i * n for i in range(len(job.measures) + 1)]
-    paths, copies = _draws(ids, n, n)
+    paths, copies = _draws(ids, n)
     gens = slot_gens                      # the drawn paths' generators
     carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
@@ -217,14 +214,11 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
         live = ids.size
         m = min(k_max - k, CHUNK_CELLS // paths.size)
         zb = scratch.floats[0][:live * m].reshape(live, m)
-        # in place when the rows that copy nothing are the drawn paths
-        drawn = zb[:paths.size] if live - copies.size == paths.size else \
-            scratch.floats[2][:paths.size * m].reshape(paths.size, m)
+        drawn = scratch.floats[2][:paths.size * m].reshape(paths.size, m)
         for gen, row in zip(gens, drawn):
             gen.standard_normal(out=row)
         drawn *= c_noise
-        if copies.size:
-            np.take(drawn, copies, axis=0, out=zb[live - copies.size:], mode="clip")
+        np.take(drawn, copies, axis=0, out=zb, mode="clip")
         for one, a, b in zip(job.measures, bounds, bounds[1:]):
             zb[a:b] += one.c_drift
         zb[:, 0] += carry
@@ -324,7 +318,7 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
             keep[leave] = False
             ids, carry, top = ids[keep], carry[keep], mx[keep, -1]
             bounds = [b - c for b, c in zip(bounds, leave_cuts)]
-            paths, copies = _draws(ids, bounds[1], n)
+            paths, copies = _draws(ids, n)
             if paths.size < len(gens):
                 gens = [slot_gens[p] for p in paths.tolist()]
         else:
@@ -362,19 +356,15 @@ def _cuts(rows: np.ndarray, bounds: list) -> list:
     return [0, *np.searchsorted(rows, bounds[1:-1]).tolist(), rows.size]
 
 
-def _draws(ids: np.ndarray, lead: int, n: int) -> tuple:
+def _draws(ids: np.ndarray, n: int) -> tuple:
     """The slots of the paths a chunk draws (those with a row, in slot
-    order) among n, and where in those draws each row that copies its
-    noise finds it.  The first measure's rows (before lead) take the draws
-    in place while they are all those paths, and copy nothing."""
-    if lead == ids.size:   # no other measure has a row
-        return ids, ids[:0]
+    order) among n, and where in those draws each row finds its noise."""
     has_row = np.zeros(n, dtype=bool)
     has_row[ids] = True
     paths = has_row.nonzero()[0]
     at = np.empty(n, dtype=np.intp)
     at[paths] = np.arange(paths.size)
-    return paths, at[ids[lead if lead == paths.size else 0:]]
+    return paths, at[ids]
 
 
 class _StreamPool:

@@ -21,14 +21,15 @@ the tilted ones.
 
 The Monte Carlo backend (stacked_path_functionals) streams its paths
 instead of holding a grid.  One config gives the paths of a pass, and
-each MeasureSpec of the pass names a tilted measure to scan them under.
-It checks its arguments and hands the pass as one job to the batched
-kernel in driftgame._scan, which owns how a pass runs; from
-_SPREAD_MIN_PATHS paths up the pass goes through driftgame._spread, which
-may share it with a forked helper process.  Each step's noise is drawn
-once and serves every measure of the pass.  A pass with a stride s tests
-the stop on every s-th step only: the grid s times coarser on the same
-Brownian path, one pass per grid of the dt-refinement study.
+each MeasureSpec of the pass names a tilted measure to scan them under,
+which fixes how the pass prices under it.  It checks its arguments and
+hands the pass as one job to the batched kernel in driftgame._scan,
+which owns how a pass runs; from _SPREAD_MIN_PATHS paths up the pass
+goes through driftgame._spread, which may share it with a forked helper
+process.  Each step's noise is drawn once and serves every measure of
+the pass.  A pass with a stride s tests the stop on every s-th step
+only: the grid s times coarser on the same Brownian path, one pass per
+grid of the dt-refinement study.
 
 The sample-path walk (generate_trajectory) runs the full-grid functions
 on a prefix of the path's draws that doubles until it holds the stop, so
@@ -254,7 +255,9 @@ def generate_trajectory(config: SimConfig, params: ModelParams, lower: float,
     its reflection are running sums and running maxima taken in step
     order, so the result equals stop_at_lower(reflect(simulate_phi(...,
     Measure.PHYSICAL, theta)), lower) bit for bit.  Bad thresholds and
-    the _MAX_GRID_STEPS refusal come before any draw.
+    the _MAX_GRID_STEPS refusal come before any draw.  A prefix may run
+    past the stop, where Phi may overflow or underflow unseen; a path
+    whose Phi overflows before its stop is a FloatingPointError.
     """
     _check_thresholds(lower, barrier)
     _refuse_long_grid(config)
@@ -264,8 +267,14 @@ def generate_trajectory(config: SimConfig, params: ModelParams, lower: float,
     n = config.n_steps
     xi = noise.standard_normal(min(_WALK_START, n))
     while True:
-        traj, censored = stop_at_lower(reflect(
-            _grid(config.dt, params, Measure.PHYSICAL, theta, xi), barrier), lower)
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            traj, censored = stop_at_lower(reflect(
+                _grid(config.dt, params, Measure.PHYSICAL, theta, xi), barrier), lower)
+        overflow = ~np.isfinite(traj.Phi)
+        if overflow.any():
+            t = traj.times[overflow.argmax()]
+            raise FloatingPointError(f"Phi overflows at t={t:.6g}, before the path stops")
         if not censored or xi.size == n:
             return traj, censored
         xi = np.concatenate((xi, noise.standard_normal(min(xi.size, n - xi.size))))
@@ -368,25 +377,48 @@ def log_ratio_step(params: ModelParams, measure: Measure,
     return (m_phi - 0.5 * d.omega**2) * dt, d.omega * math.sqrt(dt)
 
 
+def discount_rate(params: ModelParams, measure: Measure) -> float:
+    """The discount rate of a tilted measure: mu0 under tilted0, mu1 under
+    tilted1."""
+    return params.mu0 if measure is Measure.TILTED0 else params.mu1
+
+
+def reflected_betas(params: ModelParams, measure: Measure, dt: float) -> tuple:
+    """(beta+, beta-), the roots of c_noise^2 beta^2 / 2 + c_drift beta
+    + rate dt = 0 for a tilted measure's step c_drift + c_noise xi of log
+    Phi on a grid of step dt (log_ratio_step) and its discount_rate, so
+    that E[e^{beta step}] = e^{-rate dt}.  Under tilted0, mu0 < 0 makes
+    them real and of opposite sign.  Under tilted1
+    c_drift^2 - 2 c_noise^2 mu1 dt = omega^2 dt^2 ((sigma - omega / 2)^2
+    - 2 mu0) > 0 (the square of sigma + omega / 2 is at least
+    2 (mu1 - mu0) by AM-GM), so they are real, and negative with c_drift
+    and mu1.  The stable form of the quadratic formula takes both without
+    cancellation."""
+    c_drift, c_noise = log_ratio_step(params, measure, dt)
+    a, c = 0.5 * c_noise**2, discount_rate(params, measure) * dt
+    q = -0.5 * (c_drift + math.copysign(math.sqrt(c_drift**2 - 4.0 * a * c), c_drift))
+    return tuple(sorted((q / a, c / q), reverse=True))
+
+
 class MeasureSpec(NamedTuple):
     """One measure of a pass and what the pass prices under it.
 
-    measure is tilted0 or tilted1.  The hitting time is measured on the
-    reflection at the pass's barrier; the Gamma used in each Stieltjes
-    sum reflects at one of payoff_barriers (the pass's barrier alone by
-    default).  With weight_phi the sum is of e^{rate t} Phi_t dGamma_t,
-    else of e^{rate t} dGamma_t, rate being discount_rate; both include
-    the possible time-zero jump of Gamma.  An empty payoff_barriers prices
-    no sum: r_pay_end and stieltjes then have no rows.  Each exponent of
-    control_betas adds a row of control_sums, discounted at discount_rate
-    and priced with the barrier's sums, so payoff_barriers must then hold
-    the pass's barrier; none by default."""
+    measure is tilted0 or tilted1, the discounting change of measure of
+    one drift regime, so it fixes how the pass prices: every sum is
+    discounted at its discount_rate, and each Stieltjes sum is of
+    e^{rate t} Phi_t dGamma_t under tilted0 and of e^{rate t} dGamma_t
+    under tilted1, both with the possible time-zero jump of Gamma.  The
+    hitting time is measured on the reflection at the pass's barrier; the
+    Gamma of each Stieltjes sum reflects at one of payoff_barriers (the
+    pass's barrier alone by default).  An empty payoff_barriers prices
+    no sum: r_pay_end and stieltjes then have no rows.  With controls,
+    each exponent of reflected_betas adds a row of control_sums, priced
+    with the barrier's sums, so payoff_barriers must then hold the pass's
+    barrier."""
 
     measure: Measure
-    discount_rate: float
-    weight_phi: bool = False
     payoff_barriers: tuple | None = None
-    control_betas: tuple = ()
+    controls: bool = False
 
 
 def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
@@ -404,15 +436,14 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
     barrier's sums do not depend on the other barriers.  A path's noise
     comes from its substream whatever the measure, and the measures differ
     only in the drift of log Phi, so each step's noise is drawn once and
-    serves every measure.  Any order of the specs gives the same bits;
-    tilted1 first is fastest, because its paths stop last and so take the
-    draws in place.  An empty specs or bad thresholds are a ValueError.
+    serves every measure.  Any order of the specs gives the same bits.
+    An empty specs or bad thresholds are a ValueError.
 
     With stride s the stop is tested on every s-th step of config's grid
     only, up to its last such step at or before the horizon: the grid of
     step s * config.dt, on the same Brownian path for every s.  Such a pass
     prices no sum, so a stride above 1 needs every spec's payoff_barriers
-    and control_betas empty.
+    empty and its controls off.
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
@@ -445,7 +476,9 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
 
 def _scan_measure(params: ModelParams, barrier: float, dt: float,
                   spec: MeasureSpec, stride: int):
-    """The kernel's part of a pass for one measure, after checking it."""
+    """The kernel's part of a pass for one measure, after checking it: the
+    measure's drift and rate, the Phi weight under tilted0 alone, and with
+    controls the exponents of reflected_betas."""
     measure = Measure(spec.measure)
     if measure is Measure.PHYSICAL:
         raise ValueError("streaming functionals support the tilted measures only")
@@ -453,14 +486,10 @@ def _scan_measure(params: ModelParams, barrier: float, dt: float,
     for bpay in bpays:
         if not bpay > 0.0:
             raise ValueError(f"payoff barrier {bpay} must be positive")
-    betas = tuple(float(beta) for beta in spec.control_betas)
-    for beta in betas:
-        if not math.isfinite(beta):
-            raise ValueError(f"control exponent {beta} must be finite")
-    if stride > 1 and (bpays or betas):
+    if stride > 1 and (bpays or spec.controls):
         raise ValueError(f"a pass with stride={stride} prices no sum; "
-                         f"payoff_barriers must be empty, and control_betas too")
-    if betas and barrier not in bpays:
+                         f"payoff_barriers must be empty, and controls off")
+    if spec.controls and barrier not in bpays:
         raise ValueError(f"control sums are priced at the stop barrier "
                          f"{barrier}; payoff_barriers must hold it")
 
@@ -468,8 +497,10 @@ def _scan_measure(params: ModelParams, barrier: float, dt: float,
 
     c_drift, _ = log_ratio_step(params, measure, dt)
     return _scan.ScanMeasure(
-        c_drift=c_drift, rate=spec.discount_rate, weight_phi=spec.weight_phi,
-        z_pays=tuple(math.log(bpay) for bpay in bpays), betas=betas)
+        c_drift=c_drift, rate=discount_rate(params, measure),
+        weight_phi=measure is Measure.TILTED0,
+        z_pays=tuple(math.log(bpay) for bpay in bpays),
+        betas=reflected_betas(params, measure, dt) if spec.controls else ())
 
 
 # Below this many paths a pass runs serially and never imports _spread.

@@ -20,16 +20,18 @@ on the tilted0 pair, J1 on the tilted1 pair.  N_beta is e^{rate t} W_t
 (PhiB_t / B)^beta plus the sum of e^{rate t} W_{t-}(e^{beta dR} - 1) over
 the steps where the log reflection R at B grows, for the two roots beta
 of E[e^{beta step}] = e^{-rate dt} (rate mu0 under tilted0, mu1 under
-tilted1).  W = 1 - Gamma under tilted1, where J1's Stieltjes sum joins
-the control to compensate W's fall, and W = 1 under tilted0, whose
-Phi-weighted sums need no 1 - Gamma (Phi (1 - Gamma) = PhiB).  Optional
-stopping gives E[N_beta] = (phi / B)^beta from the simulated increment
-law alone, so the check stays independent of the closed form.  The
-coefficients are fitted by least squares on the same paths, and the
-standard error has n - q - 1 degrees of freedom for q controls.  A
-control that is constant, that overflows, or that the others span is
-dropped, so the fit never fails.  The deviation suites and the dt study
-report plain means.
+tilted1; simulate.reflected_betas).  The kernel prices these sums: a
+pass's MeasureSpec asks for them, and its measure alone fixes the rate,
+the Phi weight and the roots.  W = 1 - Gamma under tilted1, where J1's
+Stieltjes sum joins the control to compensate W's fall, and W = 1 under
+tilted0, whose Phi-weighted sums need no 1 - Gamma (Phi (1 - Gamma) =
+PhiB).  Optional stopping gives E[N_beta] = (phi / B)^beta from the
+simulated increment law alone, so the check stays independent of the
+closed form.  The coefficients are fitted by least squares on the same
+paths, and the standard error has n - q - 1 degrees of freedom for q
+controls.  A control that is constant, that overflows, or that the
+others span is dropped, so the fit never fails.  The deviation suites
+and the dt study report plain means.
 
 Pass thresholds are 3 standard errors plus an explicit bias bound: a
 grid-hitting term HIT_BIAS_COEFF * omega * sqrt(dt) calibrated by a
@@ -47,7 +49,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumSolution, deviation_value_player1
 from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
-                       log_ratio_step, stacked_path_functionals)
+                       discount_rate, reflected_betas, stacked_path_functionals)
 
 # Grid-hitting bias budget per unit payoff: |bias| <= HIT_BIAS_COEFF * omega * sqrt(dt).
 # Calibrated by dt-halving at the base case (worst ratio there ~0.12; factor-2
@@ -120,36 +122,15 @@ def _steps(pf: PathFunctionals, config: SimConfig) -> np.ndarray:
                     np.rint(np.where(pf.censored, 0.0, pf.tau) / config.dt))
 
 
-def _rate(sol: EquilibriumSolution, measure: Measure) -> float:
-    """The discount rate of a tilted measure: mu0 or mu1."""
-    return sol.params.mu0 if measure is Measure.TILTED0 else sol.params.mu1
-
-
-def _reflected_betas(sol: EquilibriumSolution, measure: Measure, dt: float) -> tuple:
-    """(beta+, beta-), the roots of c_noise^2 beta^2 / 2 + c_drift beta
-    + rate dt = 0 for a tilted measure's step c_drift + c_noise xi of log
-    Phi on a grid of step dt and its rate (_rate), so that
-    E[e^{beta step}] = e^{-rate dt}.  Under tilted0, mu0 < 0 makes them
-    real and of opposite sign.  Under tilted1
-    c_drift^2 - 2 c_noise^2 mu1 dt = omega^2 dt^2 ((sigma - omega / 2)^2
-    - 2 mu0) > 0 (the square of sigma + omega / 2 is at least
-    2 (mu1 - mu0) by AM-GM), so they are real, and negative with c_drift
-    and mu1.  The stable form of the quadratic formula takes both without
-    cancellation."""
-    c_drift, c_noise = log_ratio_step(sol.params, measure, dt)
-    a, c = 0.5 * c_noise**2, _rate(sol, measure) * dt
-    q = -0.5 * (c_drift + math.copysign(math.sqrt(c_drift**2 - 4.0 * a * c), c_drift))
-    return tuple(sorted((q / a, c / q), reverse=True))
-
-
 def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
                             config: SimConfig, measure: Measure, pf: PathFunctionals
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The reflected controls N_beta of pf, the outputs of the measure in
-    the pass of _oracle_specs over config's paths that starts at phi, one
-    row per beta of _reflected_betas and one column per path: (log of
-    their first term, log of their exact means beta log(phi / B), their
-    sums: the control sums, plus the Stieltjes sum at B under tilted1).
+    the pass of _ORACLE_SPECS over config's paths that starts at phi, one
+    row per beta of simulate.reflected_betas and one column per path:
+    (log of their first term, log of their exact means beta log(phi / B),
+    their sums: the control sums, plus the Stieltjes sum at B under
+    tilted1).
 
     With R the log reflection at B, K = tau, or the horizon, and W_j = 1
     under tilted0 (the Phi weight cancels 1 - Gamma) and e^{-R_j} = 1 -
@@ -164,11 +145,11 @@ def _log_reflected_controls(sol: EquilibriumSolution, phi: float,
     So N is a martingale of the simulated steps, and E[N_K] =
     (phi / B)^beta by optional stopping.  log PhiB_K is z_end less the
     reflection at the pass's payoff barrier B, so it never underflows."""
-    beta = np.array(_reflected_betas(sol, measure, config.dt))[:, None]
+    beta = np.array(reflected_betas(sol.params, measure, config.dt))[:, None]
     z_b = math.log(sol.B)
     r_end = pf.r_pay_end[0]
-    log_first = _rate(sol, measure) * config.dt * _steps(pf, config) \
-        + beta * (pf.z_end - r_end - z_b)
+    log_first = (discount_rate(sol.params, measure) * config.dt * _steps(pf, config)
+                 + beta * (pf.z_end - r_end - z_b))
     sums = pf.control_sums
     if measure is Measure.TILTED1:
         log_first -= r_end
@@ -253,16 +234,11 @@ def _j0(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
     return np.where(pf.censored, 0.0, np.exp(sol.params.mu0 * tau))
 
 
-def _oracle_specs(sol: EquilibriumSolution, dt: float) -> tuple:
-    """The measures of mc_oracle_suite's pass on a grid of step dt:
-    tilted1, which _j1_samples reads, then tilted0 with the Phi weight,
-    which _j0_samples reads (tilted1 first is fastest; see
-    stacked_path_functionals).  Each prices the Stieltjes sum at B and a
-    control sum for each exponent of its _reflected_betas."""
-    return tuple(MeasureSpec(measure, discount_rate=_rate(sol, measure),
-                             weight_phi=measure is Measure.TILTED0,
-                             control_betas=_reflected_betas(sol, measure, dt))
-                 for measure in (Measure.TILTED1, Measure.TILTED0))
+# The measures of mc_oracle_suite's pass: tilted1, which _j1_samples
+# reads, then tilted0, which _j0_samples reads.  Each prices the Stieltjes
+# sum at B and its two reflected controls' sums.
+_ORACLE_SPECS = (MeasureSpec(Measure.TILTED1, controls=True),
+                 MeasureSpec(Measure.TILTED0, controls=True))
 
 
 def _phi_b_end(pf: PathFunctionals) -> np.ndarray:
@@ -273,7 +249,7 @@ def _phi_b_end(pf: PathFunctionals) -> np.ndarray:
 
 def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (J0, Jhat) samples of the tilted0 pass of _oracle_specs
+    """Per-path (J0, Jhat) samples of the tilted0 pass of _ORACLE_SPECS
     (shared paths)."""
     eps = sol.params.eps
     stj = pf.stieltjes[0]
@@ -342,7 +318,7 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     _require(config)
     eps = sol.params.eps
     pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config,
-                                        _oracle_specs(sol, config.dt))
+                                        _ORACLE_SPECS)
     j0, jhat = _j0_samples(sol, pf0)
     (j1,) = _j1_samples(sol, pf1)
     controls0 = _controls(*_log_reflected_controls(sol, phi, config,
@@ -464,10 +440,8 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
     # J0 needs only the stop (Gamma^0 = 0), so tilted0 prices no sum
     pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config, (
-        MeasureSpec(Measure.TILTED1, discount_rate=sol.params.mu1,
-                    payoff_barriers=(sol.B, *bprimes)),
-        MeasureSpec(Measure.TILTED0, discount_rate=sol.params.mu0,
-                    payoff_barriers=())))
+        MeasureSpec(Measure.TILTED1, payoff_barriers=(sol.B, *bprimes)),
+        MeasureSpec(Measure.TILTED0, payoff_barriers=())))
     j1 = _j1_samples(sol, pf1)
     j1_eq = j1[0]
     eq_mean = float(j1_eq.mean())
@@ -521,8 +495,7 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
         if abs(s - round(s)) > 1e-9:
             raise ValueError(f"dt={cfg.dt} is not an integer multiple of {fine.dt}")
         strides.append(round(s))
-    spec = MeasureSpec(Measure.TILTED0, discount_rate=sol.params.mu0,
-                       payoff_barriers=())
+    spec = MeasureSpec(Measure.TILTED0, payoff_barriers=())
     results = []
     for cfg, stride in zip(configs, strides):
         (pf,) = stacked_path_functionals(sol.params, phi, sol.A, sol.B, fine, (spec,),

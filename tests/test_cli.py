@@ -329,6 +329,34 @@ def test_path_grid_too_large_is_invalid_input(tmp_path, capsys, horizon, steps):
                           f"{steps} steps")
 
 
+@pytest.mark.parametrize("argv, code, rows", [
+    # Phi underflows to 0 past the stop at the first step, where the
+    # walk's 1024-step prefix still runs on
+    (("--mu0", "-50", "--seed", "1"), 0, 2),
+    # omega sqrt(dt) is about 6.3: Phi overflows at step 31, before a stop
+    (("--mu0", "-1", "--pi", "0.9", "--seed", "3"), 3, 0),
+], ids=["underflow-past-stop", "overflow-before-stop"])
+def test_path_out_of_range_warns_nowhere(argv, code, rows):
+    # The entry point with warnings as errors: a path whose Phi leaves the
+    # floating-point range past its stop prints its rows and nothing on
+    # stderr, and one whose Phi overflows before its stop is a numerical
+    # failure with no output, not rows of nan.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "driftgame.cli", "path", "--mu1", "1",
+         "--sigma", "0.01", "--dt", "1e-3", *argv],
+        capture_output=True, text=True, env=_python_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert "# censored=False" in proc.stdout.splitlines()
+        assert len([ln for ln in proc.stdout.splitlines()
+                    if not ln.startswith("#")]) == 1 + rows
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("numerical failure: Phi overflows at t=0.031")
+
+
 def test_deviations_rejects_jump_prob_before_simulating(tmp_path, monkeypatch,
                                                         capsys):
     import driftgame.verify as verify

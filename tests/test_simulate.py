@@ -20,9 +20,12 @@ from driftgame.simulate import (
     MeasureSpec,
     SimConfig,
     Trajectory,
+    discount_rate,
     generate_trajectory,
     log_drifts,
+    log_ratio_step,
     reflect,
+    reflected_betas,
     simulate_phi,
     stacked_path_functionals,
     stop_at_lower,
@@ -41,6 +44,38 @@ def _one_measure(params, phi0, lower, barrier, config, spec, stride=1):
     """A pass over config's paths under the one measure of spec."""
     return stacked_path_functionals(params, phi0, lower, barrier, config, (spec,),
                                     stride=stride)[0]
+
+
+def _hand_job(params, phi0, lower, barrier, config, measure, rate, weight_phi,
+              barriers=None, betas=(), stride=1):
+    """The ScanJob of a pass under one measure, built by hand: any rate, Phi
+    weight and control exponents, which a MeasureSpec leaves to its
+    measure.  barriers are the payoff barriers, the barrier alone by
+    default."""
+    import driftgame._scan as scan
+
+    c_drift, c_noise = log_ratio_step(params, measure, config.dt)
+    barriers = (barrier,) if barriers is None else barriers
+    return scan.ScanJob(
+        seed=config.seed, phi0=phi0, c_noise=c_noise, k_max=config.n_steps,
+        dt=config.dt, z_hit=math.log(barrier), z_lo=math.log(lower),
+        measures=(scan.ScanMeasure(
+            c_drift=c_drift, rate=rate, weight_phi=weight_phi,
+            z_pays=tuple(math.log(b) for b in barriers), betas=tuple(betas)),),
+        stride=stride)
+
+
+def _hand_pass(params, phi0, lower, barrier, config, *measure, **kw):
+    """A pass over config's paths of _hand_job(..., *measure, **kw), through
+    driftgame._spread from _SPREAD_MIN_PATHS paths up, as
+    stacked_path_functionals runs one."""
+    import driftgame._scan as scan
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    job = _hand_job(params, phi0, lower, barrier, config, *measure, **kw)
+    run = scan.scan if config.n_paths < sim._SPREAD_MIN_PATHS else spread.scan
+    return run(job, config.n_paths)[0]
 
 
 def _manual_traj(phi, dt=0.1):
@@ -66,23 +101,19 @@ def test_config_validation(base_params):
         _cfg(horizon=math.inf)
     with pytest.raises(ValueError, match="horizon/dt=inf"):
         _cfg(horizon=1e300, dt=1e-10)   # the step count overflows
-    no_sum = MeasureSpec(Measure.TILTED0, base_params.mu0, payoff_barriers=())
+    no_sum = MeasureSpec(Measure.TILTED0, payoff_barriers=())
     for stride in (0, -1, 2.0, 1.5, "2"):
         with pytest.raises(ValueError, match="stride"):
             _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), no_sum, stride=stride)
     with pytest.raises(ValueError, match="payoff_barriers must be empty"):
         _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),   # the default prices one sum
-                     MeasureSpec(Measure.TILTED0, base_params.mu0), stride=2)
-    with pytest.raises(ValueError, match="control_betas too"):
+                     MeasureSpec(Measure.TILTED0), stride=2)
+    with pytest.raises(ValueError, match="controls off"):
         _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
-                     no_sum._replace(control_betas=(0.5,)), stride=2)
-    for beta in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="control exponent"):
-            _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
-                         no_sum._replace(control_betas=(beta,)))
+                     no_sum._replace(controls=True), stride=2)
     with pytest.raises(ValueError, match="payoff_barriers must hold it"):
         _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
-                     no_sum._replace(control_betas=(0.5,)))
+                     no_sum._replace(controls=True))
     with pytest.raises(ValueError, match="5000 steps"):
         _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), no_sum, stride=5001)
 
@@ -92,7 +123,7 @@ def test_measure_spec_names_a_tilted_measure(base_params, monkeypatch):
     # a pass with any other measure is refused before a path is drawn.
     import driftgame._scan as scan
 
-    spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
+    spec = MeasureSpec(Measure.TILTED1)
     by_value = _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(),
                             spec._replace(measure="tilted1"))
     by_member = _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), spec)
@@ -125,7 +156,7 @@ def test_thresholds_checked_before_any_draw(base_params, monkeypatch, lower,
 
     monkeypatch.setattr(scan, "scan_paths", lambda *args: pytest.fail("drew a path"))
     monkeypatch.setattr(sim, "substream", lambda *args: pytest.fail("drew a path"))
-    spec = MeasureSpec(Measure.TILTED0, base_params.mu0)
+    spec = MeasureSpec(Measure.TILTED0)
     with pytest.raises(ValueError, match=match):
         _one_measure(base_params, 0.6, lower, barrier, _cfg(), spec)
     with pytest.raises(ValueError, match=match):
@@ -314,7 +345,7 @@ def test_censored_fraction_small_at_base_case(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=50.0, n_paths=2_000, seed=12)
     pf = _one_measure(base_params, sol.B, sol.A, sol.B, cfg,
-                      MeasureSpec(Measure.TILTED0, base_params.mu0))
+                      MeasureSpec(Measure.TILTED0))
     assert pf.censored.mean() < 1e-3
 
 
@@ -429,7 +460,7 @@ def test_kernel_matches_trajectory_hits(base_params):
     phi0 = derive(base_params).phi0
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=30, seed=99)
     pf = _one_measure(base_params, phi0, sol.A, sol.B, cfg,
-                      MeasureSpec(Measure.TILTED0, base_params.mu0))
+                      MeasureSpec(Measure.TILTED0))
     for i in range(cfg.n_paths):
         traj = reflect(simulate_phi(cfg, base_params, substream(99, i, ROLE_PATH_NOISE),
                                     Measure.TILTED0), sol.B)
@@ -536,8 +567,8 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
     for measure, weight_phi, phi0, horizon in cases:
         cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        fused = _one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
-            measure, rate, weight_phi, barriers, control_betas=BETAS))
+        fused = _hand_pass(base_params, phi0, sol.A, sol.B, cfg, measure, rate,
+                           weight_phi, barriers, BETAS)
         assert fused.tau.shape == fused.censored.shape == (64,)
         assert fused.stieltjes.shape == fused.r_pay_end.shape == (len(barriers), 64)
         assert fused.control_sums.shape == (len(BETAS), 64)
@@ -564,8 +595,8 @@ def test_many_payoff_barriers_in_one_pass(base_params):
     cfg = SimConfig(dt=1e-3, horizon=3.0, n_paths=6, seed=21)
     for n_barriers in (300, 600):
         barriers = list(np.linspace(0.5, 2.0, n_barriers) * sol.B)
-        got = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, MeasureSpec(
-            Measure.TILTED1, base_params.mu1, weight_phi=True, payoff_barriers=barriers))
+        got = _hand_pass(base_params, 0.6, sol.A, sol.B, cfg, Measure.TILTED1,
+                         base_params.mu1, True, barriers)
         assert got.stieltjes.shape == (n_barriers, cfg.n_paths)
         for i in (0, n_barriers // 2, n_barriers - 1):
             tau, cens, r_end, stj, z_end, _ = _one_barrier_pass(
@@ -589,7 +620,6 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
-    d = derive(base_params)
     n = 300
     cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0),
              (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000),
@@ -598,20 +628,9 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
     for measure, weight_phi, phi0, dt, horizon, lo in cases:
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        if lo == 0:
-            got = _one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
-                measure, rate, weight_phi, barriers, control_betas=BETAS))
-        else:
-            m_phi, _ = log_drifts(base_params, d, measure)
-            job = scan.ScanJob(
-                seed=cfg.seed, phi0=phi0, c_noise=d.omega * math.sqrt(cfg.dt),
-                k_max=cfg.n_steps, dt=cfg.dt, z_hit=math.log(sol.B),
-                z_lo=math.log(sol.A), measures=(scan.ScanMeasure(
-                    c_drift=(m_phi - 0.5 * d.omega**2) * cfg.dt, rate=rate,
-                    weight_phi=weight_phi,
-                    z_pays=tuple(math.log(b) for b in barriers), betas=BETAS),))
-            got = scan.unscanned(n, len(barriers), len(BETAS))
-            scan.scan_paths(job, lo, (got,))
+        got = scan.unscanned(n, len(barriers), len(BETAS))
+        scan.scan_paths(_hand_job(base_params, phi0, sol.A, sol.B, cfg, measure,
+                                  rate, weight_phi, barriers, BETAS), lo, (got,))
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
             assert steps.max() > 7168
@@ -644,8 +663,8 @@ def test_stopped_row_prices_no_step_past_its_stop(base_params, monkeypatch):
     cfg = SimConfig(dt=1e-3, horizon=0.2, n_paths=scan.BATCH_PATHS + 44, seed=15)
     monkeypatch.setattr(scan, "CHUNK_CELLS", scan.BATCH_PATHS * cfg.n_steps)
     rate = base_params.mu1
-    got = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, MeasureSpec(
-        Measure.TILTED1, rate, True, barriers, control_betas=BETAS))
+    got = _hand_pass(base_params, 0.6, sol.A, sol.B, cfg, Measure.TILTED1, rate,
+                     True, barriers, BETAS)
     assert got.censored.any() and not got.censored.all()
     # the case occurs: after its stop, a path's log ratio passes the
     # running maximum it stopped at, within the horizon and so the chunk
@@ -697,10 +716,9 @@ def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
             for batch, chunk_cells in geometries:
                 monkeypatch.setattr(scan, "BATCH_PATHS", batch)
                 monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
-                runs.append(_one_measure(
-                    base_params, phi0, sol.A, sol.B, cfg,
-                    MeasureSpec(Measure.TILTED1, base_params.mu1, True, bpays, betas),
-                    stride))
+                runs.append(_hand_pass(
+                    base_params, phi0, sol.A, sol.B, cfg, Measure.TILTED1,
+                    base_params.mu1, True, bpays, betas, stride))
             assert runs[0].censored.any() and not runs[0].censored.all()
             assert runs[0].control_sums.shape == (len(betas), cfg.n_paths)
             for run in runs[1:]:
@@ -716,13 +734,13 @@ def test_scan_after_a_failed_scan_is_unchanged(base_params, monkeypatch):
 
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=1.0, n_paths=40, seed=13)
-    spec = MeasureSpec(Measure.TILTED1, base_params.mu1, weight_phi=True)
-    before = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
+    measure = (Measure.TILTED1, base_params.mu1, True)
+    before = _hand_pass(base_params, sol.B, sol.A, sol.B, cfg, *measure)
     with monkeypatch.context() as patch:
         patch.setattr(scan, "_cuts", lambda rows, bounds: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
-    after = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec)
+            _hand_pass(base_params, sol.B, sol.A, sol.B, cfg, *measure)
+    after = _hand_pass(base_params, sol.B, sol.A, sol.B, cfg, *measure)
     assert np.array_equal(after.stieltjes, before.stieltjes)
 
 
@@ -755,9 +773,9 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
         runs = []
         for on in (False, True):
             helper_switch.set(on)
-            runs.append(_one_measure(base_params, phi0, sol.A, sol.B, cfg, MeasureSpec(
-                measure, rate, weight_phi, bpays, BETAS if stride == 1 else ()),
-                stride))
+            runs.append(_hand_pass(base_params, phi0, sol.A, sol.B, cfg, measure, rate,
+                                   weight_phi, bpays, BETAS if stride == 1 else (),
+                                   stride))
         assert helper_switch.helper_chunks >= 1
         serial, split = runs
         assert not np.isnan(split.z_end).any()   # every slot written
@@ -772,16 +790,15 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
 
 
 def _stacked_pairs(base_params, sol):
-    """The measure pairs of the mc and deviations commands: tilted0 with
-    the Phi weight before tilted1 without it, each with control sums (so
-    tilted1's rows outlive the rows that take the draws), and tilted1 with
-    six payoff barriers before tilted0 with none."""
+    """The measure pairs of the mc and deviations commands: tilted0 before
+    tilted1, each with control sums (so tilted1's rows outlive the first
+    measure's), and tilted1 with six payoff barriers before tilted0 with
+    none."""
     six = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0)]
-    return ((MeasureSpec(Measure.TILTED0, base_params.mu0, weight_phi=True,
-                         control_betas=BETAS),
-             MeasureSpec(Measure.TILTED1, base_params.mu1, control_betas=BETAS)),
-            (MeasureSpec(Measure.TILTED1, base_params.mu1, payoff_barriers=six),
-             MeasureSpec(Measure.TILTED0, base_params.mu0, payoff_barriers=())))
+    return ((MeasureSpec(Measure.TILTED0, controls=True),
+             MeasureSpec(Measure.TILTED1, controls=True)),
+            (MeasureSpec(Measure.TILTED1, payoff_barriers=six),
+             MeasureSpec(Measure.TILTED0, payoff_barriers=())))
 
 
 def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
@@ -806,10 +823,12 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                 alone = [_one_measure(base_params, phi0, sol.A, sol.B, cfg, spec)
                          for spec in specs]
                 for spec, pf in zip(specs, alone):
-                    if spec.control_betas:
-                        ctl = _one_barrier_pass(base_params, phi0, sol.A, sol.B, cfg,
-                                                spec.measure, spec.discount_rate,
-                                                spec.weight_phi, sol.B, betas=BETAS)[5]
+                    if spec.controls:
+                        ctl = _one_barrier_pass(
+                            base_params, phi0, sol.A, sol.B, cfg, spec.measure,
+                            discount_rate(base_params, spec.measure),
+                            spec.measure is Measure.TILTED0, sol.B,
+                            betas=reflected_betas(base_params, spec.measure, cfg.dt))[5]
                         assert np.array_equal(pf.control_sums, ctl)
                 assert alone[0].censored.any() == (horizon < 1.0 and phi0 > sol.A)
                 assert (alone[0].tau == 0.0).all() == (phi0 < sol.A)
@@ -837,12 +856,57 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     assert helper_switch.all_ended()
 
 
+def test_a_measure_fixes_its_pricing(base_params, monkeypatch):
+    # A MeasureSpec names its measure, payoff barriers and whether it
+    # prices controls, nothing more.  Each pass of mc and deviations, from
+    # below and above B, gives the bits of a ScanJob built by hand from its
+    # measures alone: discounted at mu_theta, with the Phi weight under
+    # tilted0 only, and with the reflected roots as control exponents only
+    # where the spec asks for controls.
+    import driftgame._scan as scan
+    import driftgame.verify as verify
+
+    assert MeasureSpec._fields == ("measure", "payoff_barriers", "controls")
+    passes = []
+
+    def recording(params, phi0, lower, barrier, config, specs):
+        passes.append((phi0, config, specs))
+        return stacked_path_functionals(params, phi0, lower, barrier, config, specs)
+
+    monkeypatch.setattr(verify, "stacked_path_functionals", recording)
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=16)
+    for phi0 in (0.6, 1.5 * sol.B):
+        verify.mc_oracle_suite(sol, phi0, cfg)
+        verify.deviations_player2(sol, [m * sol.B for m in (0.5, 1.5)], phi0, cfg)
+    assert len(passes) == 4
+    for phi0, config, specs in passes:
+        got = stacked_path_functionals(base_params, phi0, sol.A, sol.B, config, specs)
+        measures = []
+        for spec in specs:
+            tilted0 = spec.measure is Measure.TILTED0
+            measures += _hand_job(
+                base_params, phi0, sol.A, sol.B, config, spec.measure,
+                base_params.mu0 if tilted0 else base_params.mu1, tilted0,
+                spec.payoff_barriers, reflected_betas(base_params, spec.measure, config.dt)
+                if spec.controls else ()).measures
+        job = _hand_job(base_params, phi0, sol.A, sol.B, config, Measure.TILTED0, 0.0,
+                        False)._replace(measures=tuple(measures))
+        want = scan.scan(job, config.n_paths)
+        assert [out.control_sums.shape[0] for out in want] == \
+            [2 * spec.controls for spec in specs]
+        for one, ref in zip(got, want):
+            for field in dataclasses.fields(ref):
+                assert np.array_equal(getattr(one, field.name), getattr(ref, field.name),
+                                      equal_nan=True), field.name
+
+
 def test_stacked_pass_refuses_measures_of_other_paths(base_params):
     # One config gives the paths of every measure of a pass; a pass with
     # no measure is refused.
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=1.0, n_paths=10, seed=3)
-    one = MeasureSpec(Measure.TILTED1, base_params.mu1, payoff_barriers=())
+    one = MeasureSpec(Measure.TILTED1, payoff_barriers=())
     other = one._replace(measure=Measure.TILTED0)
     assert len(stacked_path_functionals(base_params, 0.6, sol.A, sol.B, cfg,
                                         (one, other))) == 2
@@ -947,7 +1011,7 @@ def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
     sol = build_solution(base_params)
     cfgs = [SimConfig(dt=1e-3, horizon=10.0, n_paths=600, seed=seed)
             for seed in (8, 9)]
-    spec = MeasureSpec(Measure.TILTED1, base_params.mu1)
+    spec = MeasureSpec(Measure.TILTED1)
     helper_switch.set(False)
     serial = [_one_measure(base_params, 0.6, sol.A, sol.B, cfg, spec) for cfg in cfgs]
     helper_switch.set(True)
@@ -981,7 +1045,7 @@ def test_split_pass_returns_private_arrays(base_params, monkeypatch, helper_swit
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=10)
     helper_switch.set(True)
     pf = _one_measure(base_params, 0.6, sol.A, sol.B, cfg,
-                      MeasureSpec(Measure.TILTED1, base_params.mu1))
+                      MeasureSpec(Measure.TILTED1))
     assert helper_switch.helper_chunks >= 1
     tau, stieltjes = pf.tau.copy(), pf.stieltjes.copy()
     pid = spread._fork()
@@ -1005,7 +1069,7 @@ def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switc
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=0.05, n_paths=300, seed=6)
-    spec = MeasureSpec(Measure.TILTED0, base_params.mu0, weight_phi=True)
+    spec = MeasureSpec(Measure.TILTED0)
     for on in (False, True):
         helper_switch.set(on)
         one = _one_measure(base_params, 0.6, sol.A, sol.B, cfg, spec)
@@ -1039,7 +1103,7 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
     for on in (False, True):
         helper_switch.set(on)
         runs.append(_one_measure(base_params, 0.6, sol.A, sol.B, cfg,
-                                 MeasureSpec(Measure.TILTED1, base_params.mu1)))
+                                 MeasureSpec(Measure.TILTED1)))
     assert len(chunk_sizes) == 1 and chunk_sizes[0] > 1
     assert helper_switch.helper_chunks >= 1
     assert helper_switch.all_ended()
@@ -1219,7 +1283,7 @@ def test_stride_one_is_the_default_pass(base_params):
     # tests the stop on a coarser grid and so stops elsewhere
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=40, seed=3)
-    spec = MeasureSpec(Measure.TILTED0, base_params.mu0)
+    spec = MeasureSpec(Measure.TILTED0)
     plain = stacked_path_functionals(base_params, sol.B, sol.A, sol.B, cfg, (spec,))[0]
     one = _one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec, stride=1)
     for field in dataclasses.fields(plain):
@@ -1238,7 +1302,7 @@ def test_strided_grids_subsample_one_fine_path(base_params):
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-4, horizon=0.3073, n_paths=400, seed=4)
     strides = (3, 2, 1)
-    spec = MeasureSpec(Measure.TILTED1, base_params.mu0, payoff_barriers=())
+    spec = MeasureSpec(Measure.TILTED1, payoff_barriers=())
     runs = [_one_measure(base_params, sol.B, sol.A, sol.B, cfg, spec, stride=s)
             for s in strides]
     assert runs[0].censored.any() and not runs[0].censored.all()

@@ -10,7 +10,7 @@ from driftgame.verify import (
     _j0_samples,
     _j1_samples,
     _log_reflected_controls,
-    _oracle_specs,
+    _ORACLE_SPECS,
     _regressed,
     deviations_player1,
     deviations_player2,
@@ -31,7 +31,7 @@ def _suite(sol, phi, config):
 def _pass(sol, phi, config):
     """The (tilted1, tilted0) outputs of mc_oracle_suite's pass."""
     return stacked_path_functionals(sol.params, phi, sol.A, sol.B, config,
-                                    _oracle_specs(sol, config.dt))
+                                    _ORACLE_SPECS)
 
 
 @pytest.fixture(scope="module")
