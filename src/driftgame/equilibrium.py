@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,19 +26,25 @@ from .model import DomainError, ModelParams, derive
 # QVI residual tolerances: closed-form solution, limited by floating point.
 ODE_RTOL = 1e-8        # relative, for the three Euler ODE residuals
 BOUNDARY_ATOL = 1e-10  # absolute, for boundary/obstacle/sign conditions
+# Interior points per block of check_qvi's band.  A block's arrays are
+# 16 KB, small enough for the allocator to reuse rather than return to the
+# system and fault in again on the next operation.
+QVI_BLOCK = 2048
 
 
 class BracketFailure(RuntimeError):
     """The sign change bracketing the threshold-ratio root was not found."""
 
 
-def _power_of_B(B: float, p: float, term: str, beta2: float) -> float:
-    """B**p; an overflow becomes a FloatingPointError naming `term`."""
+def checked_power(name: str, base: float, p: float, term: str,
+                  beta2: float) -> float:
+    """base**p for a threshold `name`; an overflow becomes a
+    FloatingPointError naming `term`, the threshold and beta2."""
     try:
-        return B ** p
+        return base ** p
     except OverflowError:
         raise FloatingPointError(
-            f"{term} overflows double precision (B={B!r}, beta2={beta2!r})"
+            f"{term} overflows double precision ({name}={base!r}, beta2={beta2!r})"
         ) from None
 
 
@@ -160,7 +166,8 @@ class PowerPiece:
     affine outside it.  The derivative order is 0, 1 or 2; at lo and hi the
     first derivative takes the one-sided inside value and the second
     derivative is refused.  Accepts scalars or arrays; a scalar argument
-    returns a float.
+    returns a float.  `inside` is the power formula on the band alone,
+    which both this evaluator and `check_qvi` use.
     """
 
     lo: float
@@ -174,9 +181,9 @@ class PowerPiece:
 
     def __call__(self, phi, order: int = 0):
         p = np.asarray(phi, dtype=float)
-        if np.any(p <= 0.0) or np.any(np.isnan(p)):
+        if not (p > 0.0).all():   # nan fails p > 0 too
             raise DomainError("phi must be positive")
-        if order == 2 and (np.any(p == self.lo) or np.any(p == self.hi)):
+        if order == 2 and ((p == self.lo).any() or (p == self.hi).any()):
             raise DomainError(
                 "second derivative is undefined exactly at the thresholds "
                 f"{self.lo!r} and {self.hi!r}")
@@ -191,14 +198,19 @@ class PowerPiece:
         ins = ~(low | high)
         if order:
             ins |= (p == self.lo) | (p == self.hi)
+        q = p[ins]
+        out[ins] = self.inside(order, lambda e: q ** e)
+        return float(out) if np.ndim(phi) == 0 else out
+
+    def inside(self, order: int, power):
+        """The order-th derivative of c1 phi^p1 + c2 phi^p2 at points of
+        the band, unchecked, where power(e) returns those points ** e."""
         k1 = k2 = 1.0
         for j in range(order):
             k1 *= self.p1 - j
             k2 *= self.p2 - j
-        q = p[ins]
-        out[ins] = k1 * self.c1 * q ** (self.p1 - order) \
-            + k2 * self.c2 * q ** (self.p2 - order)
-        return float(out) if np.ndim(phi) == 0 else out
+        return k1 * self.c1 * power(self.p1 - order) \
+            + k2 * self.c2 * power(self.p2 - order)
 
 
 @dataclass(frozen=True)
@@ -242,7 +254,7 @@ class EquilibriumSolution:
         """Continuation value at the reflecting threshold."""
         b2 = self.exps.beta2
         return self.D1 * self.B**self.exps.beta1 \
-            + self.D2 * _power_of_B(self.B, b2, "B**beta2 in V(B)", b2)
+            + self.D2 * checked_power("B", self.B, b2, "B**beta2 in V(B)", b2)
 
     @cached_property
     def V(self) -> PowerPiece:
@@ -285,7 +297,7 @@ def build_solution(params: ModelParams) -> EquilibriumSolution:
     b1, b2 = exps.beta1, exps.beta2
     C1 = (1.0 - b2) * (1.0 + eps) * B ** (1.0 - b1) / (b1 - b2)
     C2 = (b1 - 1.0) * (1.0 + eps) \
-        * _power_of_B(B, 1.0 - b2, "B**(1 - beta2) in C2", b2) / (b1 - b2)
+        * checked_power("B", B, 1.0 - b2, "B**(1 - beta2) in C2", b2) / (b1 - b2)
     D1 = A ** -b1 * (-b2 + (1.0 - b2) * A) / (b1 - b2)
     D2 = A ** -b2 * (b1 + (b1 - 1.0) * A) / (b1 - b2)
     return EquilibriumSolution(params=params, exps=exps, delta=delta,
@@ -355,10 +367,22 @@ def _euler_residual(omega, drift_coeff, rate, f, fp, fpp, p):
 def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     """Numerical residuals of the variational conditions on the closed form.
 
-    Grids avoid the kink points A and B by at least one grid cell.  All
-    conditions are per unit of x (the asset level scales out of every
-    operator that appears).
+    The band (A, B) is sampled at n_points interior points and the regions
+    below A and above B at max(n_points // 10, 64) points each; the
+    continuation band's grid avoids the kink points A and B by at least
+    one grid cell.  All conditions are per unit of x (the asset level
+    scales out of every operator that appears).
+
+    The band is walked in blocks of QVI_BLOCK points.  In each block V, V1
+    and V0 and their first two derivatives share one cache of powers, so
+    each power of the block is taken once, and every value is the one
+    PowerPiece gives bit for bit: the same `inside` formula on the same
+    points.  A band with a point not strictly inside (A, B) is evaluated
+    whole by PowerPiece itself.  The obstacle and cost-bound conditions
+    reuse the band's values.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points={n_points!r} must be at least 1")
     params = sol.params
     omega = sol.omega
     so = params.sigma * omega
@@ -369,7 +393,27 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     m = max(n_points // 10, 64)
     stop_grid = np.linspace(0.0, A, m + 1)[1:]
     upper_grid = np.linspace(B, 3.0 * B, m + 1)[1:]
-    full_grid = np.concatenate([stop_grid, interior, upper_grid])
+
+    # Euler ODEs on the continuation band (A, B), and per block the maxima
+    # of the band's part of the obstacle and cost-bound conditions.
+    pieces = (sol.V, sol.V1, sol.V0)
+    odes = ((so, params.mu0), (so + omega**2, params.mu1), (so, params.mu0))
+    strict = bool(A < interior.min() and interior.max() < B)
+    block = QVI_BLOCK if strict else n_points
+    maxima = []
+    for start in range(0, n_points, block):
+        q = interior[start:start + block]
+        if strict:
+            # q ** e once per exponent's float value, which pieces share
+            power = cache(lambda e: q ** e)
+            vals = [[piece.inside(k, power) for k in range(3)] for piece in pieces]
+        else:
+            vals = [[piece(q, k) for k in range(3)] for piece in pieces]
+        (v, _, _), (v1, _, _), (v0, _, _) = vals
+        maxima.append([np.max(_euler_residual(omega, drift, rate, *f, q))
+                       for (drift, rate), f in zip(odes, vals)]
+                      + [np.max((1.0 + q) - v), np.max(v0), np.max(v1)])
+    ode_v, ode_v1, ode_v0, band_obstacle, band_v0, band_v1 = np.max(maxima, axis=0)
 
     conds = []
 
@@ -377,24 +421,24 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
         r = float(residual)
         conds.append(QviCondition(name, r, tol, r <= tol))
 
-    # Euler ODEs on the continuation band (A, B).
-    for name, piece, drift, rate in (("ode-V", sol.V, so, params.mu0),
-                                     ("ode-V1", sol.V1, so + omega**2, params.mu1),
-                                     ("ode-V0", sol.V0, so, params.mu0)):
-        add(name, np.max(_euler_residual(omega, drift, rate,
-                                         *(piece(interior, k) for k in range(3)),
-                                         interior)), ODE_RTOL)
+    add("ode-V", ode_v, ODE_RTOL)
+    add("ode-V1", ode_v1, ODE_RTOL)
+    add("ode-V0", ode_v0, ODE_RTOL)
 
     # Obstacle: the game value dominates the stopping payoff everywhere.
-    add("obstacle-V", np.max((1.0 + full_grid) - sol.V(full_grid)), BOUNDARY_ATOL)
+    add("obstacle-V", np.max([np.max((1.0 + stop_grid) - sol.V(stop_grid)),
+                              band_obstacle,
+                              np.max((1.0 + upper_grid) - sol.V(upper_grid))]),
+        BOUNDARY_ATOL)
 
     # Generator sign in the stopping region: mu0 + mu1 phi <= 0 on (0, A].
     add("generator-sign-stopping",
         np.max(params.mu0 + params.mu1 * stop_grid), BOUNDARY_ATOL)
 
     # Stopped costs equal the lower payoff on (0, A].
-    add("stopping-payoff-V0", np.max(np.abs(sol.V0(stop_grid) - 1.0)), BOUNDARY_ATOL)
-    add("stopping-payoff-V1", np.max(np.abs(sol.V1(stop_grid) - 1.0)), BOUNDARY_ATOL)
+    v0_stop, v1_stop = sol.V0(stop_grid), sol.V1(stop_grid)
+    add("stopping-payoff-V0", np.max(np.abs(v0_stop - 1.0)), BOUNDARY_ATOL)
+    add("stopping-payoff-V1", np.max(np.abs(v1_stop - 1.0)), BOUNDARY_ATOL)
 
     # Reflection conditions at and above B (flat costs in phi).
     add("reflection-smooth-V0",
@@ -414,7 +458,11 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     add("boundary-V0-at-A", abs(sol.V0(A) - 1.0), BOUNDARY_ATOL)
 
     # Costs never exceed the upper payoff.
-    add("cost-bound-V0", np.max(sol.V0(full_grid)) - (1.0 + eps), BOUNDARY_ATOL)
-    add("cost-bound-V1", np.max(sol.V1(full_grid)) - (1.0 + eps), BOUNDARY_ATOL)
+    add("cost-bound-V0", np.max([np.max(v0_stop), band_v0,
+                                 np.max(sol.V0(upper_grid))]) - (1.0 + eps),
+        BOUNDARY_ATOL)
+    add("cost-bound-V1", np.max([np.max(v1_stop), band_v1,
+                                 np.max(sol.V1(upper_grid))]) - (1.0 + eps),
+        BOUNDARY_ATOL)
 
     return QviReport(conditions=tuple(conds))

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .equilibrium import Exponents, PowerPiece, bisect_unit, build_solution, \
-    compute_exponents
+    checked_power, compute_exponents
 from .model import ModelParams, belief_to_ratio
 
 # Bound on the smooth-fit residuals after the solve: rounding alone makes
@@ -96,8 +96,9 @@ def solve_symmetric(params: ModelParams) -> SymmetricSolution:
     Bs = bs_beta2(delta)
     As = delta * Bs
     # Dh1, Dh2 from value matching at both ends; smooth fit is then checked.
-    d1, d2 = np.linalg.solve(np.array([[As**b1, As**b2], [Bs**b1, Bs**b2]]),
-                             np.array([1.0 + As, k * (1.0 + Bs)]))
+    rows = [[x**b1, checked_power(name, x, b2, f"{name}**beta2 in value matching", b2)]
+            for name, x in (("As", As), ("Bs", Bs))]
+    d1, d2 = np.linalg.solve(np.array(rows), np.array([1.0 + As, k * (1.0 + Bs)]))
     sol = SymmetricSolution(params=params, exps=exps, As=As, Bs=Bs, Dh1=d1, Dh2=d2)
     r = sol.value(np.array([As, Bs]), 1) - np.array([1.0, k])
     tol = min(SMOOTH_FIT_ATOL_MAX, SMOOTH_FIT_RTOL * max(1.0, 1.0 / As))

@@ -247,16 +247,16 @@ def _phi_b_end(pf: PathFunctionals) -> np.ndarray:
     return np.array([math.exp(v) for v in (pf.z_end - pf.r_pay_end[0]).tolist()])
 
 
-def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _j0_samples(sol: EquilibriumSolution, pf: PathFunctionals,
+                phi_b_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (J0, Jhat) samples of the tilted0 pass of _ORACLE_SPECS
-    (shared paths)."""
+    (shared paths), given that pass's _phi_b_end."""
     eps = sol.params.eps
     stj = pf.stieltjes[0]
     j0 = _j0(sol, pf)
     jhat = np.where(pf.censored,
                     (1.0 + eps) * stj,
-                    j0 * (1.0 + _phi_b_end(pf)) + (1.0 + eps) * stj)
+                    j0 * (1.0 + phi_b_end) + (1.0 + eps) * stj)
     return j0, jhat
 
 
@@ -319,7 +319,8 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     eps = sol.params.eps
     pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config,
                                         _ORACLE_SPECS)
-    j0, jhat = _j0_samples(sol, pf0)
+    phi_b_end = _phi_b_end(pf0)
+    j0, jhat = _j0_samples(sol, pf0, phi_b_end)
     (j1,) = _j1_samples(sol, pf1)
     controls0 = _controls(*_log_reflected_controls(sol, phi, config,
                                                    Measure.TILTED0, pf0))
@@ -329,7 +330,7 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     # using V0 <= 1 and V1 <= 1+eps
     miss_hat = np.where(pf0.censored,
                         math.exp(sol.params.mu0 * config.horizon)
-                        * (1.0 + (1.0 + eps) * _phi_b_end(pf0)), 0.0)
+                        * (1.0 + (1.0 + eps) * phi_b_end), 0.0)
     # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T),
     # formed only on the censored paths: e^{mu1 T} may overflow on the others
     miss1 = np.zeros(pf1.n_paths)

@@ -405,6 +405,19 @@ def test_overflow_names_the_term(tmp_path, capsys):
         assert "B=" in err and "beta2=" in err
 
 
+def test_symmetric_overflow_names_the_power(tmp_path, capsys):
+    # As**beta2 in the symmetric game's value-matching system overflows on
+    # this set; the exit-3 message names the power, As and beta2
+    code, text = run(tmp_path, "symmetric", "--mu0", "-0.001", "--mu1", "0.001",
+                     "--sigma", "1", "--eps", "0.1")
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: As**beta2 in value matching "
+                          "overflows double precision (As=0.41185971527383697, "
+                          "beta2=-999.5002499999376)")
+    assert err.count("\n") == 1
+
+
 # the commands of one parameter set of the numerical study
 _STUDY = (("solve", "--pi", "0.35"), ("symmetric",), ("voi", "--grid", "9"),
           ("sweep", "--param", "mu0", "--points", "5"),

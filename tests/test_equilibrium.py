@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +17,8 @@ from driftgame import (
     derive,
     solve_threshold_ratio,
 )
-from driftgame.equilibrium import BracketFailure, Exponents, characteristic_poly, \
+from driftgame.equilibrium import BOUNDARY_ATOL, ODE_RTOL, QVI_BLOCK, BracketFailure, \
+    Exponents, QviCondition, QviReport, _euler_residual, characteristic_poly, \
     threshold_ratio_equation
 
 # Frozen base-case values, computed independently with scipy.optimize.brentq
@@ -328,6 +331,128 @@ def test_qvi_report_shape(base_solution):
     assert set(d) == {"all_pass", "conditions"}
     for c in d["conditions"]:
         assert set(c) == {"name", "max_residual", "tolerance", "pass"}
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_qvi_refuses_empty_grid(base_solution, n_points):
+    with pytest.raises(ValueError, match=f"n_points={n_points} must be at least 1"):
+        check_qvi(base_solution, n_points=n_points)
+
+
+def _check_qvi_whole_grid(sol, n_points=10_000):
+    """check_qvi with every piece evaluated by PowerPiece.__call__ on whole
+    grids, each condition on its own evaluation: the reference the blocked
+    checker must reproduce bit for bit."""
+    params = sol.params
+    omega = sol.omega
+    so = params.sigma * omega
+    A, B = sol.A, sol.B
+    eps = params.eps
+    interior = np.linspace(A, B, n_points + 2)[1:-1]
+    m = max(n_points // 10, 64)
+    stop_grid = np.linspace(0.0, A, m + 1)[1:]
+    upper_grid = np.linspace(B, 3.0 * B, m + 1)[1:]
+    full_grid = np.concatenate([stop_grid, interior, upper_grid])
+    conds = []
+
+    def add(name, residual, tol):
+        r = float(residual)
+        conds.append(QviCondition(name, r, tol, r <= tol))
+
+    for name, piece, drift, rate in (("ode-V", sol.V, so, params.mu0),
+                                     ("ode-V1", sol.V1, so + omega**2, params.mu1),
+                                     ("ode-V0", sol.V0, so, params.mu0)):
+        add(name, np.max(_euler_residual(omega, drift, rate,
+                                         *(piece(interior, k) for k in range(3)),
+                                         interior)), ODE_RTOL)
+    add("obstacle-V", np.max((1.0 + full_grid) - sol.V(full_grid)), BOUNDARY_ATOL)
+    add("generator-sign-stopping",
+        np.max(params.mu0 + params.mu1 * stop_grid), BOUNDARY_ATOL)
+    add("stopping-payoff-V0", np.max(np.abs(sol.V0(stop_grid) - 1.0)), BOUNDARY_ATOL)
+    add("stopping-payoff-V1", np.max(np.abs(sol.V1(stop_grid) - 1.0)), BOUNDARY_ATOL)
+    add("reflection-smooth-V0",
+        max(abs(sol.V0(B, 1)), np.max(np.abs(sol.V0(upper_grid, 1)))), BOUNDARY_ATOL)
+    add("reflection-smooth-V1",
+        max(abs(sol.V1(B, 1)), np.max(np.abs(sol.V1(upper_grid, 1)))), BOUNDARY_ATOL)
+    add("boundary-V-at-A", abs(sol.V(A) - (1.0 + A)), BOUNDARY_ATOL)
+    add("smooth-fit-V-at-A", abs(sol.V(A, 1) - 1.0), BOUNDARY_ATOL)
+    add("boundary-V-slope-at-B", abs(sol.V(B, 1) - (1.0 + eps)), BOUNDARY_ATOL)
+    add("boundary-V1-at-A", abs(sol.V1(A) - 1.0), BOUNDARY_ATOL)
+    add("boundary-V1-at-B", abs(sol.V1(B) - (1.0 + eps)), BOUNDARY_ATOL)
+    add("boundary-V0-at-A", abs(sol.V0(A) - 1.0), BOUNDARY_ATOL)
+    add("cost-bound-V0", np.max(sol.V0(full_grid)) - (1.0 + eps), BOUNDARY_ATOL)
+    add("cost-bound-V1", np.max(sol.V1(full_grid)) - (1.0 + eps), BOUNDARY_ATOL)
+    return QviReport(conditions=tuple(conds))
+
+
+def _outcome(check, sol, n_points):
+    """repr of a checker's report, or the type and message it raises."""
+    try:
+        return repr(check(sol, n_points).as_dict())
+    except Exception as exc:   # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+# The log-grid of valid parameters that the benchmark's domain probe runs.
+_PROBE_GRID = {"mu0": (-50.0, -5.0, -1.0, -1e-3), "mu1": (1e-3, 1.0, 5.0, 50.0),
+               "sigma": (1e-2, 0.1, 1.0, 10.0), "eps": (1e-6, 1e-3, 0.1, 10.0)}
+
+
+def _qvi_cases():
+    """Every solvable set of the probe grid and 60 seeded study-range sets."""
+    sets = [dict(zip(_PROBE_GRID, v)) for v in itertools.product(*_PROBE_GRID.values())]
+    rng = np.random.default_rng(26)
+    sets += [dict(mu0=-rng.uniform(0.2, 2.5), mu1=rng.uniform(0.2, 2.5),
+                  sigma=rng.uniform(0.25, 2.0), eps=rng.uniform(0.03, 0.4))
+             for _ in range(60)]
+    sols = []
+    for kw in sets:
+        try:
+            sols.append(build_solution(ModelParams(**{k: float(v) for k, v in kw.items()})))
+        except (ArithmeticError, RuntimeError):
+            pass
+    return sols
+
+
+def test_blocked_qvi_matches_whole_grid_evaluation():
+    # every residual, tolerance and flag is the whole-grid evaluation's, bit
+    # for bit; some probe-grid sets fail a condition and must fail it alike
+    sols = _qvi_cases()
+    assert len(sols) >= 280
+    reports = [_outcome(check_qvi, sol, 10_000) for sol in sols]
+    assert reports == [_outcome(_check_qvi_whole_grid, sol, 10_000) for sol in sols]
+    assert any("'pass': False" in r for r in reports)
+
+
+@pytest.mark.parametrize("n_points", [1, QVI_BLOCK - 1, QVI_BLOCK, 2 * QVI_BLOCK + 7])
+def test_blocked_qvi_matches_at_any_block_split(base_solution, random_solutions, n_points):
+    for sol in [base_solution] + random_solutions[:5]:
+        assert _outcome(check_qvi, sol, n_points) \
+            == _outcome(_check_qvi_whole_grid, sol, n_points)
+
+
+def test_blocked_qvi_refuses_a_band_of_thresholds(base_solution):
+    # with B the next double above A every band point rounds to A or B, where
+    # the second derivative is refused: the checker raises what PowerPiece does
+    sol = dataclasses.replace(base_solution, B=math.nextafter(base_solution.A, math.inf))
+    expected = _outcome(_check_qvi_whole_grid, sol, 10_000)
+    assert expected.startswith(
+        "DomainError: second derivative is undefined exactly at the thresholds")
+    assert _outcome(check_qvi, sol, 10_000) == expected
+
+
+def test_power_piece_takes_each_exponent(base_solution, random_solutions):
+    # on the band every order is k1 c1 phi^(p1 - order) + k2 c2 phi^(p2 - order)
+    # bit for bit, with k the falling factorial of the exponent
+    for sol in [base_solution] + random_solutions:
+        q = np.linspace(sol.A, sol.B, 102)[1:-1]
+        for piece in (sol.V, sol.V0, sol.V1):
+            for order, (k1, k2) in enumerate((
+                    (1.0, 1.0), (piece.p1, piece.p2),
+                    (piece.p1 * (piece.p1 - 1.0), piece.p2 * (piece.p2 - 1.0)))):
+                expected = k1 * piece.c1 * q ** (piece.p1 - order) \
+                    + k2 * piece.c2 * q ** (piece.p2 - order)
+                assert np.array_equal(piece(q, order), expected), (piece, order)
 
 
 # -- derivatives against finite differences of the values -----------------------

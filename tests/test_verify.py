@@ -11,6 +11,7 @@ from driftgame.verify import (
     _j1_samples,
     _log_reflected_controls,
     _ORACLE_SPECS,
+    _phi_b_end,
     _regressed,
     deviations_player1,
     deviations_player2,
@@ -105,7 +106,7 @@ def test_jhat_identity(sol):
     phi = 0.6
     cfg = _config(n_paths=6_000)
     pf1, pf0 = _pass(sol, phi, cfg)
-    j0, jhat = _j0_samples(sol, pf0)
+    j0, jhat = _j0_samples(sol, pf0, _phi_b_end(pf0))
     (j1,) = _j1_samples(sol, pf1)
     resid = (jhat - j0) - phi * j1
     se = resid.std(ddof=1) / math.sqrt(resid.size)
@@ -142,7 +143,7 @@ def test_controls_cut_every_stderr(sol):
     cfg = _config()
     for phi in ((sol.A + sol.B) / 2, sol.B):
         pf1, pf0 = _pass(sol, phi, cfg)
-        j0, jhat = _j0_samples(sol, pf0)
+        j0, jhat = _j0_samples(sol, pf0, _phi_b_end(pf0))
         (j1,) = _j1_samples(sol, pf1)
         reports = _suite(sol, phi, cfg)
         for name, samples, ratio in (("J0", j0, 0.15), ("J1", j1, 0.15),
@@ -160,7 +161,7 @@ def test_few_paths_fall_back_to_the_plain_estimate(sol, n_paths):
     cfg = _config(n_paths=n_paths, dt=1e-4, seed=0)
     reports = _suite(sol, 1.0, cfg)
     pf1, pf0 = _pass(sol, 1.0, cfg)
-    j0, jhat = _j0_samples(sol, pf0)
+    j0, jhat = _j0_samples(sol, pf0, _phi_b_end(pf0))
     (j1,) = _j1_samples(sol, pf1)
     for name, samples in (("J0", j0), ("J1", j1), ("Jhat", jhat)):
         plain = (float(samples.mean()),
