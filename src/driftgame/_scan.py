@@ -47,17 +47,17 @@ batch size, chunk length and helper split:
   those steps alone: a reflection's value before such a step is its value
   at M one step back, the log ratio at it is M itself, and each term takes
   the float operations that pricing every step would;
-- a Stieltjes sum starts from its time-zero value, and each chunk adds
-  its terms to it one by one in step order (np.add.at);
 - a control sum, one per exponent beta of betas, is priced from the
   reflection R of the stop barrier, which a measure with betas prices as
   one of its payoff barriers: it starts from e^{beta R_0} - 1 (R jumps
   from 0 to R_0 at t = 0) and adds e^{rate t}(e^{beta (R_k - R_{k-1})} - 1)
   where R grows, times e^{-R_{k-1}} (the 1 - Gamma before the step) for
-  a measure without the Phi weight; each chunk keeps its terms' slots,
-  log weights and steps of R, and the batch prices them all at its end,
-  in chunk order and so in step order; a measure without betas takes
-  none of its operations;
+  a measure without the Phi weight; a measure without betas takes none
+  of its operations;
+- each measure's Stieltjes and control sums are the rows of one table,
+  which starts from their time-zero values; each chunk prices both kinds
+  of row on the steps where a reflection grows and adds every term to
+  the table one by one in step order, with one np.add.at;
 - with a stride s the noise and the log ratio stay on the fine steps,
   and the maximum, reflection and stop read the columns of steps k with
   k % s == 0 alone, so every stride reads one path and a chunk that holds
@@ -151,7 +151,7 @@ def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
     z0 = math.log(job.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
     r_hit0 = max(0.0, z0 - job.z_hit)
-    r_pay0s = []
+    r0_cols = []
     for one, part in zip(job.measures, outs):
         r_pay0 = np.array([max(0.0, z0 - zp) for zp in one.z_pays])
         sti0 = np.array([(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
@@ -161,7 +161,7 @@ def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
         # a control sum's time-zero term: R jumps from 0 to r_hit0
         with np.errstate(over="ignore"):
             part.control_sums[:] = np.expm1(np.multiply(one.betas, r_hit0))[:, None]
-        r_pay0s.append(r_pay0)
+        r0_cols.append(r_pay0[:, None])
     if z0 - r_hit0 <= job.z_lo:   # every path stops at time zero
         for part in outs:
             part.tau[:] = 0.0
@@ -171,23 +171,23 @@ def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
     for first in range(0, outs[0].n_paths, BATCH_PATHS):
         _scan_batch(job, lo + first,
                     [slots(out, first, first + BATCH_PATHS) for out in outs],
-                    r_pay0s, scratch)
+                    (z0, r_hit0, r0_cols), scratch)
 
 
-def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
+def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
                 scratch: _ScanScratch) -> None:
     """scan_paths(job, lo, outs) as one batch, with outs' slots already
-    holding the time-zero reflections r_pay0s, Stieltjes sums and control
-    sums.
+    holding their time-zero values: start is (z0, r_hit0, r0_cols), the
+    log ratio, the hit barrier's reflection and each measure's column of
+    payoff reflections at t = 0.
 
     The batch has a row for each measure and path that have not stopped,
     measure by measure: bounds[i]:bounds[i + 1] are the rows of
     job.measures[i], ids their slots.  Each chunk draws the noise of every
     path with a row once, into a buffer, and copies it into every row.  A
     path is drawn until its last row has stopped."""
-    z0 = math.log(job.phi0)
+    z0, r_hit0, r0_cols = start
     z_hit, z_lo = job.z_hit, job.z_lo
-    r_hit0 = max(0.0, z0 - z_hit)
     c_noise, dt, stride = job.c_noise, job.dt, job.stride
     k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
     n = outs[0].n_paths
@@ -199,15 +199,15 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
     gens = slot_gens                      # the drawn paths' generators
     carry = np.zeros(ids.size)            # running sum of the increments
     top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
-    # each measure's Stieltjes sums (barrier, slot), flat at key b * n + slot
-    sums = [out.stieltjes.copy() for out in outs]
-    # a measure with betas prices its stop barrier, row stop_row of its
-    # z_pays, and keeps each chunk's control terms in terms: their slots,
-    # log weights and R_{k-1} - R_k, which the pricing step has
-    parts = [(one, out, np.array(one.z_pays)[:, None], r_pay0[:, None],
-              np.arange(len(one.z_pays))[:, None] * n, total.reshape(-1),
-              one.z_pays.index(z_hit) if one.betas else None, [])
-             for one, out, r_pay0, total in zip(job.measures, outs, r_pay0s, sums)]
+    # each measure's sum table: its Stieltjes rows, then its control rows,
+    # flat at key row * n + slot; a measure with betas prices its stop
+    # barrier, row stop_row of its z_pays
+    tables = [np.concatenate((out.stieltjes, out.control_sums)) for out in outs]
+    parts = [(one, out, np.array(one.z_pays)[:, None], r0_col,
+              np.arange(len(table))[:, None] * n, table.reshape(-1),
+              one.z_pays.index(z_hit) if one.betas else None,
+              -np.array(one.betas)[:, None])
+             for one, out, r0_col, table in zip(job.measures, outs, r0_cols, tables)]
 
     k = 0   # steps done
     while ids.size:
@@ -261,7 +261,7 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
             stopped, gone = ids[stop], ids[leave]
         stop_cuts = _cuts(stop, bounds)
         leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
-        for (one, out, z_col, r0_col, keys, total, stop_row, terms
+        for (one, out, z_col, r0_col, keys, table, stop_row, neg_betas
              ), a, b, s_a, s_b, l_a, l_b in zip(
                 parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
                 leave_cuts, leave_cuts[1:]):
@@ -297,16 +297,23 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
                 grows = rp > rp_prev
                 fall = rp_prev - rp
                 slot = ids[a:b][row]
-                # added to each key in step order
-                np.add.at(total, (keys + slot)[grows],
-                          np.exp(lw[grows]) * -np.expm1(fall[grows]))
+                key = (keys[:len(z_col)] + slot)[grows]
+                term = np.exp(lw[grows]) * -np.expm1(fall[grows])
                 if stop_row is not None:
-                    # the steps where the stop barrier's R grows; the log
-                    # weight is rate t, less R_{k-1} without the Phi weight
+                    # where the stop barrier's R grows, each control row
+                    # adds e^{rate t}[e^{-R_{k-1}}](e^{-beta fall} - 1): the
+                    # log weight is rate t, less R_{k-1} without the Phi
+                    # weight; a sum that overflows is inf, which the
+                    # estimator drops
                     up = grows[stop_row].nonzero()[0]
-                    terms.append((slot[up],
-                                  rate_t[up] if one.weight_phi else lw[stop_row, up],
-                                  fall[stop_row, up]))
+                    with np.errstate(over="ignore"):
+                        ctl = np.expm1(neg_betas * fall[stop_row, up]) * np.exp(
+                            rate_t[up] if one.weight_phi else lw[stop_row, up])
+                    key = np.concatenate((key, (keys[len(z_col):] + slot[up]).reshape(-1)))
+                    term = np.concatenate((term, ctl.reshape(-1)))
+                # added to each key in step order; flat keys, as np.add.at
+                # takes a 2-d index about 6x slower
+                np.add.at(table, key, term)
             if l_a < l_b:
                 out.tau[stopped[s_a:s_b]] = tau[s_a:s_b]
                 out.z_end[gone[l_a:l_b]] = z_end[l_a:l_b]
@@ -324,28 +331,9 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, r_pay0s: list,
         else:
             top = mx[:, -1].copy()
         k += m
-    for (one, out, *_, terms), total in zip(parts, sums):
-        out.stieltjes[:] = total
-        if terms:
-            out.control_sums[:] = _control_sums(
-                one.betas, out.control_sums, n, *map(np.concatenate, zip(*terms)))
-
-
-def _control_sums(betas: tuple, start: np.ndarray, n: int, slot: np.ndarray,
-                  log_weight: np.ndarray, fall: np.ndarray) -> np.ndarray:
-    """The control sums (exponent, slot) of a batch of n paths: start plus,
-    for each exponent beta, e^{log_weight}(e^{-beta fall} - 1) added at its
-    slot in the terms' order, which is step order.  A sum that overflows
-    is inf, which the estimator drops.  The keys and terms are flat: np.add.at
-    takes a 2-d index about 6x slower."""
-    total = start.copy()
-    terms = np.multiply(-np.array(betas)[:, None], fall)
-    with np.errstate(over="ignore"):
-        np.expm1(terms, out=terms)
-        terms *= np.exp(log_weight)
-    keys = np.arange(len(betas))[:, None] * n + slot
-    np.add.at(total.reshape(-1), keys.reshape(-1), terms.reshape(-1))
-    return total
+    for out, table in zip(outs, tables):
+        out.stieltjes[:] = table[:len(out.stieltjes)]
+        out.control_sums[:] = table[len(out.stieltjes):]
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:

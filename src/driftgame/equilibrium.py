@@ -440,13 +440,17 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     add("stopping-payoff-V0", np.max(np.abs(v0_stop - 1.0)), BOUNDARY_ATOL)
     add("stopping-payoff-V1", np.max(np.abs(v1_stop - 1.0)), BOUNDARY_ATOL)
 
-    # Reflection conditions at and above B (flat costs in phi).
+    # Reflection conditions at and above B (flat costs in phi).  V1'(B) is
+    # the difference of two terms p c B^(p - 1), as PowerPiece.inside forms
+    # them, that grow with 1 + eps: its bound scales with the larger one.
+    v1 = sol.V1
+    scale = max(abs(p * c * B ** (p - 1.0)) for c, p in ((v1.c1, v1.p1), (v1.c2, v1.p2)))
     add("reflection-smooth-V0",
         max(abs(sol.V0(B, 1)), np.max(np.abs(sol.V0(upper_grid, 1)))),
         BOUNDARY_ATOL)
     add("reflection-smooth-V1",
         max(abs(sol.V1(B, 1)), np.max(np.abs(sol.V1(upper_grid, 1)))),
-        BOUNDARY_ATOL)
+        BOUNDARY_ATOL * max(1.0, scale))
 
     # Boundary and smooth-fit conditions that pin down A, B and the
     # coefficients.

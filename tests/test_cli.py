@@ -586,3 +586,32 @@ def test_domain_probe_exit_codes(tmp_path, command):
         flags = [f for k, v in zip(PROBE_GRID, values) for f in (f"--{k}", repr(v))]
         codes.append(run(tmp_path, command, *flags)[0])
     assert set(codes) <= {0, 3, 4}
+
+
+# The probe sets where V1'(B) is the difference of two terms of 2.4e5 to
+# 8.1e6, so that its rounding alone (2.3e-10 to 9.3e-10) exceeds 1e-10.
+V1_SLOPE_SETS = {(-1e-3, 1, 1, 10), (-1e-3, 5, 1, 10), (-1e-3, 5, 10, 10),
+                 (-1e-3, 50, 1, 10), (-1e-3, 50, 10, 10)}
+
+
+def test_v1_slope_bound_scales_with_its_terms(tmp_path):
+    # reflection-smooth-V1 is bounded relative to the terms of V1'(B): the
+    # five sets solve (exit 0, every QVI condition passes), and every other
+    # probe set keeps the exit code and pass flags of the absolute 1e-10
+    seen = set()
+    for values in itertools.product(*PROBE_GRID.values()):
+        flags = [f for k, v in zip(PROBE_GRID, values) for f in (f"--{k}", repr(v))]
+        code, text = run(tmp_path, "solve", *flags)
+        if code == 3:   # no solution to check
+            continue
+        qvi = json.loads(text)["qvi"]
+        assert code == (0 if qvi["all_pass"] else 4)
+        absolute = [c["max_residual"] <= 1e-10 if c["name"] == "reflection-smooth-V1"
+                    else c["pass"] for c in qvi["conditions"]]
+        if values in V1_SLOPE_SETS:
+            seen.add(values)
+            assert qvi["all_pass"]
+            assert absolute.count(False) == 1
+        else:
+            assert absolute == [c["pass"] for c in qvi["conditions"]], values
+    assert seen == V1_SLOPE_SETS

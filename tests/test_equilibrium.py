@@ -372,8 +372,12 @@ def _check_qvi_whole_grid(sol, n_points=10_000):
     add("stopping-payoff-V1", np.max(np.abs(sol.V1(stop_grid) - 1.0)), BOUNDARY_ATOL)
     add("reflection-smooth-V0",
         max(abs(sol.V0(B, 1)), np.max(np.abs(sol.V0(upper_grid, 1)))), BOUNDARY_ATOL)
+    v1 = sol.V1
+    scale = max(abs(v1.p1 * v1.c1 * B ** (v1.p1 - 1.0)),
+                abs(v1.p2 * v1.c2 * B ** (v1.p2 - 1.0)))
     add("reflection-smooth-V1",
-        max(abs(sol.V1(B, 1)), np.max(np.abs(sol.V1(upper_grid, 1)))), BOUNDARY_ATOL)
+        max(abs(sol.V1(B, 1)), np.max(np.abs(sol.V1(upper_grid, 1)))),
+        BOUNDARY_ATOL * max(1.0, scale))
     add("boundary-V-at-A", abs(sol.V(A) - (1.0 + A)), BOUNDARY_ATOL)
     add("smooth-fit-V-at-A", abs(sol.V(A, 1) - 1.0), BOUNDARY_ATOL)
     add("boundary-V-slope-at-B", abs(sol.V(B, 1) - (1.0 + eps)), BOUNDARY_ATOL)

@@ -614,18 +614,21 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
     # The batched scan is bitwise equal to one pass per path and barrier,
     # control sums included: 300 paths (not a multiple of the batch), paths
     # of over 7168 steps (at dt 1e-5), a horizon of 3001 steps that ends
-    # inside a chunk and censors some paths, starts above B and at A, and
-    # paths from a nonzero offset scanned by scan_paths directly.
+    # inside a chunk and censors some paths, starts above B and at A,
+    # paths from a nonzero offset scanned by scan_paths directly, and a
+    # stop barrier that is not the first payoff barrier and comes twice.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
     n = 300
-    cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0),
-             (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000),
-             (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77),
-             (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5)]
-    for measure, weight_phi, phi0, dt, horizon, lo in cases:
+    cases = [(Measure.TILTED1, False, 0.6, 1e-5, 10.0, 0, barriers),
+             (Measure.TILTED1, True, 1.7 * sol.B, 1e-4, 0.3001, 1000, barriers),
+             (Measure.TILTED1, True, sol.A, 1e-4, 10.0, 77, barriers),
+             (Measure.TILTED0, True, 0.6, 1e-5, 10.0, 5, barriers),
+             (Measure.TILTED1, False, 0.6, 1e-4, 10.0, 3,
+              [0.75 * sol.B, sol.B, 1.5 * sol.B, sol.B])]
+    for measure, weight_phi, phi0, dt, horizon, lo, barriers in cases:
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
         got = scan.unscanned(n, len(barriers), len(BETAS))
