@@ -7,36 +7,36 @@ CPU (its affinity set, so taskset limits it), the pass forks one helper.
 Elsewhere it runs serially in driftgame._scan: fork is unsafe on macOS,
 and no other platform is tested.
 
-Before the fork the path range is cut into chunks of CHUNK_PATHS paths and
-every chunk's index is written into one pipe, the queue, as an 8-byte
-record.  Caller and helper each read one record at a time and scan that
-chunk with _scan.scan_paths, under every measure of the pass, until the
-queue is empty; a pipe read of a whole record already in the pipe is
-atomic, so each chunk is scanned once, and neither process waits on the
-other before its last chunk.  Each measure's slots come from
-_scan.unscanned laid out in an anonymous shared mapping, so the helper
-writes its paths in place.  Every path lands in its own slot, so the
-result is bit-identical to one scan in one process.  scan() returns a
+Before the fork the path range is cut into at most MAX_CHUNKS chunks of
+whole kernel batches, and every chunk's index is written into one pipe,
+the queue, as an 8-byte record.  Caller and helper each read one record
+at a time and scan that chunk with _scan.scan_paths, under every measure
+of the pass, until the queue is empty; a pipe read of a whole record
+already in the pipe is atomic, so each chunk is scanned once.  Each
+measure's slots come from _scan.unscanned laid out in an anonymous shared
+mapping, so the helper writes its paths in place, each in its own slot:
+the result is bit-identical to one scan in one process.  scan() returns a
 private heap copy of the slots: the mapping would stay shared with any
 process the caller forks later, which could then write into the result.
 
 The helper is a fork of the caller: it starts with the kernel imported and
 its scratch built, and shares the caller's memory copy on write.  It ignores
-SIGINT, so ^C reaches only the caller, closes every file descriptor it
-inherited but its two pipes, and ends within one chunk of the caller's
-death.  It reports only a failure, as a pickled exception on a
-second pipe; the caller re-raises it with its type, and a helper that dies
-is a RuntimeError.  The helper has ended and been reaped before scan()
-returns or raises.
+SIGINT, so ^C reaches only the caller, keeps no inherited file descriptor
+but the queue's read end, and ends within one chunk of the caller's death.
+It reports nothing but its exit status, 0 only if it scanned every chunk it
+took, and has been reaped before scan() returns or raises.  Where no pipe
+or process can be had, or the helper fails (it raises, or is killed), the
+caller scans the whole pass again in _scan.scan: the kernel is
+deterministic, so that gives what a serial run gives, its result or its
+exception.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import fcntl
 import mmap
 import os
-import pickle
+import select
 import signal
 import sys
 import warnings
@@ -46,9 +46,10 @@ import numpy as np
 from . import _scan
 from ._scan import PathFunctionals
 
-CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk
+CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk, at least
 
 _RECORD = np.dtype("<i8")   # one chunk index in the queue
+MAX_CHUNKS = select.PIPE_BUF // _RECORD.itemsize   # 512 on Linux
 
 
 def scan(job: _scan.ScanJob, n: int) -> tuple:
@@ -57,37 +58,32 @@ def scan(job: _scan.ScanJob, n: int) -> tuple:
     use a second CPU on Linux; the helper has ended on return."""
     if sys.platform != "linux" or _cpu_count() < 2:
         return _scan.scan(job, n)
-    _scan.scan_scratch(len(job.measures))   # built before the fork, for both processes
-    shared = tuple(_scan.unscanned(n, len(one.z_pays), len(one.betas),
-                                   lambda size: mmap.mmap(-1, size))
-                   for one in job.measures)
-    queue_r, queue_w = os.pipe()
-    os.set_blocking(queue_w, False)   # see _fill_queue
-    error_r, error_w = os.pipe()
-    open_fds = [queue_r, queue_w, error_r, error_w]
-
-    def close(fd: int) -> None:
-        open_fds.remove(fd)
-        os.close(fd)
-
-    helper, status = None, 0
+    try:
+        queue_r, queue_w = os.pipe()
+    except OSError:   # no descriptor to spare: scan in this process
+        return _scan.scan(job, n)
     try:
         chunk = _fill_queue(queue_w, n)
-        close(queue_w)
+    finally:
+        os.close(queue_w)
+    helper, status = None, 0
+    try:
+        _scan.scan_scratch(len(job.measures))   # built before the fork, for both
+        shared = tuple(_scan.unscanned(n, len(one.z_pays), len(one.betas),
+                                       lambda size: mmap.mmap(-1, size))
+                       for one in job.measures)
         caller = os.getpid()
         # SIGINT waits until the child ignores it and the caller holds its pid
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             helper = _fork()
             if helper == 0:
-                _serve(job, shared, chunk, queue_r, error_w, caller, mask)
+                _serve(job, shared, chunk, queue_r, caller, mask)
         except OSError:   # no process to spare: this one scans every chunk
             pass
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        close(error_w)
         _scan_queue(job, shared, chunk, queue_r)
-        error = _read_to_end(error_r)   # ends when the helper does
         if helper is not None:
             _, status = os.waitpid(helper, 0)
             helper = None
@@ -95,12 +91,9 @@ def scan(job: _scan.ScanJob, n: int) -> tuple:
         if helper is not None:
             os.kill(helper, signal.SIGKILL)
             os.waitpid(helper, 0)
-        for fd in open_fds:
-            os.close(fd)
-    if error:
-        raise pickle.loads(error)
-    if status:
-        raise RuntimeError("a Monte Carlo helper process died")
+        os.close(queue_r)
+    if status:   # some chunk the helper took may be unscanned
+        return _scan.scan(job, n)
     return tuple(PathFunctionals(*(getattr(pf, field.name).copy()
                                    for field in dataclasses.fields(PathFunctionals)))
                  for pf in shared)
@@ -114,17 +107,13 @@ def _cpu_count() -> int:
 
 def _fill_queue(queue_w: int, n: int) -> int:
     """Write the index of every chunk of the n paths into the empty queue
-    pipe, and return the paths per chunk: CHUNK_PATHS, or more where the
-    pipe cannot hold a record per chunk of CHUNK_PATHS.
+    pipe, and return the paths per chunk: CHUNK_PATHS, or the fewest whole
+    multiples of it that cut the n paths into at most MAX_CHUNKS chunks.
 
-    Nothing reads the pipe yet, so a write that found it full would wait
-    forever; queue_w is non-blocking, and such a write raises
-    BlockingIOError instead."""
-    records = fcntl.fcntl(queue_w, fcntl.F_GETPIPE_SZ) // _RECORD.itemsize
-    chunk = max(CHUNK_PATHS, -(-n // records))
-    view = memoryview(np.arange(-(-n // chunk), dtype=_RECORD).tobytes())
-    while view:   # the records fit in the pipe
-        view = view[os.write(queue_w, view):]
+    Nothing reads the pipe yet, so the records must fit in it: they are
+    one write of at most PIPE_BUF bytes, which an empty pipe takes whole."""
+    chunk = CHUNK_PATHS * -(-n // (CHUNK_PATHS * MAX_CHUNKS))
+    os.write(queue_w, np.arange(-(-n // chunk), dtype=_RECORD).tobytes())
     return chunk
 
 
@@ -147,28 +136,20 @@ def _fork() -> int:
 
 
 def _serve(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
-           error_w: int, caller: int, mask) -> None:
+           caller: int, mask) -> None:
     """The helper process: scan chunks from the queue until it is empty or
-    the caller has died, and write a pickled exception to error_w if the
-    scan raises.  Never returns into the caller's frames."""
+    the caller has died, and exit 0 if every chunk it took was scanned.
+    Never returns into the caller's frames."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # drops one pending
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # Other threads' pipes, stdio and sockets were copied in by the
         # fork; holding them would keep their readers from seeing EOF.
-        low = 0
-        for fd in sorted((queue_r, error_w)):
-            os.closerange(low, fd)
-            low = fd + 1
-        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
-        try:
-            _scan_queue(job, shared, chunk, queue_r, caller)
-            code = 0
-        except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-            view = memoryview(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-            while view:
-                view = view[os.write(error_w, view):]
+        os.closerange(0, queue_r)
+        os.closerange(queue_r + 1, os.sysconf("SC_OPEN_MAX"))
+        _scan_queue(job, shared, chunk, queue_r, caller)
+        code = 0
     finally:
         os._exit(code)
 
@@ -189,10 +170,3 @@ def _claim(queue_r: int) -> int | None:
     """The next chunk index in the queue; None once it is empty."""
     record = os.read(queue_r, _RECORD.itemsize)
     return int.from_bytes(record, "little") if record else None
-
-
-def _read_to_end(fd: int) -> bytes:
-    parts = []
-    while part := os.read(fd, 65536):
-        parts.append(part)
-    return b"".join(parts)

@@ -447,7 +447,9 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
-    bit-identical either way.
+    bit-identical either way.  A helper that fails leaves the pass to this
+    process, which scans it again alone, so the pass returns or raises
+    what a serial pass does.
     """
     specs = tuple(specs)
     if not specs:

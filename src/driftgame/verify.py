@@ -273,6 +273,19 @@ def _j1_samples(sol: EquilibriumSolution, pf: PathFunctionals) -> np.ndarray:
     return j1
 
 
+def _j1_brackets(sol: EquilibriumSolution, config: SimConfig,
+                 pf: PathFunctionals) -> list[float]:
+    """J1's censoring bracket for each payoff row of a tilted1 pass pf: a
+    censored path misses at most the martingale bound
+    (1+eps) e^{mu1 T}(1-Gamma_T), formed only on the censored paths:
+    e^{mu1 T} may overflow on the others."""
+    miss = np.zeros(pf.r_pay_end.shape)
+    miss[:, pf.censored] = (
+        (1.0 + sol.params.eps)
+        * np.exp(sol.params.mu1 * config.horizon - pf.r_pay_end[:, pf.censored]))
+    return [float(row.mean()) for row in miss]
+
+
 def oracle_report(sol: EquilibriumSolution, check: str, phi: float,
                   estimate: MCEstimate, oracle: float) -> dict:
     """One entry of the verifier's JSON report schema."""
@@ -331,19 +344,13 @@ def mc_oracle_suite(sol: EquilibriumSolution, phi: float,
     miss_hat = np.where(pf0.censored,
                         math.exp(sol.params.mu0 * config.horizon)
                         * (1.0 + (1.0 + eps) * phi_b_end), 0.0)
-    # and J1 misses at most the martingale bound (1+eps) e^{mu1 T}(1-Gamma_T),
-    # formed only on the censored paths: e^{mu1 T} may overflow on the others
-    miss1 = np.zeros(pf1.n_paths)
-    miss1[pf1.censored] = (
-        (1.0 + eps)
-        * np.exp(sol.params.mu1 * config.horizon - pf1.r_pay_end[0, pf1.censored]))
     return [
         oracle_report(sol, "J0", phi, _estimate(
             j0, sol, config, _j0_bracket(sol, config, pf0.censored),
             pf0.censored, controls0), sol.V0(phi)),
         oracle_report(sol, "J1", phi, _estimate(
-            j1, sol, config, float(miss1.mean()), pf1.censored, controls1),
-            sol.V1(phi)),
+            j1, sol, config, _j1_brackets(sol, config, pf1)[0], pf1.censored,
+            controls1), sol.V1(phi)),
         oracle_report(sol, "Jhat", phi, _estimate(
             jhat, sol, config, float(miss_hat.mean()), pf0.censored, controls0),
             sol.V(phi)),
@@ -421,11 +428,14 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     once and prices the equilibrium B and every B' on its tilted1 measure
     (common random numbers), so the comparison is paired: a deviation
     passes when its estimated cost is no more than SIGMA_LEVEL paired
-    standard errors plus the paired grid-bias budget below the equilibrium
-    cost.  Time-zero jump strategies for the low-regime control are
-    evaluated in closed form from the J0 samples of the same pass's
-    tilted0 measure, on the same paths:
-    J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p.
+    standard errors plus the paired grid-bias budget plus its censoring
+    bracket (_j1_brackets: what its censored paths may miss) below the
+    equilibrium cost.  Time-zero jump strategies for the low-regime
+    control are evaluated in closed form from the J0 samples of the same
+    pass's tilted0 measure, on the same paths:
+    J0(tau, jump p) = (1-p) E[e^{mu0 tau}] + (1+eps) p; they need no
+    bracket, as a censored path's J0 sample of 0 can only raise their
+    difference.
     """
     _require(config)
     bprimes = [float(bp) for bp in np.asarray(Bprime_grid, dtype=float)]
@@ -446,10 +456,11 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     j1 = _j1_samples(sol, pf1)
     j1_eq = j1[0]
     eq_mean = float(j1_eq.mean())
-    for bp, j1_dev in zip(bprimes, j1[1:]):
+    brackets = _j1_brackets(sol, config, pf1)
+    for bp, j1_dev, bracket in zip(bprimes, j1[1:], brackets[1:]):
         diff = j1_dev - j1_eq
         se = float(diff.std(ddof=1) / math.sqrt(diff.size))
-        tol = SIGMA_LEVEL * se + pair_bias
+        tol = SIGMA_LEVEL * se + pair_bias + bracket
         rows.append(DeviationRow(
             kind="player2-barrier", parameter=bp, phi=phi,
             equilibrium=eq_mean, deviation=float(j1_dev.mean()), stderr=se,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -187,6 +188,30 @@ def test_helper_process_does_not_change_output(capsys, helper_switch, command):
     assert helper_switch.helper_chunks >= 1
     assert helper_switch.all_ended()
     assert outputs[0] == outputs[1]
+
+
+def test_killed_helper_leaves_mc_to_the_caller(capsys, monkeypatch, helper_switch):
+    # A helper killed on its first chunk leaves its pass to the caller,
+    # which scans it again: exit 0 and the stdout of a run without helper
+    import driftgame._scan as scan
+
+    helper_switch.set(False)
+    argv = ["mc", "--paths", "2048", "--dt", "1e-3"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    caller, real_scan = os.getpid(), scan.scan_paths
+
+    def killed_helper(job, lo, out):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_scan(job, lo, out)
+
+    monkeypatch.setattr(scan, "scan_paths", killed_helper)
+    helper_switch.set(True)
+    assert main(argv) == 0
+    assert helper_switch.helper_chunks >= 1
+    assert helper_switch.all_ended()
+    assert capsys.readouterr().out == serial
 
 
 def _python_env():

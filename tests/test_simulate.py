@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import io
 import math
+import mmap
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -917,92 +920,123 @@ def test_stacked_pass_refuses_measures_of_other_paths(base_params):
         stacked_path_functionals(base_params, 0.6, sol.A, sol.B, cfg, ())
 
 
-def test_helper_failures_reach_the_caller(monkeypatch, helper_switch):
-    # The caller's own chunks are faked, so the helper scans the real ones.
-    # An exception in the helper is raised in the caller with its type; a
-    # helper that dies is an error, not a wait for results that never come.
+def _one_barrier_job(seed=5):
+    """A one-measure ScanJob of 1000 steps whose paths a test can scan."""
+    import driftgame._scan as scan
+
+    return scan.ScanJob(
+        seed=seed, phi0=0.6, c_noise=0.1, k_max=1000, dt=1e-3, z_hit=0.0, z_lo=-1.0,
+        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.5, weight_phi=False,
+                                   z_pays=(-0.2,)),))
+
+
+def _assert_same_bits(got, want):
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
+                              equal_nan=True), field.name
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_failed_helper_leaves_its_pass_to_the_caller(monkeypatch, helper_switch,
+                                                      failure):
+    # The helper fails on the chunk it takes, by raising or by exiting
+    # with a non-zero status; the caller scans the whole pass again and
+    # returns the serial bits, not the helper's unscanned slots.
     import driftgame._scan as scan
     import driftgame._spread as spread
 
-    helper_switch.set(True)
+    job = _one_barrier_job()
+    (serial,) = scan.scan(job, 300)
     caller, real_scan = os.getpid(), scan.scan_paths
 
-    def scan_in_helper(helper_scan):
-        return lambda job, lo, out: (None if os.getpid() == caller
-                                     else helper_scan(job, lo, out))
+    def failing_helper(job, lo, out):
+        if os.getpid() == caller:
+            return real_scan(job, lo, out)
+        if failure == "exit":
+            os._exit(3)
+        raise ValueError("the helper failed")
 
-    bad_seed = scan.ScanJob(
-        seed=2**64, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0, z_lo=-1.0,
-        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False,
-                                   z_pays=(0.0,)),))
-    monkeypatch.setattr(scan, "scan_paths", scan_in_helper(real_scan))
+    helper_switch.set(True)
+    monkeypatch.setattr(scan, "scan_paths", failing_helper)
+    (split,) = spread.scan(job, 300)
+    assert helper_switch.helper_chunks >= 1
+    assert helper_switch.all_ended()
+    _assert_same_bits(split, serial)
+
+
+def test_bad_seed_raises_in_every_process(helper_switch):
+    # A pass whose seed the kernel refuses fails in both processes; the
+    # caller raises the kernel's own ValueError, as a serial pass does.
+    import driftgame._spread as spread
+
+    helper_switch.set(True)
     with pytest.raises(ValueError, match="outside"):
-        spread.scan(bad_seed, 300)
+        spread.scan(_one_barrier_job(seed=2**64), 300)
     assert helper_switch.helper_chunks >= 1
-    monkeypatch.setattr(scan, "scan_paths",
-                        scan_in_helper(lambda job, lo, out: os._exit(3)))
-    with pytest.raises(RuntimeError, match="died"):
-        spread.scan(bad_seed._replace(seed=1), 300)
-    assert helper_switch.helper_chunks >= 1
-    assert len(helper_switch.helpers) == 2
+    assert len(helper_switch.helpers) == 1
     assert helper_switch.all_ended()
 
 
 def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
-    # Where no helper can be forked, the caller scans every chunk itself.
+    # Where no helper can be forked, or no queue pipe opened (EMFILE), the
+    # caller scans every chunk itself.
     import driftgame._scan as scan
     import driftgame._spread as spread
 
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
-    job = scan.ScanJob(
-        seed=5, phi0=0.6, c_noise=0.1, k_max=1000, dt=1e-3, z_hit=0.0, z_lo=-1.0,
-        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.5, weight_phi=False,
-                                   z_pays=(-0.2,)),))
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    job = _one_barrier_job()
     (serial,) = scan.scan(job, 300)
     helper_switch.set(True)
     monkeypatch.setattr(spread, "_fork", no_fork)
     (split,) = spread.scan(job, 300)
-    for field in dataclasses.fields(serial):
-        assert np.array_equal(getattr(split, field.name),
-                              getattr(serial, field.name), equal_nan=True)
+    _assert_same_bits(split, serial)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    (split,) = spread.scan(job, 300)
+    _assert_same_bits(split, serial)
     assert not helper_switch.helpers
 
 
 def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
     # The fork copies every descriptor of the caller, such as the pipes of
     # a split pass another thread is setting up.  The helper closes all but
-    # its own two, so no reader of those waits on it for an end of file.
+    # its queue's read end, so no reader of those waits on it for an end of
+    # file.  It counts what it holds into memory shared with the caller.
     import driftgame._scan as scan
     import driftgame._spread as spread
 
     caller, real_scan = os.getpid(), scan.scan_paths
+    held = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     read_end, write_end = os.pipe()
 
-    def scan_checking_descriptors(job, lo, out):
+    def scan_counting_descriptors(job, lo, out):
         if os.getpid() != caller:
-            try:
-                os.fstat(write_end)
-            except OSError:
-                pass
-            else:
-                raise ValueError("the helper holds a descriptor of its caller")
+            listed = [int(fd) for fd in os.listdir("/proc/self/fd")]
+            held[0] = sum(_is_open(fd) for fd in listed)   # not listdir's own
         real_scan(job, lo, out)
 
-    job = scan.ScanJob(
-        seed=5, phi0=0.6, c_noise=0.1, k_max=1000, dt=1e-3, z_hit=0.0, z_lo=-1.0,
-        measures=(scan.ScanMeasure(c_drift=0.0, rate=0.5, weight_phi=False,
-                                   z_pays=(-0.2,)),))
     helper_switch.set(True)
-    monkeypatch.setattr(scan, "scan_paths", scan_checking_descriptors)
+    monkeypatch.setattr(scan, "scan_paths", scan_counting_descriptors)
     try:
-        spread.scan(job, 300)
+        spread.scan(_one_barrier_job(), 300)
     finally:
         os.close(read_end)
         os.close(write_end)
     assert helper_switch.helper_chunks >= 1
     assert helper_switch.all_ended()
+    assert held[0] == 1
+
+
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
 
 
 def test_split_passes_in_two_threads(base_params, monkeypatch, helper_switch):
@@ -1088,8 +1122,8 @@ def test_no_payoff_barrier_keeps_the_stop(base_params, monkeypatch, helper_switc
 
 def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
     # With one-path chunks, 9000 chunk records (72 000 bytes) are more than
-    # a 64 KiB pipe holds: the chunks grow until their records fit, and the
-    # split pass still gives the serial bits.
+    # one PIPE_BUF write of the queue holds: the chunks grow until their
+    # records fit, and the split pass still gives the serial bits.
     import driftgame._spread as spread
 
     real_fill, chunk_sizes = spread._fill_queue, []
@@ -1126,46 +1160,33 @@ def _child_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-# A split pass whose queue needs twice the records its pipe holds, because
-# F_GETPIPE_SZ reports four times the pipe's real size: it prints "raised"
-# on BlockingIOError, and whether every descriptor it opened was closed.
-_MISCOUNTED_QUEUE = """
-import fcntl, os, types
-import driftgame._scan as scan
-import driftgame._spread as spread
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2500, 131_071, 131_072, 131_073,
+                               140_000, 10**6, 10**9 - 1, 10**9])
+def test_queue_is_one_write_of_whole_batches(n):
+    # Nothing reads the queue while it is filled, so its records must fit
+    # in one write that an empty pipe takes whole: at most PIPE_BUF bytes.
+    # The chunks are the fewest whole batches that keep to that, and they
+    # cover the n paths, every index once.
+    import driftgame._spread as spread
 
-def fcntl_4x(fd, cmd, *args):
-    size = fcntl.fcntl(fd, cmd, *args)
-    return 4 * size if cmd == fcntl.F_GETPIPE_SZ else size
-
-read_end, write_end = os.pipe()
-records = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 8
-os.close(read_end)
-os.close(write_end)
-spread.fcntl = types.SimpleNamespace(fcntl=fcntl_4x, F_GETPIPE_SZ=fcntl.F_GETPIPE_SZ)
-spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
-one = scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False, z_pays=())
-job = scan.ScanJob(seed=1, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0,
-                   z_lo=-1.0, measures=(one,))
-before = os.listdir("/proc/self/fd")
-try:
-    spread.scan(job, 2 * records)
-except BlockingIOError:
-    print("raised", os.listdir("/proc/self/fd") == before)
-"""
+    read_end, write_end = os.pipe()
+    try:
+        chunk = spread._fill_queue(write_end, n)
+        data = os.read(read_end, select.PIPE_BUF + 1)   # all one write put there
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    most = select.PIPE_BUF // 8
+    assert len(data) <= select.PIPE_BUF
+    assert chunk % spread.CHUNK_PATHS == 0
+    assert (chunk == spread.CHUNK_PATHS) == (n <= most * spread.CHUNK_PATHS)
+    assert chunk == spread.CHUNK_PATHS or -(-n // (chunk - spread.CHUNK_PATHS)) > most
+    count = len(data) // 8
+    assert np.array_equal(np.frombuffer(data, "<i8"), np.arange(count))
+    assert (count - 1) * chunk < n <= count * chunk
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
-def test_overfull_queue_raises_instead_of_waiting():
-    # Nothing reads the queue while it is filled, so a write to a full pipe
-    # would wait forever; it raises, and the pass closes its pipes.
-    proc = subprocess.run([sys.executable, "-c", _MISCOUNTED_QUEUE], env=_child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "True"]
-
-
-# A caller whose pass of 4000 one-path chunks takes about 20 s: it prints
+# A caller whose pass of 500 eight-path chunks takes about 20 s: it prints
 # its helper's pid when it forks it, and "reaped" at exit if no helper is
 # left to reap.
 _SLOW_CALLER = """
@@ -1183,7 +1204,7 @@ def fork():
     return pid
 
 def slow_scan(job, lo, out):
-    time.sleep(0.01)
+    time.sleep(0.08)
     real_scan(job, lo, out)
 
 @atexit.register

@@ -237,6 +237,32 @@ def test_player2_barrier_deviations(sol):
     assert kinds == {"player2-barrier", "player2-jump0"}
 
 
+def test_player2_barrier_rows_bracket_censored_paths(sol):
+    # At a horizon that censors most paths, a censored path misses up to
+    # (1+eps) e^{mu1 T}(1 - Gamma_T) of a reflection's cost, which each
+    # barrier row adds to its tolerance, as mc's J1 adds it to its bias
+    # bound; without paths censored the bracket is 0.
+    import driftgame.verify as verify
+
+    bprimes = [m * sol.B for m in (1.25, 1.5, 2.0)]
+    for horizon in (0.05, 50.0):
+        cfg = _config(n_paths=2_000, dt=1e-3, seed=0, horizon=horizon)
+        report = deviations_player2(sol, bprimes, sol.B / 2, cfg, jump_probs=())
+        assert report.all_pass, report.as_dicts()
+        (pf1,) = stacked_path_functionals(
+            sol.params, sol.B / 2, sol.A, sol.B, cfg,
+            (verify.MeasureSpec(Measure.TILTED1, payoff_barriers=bprimes),))
+        assert pf1.censored.any() == (horizon < 1.0)
+        pair_bias = verify.PAIR_BIAS_COEFF * sol.omega * math.sqrt(cfg.dt)
+        for row, r_end in zip(report.rows, pf1.r_pay_end):
+            miss = np.where(pf1.censored, (1.0 + sol.params.eps)
+                            * np.exp(sol.params.mu1 * horizon - r_end), 0.0)
+            assert row.tolerance == pytest.approx(
+                verify.SIGMA_LEVEL * row.stderr + pair_bias + miss.mean(),
+                rel=1e-12, abs=1e-15)
+            assert (row.tolerance > 0.3) == (horizon < 1.0)
+
+
 def test_player2_jump_strategies(sol):
     cfg = _config(n_paths=2_000)
     report = deviations_player2(sol, [], 0.6, cfg, jump_probs=(0.5, 1.0))
