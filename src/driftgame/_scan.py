@@ -1,8 +1,8 @@
 """The Monte Carlo kernel: one pass of simulate.stacked_path_functionals.
 
 This module owns how a pass runs: its job (a ScanJob), the per-path
-generators (_StreamPool), the output slots (unscanned) and the batched
-scan (scan_paths).  stacked_path_functionals builds the job, with a
+generators (_StreamPool), the output slots (unscanned) and the lane scan
+(scan_paths).  stacked_path_functionals builds the job, with a
 ScanMeasure for each MeasureSpec, from the pass's one SimConfig and its
 thresholds, and hands it to scan() here, or to driftgame._spread from
 1024 paths up.  It imports this module on its first pass, so that
@@ -13,26 +13,33 @@ from its own substream whatever the measure, and the measures' log ratios
 differ only in their drift, so the job holds once what they share: seed,
 phi0, c_noise, the grid, z_hit, z_lo and stride; each ScanMeasure holds
 its own c_drift, rate, weight_phi, z_pays and betas.  simulate works these
-out from each measure, so the kernel knows no model.  A batch holds a row
-for each (measure, path).
+out from each measure, so the kernel knows no model.
 
-scan_paths steps batches of BATCH_PATHS paths, one row per measure and
-path, together through the whole horizon in chunks of min(steps left,
-CHUNK_CELLS // drawn paths) steps (96 for a full batch), each chunk one
-numpy call per operation over every live row (or every live row of one
-measure), and a row leaves the batch at its stop.  A path is drawn while
-it has a live row, so a second measure adds rows to a chunk but not
-chunks to a path.  Every sum is taken in step order, so the result is
-bit-identical to scanning each path alone under each measure, for any
-batch size, chunk length and helper split:
+scan_paths keeps a fixed set of lanes (LANES, fewer for a stride longer
+than CHUNK_STEPS).  A lane holds one path at a time, with a row for each
+measure and its own count of steps done, and every lane steps together
+in chunks of at most CHUNK_STEPS steps, each chunk one numpy call per
+operation over every live row (or every live row of one measure).  A row
+leaves at its stop, and when a path's last row has left, its lane takes
+the next path, with its generator (the pool slot of the lane) rekeyed to
+that path.  So chunks stay full until the paths run out, and only the
+last chunks of a scan thin.  A path is drawn while it has a live row, so
+a second measure adds rows to a chunk but not chunks to a path.  Every
+sum is taken in step order, so the result is bit-identical to scanning
+each path alone under each measure, for any lane count, chunk length and
+helper split:
 
 - a path's noise is drawn from its own substream a chunk at a time, which
   is the sequence one draw of the whole path gives;
 - one draw of a path feeds the rows of every measure: a chunk draws each
-  path with a row once into one buffer and fills every row from it with
+  lane with a row once into one buffer and fills every row from it with
   one np.take, each row scales the same normals by the shared c_noise and
   adds its measure's drift, as a pass of that measure alone would, and
   the path's draws end within one chunk of its last measure's stop;
+- a chunk is a whole number of strides long and runs past the horizon of
+  no row, so every row reads the same columns of the chunk as its grid
+  points, and a row's own step count enters only the integer step index
+  of its stop and its discount, rate dt (k + column);
 - the log ratio is z0 plus the running sum of the increments: a cumsum
   that carries the sum so far into the chunk's first element, with z0
   added after it, as simulate._levels forms the full grid's log level;
@@ -55,21 +62,20 @@ batch size, chunk length and helper split:
   a measure without the Phi weight; a measure without betas takes none
   of its operations;
 - each measure's Stieltjes and control sums are the rows of one table,
-  which starts from their time-zero values; each chunk prices both kinds
-  of row on the steps where a reflection grows and adds every term to
-  the table one by one in step order, with one np.add.at;
+  which unscanned starts at their time-zero values; each chunk prices
+  both kinds of row on the steps where a reflection grows and adds every
+  term to the table in place, one by one in step order, with one
+  np.add.at;
 - with a stride s the noise and the log ratio stay on the fine steps,
   and the maximum, reflection and stop read the columns of steps k with
-  k % s == 0 alone, so every stride reads one path and a chunk that holds
-  no such step only carries the log ratio forward.
+  k % s == 0 alone, so every stride reads one path.
 
-Each path lands in its own slot, so ranges of a pass's paths may be
-scanned anywhere, in any order, into views of one set of slots (slots()).
+Each path lands in its own slot, so a pass's paths may be scanned
+anywhere, in any order, into one set of slots, by several scans at once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from typing import NamedTuple
@@ -78,8 +84,8 @@ import numpy as np
 
 from .simulate import ROLE_PATH_NOISE, PathFunctionals
 
-BATCH_PATHS = 256     # paths scanned together
-CHUNK_CELLS = 24576   # drawn paths x steps of a chunk at most; >= BATCH_PATHS
+LANES = 192         # paths scanned together
+CHUNK_STEPS = 192   # steps of a chunk at most, unless one stride is longer
 
 
 class ScanMeasure(NamedTuple):
@@ -111,156 +117,192 @@ class ScanJob(NamedTuple):
     stride: int = 1      # the stop is tested on steps k with k % stride == 0
 
 
-def unscanned(n: int, n_barriers: int, n_controls: int = 0,
-              alloc=bytearray) -> PathFunctionals:
-    """Slots for n paths, n_barriers payoff barriers and n_controls control
-    exponents, ready for scan_paths: tau and z_end NaN.  Every field is a
-    view of one buffer of alloc(size in bytes): the heap by default, or
-    for example a shared mapping that a forked process writes in place."""
-    # tau, z_end, then r_pay_end, stieltjes, control_sums
-    rows = 2 + 2 * n_barriers + n_controls
-    floats = np.ndarray((rows, n), np.float64, alloc(rows * n * 8))
-    floats[:2] = np.nan
-    return PathFunctionals(tau=floats[0],
-                           r_pay_end=floats[2:2 + n_barriers],
-                           stieltjes=floats[2 + n_barriers:2 + 2 * n_barriers],
-                           z_end=floats[1],
-                           control_sums=floats[2 + 2 * n_barriers:])
+def unscanned(job: ScanJob, n: int, alloc=bytearray) -> tuple:
+    """Slots for paths 0..n-1 of job's pass, a PathFunctionals per measure,
+    ready for scan_paths: every path at its time-zero state, tau and z_end
+    NaN, r_pay_end each payoff barrier's reflection at t = 0 and every sum
+    its time-zero term.  Each measure's fields are views of one buffer of
+    alloc(size in bytes): the heap by default, or for example a shared
+    mapping that a forked process writes in place."""
+    z0 = math.log(job.phi0)
+    # every path starts from the same state, including Gamma's jump at t = 0
+    r_hit0 = max(0.0, z0 - job.z_hit)
+    outs = []
+    for one in job.measures:
+        n_pays, n_controls = len(one.z_pays), len(one.betas)
+        # tau, z_end, then r_pay_end, stieltjes, control_sums
+        rows = 2 + 2 * n_pays + n_controls
+        floats = np.ndarray((rows, n), np.float64, alloc(rows * n * 8))
+        floats[:2] = np.nan
+        r_pay0 = _reflections0(job, one)
+        sti0 = [(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r) for r in r_pay0]
+        floats[2:2 + 2 * n_pays] = np.array(r_pay0 + sti0)[:, None]
+        # a control sum's time-zero term: R jumps from 0 to r_hit0
+        with np.errstate(over="ignore"):
+            floats[2 + 2 * n_pays:] = np.expm1(np.multiply(one.betas, r_hit0))[:, None]
+        outs.append(PathFunctionals(tau=floats[0],
+                                    r_pay_end=floats[2:2 + n_pays],
+                                    stieltjes=floats[2 + n_pays:2 + 2 * n_pays],
+                                    z_end=floats[1],
+                                    control_sums=floats[2 + 2 * n_pays:]))
+    return tuple(outs)
 
 
-def slots(out: PathFunctionals, lo: int, hi: int) -> PathFunctionals:
-    """Views of out's slots lo..hi-1 (hi is clipped to the path count)."""
-    return PathFunctionals(**{field.name: getattr(out, field.name)[..., lo:hi]
-                              for field in dataclasses.fields(PathFunctionals)})
+def _reflections0(job: ScanJob, one: ScanMeasure) -> list:
+    """The reflections of one's payoff barriers at t = 0, where a start
+    above a barrier reflects at once."""
+    z0 = math.log(job.phi0)
+    return [max(0.0, z0 - zp) for zp in one.z_pays]
+
+
+def _sum_table(out: PathFunctionals) -> np.ndarray:
+    """The Stieltjes rows, then the control rows, of slots from unscanned,
+    as one flat view at key row * n + slot: they are the last rows of its
+    one buffer, so a chunk adds to them in place."""
+    floats = out.tau.base   # unscanned's (rows, n) array
+    return floats[2 + len(out.r_pay_end):].reshape(-1)
 
 
 def scan(job: ScanJob, n: int) -> tuple:
     """Paths 0..n-1 of a pass, scanned in this process under each measure
     of its job: slots from unscanned, one per measure."""
-    outs = tuple(unscanned(n, len(one.z_pays), len(one.betas))
-                 for one in job.measures)
-    scan_paths(job, 0, outs)
+    outs = unscanned(job, n)
+    scan_paths(job, outs, range(n))
     return outs
 
 
-def scan_paths(job: ScanJob, lo: int, outs: tuple) -> None:
-    """Scan paths lo, lo + 1, ... into the slots of outs, one path per slot:
-    job is the ScanJob of a pass and outs a tuple of slots (from unscanned,
-    or views of such slots), one per measure of the job.  Any order of the
-    measures gives the same bits."""
+def _geometry(job: ScanJob) -> tuple:
+    """(lanes, steps) of job's chunks: steps whole strides, CHUNK_STEPS at
+    most unless one stride is longer, and then fewer lanes, so that a
+    chunk has at most LANES * CHUNK_STEPS steps per measure, or one lane."""
+    steps = job.stride * max(1, CHUNK_STEPS // job.stride)
+    return min(LANES, max(1, LANES * CHUNK_STEPS // steps)), steps
+
+
+def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
+    """Scan each path of paths, an iterable of path indices, into its slot
+    of outs, path p into slot p: job is the ScanJob of a pass and outs its
+    slots from unscanned, one per measure of the job.  A path is taken
+    from paths only when a lane is free for it.  Any order of the
+    measures gives the same bits.
+
+    Lane j of measure i is row i * lanes + j of the row arrays; the live
+    rows, in that order, are the rows of a chunk, so bounds[i]:bounds[i +
+    1] are those of job.measures[i].  Each chunk draws the noise of every
+    lane with a live row once, into a buffer, and copies it into every
+    row.  A path is drawn until its last row has stopped."""
     z0 = math.log(job.phi0)
-    # every path starts from the same state, including Gamma's jump at t = 0
     r_hit0 = max(0.0, z0 - job.z_hit)
-    r0_cols = []
-    for one, part in zip(job.measures, outs):
-        r_pay0 = np.array([max(0.0, z0 - zp) for zp in one.z_pays])
-        sti0 = np.array([(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r)
-                         for r in r_pay0.tolist()])
-        part.r_pay_end[:] = r_pay0[:, None]
-        part.stieltjes[:] = sti0[:, None]
-        # a control sum's time-zero term: R jumps from 0 to r_hit0
-        with np.errstate(over="ignore"):
-            part.control_sums[:] = np.expm1(np.multiply(one.betas, r_hit0))[:, None]
-        r0_cols.append(r_pay0[:, None])
+    paths = iter(paths)
     if z0 - r_hit0 <= job.z_lo:   # every path stops at time zero
-        for part in outs:
-            part.tau[:] = 0.0
-            part.z_end[:] = z0
+        taken = np.fromiter(paths, np.intp)
+        for out in outs:
+            out.tau[taken] = 0.0
+            out.z_end[taken] = z0
         return
-    scratch = scan_scratch(len(job.measures))
-    for first in range(0, outs[0].n_paths, BATCH_PATHS):
-        _scan_batch(job, lo + first,
-                    [slots(out, first, first + BATCH_PATHS) for out in outs],
-                    (z0, r_hit0, r0_cols), scratch)
-
-
-def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
-                scratch: _ScanScratch) -> None:
-    """scan_paths(job, lo, outs) as one batch, with outs' slots already
-    holding their time-zero values: start is (z0, r_hit0, r0_cols), the
-    log ratio, the hit barrier's reflection and each measure's column of
-    payoff reflections at t = 0.
-
-    The batch has a row for each measure and path that have not stopped,
-    measure by measure: bounds[i]:bounds[i + 1] are the rows of
-    job.measures[i], ids their slots.  Each chunk draws the noise of every
-    path with a row once, into a buffer, and copies it into every row.  A
-    path is drawn until its last row has stopped."""
-    z0, r_hit0, r0_cols = start
     z_hit, z_lo = job.z_hit, job.z_lo
     c_noise, dt, stride = job.c_noise, job.dt, job.stride
     k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
-    n = outs[0].n_paths
-    slot_gens = [scratch.pool.reset(job.seed, lo + p, ROLE_PATH_NOISE, p)
-                 for p in range(n)]
-    ids = np.tile(np.arange(n), len(job.measures))   # the live rows' slots in outs
-    bounds = [i * n for i in range(len(job.measures) + 1)]
-    paths, copies = _draws(ids, n)
-    gens = slot_gens                      # the drawn paths' generators
-    carry = np.zeros(ids.size)            # running sum of the increments
-    top = np.full(ids.size, -np.inf)      # running maximum of the log ratio
+    lanes, steps = _geometry(job)
+    scratch = scan_scratch(job)
+    n, n_measures = outs[0].n_paths, len(job.measures)
+    live = np.zeros(n_measures * lanes, dtype=bool)   # rows whose path has not left them
+    carry = np.empty(n_measures * lanes)   # running sum of a row's increments
+    top = np.empty(n_measures * lanes)     # running maximum of a row's log ratio
+    lane_path = np.full(lanes, -1)         # the path a lane holds; -1: none
+    lane_k = np.zeros(lanes, dtype=np.intp)   # steps its path has done
+    lane_gens = [None] * lanes
+    cuts = [i * lanes for i in range(1, n_measures)]
     # each measure's sum table: its Stieltjes rows, then its control rows,
     # flat at key row * n + slot; a measure with betas prices its stop
     # barrier, row stop_row of its z_pays
-    tables = [np.concatenate((out.stieltjes, out.control_sums)) for out in outs]
-    parts = [(one, out, np.array(one.z_pays)[:, None], r0_col,
-              np.arange(len(table))[:, None] * n, table.reshape(-1),
-              one.z_pays.index(z_hit) if one.betas else None,
-              -np.array(one.betas)[:, None])
-             for one, out, r0_col, table in zip(job.measures, outs, r0_cols, tables)]
-
-    k = 0   # steps done
-    while ids.size:
-        live = ids.size
-        m = min(k_max - k, CHUNK_CELLS // paths.size)
-        zb = scratch.floats[0][:live * m].reshape(live, m)
-        drawn = scratch.floats[2][:paths.size * m].reshape(paths.size, m)
+    parts = []
+    for one, out in zip(job.measures, outs):
+        table = _sum_table(out)
+        parts.append((one, out, np.array(one.z_pays)[:, None],
+                      np.array(_reflections0(job, one))[:, None],
+                      np.arange(table.size // n)[:, None] * n, table,
+                      one.z_pays.index(z_hit) if one.betas else None,
+                      -np.array(one.betas)[:, None]))
+    free, more = np.arange(lanes), True   # lanes without a path; paths left
+    while True:
+        if free.size and more:
+            filled, taken = [], []
+            for lane in free.tolist():
+                path = next(paths, None)
+                if path is None:
+                    more = False
+                    break
+                lane_gens[lane] = scratch.pool.reset(job.seed, path, ROLE_PATH_NOISE, lane)
+                filled.append(lane)
+                taken.append(path)
+            if filled:
+                lane_path[filled] = taken
+                lane_k[filled] = 0
+                for array, value in ((live, True), (carry, 0.0), (top, -np.inf)):
+                    array.reshape(n_measures, lanes)[:, filled] = value
+        rows = live.nonzero()[0]
+        if not rows.size:
+            return
+        lane = rows % lanes
+        active = (lane_path >= 0).nonzero()[0]   # the lanes a chunk draws
+        if active.size == lanes:
+            copies, gens = lane, lane_gens
+        else:
+            at = np.empty(lanes, dtype=np.intp)
+            at[active] = np.arange(active.size)
+            copies, gens = at[lane], [lane_gens[j] for j in active.tolist()]
+        bounds = [0, *np.searchsorted(rows, cuts).tolist(), rows.size]
+        k_row = lane_k[lane]
+        oldest = int(k_row.max())
+        n_rows = rows.size
+        m = min(steps, k_max - oldest)
+        zb = scratch.floats[0][:n_rows * m].reshape(n_rows, m)
+        drawn = scratch.floats[2][:active.size * m].reshape(active.size, m)
         for gen, row in zip(gens, drawn):
             gen.standard_normal(out=row)
         drawn *= c_noise
         np.take(drawn, copies, axis=0, out=zb, mode="clip")
         for one, a, b in zip(job.measures, bounds, bounds[1:]):
             zb[a:b] += one.c_drift
-        zb[:, 0] += carry
+        zb[:, 0] += carry[rows]
         np.cumsum(zb, axis=1, out=zb)
-        carry = zb[:, -1].copy()
+        carry[rows] = zb[:, -1]
         zb += z0
-        # the grid keeps the fine steps k with k % stride == 0
-        first = (stride - 1 - k) % stride
-        zg = zb[:, first::stride]
+        # the grid keeps the fine steps k with k % stride == 0: the chunk
+        # starts on one, so its columns stride - 1, 2 stride - 1, ...
+        zg = zb[:, stride - 1::stride]
         mg = zg.shape[1]
-        if not mg:   # no grid point; the horizon's chunk always has one
-            k += m
-            continue
         # mxb: top, then the running maximum at each grid point (mx)
-        mxb = scratch.floats[1][:live * (mg + 1)].reshape(live, mg + 1)
-        mxb[:, 0] = top
+        mxb = scratch.floats[1][:n_rows * (mg + 1)].reshape(n_rows, mg + 1)
+        mxb[:, 0] = top[rows]
         mxb[:, 1:] = zg
         # fmax: the same bits as maximum, faster; the log ratio is never NaN
         np.fmax.accumulate(mxb, axis=1, out=mxb)
         mx = mxb[:, 1:]
-        zr = scratch.floats[2][:live * mg].reshape(live, mg)
-        hit = scratch.hit[:live * mg].reshape(live, mg)
+        zr = scratch.floats[2][:n_rows * mg].reshape(n_rows, mg)
+        hit = scratch.hit[:n_rows * mg].reshape(n_rows, mg)
         # zr: the log of the ratio reflected at the hit barrier
         np.subtract(mx, z_hit, out=zr)
         np.maximum(zr, r_hit0, out=zr)
         np.subtract(zg, zr, out=zr)
         np.less_equal(zr, z_lo, out=hit)
-        stop = hit.any(axis=1).nonzero()[0]
-        end = np.full(live, mg)            # grid points of the chunk each row takes
+        stops = hit.any(axis=1)
+        stop = stops.nonzero()[0]
+        end = np.full(n_rows, mg)          # grid points of the chunk each row takes
         end[stop] = hit[stop].argmax(axis=1) + 1
-        horizon = k + m == k_max
-        # a row leaves at its stop; at the horizon every row that has
-        # not stopped leaves too, censored
-        leave = np.arange(live) if horizon else stop
+        # a row leaves at its stop; a row at the horizon leaves too,
+        # censored if it has not stopped
+        leave = stop if oldest + m < k_max else (stops | (k_row == oldest)).nonzero()[0]
+        slot = lane_path[lane]
         if leave.size:
-            tau = (k + first + 1 + (end[stop] - 1) * stride) * dt
+            tau = (k_row[stop] + end[stop] * stride) * dt
             last = end[leave] - 1
             z_end = zg[leave, last]
             top_end = mx[leave, last]
-            stopped, gone = ids[stop], ids[leave]
+            stopped, gone = slot[stop], slot[leave]
         stop_cuts = _cuts(stop, bounds)
-        leave_cuts = _cuts(leave, bounds) if horizon else stop_cuts
+        leave_cuts = _cuts(leave, bounds) if leave is not stop else stop_cuts
         for (one, out, z_col, r0_col, keys, table, stop_row, neg_betas
              ), a, b, s_a, s_b, l_a, l_b in zip(
                 parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
@@ -277,10 +319,10 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
                 new = scratch.hit[:flat.size]   # new[i]: M grows at i + 1
                 np.greater(flat[1:], flat[:-1], out=new[:-1])
                 new[mg::mg + 1] = False   # a row's top is no step
-                rows = stop[s_a:s_b]
-                if rows.size:   # no step past a row's stop
-                    new.reshape(b - a, mg + 1)[rows - a] &= \
-                        np.arange(mg + 1) < end[rows][:, None]
+                stop_rows = stop[s_a:s_b]
+                if stop_rows.size:   # no step past a row's stop
+                    new.reshape(b - a, mg + 1)[stop_rows - a] &= \
+                        np.arange(mg + 1) < end[stop_rows][:, None]
                 p = new.nonzero()[0] + 1
                 row, col = np.divmod(p, mg + 1)
                 m_new = flat[p]
@@ -288,16 +330,16 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
                 rp_prev = flat[p - 1] - z_col
                 np.maximum(rp, r0_col, out=rp)
                 np.maximum(rp_prev, r0_col, out=rp_prev)
-                rate_t = one.rate * dt * (k + col)
+                grows = rp > rp_prev
+                fall = np.subtract(rp_prev, rp, out=rp)
+                rate_t = one.rate * dt * (k_row[a:b][row] + col)
                 # where R grows: e^{rate t}[Phi](e^{-R_{k-1}} - e^{-R_k}),
                 # in a form that neither cancels nor overflows
-                lw = rate_t - rp_prev
+                lw = np.subtract(rate_t, rp_prev, out=rp_prev)
                 if one.weight_phi:
                     lw += m_new
-                grows = rp > rp_prev
-                fall = rp_prev - rp
-                slot = ids[a:b][row]
-                key = (keys[:len(z_col)] + slot)[grows]
+                row_slot = slot[a:b][row]
+                key = (keys[:len(z_col)] + row_slot)[grows]
                 term = np.exp(lw[grows]) * -np.expm1(fall[grows])
                 if stop_row is not None:
                     # where the stop barrier's R grows, each control row
@@ -309,7 +351,7 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
                     with np.errstate(over="ignore"):
                         ctl = np.expm1(neg_betas * fall[stop_row, up]) * np.exp(
                             rate_t[up] if one.weight_phi else lw[stop_row, up])
-                    key = np.concatenate((key, (keys[len(z_col):] + slot[up]).reshape(-1)))
+                    key = np.concatenate((key, (keys[len(z_col):] + row_slot[up]).reshape(-1)))
                     term = np.concatenate((term, ctl.reshape(-1)))
                 # added to each key in step order; flat keys, as np.add.at
                 # takes a 2-d index about 6x slower
@@ -320,20 +362,15 @@ def _scan_batch(job: ScanJob, lo: int, outs: list, start: tuple,
                 if one.z_pays:
                     out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
                         top_end[l_a:l_b] - z_col, r0_col)
-        if leave.size:
-            keep = np.ones(live, dtype=bool)
-            keep[leave] = False
-            ids, carry, top = ids[keep], carry[keep], mx[keep, -1]
-            bounds = [b - c for b, c in zip(bounds, leave_cuts)]
-            paths, copies = _draws(ids, n)
-            if paths.size < len(gens):
-                gens = [slot_gens[p] for p in paths.tolist()]
+        top[rows] = mx[:, -1]
+        lane_k[active] += m
+        live[rows[leave]] = False
+        if leave.size:   # a lane is free once its path's last row has left
+            busy = live.reshape(n_measures, lanes).any(axis=0)
+            free = (~busy & (lane_path >= 0)).nonzero()[0]
+            lane_path[free] = -1
         else:
-            top = mx[:, -1].copy()
-        k += m
-    for out, table in zip(outs, tables):
-        out.stieltjes[:] = table[:len(out.stieltjes)]
-        out.control_sums[:] = table[len(out.stieltjes):]
+            free = leave
 
 
 def _cuts(rows: np.ndarray, bounds: list) -> list:
@@ -342,17 +379,6 @@ def _cuts(rows: np.ndarray, bounds: list) -> list:
     if len(bounds) == 2:
         return [0, rows.size]
     return [0, *np.searchsorted(rows, bounds[1:-1]).tolist(), rows.size]
-
-
-def _draws(ids: np.ndarray, n: int) -> tuple:
-    """The slots of the paths a chunk draws (those with a row, in slot
-    order) among n, and where in those draws each row finds its noise."""
-    has_row = np.zeros(n, dtype=bool)
-    has_row[ids] = True
-    paths = has_row.nonzero()[0]
-    at = np.empty(n, dtype=np.intp)
-    at[paths] = np.arange(paths.size)
-    return paths, at[ids]
 
 
 class _StreamPool:
@@ -391,9 +417,9 @@ class _StreamPool:
 
 
 class _ScanScratch:
-    """Buffers and generators of _scan_batch, reused across calls: three
+    """Buffers and generators of scan_paths, reused across calls: three
     float buffers and one bool buffer of `cells` cells (a chunk's rows x
-    (steps + 1) at most), and a generator for each path of a batch."""
+    (steps + 1) at most), and a generator for each lane."""
 
     def __init__(self, cells: int):
         self.floats = tuple(np.empty(cells) for _ in range(3))
@@ -404,13 +430,14 @@ class _ScanScratch:
 _per_thread = threading.local()
 
 
-def scan_scratch(n_measures: int = 1) -> _ScanScratch:
-    """This thread's scratch for n_measures measures (a chunk has at most
-    n_measures rows per drawn path, of CHUNK_CELLS // drawn paths steps), made
-    on its first scan and again when a pass needs more cells than it has.  No
-    result depends on what an earlier scan left in it: each batch rekeys its
-    generators, and each chunk writes its buffers before reading them."""
-    cells = n_measures * (CHUNK_CELLS + BATCH_PATHS)
+def scan_scratch(job: ScanJob) -> _ScanScratch:
+    """This thread's scratch for job's chunks (a row per measure and lane, of
+    one grid point more than its steps), made on its first scan and again
+    when a pass needs more cells than it has.  No result depends on what an
+    earlier scan left in it: each lane rekeys its generator for each path,
+    and each chunk writes its buffers before reading them."""
+    lanes, steps = _geometry(job)
+    cells = len(job.measures) * lanes * (steps + 1)
     scratch = getattr(_per_thread, "scratch", None)
     if scratch is None or scratch.hit.size < cells:
         scratch = _per_thread.scratch = _ScanScratch(cells)

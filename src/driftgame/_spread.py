@@ -8,21 +8,25 @@ Elsewhere it runs serially in driftgame._scan: fork is unsafe on macOS,
 and no other platform is tested.
 
 Before the fork the path range is cut into at most MAX_CHUNKS chunks of
-whole kernel batches, and every chunk's index is written into one pipe,
-the queue, as an 8-byte record.  Caller and helper each read one record
-at a time and scan that chunk with _scan.scan_paths, under every measure
-of the pass, until the queue is empty; a pipe read of a whole record
-already in the pipe is atomic, so each chunk is scanned once.  Each
-measure's slots come from _scan.unscanned laid out in an anonymous shared
-mapping, so the helper writes its paths in place, each in its own slot:
-the result is bit-identical to one scan in one process.  scan() returns a
+whole multiples of CHUNK_PATHS paths, and every chunk's index is written
+into one pipe, the queue, as an 8-byte record.  Caller and helper each
+run one lane scan, _scan.scan_paths under every measure of the pass, fed
+with the paths of the chunks it claims: a process reads the next record
+only when its lanes need a path and it has none left, so its lanes take
+paths across chunks and drain once, when the queue is empty.  A pipe read
+of a whole record already in the pipe is atomic, so each chunk is
+claimed once.  Each measure's slots come from _scan.unscanned laid out in
+an anonymous shared mapping, so both processes write their paths in
+place, each in its own slot, and add every sum in place: the result is
+bit-identical to one scan in one process.  scan() returns a
 private heap copy of the slots: the mapping would stay shared with any
 process the caller forks later, which could then write into the result.
 
 The helper is a fork of the caller: it starts with the kernel imported and
 its scratch built, and shares the caller's memory copy on write.  It ignores
 SIGINT, so ^C reaches only the caller, keeps no inherited file descriptor
-but the queue's read end, and ends within one chunk of the caller's death.
+but the queue's read end, and claims no chunk once the caller has died:
+it ends when the paths it has claimed are scanned.
 It reports nothing but its exit status, 0 only if it scanned every chunk it
 took, and has been reaped before scan() returns or raises.  Where no pipe
 or process can be had, or the helper fails (it raises, or is killed), the
@@ -46,7 +50,7 @@ import numpy as np
 from . import _scan
 from ._scan import PathFunctionals
 
-CHUNK_PATHS = _scan.BATCH_PATHS   # one batch of the kernel per chunk, at least
+CHUNK_PATHS = 256   # paths of a queue chunk, at least
 
 _RECORD = np.dtype("<i8")   # one chunk index in the queue
 MAX_CHUNKS = select.PIPE_BUF // _RECORD.itemsize   # 512 on Linux
@@ -68,22 +72,20 @@ def scan(job: _scan.ScanJob, n: int) -> tuple:
         os.close(queue_w)
     helper, status = None, 0
     try:
-        _scan.scan_scratch(len(job.measures))   # built before the fork, for both
-        shared = tuple(_scan.unscanned(n, len(one.z_pays), len(one.betas),
-                                       lambda size: mmap.mmap(-1, size))
-                       for one in job.measures)
+        _scan.scan_scratch(job)   # built before the fork, for both
+        shared = _scan.unscanned(job, n, lambda size: mmap.mmap(-1, size))
         caller = os.getpid()
         # SIGINT waits until the child ignores it and the caller holds its pid
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             helper = _fork()
             if helper == 0:
-                _serve(job, shared, chunk, queue_r, caller, mask)
+                _serve(job, shared, chunk, n, queue_r, caller, mask)
         except OSError:   # no process to spare: this one scans every chunk
             pass
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _scan_queue(job, shared, chunk, queue_r)
+        _scan.scan_paths(job, shared, _queued(queue_r, chunk, n))
         if helper is not None:
             _, status = os.waitpid(helper, 0)
             helper = None
@@ -135,11 +137,11 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
+def _serve(job: _scan.ScanJob, shared: tuple, chunk: int, n: int, queue_r: int,
            caller: int, mask) -> None:
-    """The helper process: scan chunks from the queue until it is empty or
-    the caller has died, and exit 0 if every chunk it took was scanned.
-    Never returns into the caller's frames."""
+    """The helper process: scan the paths of chunks from the queue until it
+    is empty or the caller has died, and exit 0 if every chunk it took was
+    scanned.  Never returns into the caller's frames."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # drops one pending
@@ -148,22 +150,22 @@ def _serve(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
         # fork; holding them would keep their readers from seeing EOF.
         os.closerange(0, queue_r)
         os.closerange(queue_r + 1, os.sysconf("SC_OPEN_MAX"))
-        _scan_queue(job, shared, chunk, queue_r, caller)
+        _scan.scan_paths(job, shared, _queued(queue_r, chunk, n, caller))
         code = 0
     finally:
         os._exit(code)
 
 
-def _scan_queue(job: _scan.ScanJob, shared: tuple, chunk: int, queue_r: int,
-                caller: int | None = None) -> None:
-    """Scan the chunks whose indices this process reads from the queue until
-    it is empty; with caller, stop as well once that process has died."""
-    while (index := _claim(queue_r)) is not None:
-        lo = index * chunk
-        _scan.scan_paths(job, lo, tuple(_scan.slots(out, lo, lo + chunk)
-                                        for out in shared))
-        if caller is not None and os.getppid() != caller:
+def _queued(queue_r: int, chunk: int, n: int, caller: int | None = None):
+    """The paths of the chunks this process claims from the queue, of n
+    paths in chunks of chunk paths, each chunk claimed when the last one's
+    paths are taken, until the queue is empty; with caller, no chunk is
+    claimed once that process has died."""
+    while caller is None or os.getppid() == caller:
+        index = _claim(queue_r)
+        if index is None:
             return
+        yield from range(index * chunk, min(n, (index + 1) * chunk))
 
 
 def _claim(queue_r: int) -> int | None:

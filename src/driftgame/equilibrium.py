@@ -97,18 +97,17 @@ def threshold_ratio_equation(exps: Exponents, eps: float, z) -> float:
     h is strictly increasing on (0,1), tends to -inf at 0+, and
     h(1) = eps (beta1 - beta2) / (1 + eps) > 0.
     """
+    return _threshold_ratio_h(exps, eps)(z)
+
+
+def _threshold_ratio_h(exps: Exponents, eps: float):
+    """h as a function of z, with 1 - beta2, beta1 - 1, beta2 - 1 and
+    (beta1 - beta2) / (1 + eps) computed once: the float operations of
+    evaluating h whole, so the same bits."""
     b1, b2 = exps.beta1, exps.beta2
-    return (1.0 - b2) * z ** (b1 - 1.0) + (b1 - 1.0) * z ** (b2 - 1.0) \
-        - (b1 - b2) / (1.0 + eps)
-
-
-def _h_signed(exps: Exponents, eps: float, z: float) -> float:
-    """h(z), resolving overflow of z^(beta2-1) by the sign it diverges to:
-    the dominating term carries the factor (beta1 - 1)."""
-    try:
-        return threshold_ratio_equation(exps, eps, z)
-    except OverflowError:
-        return -math.inf if exps.beta1 < 1.0 else math.inf
+    c1, e1, e2 = 1.0 - b2, b1 - 1.0, b2 - 1.0
+    h1 = (b1 - b2) / (1.0 + eps)
+    return lambda z: c1 * z ** e1 + e1 * z ** e2 - h1
 
 
 def bisect_unit(f, what: str) -> float:
@@ -138,10 +137,20 @@ def solve_threshold_ratio(exps: Exponents, eps: float) -> float:
     """Root of h by bracketed bisection, safe because h is monotone.
 
     Bisection runs to machine resolution in z, which is well inside the
-    1e-12 z-tolerance and keeps |h(delta)| <= 1e-12 as well.
+    1e-12 z-tolerance and keeps |h(delta)| <= 1e-12 as well.  An overflow
+    of z^(beta2-1) resolves to the sign h diverges to: the dominating term
+    carries the factor (beta1 - 1).
     """
-    return bisect_unit(lambda z: _h_signed(exps, eps, z),
-                       f"h for exponents {exps}: parameters are corrupted")
+    h = _threshold_ratio_h(exps, eps)
+    diverges = -math.inf if exps.beta1 < 1.0 else math.inf
+
+    def h_signed(z: float) -> float:
+        try:
+            return h(z)
+        except OverflowError:
+            return diverges
+
+    return bisect_unit(h_signed, f"h for exponents {exps}: parameters are corrupted")
 
 
 def compute_upper_threshold(exps: Exponents, eps: float, delta: float) -> float:

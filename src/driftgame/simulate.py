@@ -23,7 +23,7 @@ The Monte Carlo backend (stacked_path_functionals) streams its paths
 instead of holding a grid.  One config gives the paths of a pass, and
 each MeasureSpec of the pass names a tilted measure to scan them under,
 which fixes how the pass prices under it.  It checks its arguments and
-hands the pass as one job to the batched kernel in driftgame._scan,
+hands the pass as one job to the lane kernel in driftgame._scan,
 which owns how a pass runs; from _SPREAD_MIN_PATHS paths up the pass
 goes through driftgame._spread, which may share it with a forked helper
 process.  Each step's noise is drawn once and serves every measure of
@@ -306,11 +306,14 @@ def fmt17(val) -> str:
 def write_csv(fh, header, rows, metadata: dict | None = None) -> None:
     """Optional '# key=value' metadata lines, the header, then one line per
     row, every value through :func:`fmt17`."""
-    for key, val in (metadata or {}).items():
-        fh.write(f"# {key}={fmt17(val)}\n")
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(fmt17(v) for v in row) + "\n")
+    _write_lines(fh, header, [",".join(fmt17(v) for v in row) for row in rows],
+                 metadata)
+
+
+def _write_lines(fh, header, lines: list, metadata: dict | None) -> None:
+    """write_csv with its rows already formatted as lines, in one write."""
+    head = [f"# {key}={fmt17(val)}" for key, val in (metadata or {}).items()]
+    fh.write("\n".join([*head, ",".join(header), *lines]) + "\n")
 
 
 # Column sets of write_trajectory_csv; "t" is the grid time.
@@ -321,13 +324,15 @@ TRAJECTORY_COLUMNS = {"full": ("t", "X", "Phi", "PhiB", "PiStar", "Gamma", "L"),
 def write_trajectory_csv(traj: Trajectory, fh, metadata: dict | None = None,
                          columns: str = "full") -> None:
     """A reflected trajectory, one row per grid point, in the columns of
-    TRAJECTORY_COLUMNS[columns]."""
+    TRAJECTORY_COLUMNS[columns], as write_csv writes them: every value is
+    a float, and '%.17g' % x gives the bytes of fmt17(x)."""
     if traj.PhiB is None:
         raise ValueError("trajectory has no reflection; call reflect() first")
     header = TRAJECTORY_COLUMNS[columns]
     cols = [getattr(traj, "times" if name == "t" else name).tolist()
             for name in header]
-    write_csv(fh, header, zip(*cols), metadata)
+    line = ",".join(["%.17g"] * len(header))
+    _write_lines(fh, header, [line % row for row in zip(*cols)], metadata)
 
 
 # -- streaming first-passage functionals (Monte Carlo backend) --------------
@@ -506,10 +511,11 @@ def _scan_measure(params: ModelParams, barrier: float, dt: float,
 
 
 # Below this many paths a pass runs serially and never imports _spread.
-# The helper costs about 4 ms to fork, end and reap.  With 256-path queue
-# chunks, on a 2-vCPU VM (dt 1e-4, phi 0.6, the mc and deviations passes,
-# medians of 11-15 alternating pairs per run) a split pass took 0.59-0.76x
-# the serial time at 1024 paths (1.22x in one run of seven), 0.53-0.67x at
-# 2048 and 0.68-0.80x at 512 (1.27x in one run of five).
+# The helper costs about 4 ms to fork, end and reap, and each process
+# drains its lanes once.  With 256-path queue chunks, on a 2-vCPU VM (dt
+# 1e-4, phi 0.6, the mc and deviations passes, medians of 21 alternating
+# pairs per run, two runs) a split pass took 0.69-0.75x the serial time
+# at 1024 paths and 0.63-0.67x at 2048; at 512 it gained little or lost
+# (0.88-1.50x).
 _SPREAD_MIN_PATHS = 1024
 

@@ -201,10 +201,11 @@ def test_killed_helper_leaves_mc_to_the_caller(capsys, monkeypatch, helper_switc
     serial = capsys.readouterr().out
     caller, real_scan = os.getpid(), scan.scan_paths
 
-    def killed_helper(job, lo, out):
+    def killed_helper(job, outs, paths):
         if os.getpid() != caller:
+            next(paths)   # its first chunk claimed
             os.kill(os.getpid(), signal.SIGKILL)
-        real_scan(job, lo, out)
+        real_scan(job, outs, paths)
 
     monkeypatch.setattr(scan, "scan_paths", killed_helper)
     helper_switch.set(True)

@@ -21,6 +21,7 @@ from driftgame.simulate import (
     ROLE_REGIME_DRAW,
     Measure,
     MeasureSpec,
+    PathFunctionals,
     SimConfig,
     Trajectory,
     discount_rate,
@@ -614,12 +615,13 @@ def test_many_payoff_barriers_in_one_pass(base_params):
 
 
 def test_batched_scan_matches_one_pass_per_barrier(base_params):
-    # The batched scan is bitwise equal to one pass per path and barrier,
-    # control sums included: 300 paths (not a multiple of the batch), paths
-    # of over 7168 steps (at dt 1e-5), a horizon of 3001 steps that ends
-    # inside a chunk and censors some paths, starts above B and at A,
-    # paths from a nonzero offset scanned by scan_paths directly, and a
-    # stop barrier that is not the first payoff barrier and comes twice.
+    # The lane scan is bitwise equal to one pass per path and barrier,
+    # control sums included: 300 paths (more than the lanes, not a multiple
+    # of them), paths of over 7168 steps (at dt 1e-5), a horizon of 3001
+    # steps that ends inside a chunk and censors some paths, starts above B
+    # and at A, paths from a nonzero index scanned by scan_paths directly
+    # into their own slots, and a stop barrier that is not the first payoff
+    # barrier and comes twice.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -634,9 +636,13 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
     for measure, weight_phi, phi0, dt, horizon, lo, barriers in cases:
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=11)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
-        got = scan.unscanned(n, len(barriers), len(BETAS))
-        scan.scan_paths(_hand_job(base_params, phi0, sol.A, sol.B, cfg, measure,
-                                  rate, weight_phi, barriers, BETAS), lo, (got,))
+        job = _hand_job(base_params, phi0, sol.A, sol.B, cfg, measure, rate,
+                        weight_phi, barriers, BETAS)
+        (slots,) = scan.unscanned(job, lo + n)
+        scan.scan_paths(job, (slots,), range(lo, lo + n))
+        assert np.isnan(slots.tau[:lo]).all() and np.isnan(slots.z_end[:lo]).all()
+        got = PathFunctionals(**{field.name: getattr(slots, field.name)[..., lo:]
+                                 for field in dataclasses.fields(slots)})
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
         if dt < 1e-4:
             assert steps.max() > 7168
@@ -660,14 +666,14 @@ def test_stopped_row_prices_no_step_past_its_stop(base_params, monkeypatch):
     # up to the stop alone, though the row's running maximum grows again
     # later in that chunk: one chunk holds every path's whole 200-step
     # horizon, so paths stop at many steps of it and others are censored,
-    # in a full batch and a partial one, and every field is bitwise equal
-    # to one pass per path and barrier.
+    # in every lane and then in 44 of them, and every field is bitwise
+    # equal to one pass per path and barrier.
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
-    cfg = SimConfig(dt=1e-3, horizon=0.2, n_paths=scan.BATCH_PATHS + 44, seed=15)
-    monkeypatch.setattr(scan, "CHUNK_CELLS", scan.BATCH_PATHS * cfg.n_steps)
+    cfg = SimConfig(dt=1e-3, horizon=0.2, n_paths=scan.LANES + 44, seed=15)
+    monkeypatch.setattr(scan, "CHUNK_STEPS", cfg.n_steps)
     rate = base_params.mu1
     got = _hand_pass(base_params, 0.6, sol.A, sol.B, cfg, Measure.TILTED1, rate,
                      True, barriers, BETAS)
@@ -697,31 +703,31 @@ def test_stopped_row_prices_no_step_past_its_stop(base_params, monkeypatch):
         assert np.array_equal(got.control_sums, ctl)
 
 
-def test_batched_scan_ignores_batch_and_chunk_size(base_params, monkeypatch):
-    # Batches of 7 paths walked in chunks of 5 to 40 steps, and batches of
-    # one path whose one chunk is clipped to the steps left, give the same
-    # bits as the default batches and chunks: 60 paths, and 300, a full
-    # default batch and a partial one; three payoff barriers with the Phi
-    # weight and two control sums, a start above B, a horizon that censors
-    # some paths and one shorter than a default chunk; and a stride-7 pass,
-    # where some 5-step chunks hold no grid point.
+def test_lane_scan_ignores_lane_count_and_chunk_length(base_params, monkeypatch):
+    # One lane, 7 lanes in chunks of 5 and of 40 steps, and one lane in
+    # default chunks give the same bits as the default lanes and chunks:
+    # 60 paths, and 300, more than the default lanes; three payoff
+    # barriers with the Phi weight and two control sums, a start above B, a
+    # horizon that censors some paths and one of 50 steps, shorter than a
+    # default chunk, so that a chunk stops at the oldest row's horizon
+    # while younger rows go on; and a stride-7 pass, whose chunks are whole
+    # strides (7 and 35 steps).
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
     barriers = [sol.B, 0.75 * sol.B, 1.5 * sol.B]
-    geometries = ((scan.BATCH_PATHS, scan.CHUNK_CELLS), (7, 40),
-                  (1, scan.CHUNK_CELLS))
+    geometries = ((scan.LANES, scan.CHUNK_STEPS), (7, 5), (7, 40), (1, scan.CHUNK_STEPS))
     # the short horizon's 50 steps are fewer than one default chunk's
-    assert 50 < scan.CHUNK_CELLS // scan.BATCH_PATHS
-    assert scan.BATCH_PATHS < 300 < 2 * scan.BATCH_PATHS
+    assert 50 < scan.CHUNK_STEPS
+    assert scan.LANES < 300 < 2 * scan.LANES
     for phi0, horizon, n in ((0.6, 0.1501, 60), (1.7 * sol.B, 0.1501, 60),
                              (0.4, 0.005, 60), (0.6, 0.1501, 300)):
         cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=n, seed=12)
         for bpays, betas, stride in ((barriers, BETAS, 1), ((), (), 7)):
             runs = []
-            for batch, chunk_cells in geometries:
-                monkeypatch.setattr(scan, "BATCH_PATHS", batch)
-                monkeypatch.setattr(scan, "CHUNK_CELLS", chunk_cells)
+            for lanes, steps in geometries:
+                monkeypatch.setattr(scan, "LANES", lanes)
+                monkeypatch.setattr(scan, "CHUNK_STEPS", steps)
                 runs.append(_hand_pass(
                     base_params, phi0, sol.A, sol.B, cfg, Measure.TILTED1,
                     base_params.mu1, True, bpays, betas, stride))
@@ -814,8 +820,8 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
     # (both measures') match the whole-path reference too, and the
     # deviations pair, starts between A and B, at B, above B and below A
     # (every path stops at time zero), paths of over 384 steps, a horizon
-    # that censors some paths, batches of 7 paths in chunks of 5 to 40
-    # steps, and the helper process on and off.
+    # that censors some paths, 7 lanes in chunks of 5 steps, and the
+    # helper process on and off.
     import driftgame._scan as scan
     import driftgame.simulate as sim
 
@@ -844,8 +850,8 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                                     (False, True, 40)):
                     with monkeypatch.context() as patch:
                         if tiny:
-                            patch.setattr(scan, "BATCH_PATHS", 7)
-                            patch.setattr(scan, "CHUNK_CELLS", 40)
+                            patch.setattr(scan, "LANES", 7)
+                            patch.setattr(scan, "CHUNK_STEPS", 5)
                         helper_switch.set(on)
                         got = stacked_path_functionals(
                             base_params, phi0, sol.A, sol.B,
@@ -949,9 +955,10 @@ def test_failed_helper_leaves_its_pass_to_the_caller(monkeypatch, helper_switch,
     (serial,) = scan.scan(job, 300)
     caller, real_scan = os.getpid(), scan.scan_paths
 
-    def failing_helper(job, lo, out):
+    def failing_helper(job, outs, paths):
         if os.getpid() == caller:
-            return real_scan(job, lo, out)
+            return real_scan(job, outs, paths)
+        next(paths)   # its first chunk claimed
         if failure == "exit":
             os._exit(3)
         raise ValueError("the helper failed")
@@ -1013,11 +1020,11 @@ def test_helper_holds_no_other_descriptor(monkeypatch, helper_switch):
     held = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     read_end, write_end = os.pipe()
 
-    def scan_counting_descriptors(job, lo, out):
+    def scan_counting_descriptors(job, outs, paths):
         if os.getpid() != caller:
             listed = [int(fd) for fd in os.listdir("/proc/self/fd")]
             held[0] = sum(_is_open(fd) for fd in listed)   # not listdir's own
-        real_scan(job, lo, out)
+        real_scan(job, outs, paths)
 
     helper_switch.set(True)
     monkeypatch.setattr(scan, "scan_paths", scan_counting_descriptors)
@@ -1151,6 +1158,73 @@ def test_queue_longer_than_one_pipe(base_params, monkeypatch, helper_switch):
                               getattr(serial, field.name), equal_nan=True)
 
 
+def test_split_pass_refills_lanes_across_claims(base_params, monkeypatch,
+                                                helper_switch):
+    # With one-path queue chunks, each path a lane takes is a claim of its
+    # own, so every refill of the caller's and the helper's lanes crosses a
+    # _claim: the mc pair, over more paths than the lanes and with 7 lanes,
+    # from between A and B and from above B, gives the serial bits.
+    import driftgame._scan as scan
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    monkeypatch.setattr(spread, "CHUNK_PATHS", 1)
+    sol = build_solution(base_params)
+    specs = _stacked_pairs(base_params, sol)[0]
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=17)
+    for lanes in (scan.LANES, 7):
+        monkeypatch.setattr(scan, "LANES", lanes)
+        for phi0 in ((sol.A + sol.B) / 2, 1.5 * sol.B):
+            runs = []
+            for on in (False, True):
+                helper_switch.set(on)
+                runs.append(stacked_path_functionals(base_params, phi0, sol.A, sol.B,
+                                                     cfg, specs))
+            assert helper_switch.helper_chunks > 1
+            for serial, split in zip(*runs):
+                assert not np.isnan(split.z_end).any()   # every slot written
+                _assert_same_bits(split, serial)
+    assert helper_switch.all_ended()
+
+
+def test_lanes_draw_little_past_the_stop(base_params, monkeypatch, helper_switch):
+    # A path is drawn a chunk at a time until its last row stops, so some
+    # normals lie past that stop.  On a 2048-path base-case pass of the mc
+    # pair, the normals drawn (counted through the generators the stream
+    # pool hands out) are less than 1.2 times those the rows need: for
+    # each path, the later of its two stops' steps (or the horizon's).
+    # Batches whose chunks lengthen as their paths stop draw 1.22-1.27
+    # times the need here; lanes that take the next path draw 1.09-1.11.
+    import driftgame._scan as scan
+    import driftgame.verify as verify
+
+    drawn = [0]
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, *, out):
+            drawn[0] += out.size
+            return self._gen.standard_normal(out=out)
+
+    real_reset = scan._StreamPool.reset
+    monkeypatch.setattr(scan._StreamPool, "reset",
+                        lambda self, *args: Counting(real_reset(self, *args)))
+    helper_switch.set(False)   # every draw in this process
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-4, horizon=50.0, n_paths=2048, seed=424242)
+    for phi0 in ((sol.A + sol.B) / 2, sol.B):
+        drawn[0] = 0
+        pfs = stacked_path_functionals(base_params, phi0, sol.A, sol.B, cfg,
+                                       verify._ORACLE_SPECS)
+        steps = [np.where(pf.censored, cfg.n_steps, np.rint(pf.tau / cfg.dt))
+                 for pf in pfs]
+        need = int(np.maximum(*steps).sum())
+        assert need <= drawn[0] < 1.2 * need
+
+
 def _child_env() -> dict:
     """The environment of a Python child process that imports this driftgame."""
     import driftgame
@@ -1165,8 +1239,8 @@ def _child_env() -> dict:
 def test_queue_is_one_write_of_whole_batches(n):
     # Nothing reads the queue while it is filled, so its records must fit
     # in one write that an empty pipe takes whole: at most PIPE_BUF bytes.
-    # The chunks are the fewest whole batches that keep to that, and they
-    # cover the n paths, every index once.
+    # The chunks are the fewest multiples of CHUNK_PATHS paths that keep to
+    # that, and they cover the n paths, every index once.
     import driftgame._spread as spread
 
     read_end, write_end = os.pipe()
@@ -1186,15 +1260,15 @@ def test_queue_is_one_write_of_whole_batches(n):
     assert (count - 1) * chunk < n <= count * chunk
 
 
-# A caller whose pass of 500 eight-path chunks takes about 20 s: it prints
-# its helper's pid when it forks it, and "reaped" at exit if no helper is
-# left to reap.
+# A caller whose pass of 500 eight-path chunks takes about 20 s, as each
+# claim of a chunk waits 0.08 s: it prints its helper's pid when it forks
+# it, and "reaped" at exit if no helper is left to reap.
 _SLOW_CALLER = """
 import atexit, os, time
 import driftgame._scan as scan
 import driftgame._spread as spread
 
-real_fork, real_scan, helpers = spread._fork, scan.scan_paths, []
+real_fork, real_claim, helpers = spread._fork, spread._claim, []
 
 def fork():
     pid = real_fork()
@@ -1203,9 +1277,9 @@ def fork():
         print(pid, flush=True)
     return pid
 
-def slow_scan(job, lo, out):
+def slow_claim(queue_r):
     time.sleep(0.08)
-    real_scan(job, lo, out)
+    return real_claim(queue_r)
 
 @atexit.register
 def report():
@@ -1216,7 +1290,7 @@ def report():
             print("reaped", flush=True)
 
 spread._cpu_count, spread.CHUNK_PATHS = (lambda: 2), 1
-spread._fork, scan.scan_paths = fork, slow_scan
+spread._fork, spread._claim = fork, slow_claim
 one = scan.ScanMeasure(c_drift=0.0, rate=0.0, weight_phi=False, z_pays=(0.0,))
 job = scan.ScanJob(seed=1, phi0=0.6, c_noise=0.1, k_max=10, dt=0.1, z_hit=0.0,
                    z_lo=-1.0, measures=(one,))
@@ -1252,7 +1326,7 @@ def _wait_until_ended(pid: int, timeout: float) -> bool:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
 def test_helper_ends_soon_after_its_caller_dies():
-    # Without its caller, the helper stops at its next chunk and does not
+    # Without its caller, the helper claims no further chunk and does not
     # scan the rest of the 20 s pass.
     proc, helper = _start_slow_caller(stderr=subprocess.DEVNULL)
     time.sleep(0.3)
