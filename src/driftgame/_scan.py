@@ -15,15 +15,17 @@ phi0, c_noise, the grid, z_hit, z_lo and stride; each ScanMeasure holds
 its own c_drift, rate, weight_phi, z_pays and betas.  simulate works these
 out from each measure, so the kernel knows no model.
 
-scan_paths keeps a fixed set of lanes (LANES, fewer for a stride longer
-than CHUNK_STEPS).  A lane holds one path at a time, with a row for each
-measure and its own count of steps done, and every lane steps together
-in chunks of at most CHUNK_STEPS steps, each chunk one numpy call per
-operation over every live row (or every live row of one measure).  A row
-leaves at its stop, and when a path's last row has left, its lane takes
-the next path, with its generator (the pool slot of the lane) rekeyed to
-that path.  So chunks stay full until the paths run out, and only the
-last chunks of a scan thin.  A path is drawn while it has a live row, so
+scan_paths keeps a fixed set of LANES lanes.  A lane holds one path at a
+time, with a row for each measure and its own count of steps done, and
+every lane steps together in chunks of CHUNK_STEPS steps at most (one
+stride if a stride is longer), each chunk one numpy call per operation
+over every live row (or every live row of one measure).  A row starts
+from its path's time-zero state, whose running maximum is z0 = log
+phi0, so the scan treats no step, and no reflection, as a special case.
+A row leaves at its stop, and when a path's last row has left, its lane
+takes the next path, with its generator (the pool slot of the lane)
+rekeyed to that path.  So chunks stay full until the paths run out, and
+only the last chunks of a scan thin.  A path is drawn while it has a live row, so
 a second measure adds rows to a chunk but not chunks to a path.  Every
 sum is taken in step order, so the result is bit-identical to scanning
 each path alone under each measure, for any lane count, chunk length and
@@ -44,11 +46,11 @@ helper split:
   that carries the sum so far into the chunk's first element, with z0
   added after it, as simulate._levels forms the full grid's log level;
 - a row's z_end is that log ratio at the grid point where it leaves (its
-  stop, or the horizon's last grid point for a censored path), and z0
-  when every path stops at t = 0;
-- every reflection is max(M - z_b, r0) with M the running maximum of the
-  log ratio: rounding a subtraction is monotone, so that is the running
-  maximum of max(log ratio - z_b, r0) bit for bit;
+  stop, or the horizon's last grid point for a censored path);
+- every reflection is max(M - z_b, 0) with M the running maximum of the
+  log ratio from t = 0, z0 included: rounding a subtraction is monotone,
+  so that is the running maximum of max(log ratio - z_b, 0) bit for bit,
+  which starts with the jump max(z0 - z_b, 0) at t = 0;
 - so a reflection is constant, bit for bit, between two steps where M
   grows, and a chunk prices every payoff barrier of a measure at once on
   those steps alone: a reflection's value before such a step is its value
@@ -70,8 +72,11 @@ helper split:
   and the maximum, reflection and stop read the columns of steps k with
   k % s == 0 alone, so every stride reads one path.
 
-Each path lands in its own slot, so a pass's paths may be scanned
-anywhere, in any order, into one set of slots, by several scans at once.
+A pass whose every path stops at t = 0 (a start at or below the lower
+threshold once reflected) is whole in the slots unscanned writes, so
+scan_paths takes no path of it.  Each path lands in its own slot, so a
+pass's paths may be scanned anywhere, in any order, into one set of
+slots, by several scans at once.
 """
 
 from __future__ import annotations
@@ -117,24 +122,33 @@ class ScanJob(NamedTuple):
     stride: int = 1      # the stop is tested on steps k with k % stride == 0
 
 
+def _stops_at_zero(job: ScanJob) -> bool:
+    """Whether every path of job's pass stops at t = 0: its start, reflected
+    at the hit barrier, is at or below the lower threshold."""
+    z0 = math.log(job.phi0)
+    return z0 - max(0.0, z0 - job.z_hit) <= job.z_lo
+
+
 def unscanned(job: ScanJob, n: int, alloc=bytearray) -> tuple:
     """Slots for paths 0..n-1 of job's pass, a PathFunctionals per measure,
-    ready for scan_paths: every path at its time-zero state, tau and z_end
-    NaN, r_pay_end each payoff barrier's reflection at t = 0 and every sum
-    its time-zero term.  Each measure's fields are views of one buffer of
-    alloc(size in bytes): the heap by default, or for example a shared
-    mapping that a forked process writes in place."""
+    ready for scan_paths: every path at its time-zero state, r_pay_end
+    each payoff barrier's reflection at t = 0, every sum its time-zero
+    term, and tau and z_end NaN, or 0 and z0 where every path stops at
+    t = 0.  Each measure's fields are views of one buffer of alloc(size in
+    bytes): the heap by default, or for example a shared mapping that a
+    forked process writes in place."""
     z0 = math.log(job.phi0)
     # every path starts from the same state, including Gamma's jump at t = 0
     r_hit0 = max(0.0, z0 - job.z_hit)
+    stop0 = (0.0, z0) if _stops_at_zero(job) else (np.nan, np.nan)
     outs = []
     for one in job.measures:
         n_pays, n_controls = len(one.z_pays), len(one.betas)
         # tau, z_end, then r_pay_end, stieltjes, control_sums
         rows = 2 + 2 * n_pays + n_controls
         floats = np.ndarray((rows, n), np.float64, alloc(rows * n * 8))
-        floats[:2] = np.nan
-        r_pay0 = _reflections0(job, one)
+        floats[:2] = np.array(stop0)[:, None]
+        r_pay0 = [max(0.0, z0 - zp) for zp in one.z_pays]
         sti0 = [(job.phi0 if one.weight_phi else 1.0) * -math.expm1(-r) for r in r_pay0]
         floats[2:2 + 2 * n_pays] = np.array(r_pay0 + sti0)[:, None]
         # a control sum's time-zero term: R jumps from 0 to r_hit0
@@ -146,13 +160,6 @@ def unscanned(job: ScanJob, n: int, alloc=bytearray) -> tuple:
                                     z_end=floats[1],
                                     control_sums=floats[2 + 2 * n_pays:]))
     return tuple(outs)
-
-
-def _reflections0(job: ScanJob, one: ScanMeasure) -> list:
-    """The reflections of one's payoff barriers at t = 0, where a start
-    above a barrier reflects at once."""
-    z0 = math.log(job.phi0)
-    return [max(0.0, z0 - zp) for zp in one.z_pays]
 
 
 def _sum_table(out: PathFunctionals) -> np.ndarray:
@@ -171,12 +178,10 @@ def scan(job: ScanJob, n: int) -> tuple:
     return outs
 
 
-def _geometry(job: ScanJob) -> tuple:
-    """(lanes, steps) of job's chunks: steps whole strides, CHUNK_STEPS at
-    most unless one stride is longer, and then fewer lanes, so that a
-    chunk has at most LANES * CHUNK_STEPS steps per measure, or one lane."""
-    steps = job.stride * max(1, CHUNK_STEPS // job.stride)
-    return min(LANES, max(1, LANES * CHUNK_STEPS // steps)), steps
+def _chunk_steps(job: ScanJob) -> int:
+    """Steps of job's chunks: whole strides, CHUNK_STEPS at most unless one
+    stride is longer."""
+    return job.stride * max(1, CHUNK_STEPS // job.stride)
 
 
 def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
@@ -190,21 +195,19 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
     rows, in that order, are the rows of a chunk, so bounds[i]:bounds[i +
     1] are those of job.measures[i].  Each chunk draws the noise of every
     lane with a live row once, into a buffer, and copies it into every
-    row.  A path is drawn until its last row has stopped."""
-    z0 = math.log(job.phi0)
-    r_hit0 = max(0.0, z0 - job.z_hit)
-    paths = iter(paths)
-    if z0 - r_hit0 <= job.z_lo:   # every path stops at time zero
-        taken = np.fromiter(paths, np.intp)
-        for out in outs:
-            out.tau[taken] = 0.0
-            out.z_end[taken] = z0
+    row.  A path is drawn until its last row has stopped; a pass whose
+    every path stops at t = 0 takes none, as unscanned has written it."""
+    if not 0 <= job.seed < 2**64:
+        raise ValueError(f"seed={job.seed} outside [0, 2^64)")
+    if _stops_at_zero(job):
         return
+    z0 = math.log(job.phi0)
     z_hit, z_lo = job.z_hit, job.z_lo
     c_noise, dt, stride = job.c_noise, job.dt, job.stride
     k_max = job.k_max - job.k_max % stride   # the horizon's last grid point
-    lanes, steps = _geometry(job)
+    lanes, steps = LANES, _chunk_steps(job)
     scratch = scan_scratch(job)
+    paths = iter(paths)
     n, n_measures = outs[0].n_paths, len(job.measures)
     live = np.zeros(n_measures * lanes, dtype=bool)   # rows whose path has not left them
     carry = np.empty(n_measures * lanes)   # running sum of a row's increments
@@ -220,7 +223,6 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
     for one, out in zip(job.measures, outs):
         table = _sum_table(out)
         parts.append((one, out, np.array(one.z_pays)[:, None],
-                      np.array(_reflections0(job, one))[:, None],
                       np.arange(table.size // n)[:, None] * n, table,
                       one.z_pays.index(z_hit) if one.betas else None,
                       -np.array(one.betas)[:, None]))
@@ -239,7 +241,7 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
             if filled:
                 lane_path[filled] = taken
                 lane_k[filled] = 0
-                for array, value in ((live, True), (carry, 0.0), (top, -np.inf)):
+                for array, value in ((live, True), (carry, 0.0), (top, z0)):
                     array.reshape(n_measures, lanes)[:, filled] = value
         rows = live.nonzero()[0]
         if not rows.size:
@@ -284,7 +286,7 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
         hit = scratch.hit[:n_rows * mg].reshape(n_rows, mg)
         # zr: the log of the ratio reflected at the hit barrier
         np.subtract(mx, z_hit, out=zr)
-        np.maximum(zr, r_hit0, out=zr)
+        np.maximum(zr, 0.0, out=zr)
         np.subtract(zg, zr, out=zr)
         np.less_equal(zr, z_lo, out=hit)
         stops = hit.any(axis=1)
@@ -303,13 +305,13 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
             stopped, gone = slot[stop], slot[leave]
         stop_cuts = _cuts(stop, bounds)
         leave_cuts = _cuts(leave, bounds) if leave is not stop else stop_cuts
-        for (one, out, z_col, r0_col, keys, table, stop_row, neg_betas
+        for (one, out, z_col, keys, table, stop_row, neg_betas
              ), a, b, s_a, s_b, l_a, l_b in zip(
                 parts, bounds, bounds[1:], stop_cuts, stop_cuts[1:],
                 leave_cuts, leave_cuts[1:]):
             # payoff barriers come with stride 1: grid points are steps
             if one.z_pays and a < b:
-                # Gamma moves only where a reflection max(M - z_b, r0_b)
+                # Gamma moves only where a reflection max(M - z_b, 0)
                 # grows, so only on steps up to the row's stop where the
                 # running maximum M grows: p, their flat positions in
                 # the measure's rows of mxb.  The log ratio there is M,
@@ -328,8 +330,8 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
                 m_new = flat[p]
                 rp = m_new - z_col             # (barrier, step)
                 rp_prev = flat[p - 1] - z_col
-                np.maximum(rp, r0_col, out=rp)
-                np.maximum(rp_prev, r0_col, out=rp_prev)
+                np.maximum(rp, 0.0, out=rp)
+                np.maximum(rp_prev, 0.0, out=rp_prev)
                 grows = rp > rp_prev
                 fall = np.subtract(rp_prev, rp, out=rp)
                 rate_t = one.rate * dt * (k_row[a:b][row] + col)
@@ -361,7 +363,7 @@ def scan_paths(job: ScanJob, outs: tuple, paths) -> None:
                 out.z_end[gone[l_a:l_b]] = z_end[l_a:l_b]
                 if one.z_pays:
                     out.r_pay_end[:, gone[l_a:l_b]] = np.maximum(
-                        top_end[l_a:l_b] - z_col, r0_col)
+                        top_end[l_a:l_b] - z_col, 0.0)
         top[rows] = mx[:, -1]
         lane_k[active] += m
         live[rows[leave]] = False
@@ -405,8 +407,8 @@ class _StreamPool:
 
     def reset(self, seed: int, path_index: int, role: int,
               slot: int) -> np.random.Generator:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed={seed} outside [0, 2^64)")
+        """Slot's generator, rekeyed to (seed, path_index, role); seed must
+        lie in [0, 2^64), which the caller checks."""
         while slot >= len(self._bgs):
             self._bgs.append(np.random.Philox(key=0))
             self._gens.append(np.random.Generator(self._bgs[-1]))
@@ -436,8 +438,7 @@ def scan_scratch(job: ScanJob) -> _ScanScratch:
     when a pass needs more cells than it has.  No result depends on what an
     earlier scan left in it: each lane rekeys its generator for each path,
     and each chunk writes its buffers before reading them."""
-    lanes, steps = _geometry(job)
-    cells = len(job.measures) * lanes * (steps + 1)
+    cells = len(job.measures) * LANES * (_chunk_steps(job) + 1)
     scratch = getattr(_per_thread, "scratch", None)
     if scratch is None or scratch.hit.size < cells:
         scratch = _per_thread.scratch = _ScanScratch(cells)

@@ -15,10 +15,12 @@ with the paths of the chunks it claims: a process reads the next record
 only when its lanes need a path and it has none left, so its lanes take
 paths across chunks and drain once, when the queue is empty.  A pipe read
 of a whole record already in the pipe is atomic, so each chunk is
-claimed once.  Each measure's slots come from _scan.unscanned laid out in
-an anonymous shared mapping, so both processes write their paths in
-place, each in its own slot, and add every sum in place: the result is
-bit-identical to one scan in one process.  scan() returns a
+claimed once.  A pass whose every path stops at t = 0 is whole in the
+slots _scan.unscanned writes, so neither process claims a chunk of it.
+Each measure's slots come from _scan.unscanned laid out in an anonymous
+shared mapping, so both processes write their paths in place, each in
+its own slot, and add every sum in place: the result is bit-identical
+to one scan in one process.  scan() returns a
 private heap copy of the slots: the mapping would stay shared with any
 process the caller forks later, which could then write into the result.
 

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -44,6 +45,9 @@ _DEFAULTS = {
 }
 _DEFAULT_PI = 0.5
 _DEFAULT_PI_PATH = 0.35
+# deviations' reflection levels as multiples of B; those at or below A
+# are left out
+_DEFAULT_BPRIME_MULTS = (0.5, 0.75, 1.25, 1.5, 2.0)
 
 _FILE_KEY_TYPES = {
     "mu0": float, "mu1": float, "sigma": float, "eps": float,
@@ -291,7 +295,10 @@ def _cmd_deviations(args) -> int:
     aprime = np.linspace(0.0, sol.B, args.aprime_points + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * sol.B, args.phi_points + 1)[1:]
     p1 = deviations_player1(sol, aprime, phis)
-    bprime = [m * sol.B for m in args.bprime_mults]
+    if args.bprime_mults is None:
+        bprime = [m * sol.B for m in _DEFAULT_BPRIME_MULTS if m * sol.B > sol.A]
+    else:
+        bprime = [m * sol.B for m in args.bprime_mults]
     p2 = deviations_player2(sol, bprime, phi,
                             _sim_config(settings, settings["paths"]),
                             jump_probs=tuple(args.jump_probs))
@@ -320,6 +327,10 @@ def _cmd_sweep(args) -> int:
             raise CliError("--from and --to must be given together")
         if not (math.isfinite(args.from_) and math.isfinite(args.to)):
             raise CliError(f"--from {args.from_} and --to {args.to} must be finite")
+        ends = (args.from_, args.to)
+        if args.log and not (min(ends) > 0.0 or max(ends) < 0.0):
+            raise CliError(f"--log needs --from {args.from_} and --to {args.to} "
+                           f"non-zero and of one sign")
         values = (np.geomspace(args.from_, args.to, args.points) if args.log
                   else np.linspace(args.from_, args.to, args.points))
     else:
@@ -336,8 +347,21 @@ def _cmd_sweep(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in scientific notation,
+    such as --mu0 -1e-3, as a value: the argparse of Python 3.11 and 3.12
+    takes only forms like -1 and -0.001 for numbers, and -1e-3 for an
+    unknown option.  add_subparsers gives every subcommand a parser of
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     g = shared.add_argument_group("model")
     g.add_argument("--mu0", type=float, help="low-regime drift (< 0)")
     g.add_argument("--mu1", type=float, help="high-regime drift (> 0)")
@@ -362,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one helper process onto a second CPU of the affinity "
                         "set (limit it with taskset)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driftgame",
         description="Equilibrium solver and Monte Carlo verifier for the "
                     "asymmetric-information stopping game")
@@ -410,8 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aprime-points", type=int, default=25)
     p.add_argument("--phi-points", type=int, default=9)
     p.add_argument("--bprime-mults", type=float, nargs="+",
-                   default=(0.5, 0.75, 1.25, 1.5, 2.0),
-                   help="deviating reflection levels as multiples of B")
+                   help="deviating reflection levels as multiples of B (default "
+                        + " ".join(map(str, _DEFAULT_BPRIME_MULTS))
+                        + ", less those at or below A; a level given here at "
+                          "or below A is invalid input)")
     p.add_argument("--jump-probs", type=float, nargs="+", default=(0.5, 1.0))
     p.set_defaults(func=_cmd_deviations)
 

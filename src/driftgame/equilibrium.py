@@ -70,10 +70,15 @@ def compute_exponents(params: ModelParams) -> Exponents:
 
     Each root must leave a residual of q below 1e-12 of q's largest term
     there, max(|a beta^2|, |b beta|, |c|), and the roots must keep their
-    signs; anything else is a numerical failure (FloatingPointError).
+    signs; anything else is a numerical failure (FloatingPointError), as
+    is an omega whose square overflows.
     """
     omega = derive(params).omega
-    a = 0.5 * omega**2
+    try:
+        a = 0.5 * omega**2
+    except OverflowError:
+        raise FloatingPointError(
+            f"omega**2 overflows double precision (omega={omega!r})") from None
     b = params.sigma * omega - a
     c = params.mu0
     disc = b * b - 4.0 * a * c
@@ -388,7 +393,8 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     PowerPiece gives bit for bit: the same `inside` formula on the same
     points.  A band with a point not strictly inside (A, B) is evaluated
     whole by PowerPiece itself.  The obstacle and cost-bound conditions
-    reuse the band's values.
+    reuse the band's values.  An overflow on the band is a
+    FloatingPointError that names the band.
     """
     if n_points < 1:
         raise ValueError(f"n_points={n_points!r} must be at least 1")
@@ -410,18 +416,25 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     strict = bool(A < interior.min() and interior.max() < B)
     block = QVI_BLOCK if strict else n_points
     maxima = []
-    for start in range(0, n_points, block):
-        q = interior[start:start + block]
-        if strict:
-            # q ** e once per exponent's float value, which pieces share
-            power = cache(lambda e: q ** e)
-            vals = [[piece.inside(k, power) for k in range(3)] for piece in pieces]
-        else:
-            vals = [[piece(q, k) for k in range(3)] for piece in pieces]
-        (v, _, _), (v1, _, _), (v0, _, _) = vals
-        maxima.append([np.max(_euler_residual(omega, drift, rate, *f, q))
-                       for (drift, rate), f in zip(odes, vals)]
-                      + [np.max((1.0 + q) - v), np.max(v0), np.max(v1)])
+    try:
+        with np.errstate(over="raise"):
+            for start in range(0, n_points, block):
+                q = interior[start:start + block]
+                if strict:
+                    # q ** e once per exponent's float value, which pieces share
+                    power = cache(lambda e: q ** e)
+                    vals = [[piece.inside(k, power) for k in range(3)]
+                            for piece in pieces]
+                else:
+                    vals = [[piece(q, k) for k in range(3)] for piece in pieces]
+                (v, _, _), (v1, _, _), (v0, _, _) = vals
+                maxima.append([np.max(_euler_residual(omega, drift, rate, *f, q))
+                               for (drift, rate), f in zip(odes, vals)]
+                              + [np.max((1.0 + q) - v), np.max(v0), np.max(v1)])
+    except FloatingPointError:
+        raise FloatingPointError(
+            f"the QVI check on the band (A, B) overflows double precision "
+            f"(A={A!r}, B={B!r}, beta2={sol.exps.beta2!r})") from None
     ode_v, ode_v1, ode_v0, band_obstacle, band_v0, band_v1 = np.max(maxima, axis=0)
 
     conds = []

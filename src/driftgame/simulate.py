@@ -448,7 +448,9 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
     only, up to its last such step at or before the horizon: the grid of
     step s * config.dt, on the same Brownian path for every s.  Such a pass
     prices no sum, so a stride above 1 needs every spec's payoff_barriers
-    empty and its controls off.
+    empty and its controls off.  The kernel walks whole strides in chunks
+    of _scan.CHUNK_STEPS (192) steps at most, so a longer stride, like one
+    longer than the horizon, is a ValueError before any draw.
 
     From _SPREAD_MIN_PATHS paths up, the paths may be shared with a helper
     process on another CPU (see :mod:`driftgame._spread`); the result is
@@ -468,6 +470,10 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
         raise ValueError(f"stride={stride} is longer than the "
                          f"{config.n_steps} steps to the horizon")
     from . import _scan
+
+    if stride > _scan.CHUNK_STEPS:
+        raise ValueError(f"stride={stride} is longer than the kernel's "
+                         f"{_scan.CHUNK_STEPS}-step chunk")
 
     # c_noise is log_ratio_step's, which every tilted measure shares
     job = _scan.ScanJob(

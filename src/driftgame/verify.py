@@ -491,10 +491,11 @@ def dt_convergence_study(sol: EquilibriumSolution, phi: float,
     Returns one MCEstimate per entry of dt_list (order preserved); the runs
     are coupled pathwise, so differences between resolutions are nearly
     noise free and the O(sqrt(dt)) hitting bias is visible directly.
-    Every entry must be an integer multiple of the smallest; config.dt is
-    ignored.  Each resolution is one kernel pass on the finest grid that
-    tests the stop on every s-th step, and each pass draws the same
-    substream per path, so every resolution reads the same Brownian path.
+    Every entry must be an integer multiple of the smallest, at most
+    _scan.CHUNK_STEPS (192) times it; config.dt is ignored.  Each
+    resolution is one kernel pass on the finest grid that tests the stop
+    on every s-th step, and each pass draws the same substream per path,
+    so every resolution reads the same Brownian path.
     """
     _require(config)
     configs = [dataclasses.replace(config, dt=float(dt)) for dt in dt_list]

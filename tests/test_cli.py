@@ -417,6 +417,93 @@ def test_deviations_rejects_non_finite_bprime_before_simulating(
     assert "Bprime=inf must be finite and exceed A=" in err
 
 
+def test_default_bprime_levels_leave_out_those_below_a(tmp_path, capsys):
+    # at eps 0.03, A/B is 0.509, so the default 0.5 B is below A: deviations
+    # leaves that level out and runs the others, where a level given with
+    # --bprime-mults at or below A is still invalid input
+    args = ("deviations", "--eps", "0.03", "--paths", "200", "--dt", "1e-3",
+            "--aprime-points", "3", "--phi-points", "2")
+    code, text = run(tmp_path, *args)
+    assert code in (0, 4)
+    doc = json.loads(text)
+    from driftgame import ModelParams, build_solution
+    sol = build_solution(ModelParams(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.03))
+    assert 0.5 * sol.B <= sol.A
+    assert [r["parameter"] for r in doc["player2"] if r["kind"] == "player2-barrier"] \
+        == [m * sol.B for m in (0.75, 1.25, 1.5, 2.0)]
+    capsys.readouterr()
+    (tmp_path / "out.txt").unlink()
+    code, text = run(tmp_path, *args, "--bprime-mults", "0.5")
+    assert code == 2 and text == ""
+    assert "must be finite and exceed A=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mu0", "-1e-3"),
+    ("solve", "--mu0", "-1E-3", "--mu1", "1e+0", "--sigma", "5e-1"),
+    ("sweep", "--param", "mu0", "--from", "-6", "--to", "-1e-1", "--points", "3",
+     "--log"),
+    ("deviations", "--mu0", "-2.5e0", "--bprime-mults", "1.25", "2e0", "--paths", "20",
+     "--dt", "1e-3", "--aprime-points", "2", "--phi-points", "2"),
+], ids=["solve", "solve-capitals", "sweep", "deviations"])
+def test_negative_numbers_in_scientific_notation(capsys, argv):
+    # "--mu0 -1e-3" is a value, as "--mu0=-1e-3" is, on every subcommand:
+    # both spellings print the same bytes
+    joined = []
+    for i, arg in enumerate(argv):
+        if i and argv[i - 1].startswith("--") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert joined != list(argv)
+    outs = []
+    for spelling in (argv, joined):
+        assert main(list(spelling)) in (0, 4)
+        out, err = capsys.readouterr()
+        assert err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0]
+
+
+def test_log_sweep_ends_of_one_sign(tmp_path, capsys):
+    # a log-spaced grid needs both ends non-zero and of one sign: ends of
+    # opposite sign, or a zero end, are invalid input (exit 2) with no
+    # output and no numpy warning; two negative ends give a grid of
+    # negative values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ends in (("--from=-1", "--to=1"), ("--from=1", "--to=-1"),
+                     ("--from=0", "--to=1"), ("--from=-1", "--to=0")):
+            code, text = run(tmp_path, "sweep", "--param", "eps", "--points", "3",
+                             "--log", *ends)
+            assert code == 2 and text == ""
+            assert "non-zero and of one sign" in capsys.readouterr().err
+        code, text = run(tmp_path, "sweep", "--param", "mu0", "--from=-6",
+                         "--to=-0.1", "--points", "3", "--log")
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+    assert [float(r[1]) for r in rows] == pytest.approx([-6.0, -(0.6 ** 0.5), -0.1])
+    assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("flag, names", [
+    ("--eps=1e300", "the QVI check on the band (A, B) overflows double precision"),
+    ("--sigma=1e-300", "omega**2 overflows double precision"),
+    ("--mu1=1e300", "omega**2 overflows double precision"),
+], ids=["eps", "sigma", "mu1"])
+def test_solve_overflow_names_what_overflowed(flag, names):
+    # with warnings as errors, each set exits 3 with one line on stderr,
+    # which names what overflowed: no numpy warning, no traceback and no
+    # bare errno tuple
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "driftgame.cli",
+                           "solve", flag],
+                          capture_output=True, text=True, env=_python_env(), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith(f"numerical failure: {names} (")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_overflow_names_the_term(tmp_path, capsys):
     # B**beta2 (in V(B)) and B**(1 - beta2) (in C2) overflow on these sets;
     # the exit-3 message names the term, B and beta2

@@ -122,6 +122,25 @@ def test_config_validation(base_params):
         _one_measure(base_params, 0.6, 0.3, 1.0, _cfg(), no_sum, stride=5001)
 
 
+def test_stride_longer_than_a_chunk_refused_before_any_draw(base_params, monkeypatch):
+    # The kernel walks whole strides in chunks of CHUNK_STEPS steps at
+    # most: a stride of one chunk runs, and one step more is refused before
+    # a path is drawn, though the horizon holds it.
+    import driftgame._scan as scan
+
+    no_sum = MeasureSpec(Measure.TILTED0, payoff_barriers=())
+    cfg = _cfg(n_paths=3)
+    assert scan.CHUNK_STEPS + 1 < cfg.n_steps
+    one_chunk = _one_measure(base_params, 0.6, 0.3, 1.0, cfg, no_sum,
+                             stride=scan.CHUNK_STEPS)
+    assert one_chunk.tau.shape == (3,)
+    monkeypatch.setattr(scan, "scan_paths", lambda *args: pytest.fail("drew a path"))
+    with pytest.raises(ValueError, match=f"stride={scan.CHUNK_STEPS + 1} is longer "
+                                         f"than the kernel's {scan.CHUNK_STEPS}-step"):
+        _one_measure(base_params, 0.6, 0.3, 1.0, cfg, no_sum,
+                     stride=scan.CHUNK_STEPS + 1)
+
+
 def test_measure_spec_names_a_tilted_measure(base_params, monkeypatch):
     # The kernel scans the tilted measures only, named by member or value;
     # a pass with any other measure is refused before a path is drawn.
@@ -560,14 +579,18 @@ def test_fused_pass_matches_one_pass_per_barrier(base_params):
     # One scan that prices several payoff barriers is bitwise equal to one
     # pass per barrier: tilted0 with the Phi weight and tilted1, barriers
     # below and above B, a repeated level, a level no path reaches, paths
-    # of more than 1024 steps, paths censored at a short horizon, and a
-    # start above B (time-zero jump of every barrier below phi0).
+    # of more than 1024 steps, paths censored at a short horizon, a start
+    # above B (time-zero jump of every barrier below phi0), and starts
+    # exactly at B and exactly on the payoff barrier 0.75 B, where that
+    # barrier's reflection starts at 0.
     sol = build_solution(base_params)
     barriers = [m * sol.B for m in (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 1.25, 50.0)]
     cases = [(Measure.TILTED0, True, 0.6, 10.0),
              (Measure.TILTED1, False, 0.6, 10.0),
              (Measure.TILTED1, False, 0.6, 0.15),
-             (Measure.TILTED0, True, 1.7 * sol.B, 0.15)]
+             (Measure.TILTED0, True, 1.7 * sol.B, 0.15),
+             (Measure.TILTED0, True, sol.B, 10.0),
+             (Measure.TILTED1, False, barriers[2], 10.0)]
     for measure, weight_phi, phi0, horizon in cases:
         cfg = SimConfig(dt=1e-4, horizon=horizon, n_paths=64, seed=7)
         rate = base_params.mu0 if measure is Measure.TILTED0 else base_params.mu1
@@ -640,7 +663,13 @@ def test_batched_scan_matches_one_pass_per_barrier(base_params):
                         weight_phi, barriers, BETAS)
         (slots,) = scan.unscanned(job, lo + n)
         scan.scan_paths(job, (slots,), range(lo, lo + n))
-        assert np.isnan(slots.tau[:lo]).all() and np.isnan(slots.z_end[:lo]).all()
+        # the slots below lo keep unscanned's time-zero state: NaN, or the
+        # stop at t = 0 of a start at A
+        (below,) = scan.unscanned(job, lo)
+        _assert_same_bits(PathFunctionals(**{
+            field.name: getattr(slots, field.name)[..., :lo]
+            for field in dataclasses.fields(slots)}), below)
+        assert np.isnan(below.tau).all() == (phi0 > sol.A)
         got = PathFunctionals(**{field.name: getattr(slots, field.name)[..., lo:]
                                  for field in dataclasses.fields(slots)})
         steps = np.rint(np.where(got.censored, horizon, got.tau) / cfg.dt)
@@ -711,7 +740,7 @@ def test_lane_scan_ignores_lane_count_and_chunk_length(base_params, monkeypatch)
     # horizon that censors some paths and one of 50 steps, shorter than a
     # default chunk, so that a chunk stops at the oldest row's horizon
     # while younger rows go on; and a stride-7 pass, whose chunks are whole
-    # strides (7 and 35 steps).
+    # strides and so at least one (7 and 35 steps, at CHUNK_STEPS 7 and 40).
     import driftgame._scan as scan
 
     sol = build_solution(base_params)
@@ -727,7 +756,7 @@ def test_lane_scan_ignores_lane_count_and_chunk_length(base_params, monkeypatch)
             runs = []
             for lanes, steps in geometries:
                 monkeypatch.setattr(scan, "LANES", lanes)
-                monkeypatch.setattr(scan, "CHUNK_STEPS", steps)
+                monkeypatch.setattr(scan, "CHUNK_STEPS", max(steps, stride))
                 runs.append(_hand_pass(
                     base_params, phi0, sol.A, sol.B, cfg, Measure.TILTED1,
                     base_params.mu1, True, bpays, betas, stride))
@@ -788,7 +817,8 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
             runs.append(_hand_pass(base_params, phi0, sol.A, sol.B, cfg, measure, rate,
                                    weight_phi, bpays, BETAS if stride == 1 else (),
                                    stride))
-        assert helper_switch.helper_chunks >= 1
+        # a start at A stops every path at t = 0: no chunk is claimed
+        assert (helper_switch.helper_chunks >= 1) == (phi0 != sol.A)
         serial, split = runs
         assert not np.isnan(split.z_end).any()   # every slot written
         assert split.control_sums.shape[0] == (len(BETAS) if stride == 1 else 0)
@@ -856,8 +886,8 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                         got = stacked_path_functionals(
                             base_params, phi0, sol.A, sol.B,
                             dataclasses.replace(cfg, n_paths=n), specs)
-                    if on:
-                        assert helper_switch.helper_chunks >= 1
+                    if on:   # no chunk claimed where every path stops at t = 0
+                        assert (helper_switch.helper_chunks >= 1) == (phi0 > sol.A)
                     assert len(got) == len(specs)
                     for one, ref in zip(got, alone):
                         for field in dataclasses.fields(ref):
@@ -972,16 +1002,50 @@ def test_failed_helper_leaves_its_pass_to_the_caller(monkeypatch, helper_switch,
 
 
 def test_bad_seed_raises_in_every_process(helper_switch):
-    # A pass whose seed the kernel refuses fails in both processes; the
-    # caller raises the kernel's own ValueError, as a serial pass does.
+    # A pass whose seed the kernel refuses fails in both processes, before
+    # either claims a chunk; the caller raises the kernel's own ValueError,
+    # as a serial pass does.
     import driftgame._spread as spread
 
     helper_switch.set(True)
     with pytest.raises(ValueError, match="outside"):
         spread.scan(_one_barrier_job(seed=2**64), 300)
-    assert helper_switch.helper_chunks >= 1
+    assert helper_switch.helper_chunks == 0
     assert len(helper_switch.helpers) == 1
     assert helper_switch.all_ended()
+
+
+def test_split_pass_stopped_at_time_zero_claims_no_chunk(base_params, monkeypatch,
+                                                         helper_switch):
+    # A start below A stops every path at t = 0, and unscanned writes that
+    # stop whole: neither the caller nor the helper claims a queue chunk,
+    # and the split pass gives the serial bits under both measures of mc.
+    import driftgame._spread as spread
+    import driftgame.simulate as sim
+    import driftgame.verify as verify
+
+    monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
+    caller, switch_claim, caller_claims = os.getpid(), spread._claim, [0]
+
+    def counting_claim(queue_r):
+        index = switch_claim(queue_r)
+        if os.getpid() == caller:
+            caller_claims[0] += index is not None
+        return index
+
+    monkeypatch.setattr(spread, "_claim", counting_claim)
+    sol = build_solution(base_params)
+    cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=19)
+    runs = []
+    for on in (False, True):
+        helper_switch.set(on)
+        runs.append(stacked_path_functionals(base_params, sol.A / 2, sol.A, sol.B, cfg,
+                                             verify._ORACLE_SPECS))
+    assert len(helper_switch.helpers) == 1 and helper_switch.all_ended()
+    assert helper_switch.helper_chunks == 0 and caller_claims[0] == 0
+    for serial, split in zip(*runs):
+        assert (split.tau == 0.0).all() and (split.z_end == math.log(sol.A / 2)).all()
+        _assert_same_bits(split, serial)
 
 
 def test_failed_fork_scans_in_the_caller(monkeypatch, helper_switch):
