@@ -5,7 +5,9 @@ here from simulate._SPREAD_MIN_PATHS (1024) paths up; the rest of the
 decision is made here.  On Linux, when this process may run on another
 CPU (its affinity set, so taskset limits it), the pass forks one helper.
 Elsewhere it runs serially in driftgame._scan: fork is unsafe on macOS,
-and no other platform is tested.
+and no other platform is tested.  A pass whose every path stops at t = 0
+runs serially too: _scan.unscanned writes it whole, so it has no path to
+share.
 
 Before the fork the path range is cut into at most MAX_CHUNKS chunks of
 whole multiples of CHUNK_PATHS paths, and every chunk's index is written
@@ -15,13 +17,11 @@ with the paths of the chunks it claims: a process reads the next record
 only when its lanes need a path and it has none left, so its lanes take
 paths across chunks and drain once, when the queue is empty.  A pipe read
 of a whole record already in the pipe is atomic, so each chunk is
-claimed once.  A pass whose every path stops at t = 0 is whole in the
-slots _scan.unscanned writes, so neither process claims a chunk of it.
-Each measure's slots come from _scan.unscanned laid out in an anonymous
-shared mapping, so both processes write their paths in place, each in
-its own slot, and add every sum in place: the result is bit-identical
-to one scan in one process.  scan() returns a
-private heap copy of the slots: the mapping would stay shared with any
+claimed once.  Each measure's slots come from _scan.unscanned laid out
+in an anonymous shared mapping, so both processes write their paths in
+place, each in its own slot, and add every sum in place: the result is
+bit-identical to one scan in one process.  scan() returns a private heap
+copy of the slots: the mapping would stay shared with any
 process the caller forks later, which could then write into the result.
 
 The helper is a fork of the caller: it starts with the kernel imported and
@@ -61,8 +61,9 @@ MAX_CHUNKS = select.PIPE_BUF // _RECORD.itemsize   # 512 on Linux
 def scan(job: _scan.ScanJob, n: int) -> tuple:
     """_scan.scan(job, n), with a forked helper process scanning some of
     its chunks, under every measure of the pass, where this process may
-    use a second CPU on Linux; the helper has ended on return."""
-    if sys.platform != "linux" or _cpu_count() < 2:
+    use a second CPU on Linux and some path is scanned; the helper has
+    ended on return."""
+    if sys.platform != "linux" or _cpu_count() < 2 or _scan._stops_at_zero(job):
         return _scan.scan(job, n)
     try:
         queue_r, queue_w = os.pipe()

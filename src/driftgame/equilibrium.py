@@ -71,7 +71,7 @@ def compute_exponents(params: ModelParams) -> Exponents:
     Each root must leave a residual of q below 1e-12 of q's largest term
     there, max(|a beta^2|, |b beta|, |c|), and the roots must keep their
     signs; anything else is a numerical failure (FloatingPointError), as
-    is an omega whose square overflows.
+    is an omega whose square overflows or underflows.
     """
     omega = derive(params).omega
     try:
@@ -79,6 +79,9 @@ def compute_exponents(params: ModelParams) -> Exponents:
     except OverflowError:
         raise FloatingPointError(
             f"omega**2 overflows double precision (omega={omega!r})") from None
+    if a == 0.0:
+        raise FloatingPointError(
+            f"omega**2 underflows double precision (omega={omega!r})")
     b = params.sigma * omega - a
     c = params.mu0
     disc = b * b - 4.0 * a * c
@@ -120,7 +123,8 @@ def bisect_unit(f, what: str) -> float:
     at 1, by bracketed bisection.
 
     The lower bracket endpoint is shrunk geometrically until f goes
-    negative; bisection then runs to machine resolution in z.
+    negative; bisection then runs to machine resolution in z.  A root that
+    rounds to 1 (f negative at every float below 1) is a BracketFailure.
     """
     hi = 1.0
     lo = 0.5
@@ -131,6 +135,8 @@ def bisect_unit(f, what: str) -> float:
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
+            if mid == 1.0:
+                raise BracketFailure(f"the root of {what} on (0, 1) rounds to 1")
             return mid
         if f(mid) < 0.0:
             lo = mid
@@ -155,7 +161,7 @@ def solve_threshold_ratio(exps: Exponents, eps: float) -> float:
         except OverflowError:
             return diverges
 
-    return bisect_unit(h_signed, f"h for exponents {exps}: parameters are corrupted")
+    return bisect_unit(h_signed, f"h for exponents {exps}")
 
 
 def compute_upper_threshold(exps: Exponents, eps: float, delta: float) -> float:

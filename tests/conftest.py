@@ -53,8 +53,8 @@ class HelperSwitch:
     While on, the calling process takes its first chunk only after the
     helper has taken one, so that both processes scan paths.
     helper_chunks is the number of chunks the helper took in the last split
-    scan (counted in memory shared with it), and helpers lists every helper
-    process started.
+    scan since the switch was last set (counted in memory shared with it),
+    and helpers lists every helper process started.
     """
 
     def __init__(self, monkeypatch):
@@ -72,6 +72,7 @@ class HelperSwitch:
         monkeypatch.setattr(spread, "_claim", self._claim)
 
     def set(self, on: bool) -> None:
+        self._taken[0] = 0
         self._monkeypatch.setattr(self._spread, "_cpu_count", lambda: 2 if on else 1)
 
     @property

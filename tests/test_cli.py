@@ -22,6 +22,104 @@ def run(tmp_path, *argv):
 BASE_FLAGS = ("--mu0", "-1", "--mu1", "1", "--sigma", "0.5", "--eps", "0.1")
 
 
+# The command line's contract, one case a row: the command line, its exit
+# code, the start of its one stderr line after "error: " (exit 2) or
+# "numerical failure: " (exit 3), and, where its stdout must be the same
+# bytes with the kernel's helper process off and on, the helper processes
+# the run with it on starts.  Add a new command case here.
+CONTRACT = [
+    ("solve", 0, None, None),
+    ("symmetric", 0, None, None),
+    ("voi --grid 9", 0, None, None),
+    ("sweep --param mu0 --points 5", 0, None, None),
+    ("path", 0, None, None),
+    ("path --mu0 -1.7 --mu1 0.3 --sigma 0.3 --eps 0.35 --pi 0.6 --dt 1e-3 --seed 5",
+     0, None, None),
+    ("mc --paths 200", 0, None, None),
+    ("deviations --paths 200", 0, None, None),
+    # reflection-smooth-V1 passes: its bound scales with V1'(B)'s terms
+    ("solve --mu0 -0.001 --mu1 1 --sigma 1 --eps 10", 0, None, None),
+    # the path walk ends at its stop, and the J1 censoring bound is formed
+    # only on censored paths, so no discarded value overflows or meets log 0
+    ("path --horizon 10000 --dt 1e-3", 0, None, None),
+    ("mc --horizon 1e9 --dt 1e-3 --paths 20", 0, None, None),
+    # the control fit on q = 2 controls, and with 3 paths the plain mean
+    ("mc --paths 4", 0, None, None),
+    ("mc --paths 3", 0, None, None),
+    # most tilted1 paths are censored, which each barrier row's tolerance
+    # must bracket (exit 0, not 4)
+    ("deviations --paths 2000 --dt 1e-3 --horizon 0.05", 0, None, None),
+    # the default 0.5 B is below A at eps 0.03; deviations leaves it out
+    ("deviations --eps 0.03 --paths 200 --dt 1e-3", 0, None, None),
+    # powers that overflow in the value-matching systems name the power
+    ("solve --mu0=-0.001 --mu1=1.0 --sigma=10.0 --eps=0.1", 3,
+     "B**beta2 in V(B) overflows double precision (B=0.0009090092445415915, "
+     "beta2=-198.80120382127896)", None),
+    ("solve --mu0=-1 --mu1=0.001 --sigma=10 --eps=1e-6", 3,
+     "B**(1 - beta2) in C2 overflows double precision (B=999.0019508366308, "
+     "beta2=-199.7992057693796)", None),
+    ("symmetric --mu0 -0.001 --mu1 0.001 --sigma 1 --eps 0.1", 3,
+     "As**beta2 in value matching overflows double precision "
+     "(As=0.41185971527383697, beta2=-999.5002499999376)", None),
+    # beta2 is -1e200: h is negative at every double below 1, so its root
+    # rounds to 1; symmetric fails on the power first
+    ("solve --sigma 1e100", 3, "the root of h for exponents Exponents(beta1=0.5, "
+     "beta2=-1e+200) on (0, 1) rounds to 1", None),
+    ("symmetric --sigma 1e100", 3, "As**beta2 in value matching overflows double "
+     "precision (As=0.4118333471097151, beta2=-1e+200)", None),
+    # omega is 2e-200, and omega**2 underflows to 0
+    ("solve --sigma 1e200", 3, "omega**2 underflows double precision (omega=2e-200)",
+     None),
+    ("symmetric --sigma 1e200", 3,
+     "omega**2 underflows double precision (omega=2e-200)", None),
+    # from 1024 paths the kernel shares its one pass with a helper process,
+    # under both measures, and with six payoff barriers in deviations
+    ("mc --paths 2048 --dt 1e-3", 0, None, 1),
+    ("deviations --paths 2048 --dt 1e-3", 0, None, 1),
+    # at the default dt 1e-4 paths cross many chunks
+    ("mc --paths 2048", 0, None, 1),
+    ("deviations --paths 2048", 0, None, 1),
+    # the control fit from below B and above it, where tilted1's control
+    # sums start with their time-zero term
+    ("mc --phi 1.3 --paths 2048", 0, None, 1),
+    # a 50-step horizon, shorter than one chunk, with most paths censored
+    ("mc --phi 0.6 --paths 2048 --horizon 0.005", 0, None, 1),
+    # not a multiple of the 256-path queue chunk: the last chunk is partial
+    ("mc --paths 2500", 0, None, 1),
+    ("deviations --paths 3001", 0, None, 1),
+    # above 512 chunks of 256 paths, so the queue chunks grow to 512 paths
+    ("mc --paths 140000 --dt 1e-3", 0, None, 1),
+    # a start below A stops every path at t = 0: no helper starts
+    ("mc --phi 0.1 --paths 2048", 0, None, 0),
+]
+
+
+@pytest.mark.parametrize("line, code, err_start, helpers", CONTRACT,
+                         ids=[row[0] for row in CONTRACT])
+def test_command_contract(capsys, helper_switch, line, code, err_start, helpers):
+    # with warnings as errors: a run that exits 0 or 4 prints on stdout only,
+    # one that exits 2 or 3 prints one line on stderr only
+    outs = []
+    for on in (False, True) if helpers is not None else (None,):
+        if on is not None:
+            helper_switch.set(on)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(line.split()) == code
+        out, err = capsys.readouterr()
+        if code in (0, 4):
+            assert err == "" and out
+        else:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith({2: "error: ", 3: "numerical failure: "}[code]
+                                  + err_start)
+        outs.append(out)
+    if helpers is not None:
+        assert len(helper_switch.helpers) == helpers and helper_switch.all_ended()
+        assert helper_switch.helper_chunks >= min(helpers, 1)
+    assert len(set(outs)) == 1
+
+
 def test_solve_json(tmp_path):
     code, text = run(tmp_path, "solve", *BASE_FLAGS)
     assert code == 0
@@ -235,6 +333,18 @@ def test_cli_import_leaves_helper_code_out():
          " & set(sys.modules)))"],
         capture_output=True, text=True, env=_python_env(), timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the helper runs on Linux only")
+def test_cpu_count_reads_the_affinity_set():
+    # a process pinned to one CPU, as taskset -c 0 pins it, counts one, so
+    # its kernel starts no helper
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import driftgame._spread as spread; print(spread._cpu_count())"],
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+        capture_output=True, text=True, env=_python_env(), timeout=120, check=True)
+    assert proc.stdout == "1\n"
 
 
 def test_readme_quick_start_runs_as_a_script(tmp_path):
@@ -504,33 +614,6 @@ def test_solve_overflow_names_what_overflowed(flag, names):
     assert proc.stderr.count("\n") == 1
 
 
-def test_overflow_names_the_term(tmp_path, capsys):
-    # B**beta2 (in V(B)) and B**(1 - beta2) (in C2) overflow on these sets;
-    # the exit-3 message names the term, B and beta2
-    for flags, term in ((("--mu0=-0.001", "--mu1=1.0", "--sigma=10.0", "--eps=0.1"),
-                         "B**beta2 in V(B)"),
-                        (("--mu0=-1", "--mu1=0.001", "--sigma=10", "--eps=1e-6"),
-                         "B**(1 - beta2) in C2")):
-        code, _ = run(tmp_path, "solve", *flags)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert f"numerical failure: {term} overflows" in err
-        assert "B=" in err and "beta2=" in err
-
-
-def test_symmetric_overflow_names_the_power(tmp_path, capsys):
-    # As**beta2 in the symmetric game's value-matching system overflows on
-    # this set; the exit-3 message names the power, As and beta2
-    code, text = run(tmp_path, "symmetric", "--mu0", "-0.001", "--mu1", "0.001",
-                     "--sigma", "1", "--eps", "0.1")
-    assert code == 3 and text == ""
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: As**beta2 in value matching "
-                          "overflows double precision (As=0.41185971527383697, "
-                          "beta2=-999.5002499999376)")
-    assert err.count("\n") == 1
-
-
 # the commands of one parameter set of the numerical study
 _STUDY = (("solve", "--pi", "0.35"), ("symmetric",), ("voi", "--grid", "9"),
           ("sweep", "--param", "mu0", "--points", "5"),
@@ -569,20 +652,6 @@ def test_parser_built_once_and_reused(monkeypatch, capsys):
     assert main(["mc", "--paths", "10"]) == 0
     assert len(reached) == 1 and builds == [1]
     cli._parser.cache_clear()
-
-
-@pytest.mark.parametrize("argv", [
-    ("path", "--horizon", "10000", "--dt", "1e-3"),
-    ("mc", "--horizon", "1e9", "--dt", "1e-3", "--paths", "20"),
-], ids=["path-long-horizon", "mc-long-horizon"])
-def test_long_horizon_warns_nothing(tmp_path, capsys, argv):
-    # the path walk ends at its stop, and the J1 censoring bound is formed
-    # only on censored paths, so no discarded value overflows or meets log 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, text = run(tmp_path, *argv)
-    assert code == 0 and text
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flags", [
@@ -689,6 +758,9 @@ def test_solve_small_sigma(tmp_path):
 
 PROBE_GRID = {"mu0": (-50, -5, -1, -1e-3), "mu1": (1e-3, 1, 5, 50),
               "sigma": (1e-2, 0.1, 1, 10), "eps": (1e-6, 1e-3, 0.1, 10)}
+# each parameter alone, the others at their defaults, across double precision
+PROBE_ENDS = [(f"--{k}", f"{'-' if k == 'mu0' else ''}1e{e}") for k in PROBE_GRID
+              for e in (-300, -150, -50, 50, 100, 150, 200, 300, 308)]
 
 
 @pytest.mark.parametrize("command", ["solve", "symmetric"])
@@ -698,6 +770,7 @@ def test_domain_probe_exit_codes(tmp_path, command):
     for values in itertools.product(*PROBE_GRID.values()):
         flags = [f for k, v in zip(PROBE_GRID, values) for f in (f"--{k}", repr(v))]
         codes.append(run(tmp_path, command, *flags)[0])
+    codes += [run(tmp_path, command, *flag)[0] for flag in PROBE_ENDS]
     assert set(codes) <= {0, 3, 4}
 
 

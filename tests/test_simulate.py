@@ -817,7 +817,7 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
             runs.append(_hand_pass(base_params, phi0, sol.A, sol.B, cfg, measure, rate,
                                    weight_phi, bpays, BETAS if stride == 1 else (),
                                    stride))
-        # a start at A stops every path at t = 0: no chunk is claimed
+        # a start at A stops every path at t = 0: no helper starts
         assert (helper_switch.helper_chunks >= 1) == (phi0 != sol.A)
         serial, split = runs
         assert not np.isnan(split.z_end).any()   # every slot written
@@ -827,7 +827,7 @@ def test_helper_process_matches_serial_scan(base_params, monkeypatch,
                                   getattr(serial, field.name), equal_nan=True)
         assert serial.censored.any() == (horizon < 1.0)
         assert (serial.tau == 0.0).all() == (phi0 == sol.A)
-    assert len(helper_switch.helpers) == len(cases)
+    assert len(helper_switch.helpers) == len(cases) - 1
     assert helper_switch.all_ended()
 
 
@@ -886,7 +886,7 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                         got = stacked_path_functionals(
                             base_params, phi0, sol.A, sol.B,
                             dataclasses.replace(cfg, n_paths=n), specs)
-                    if on:   # no chunk claimed where every path stops at t = 0
+                    if on:   # no helper where every path stops at t = 0
                         assert (helper_switch.helper_chunks >= 1) == (phi0 > sol.A)
                     assert len(got) == len(specs)
                     for one, ref in zip(got, alone):
@@ -894,7 +894,7 @@ def test_stacked_pass_matches_one_pass_per_measure(base_params, monkeypatch,
                             assert np.array_equal(getattr(one, field.name),
                                                   getattr(ref, field.name)[..., :n],
                                                   equal_nan=True), (on, tiny, field.name)
-    assert len(helper_switch.helpers) == 2 * 4 * 2
+    assert len(helper_switch.helpers) == 2 * 3 * 2
     assert helper_switch.all_ended()
 
 
@@ -1018,22 +1018,12 @@ def test_bad_seed_raises_in_every_process(helper_switch):
 def test_split_pass_stopped_at_time_zero_claims_no_chunk(base_params, monkeypatch,
                                                          helper_switch):
     # A start below A stops every path at t = 0, and unscanned writes that
-    # stop whole: neither the caller nor the helper claims a queue chunk,
-    # and the split pass gives the serial bits under both measures of mc.
-    import driftgame._spread as spread
+    # stop whole: no helper starts, and the pass gives the serial bits
+    # under both measures of mc.
     import driftgame.simulate as sim
     import driftgame.verify as verify
 
     monkeypatch.setattr(sim, "_SPREAD_MIN_PATHS", 100)
-    caller, switch_claim, caller_claims = os.getpid(), spread._claim, [0]
-
-    def counting_claim(queue_r):
-        index = switch_claim(queue_r)
-        if os.getpid() == caller:
-            caller_claims[0] += index is not None
-        return index
-
-    monkeypatch.setattr(spread, "_claim", counting_claim)
     sol = build_solution(base_params)
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=300, seed=19)
     runs = []
@@ -1041,8 +1031,7 @@ def test_split_pass_stopped_at_time_zero_claims_no_chunk(base_params, monkeypatc
         helper_switch.set(on)
         runs.append(stacked_path_functionals(base_params, sol.A / 2, sol.A, sol.B, cfg,
                                              verify._ORACLE_SPECS))
-    assert len(helper_switch.helpers) == 1 and helper_switch.all_ended()
-    assert helper_switch.helper_chunks == 0 and caller_claims[0] == 0
+    assert helper_switch.helpers == []
     for serial, split in zip(*runs):
         assert (split.tau == 0.0).all() and (split.z_end == math.log(sol.A / 2)).all()
         _assert_same_bits(split, serial)
