@@ -21,12 +21,10 @@ from .equilibrium import (
     solve_threshold_ratio,
 )
 from .model import (
-    DerivedQuantities,
     DomainError,
     InvalidParameters,
     ModelParams,
     belief_to_ratio,
-    derive,
     ratio_to_belief,
 )
 from .simulate import (

@@ -145,6 +145,8 @@ def _resolve(args, default_pi: float):
     if phi_flag is not None:
         phi = float(phi_flag)
         pi = ratio_to_belief(phi)
+        if pi == 1.0:
+            raise CliError(f"phi={phi} is too large: its prior phi/(1+phi) rounds to 1")
     else:
         pi = float(pi_flag) if pi_flag is not None else default_pi
         phi = belief_to_ratio(pi)

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .model import DomainError, ModelParams, derive
+from .model import DomainError, ModelParams
 
 # QVI residual tolerances: closed-form solution, limited by floating point.
 ODE_RTOL = 1e-8        # relative, for the three Euler ODE residuals
@@ -61,7 +61,7 @@ class Exponents:
 
 def characteristic_poly(params: ModelParams, beta: float) -> float:
     """q(beta) for the Euler ODE of the discounted ratio process."""
-    omega = derive(params).omega
+    omega = params.omega
     return 0.5 * omega**2 * beta * (beta - 1.0) + params.sigma * omega * beta + params.mu0
 
 
@@ -73,7 +73,7 @@ def compute_exponents(params: ModelParams) -> Exponents:
     signs; anything else is a numerical failure (FloatingPointError), as
     is an omega whose square overflows or underflows.
     """
-    omega = derive(params).omega
+    omega = params.omega
     try:
         a = 0.5 * omega**2
     except OverflowError:
@@ -266,10 +266,6 @@ class EquilibriumSolution:
         return self.B / (1.0 + self.B)
 
     @property
-    def omega(self) -> float:
-        return derive(self.params).omega
-
-    @property
     def V_B(self) -> float:
         """Continuation value at the reflecting threshold."""
         b2 = self.exps.beta2
@@ -405,7 +401,7 @@ def check_qvi(sol: EquilibriumSolution, n_points: int = 10_000) -> QviReport:
     if n_points < 1:
         raise ValueError(f"n_points={n_points!r} must be at least 1")
     params = sol.params
-    omega = sol.omega
+    omega = params.omega
     so = params.sigma * omega
     A, B = sol.A, sol.B
     eps = params.eps

@@ -1,4 +1,5 @@
-"""Game primitives, derived quantities, and belief-coordinate conversions.
+"""Game primitives, their signal-to-noise ratio and initial likelihood ratio,
+and belief-coordinate conversions.
 
 The stopping game is parametrised by two drift regimes mu0 < 0 < mu1, a
 volatility sigma, a premium eps paid by the later stopper, an initial asset
@@ -55,19 +56,15 @@ class ModelParams:
                 "0 < prior < 1)"
             )
 
+    @property
+    def omega(self) -> float:
+        """Signal-to-noise ratio (mu1 - mu0) / sigma, > 0."""
+        return (self.mu1 - self.mu0) / self.sigma
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    omega: float   # signal-to-noise ratio (mu1 - mu0) / sigma, > 0
-    phi0: float    # initial likelihood ratio prior / (1 - prior), > 0
-
-
-def derive(params: ModelParams) -> DerivedQuantities:
-    """Signal-to-noise ratio and initial likelihood ratio of a parameter set."""
-    return DerivedQuantities(
-        omega=(params.mu1 - params.mu0) / params.sigma,
-        phi0=belief_to_ratio(params.prior),
-    )
+    @property
+    def phi0(self) -> float:
+        """Initial likelihood ratio prior / (1 - prior), > 0."""
+        return belief_to_ratio(self.prior)
 
 
 def belief_to_ratio(pi: float) -> float:

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DerivedQuantities, ModelParams, derive
+from .model import ModelParams
 
 # Stream roles within a path's key space.
 ROLE_PATH_NOISE = 0
@@ -113,14 +113,14 @@ def _check_thresholds(lower: float, barrier: float) -> None:
         raise ValueError(f"lower={lower} must lie in (0, barrier={barrier})")
 
 
-def log_drifts(params: ModelParams, d: DerivedQuantities, measure: Measure,
+def log_drifts(params: ModelParams, measure: Measure,
                theta: int | None = None) -> tuple[float, float]:
     """Per-unit-time log drifts (m_phi, m_x) of Phi and X.
 
-    m_phi is the geometric drift of Phi (the log of Phi advances by
-    (m_phi - omega^2/2) dt per step); m_x is the drift of log X directly.
+    m_phi is the geometric drift of Phi (log_ratio_step is its step);
+    m_x is the drift of log X directly.
     """
-    omega, sigma = d.omega, params.sigma
+    omega, sigma = params.omega, params.sigma
     if measure is Measure.TILTED0:
         return sigma * omega, params.mu0 + 0.5 * sigma**2
     if measure is Measure.TILTED1:
@@ -180,13 +180,12 @@ def _grid(dt: float, params: ModelParams, measure: Measure, theta: int | None,
           xi: np.ndarray) -> Trajectory:
     """(X, Phi) under measure at grid points 0 .. xi.size of step dt,
     driven by the normal draws xi, one per step for both."""
-    d = derive(params)
-    m_phi, m_x = log_drifts(params, d, measure, theta)
+    _, m_x = log_drifts(params, measure, theta)
     return Trajectory(
         times=np.arange(xi.size + 1) * dt,
         X=_levels(math.log(params.x0), m_x * dt, params.sigma * math.sqrt(dt), xi),
-        Phi=_levels(math.log(d.phi0), (m_phi - 0.5 * d.omega**2) * dt,
-                    d.omega * math.sqrt(dt), xi),
+        Phi=_levels(math.log(params.phi0), *log_ratio_step(params, measure, dt, theta),
+                    xi),
         theta=theta)
 
 
@@ -373,13 +372,14 @@ class PathFunctionals:
         return self.tau.size
 
 
-def log_ratio_step(params: ModelParams, measure: Measure,
-                   dt: float) -> tuple[float, float]:
-    """(c_drift, c_noise) of a tilted measure: one step dt of log Phi is
-    c_drift + c_noise * xi, with xi standard normal."""
-    d = derive(params)
-    m_phi, _ = log_drifts(params, d, measure)
-    return (m_phi - 0.5 * d.omega**2) * dt, d.omega * math.sqrt(dt)
+def log_ratio_step(params: ModelParams, measure: Measure, dt: float,
+                   theta: int | None = None) -> tuple[float, float]:
+    """(c_drift, c_noise) of measure (with the regime theta under the
+    physical measure, as in log_drifts): one step dt of log Phi is
+    c_drift + c_noise * xi, with xi standard normal.  c_noise is the same
+    under every measure."""
+    m_phi, _ = log_drifts(params, measure, theta)
+    return (m_phi - 0.5 * params.omega**2) * dt, params.omega * math.sqrt(dt)
 
 
 def discount_rate(params: ModelParams, measure: Measure) -> float:
@@ -475,12 +475,14 @@ def stacked_path_functionals(params: ModelParams, phi0: float, lower: float,
         raise ValueError(f"stride={stride} is longer than the kernel's "
                          f"{_scan.CHUNK_STEPS}-step chunk")
 
-    # c_noise is log_ratio_step's, which every tilted measure shares
+    measures = tuple(_scan_measure(params, barrier, config.dt, spec, int(stride))
+                     for spec in specs)
+    # c_noise is the same under every measure
+    _, c_noise = log_ratio_step(params, Measure(specs[0].measure), config.dt)
     job = _scan.ScanJob(
-        seed=config.seed, phi0=phi0, c_noise=derive(params).omega * math.sqrt(config.dt),
-        k_max=config.n_steps, dt=config.dt, z_hit=math.log(barrier), z_lo=math.log(lower),
-        measures=tuple(_scan_measure(params, barrier, config.dt, spec, int(stride))
-                       for spec in specs), stride=int(stride))
+        seed=config.seed, phi0=phi0, c_noise=c_noise, k_max=config.n_steps, dt=config.dt,
+        z_hit=math.log(barrier), z_lo=math.log(lower), measures=measures,
+        stride=int(stride))
     if config.n_paths < _SPREAD_MIN_PATHS:
         return _scan.scan(job, config.n_paths)
     from . import _spread

@@ -55,7 +55,7 @@ from .simulate import (Measure, MeasureSpec, PathFunctionals, SimConfig,
 # Calibrated by dt-halving at the base case (worst ratio there ~0.12; factor-2
 # safety), but the observed ratio reaches ~0.76 at study-range sets (J0 at
 # mu0 -2, mu1 0.3, sigma 1.5, eps 0.35, phi 1.8227; 10 000 paths, dt 1e-4),
-# where J0 and J1 fail their check on bias alone (ROADMAP item 2).
+# where J0 and J1 fail their check on bias alone (ROADMAP items 3 and 8).
 HIT_BIAS_COEFF = 0.25
 
 # Residual grid bias of PAIRED payoff comparisons: the hitting-time overshoot
@@ -111,7 +111,7 @@ def _estimate(samples: np.ndarray, sol: EquilibriumSolution, config: SimConfig,
     return MCEstimate(mean=mean, stderr=stderr, n_paths=n, dt=config.dt,
                       horizon=config.horizon,
                       censored_fraction=float(np.mean(censored)),
-                      bias_bound=HIT_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
+                      bias_bound=HIT_BIAS_COEFF * sol.params.omega * math.sqrt(config.dt)
                       + bracket)
 
 
@@ -448,7 +448,7 @@ def deviations_player2(sol: EquilibriumSolution, Bprime_grid, phi: float,
     eps = sol.params.eps
     rows = []
 
-    pair_bias = PAIR_BIAS_COEFF * sol.omega * math.sqrt(config.dt)
+    pair_bias = PAIR_BIAS_COEFF * sol.params.omega * math.sqrt(config.dt)
     # J0 needs only the stop (Gamma^0 = 0), so tilted0 prices no sum
     pf1, pf0 = stacked_path_functionals(sol.params, phi, sol.A, sol.B, config, (
         MeasureSpec(Measure.TILTED1, payoff_barriers=(sol.B, *bprimes)),

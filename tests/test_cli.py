@@ -67,6 +67,9 @@ CONTRACT = [
      "beta2=-1e+200) on (0, 1) rounds to 1", None),
     ("symmetric --sigma 1e100", 3, "As**beta2 in value matching overflows double "
      "precision (As=0.4118333471097151, beta2=-1e+200)", None),
+    # from 2^53 up, the prior phi/(1+phi) rounds to 1
+    ("solve --phi 1e16", 2, "phi=1e+16 is too large: its prior phi/(1+phi) rounds to 1",
+     None),
     # omega is 2e-200, and omega**2 underflows to 0
     ("solve --sigma 1e200", 3, "omega**2 underflows double precision (omega=2e-200)",
      None),
@@ -76,6 +79,9 @@ CONTRACT = [
     # under both measures, and with six payoff barriers in deviations
     ("mc --paths 2048 --dt 1e-3", 0, None, 1),
     ("deviations --paths 2048 --dt 1e-3", 0, None, 1),
+    # a start inside (A, B) on a grid of dt 4e-4, under another seed
+    ("mc --phi 0.6 --paths 2048 --dt 4e-4 --seed 3", 0, None, 1),
+    ("deviations --phi 0.6 --paths 2048 --dt 4e-4 --seed 3", 0, None, 1),
     # at the default dt 1e-4 paths cross many chunks
     ("mc --paths 2048", 0, None, 1),
     ("deviations --paths 2048", 0, None, 1),
@@ -272,20 +278,6 @@ def test_mc_thread_count_does_not_change_output(tmp_path):
     _, one = run(tmp_path, *args, "--threads", "1")
     _, four = run(tmp_path, *args, "--threads", "4")
     assert one == four
-
-
-@pytest.mark.parametrize("command", ["mc", "deviations"])
-def test_helper_process_does_not_change_output(capsys, helper_switch, command):
-    # from 1024 paths the kernel may share its paths with a helper process
-    outputs = []
-    for on in (False, True):
-        helper_switch.set(on)
-        assert main([command, "--phi", "0.6", "--paths", "2048", "--dt", "4e-4",
-                     "--seed", "3"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert helper_switch.helper_chunks >= 1
-    assert helper_switch.all_ended()
-    assert outputs[0] == outputs[1]
 
 
 def test_killed_helper_leaves_mc_to_the_caller(capsys, monkeypatch, helper_switch):
@@ -678,7 +670,7 @@ def test_mc_control_fit_is_total(tmp_path, capsys, flags):
 
 
 @pytest.mark.xfail(strict=True, reason="grid bias above the HIT_BIAS_COEFF "
-                                       "budget; see ROADMAP item 2")
+                                       "budget; see ROADMAP items 3 and 8")
 @pytest.mark.parametrize("flags, check", [
     (("--mu0", "-2", "--mu1", "0.3", "--sigma", "1.5", "--eps", "0.35",
       "--phi", "1.8227"), "J0"),

@@ -14,7 +14,6 @@ from driftgame import (
     compute_exponents,
     compute_upper_threshold,
     deviation_value_player1,
-    derive,
     solve_threshold_ratio,
 )
 from driftgame.equilibrium import BOUNDARY_ATOL, ODE_RTOL, QVI_BLOCK, BracketFailure, \
@@ -58,7 +57,7 @@ def test_characteristic_values_at_0_and_1(base_params, random_param_sets):
 
 def test_vieta_product(base_params):
     e = compute_exponents(base_params)
-    omega = derive(base_params).omega
+    omega = base_params.omega
     assert e.beta1 * e.beta2 == pytest.approx(2 * base_params.mu0 / omega**2,
                                               rel=1e-13)
     assert e.beta1 * e.beta2 == pytest.approx(-1 / 8, rel=1e-13)
@@ -344,7 +343,7 @@ def _check_qvi_whole_grid(sol, n_points=10_000):
     grids, each condition on its own evaluation: the reference the blocked
     checker must reproduce bit for bit."""
     params = sol.params
-    omega = sol.omega
+    omega = params.omega
     so = params.sigma * omega
     A, B = sol.A, sol.B
     eps = params.eps

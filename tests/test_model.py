@@ -8,20 +8,18 @@ from driftgame import (
     InvalidParameters,
     ModelParams,
     belief_to_ratio,
-    derive,
     ratio_to_belief,
 )
 
 
-def test_derive_base_case(base_params):
-    d = derive(base_params)
-    assert d.omega == 4.0          # (1 - (-1)) / 0.5
-    assert d.phi0 == 1.0           # prior 0.5
+def test_omega_and_phi0_base_case(base_params):
+    assert base_params.omega == 4.0   # (1 - (-1)) / 0.5
+    assert base_params.phi0 == 1.0    # prior 0.5
 
 
-def test_derive_figure_prior():
-    d = derive(ModelParams(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.1, prior=0.35))
-    assert d.phi0 == pytest.approx(0.35 / 0.65, rel=1e-15)
+def test_phi0_figure_prior():
+    p = ModelParams(mu0=-1.0, mu1=1.0, sigma=0.5, eps=0.1, prior=0.35)
+    assert p.phi0 == pytest.approx(0.35 / 0.65, rel=1e-15)
 
 
 def test_reference_threshold_conversions():
@@ -54,7 +52,7 @@ def test_conversion_domain_errors():
 
 def test_omega_positive_for_valid_params(random_param_sets):
     for p in random_param_sets:
-        assert derive(p).omega > 0.0
+        assert p.omega > 0.0
 
 
 @pytest.mark.parametrize("field, value", [

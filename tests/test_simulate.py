@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from driftgame import InvalidParameters, ModelParams, build_solution, derive
+from driftgame import InvalidParameters, ModelParams, build_solution
 from driftgame.simulate import (
     ROLE_PATH_NOISE,
     ROLE_REGIME_DRAW,
@@ -213,7 +213,7 @@ def test_substreams_are_deterministic_and_disjoint():
 def test_tilted0_log_increment_moments(base_params):
     # per-step mean of the log increment is (sigma omega - omega^2/2) dt,
     # checked over 1e6 draws within a 4-sigma band
-    d = derive(base_params)
+    omega = base_params.omega
     dt = 1e-4
     cfg = _cfg(dt=dt, horizon=100.0)
     traj = simulate_phi(cfg, base_params, substream(3, 0, ROLE_PATH_NOISE),
@@ -221,43 +221,42 @@ def test_tilted0_log_increment_moments(base_params):
     incs = np.diff(np.log(traj.Phi))
     n = incs.size
     assert n == 1_000_000
-    expected = (base_params.sigma * d.omega - d.omega**2 / 2) * dt
+    expected = (base_params.sigma * omega - omega**2 / 2) * dt
     assert expected == pytest.approx(-6e-4, rel=1e-12)
-    band = 4.0 * d.omega * math.sqrt(dt) / math.sqrt(n)
+    band = 4.0 * omega * math.sqrt(dt) / math.sqrt(n)
     assert abs(incs.mean() - expected) < band
 
 
 def test_tilted_drift_difference_exact(base_params):
     # common random numbers: the tilted1-tilted0 log-drift gap is omega^2 dt
-    d = derive(base_params)
+    omega = base_params.omega
     dt = 1e-4
     cfg = _cfg(dt=dt, horizon=0.1)
     t0, t1 = (simulate_phi(cfg, base_params, substream(5, 0, ROLE_PATH_NOISE), m)
               for m in (Measure.TILTED0, Measure.TILTED1))
     gap = np.diff(np.log(t1.Phi)) - np.diff(np.log(t0.Phi))
-    assert gap == pytest.approx(d.omega**2 * dt, rel=1e-9)
-    assert d.omega**2 * dt == pytest.approx(16e-4, rel=1e-12)
+    assert gap == pytest.approx(omega**2 * dt, rel=1e-9)
+    assert omega**2 * dt == pytest.approx(16e-4, rel=1e-12)
 
 
 def test_physical_measure_drifts(base_params):
-    d = derive(base_params)
-    m0, mx0 = log_drifts(base_params, d, Measure.PHYSICAL, theta=0)
-    m1, mx1 = log_drifts(base_params, d, Measure.PHYSICAL, theta=1)
-    assert m0 == 0.0 and m1 == d.omega**2
+    m0, mx0 = log_drifts(base_params, Measure.PHYSICAL, theta=0)
+    m1, mx1 = log_drifts(base_params, Measure.PHYSICAL, theta=1)
+    assert m0 == 0.0 and m1 == base_params.omega**2
     assert mx0 == base_params.mu0 - base_params.sigma**2 / 2
     assert mx1 == base_params.mu1 - base_params.sigma**2 / 2
     with pytest.raises(ValueError):
-        log_drifts(base_params, d, Measure.PHYSICAL, theta=None)
+        log_drifts(base_params, Measure.PHYSICAL, theta=None)
 
 
 def test_x_and_phi_share_noise(base_params):
     # one Brownian path drives both: scaled log increments coincide
-    d = derive(base_params)
+    omega = base_params.omega
     cfg = _cfg(dt=1e-3, horizon=1.0)
     traj = simulate_phi(cfg, base_params, substream(11, 0, ROLE_PATH_NOISE),
                         Measure.TILTED0)
-    m_phi, m_x = log_drifts(base_params, d, Measure.TILTED0)
-    noise_phi = (np.diff(np.log(traj.Phi)) - (m_phi - d.omega**2 / 2) * cfg.dt) / d.omega
+    m_phi, m_x = log_drifts(base_params, Measure.TILTED0)
+    noise_phi = (np.diff(np.log(traj.Phi)) - (m_phi - omega**2 / 2) * cfg.dt) / omega
     noise_x = (np.diff(np.log(traj.X)) - m_x * cfg.dt) / base_params.sigma
     assert noise_phi == pytest.approx(noise_x, abs=1e-12)
 
@@ -301,7 +300,7 @@ def test_reflection_identities_on_simulated_path(base_params):
     # the product identity holds to an ulp of Phi at every step
     assert np.all(np.abs(r.PhiB - r.Phi * (1.0 - r.Gamma)) <= r.Phi * 1e-15)
     assert np.all(r.PhiB <= sol.B)                  # exact barrier bound
-    assert r.PhiB[0] == min(derive(base_params).phi0, sol.B)
+    assert r.PhiB[0] == min(base_params.phi0, sol.B)
     assert np.all(np.diff(r.Gamma) >= 0.0)
     assert r.Gamma.max() < 1.0
     assert np.all(np.diff(r.L) >= 0.0) and r.L[0] == 0.0
@@ -480,7 +479,7 @@ def test_path_walk_warns_nowhere_past_its_stop():
 
 def test_kernel_matches_trajectory_hits(base_params):
     sol = build_solution(base_params)
-    phi0 = derive(base_params).phi0
+    phi0 = base_params.phi0
     cfg = SimConfig(dt=1e-3, horizon=10.0, n_paths=30, seed=99)
     pf = _one_measure(base_params, phi0, sol.A, sol.B, cfg,
                       MeasureSpec(Measure.TILTED0))
@@ -508,10 +507,7 @@ def _one_barrier_pass(params, phi0, lower, barrier, config, measure, rate, weigh
     their terms one by one to their time-zero values, in step order.
     Returns (tau, censored, r_pay_end, stieltjes, z_end, control_sums),
     control_sums one row per exponent of betas."""
-    d = derive(params)
-    m_phi, _ = log_drifts(params, d, measure)
-    c_drift = (m_phi - 0.5 * d.omega**2) * config.dt
-    c_noise = d.omega * math.sqrt(config.dt)
+    c_drift, c_noise = log_ratio_step(params, measure, config.dt)
     z0, z_hit = math.log(phi0), math.log(barrier)
     z_pay, z_lo = math.log(barrier_pay), math.log(lower)
     same = z_pay == z_hit
@@ -709,10 +705,7 @@ def test_stopped_row_prices_no_step_past_its_stop(base_params, monkeypatch):
     assert got.censored.any() and not got.censored.all()
     # the case occurs: after its stop, a path's log ratio passes the
     # running maximum it stopped at, within the horizon and so the chunk
-    d = derive(base_params)
-    m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
-    c_drift = (m_phi - 0.5 * d.omega**2) * cfg.dt
-    c_noise = d.omega * math.sqrt(cfg.dt)
+    c_drift, c_noise = log_ratio_step(base_params, Measure.TILTED1, cfg.dt)
     grows = 0
     for p in (~got.censored).nonzero()[0].tolist():
         xi = substream(cfg.seed, p, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
@@ -1458,13 +1451,11 @@ def test_strided_grids_subsample_one_fine_path(base_params):
             for s in strides]
     assert runs[0].censored.any() and not runs[0].censored.all()
 
-    d = derive(base_params)
-    m_phi, _ = log_drifts(base_params, d, Measure.TILTED1)
+    c_drift, c_noise = log_ratio_step(base_params, Measure.TILTED1, cfg.dt)
     z_bar, z_lo = math.log(sol.B), math.log(sol.A)
     for i in range(cfg.n_paths):
         xi = substream(cfg.seed, i, ROLE_PATH_NOISE).standard_normal(cfg.n_steps)
-        z = z_bar + np.cumsum((m_phi - 0.5 * d.omega**2) * cfg.dt
-                              + d.omega * math.sqrt(cfg.dt) * xi)
+        z = z_bar + np.cumsum(c_drift + c_noise * xi)
         for s, pf in zip(strides, runs):
             zc = z[s - 1::s]
             zr = zc - np.maximum.accumulate(np.maximum(zc - z_bar, 0.0))

@@ -253,7 +253,7 @@ def test_player2_barrier_rows_bracket_censored_paths(sol):
             sol.params, sol.B / 2, sol.A, sol.B, cfg,
             (verify.MeasureSpec(Measure.TILTED1, payoff_barriers=bprimes),))
         assert pf1.censored.any() == (horizon < 1.0)
-        pair_bias = verify.PAIR_BIAS_COEFF * sol.omega * math.sqrt(cfg.dt)
+        pair_bias = verify.PAIR_BIAS_COEFF * sol.params.omega * math.sqrt(cfg.dt)
         for row, r_end in zip(report.rows, pf1.r_pay_end):
             miss = np.where(pf1.censored, (1.0 + sol.params.eps)
                             * np.exp(sol.params.mu1 * horizon - r_end), 0.0)
